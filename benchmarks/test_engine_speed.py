@@ -9,10 +9,12 @@ Two comparisons on mid-size rMAT matrices:
   folding) and where the scalar reference walks elements and node pairs in
   Python.
 * **End-to-end multiply** (asserted ≥ 1.5×, actual ratio recorded): full
-  ``SpArch.multiply`` including the engine-independent parts both backends
-  share verbatim — the Bélády prefetcher policy loop, plan construction and
-  result materialisation — which bound the whole-simulation ratio to
-  roughly 2–3× on these sizes.
+  ``SpArch.multiply``.  Besides the kernels, the engines differ in the
+  Bélády prefetcher (the scalar engine runs its per-access reference loop,
+  the vectorized engine its event-driven replay) and share plan
+  construction and result materialisation verbatim, so the
+  whole-simulation ratio stays near the kernel ratio (both about 3.5–4×
+  on these sizes).
 
 Timings use best-of-three to shrug off scheduler noise; the differential
 harness (``tests/integration/test_engine_equivalence.py``) separately proves

@@ -19,7 +19,6 @@ from repro.core.huffman import (
     initial_merge_way,
     sequential_schedule,
 )
-from repro.core.lookahead import DistanceListBuilder, LookaheadFifo
 from repro.core.partial_matrix import PartialMatrixStore, PartialMatrixWriter
 from repro.core.prefetcher import PrefetchStats, RowPrefetcher
 from repro.core.replacement import (
@@ -47,8 +46,6 @@ __all__ = [
     "huffman_schedule",
     "initial_merge_way",
     "sequential_schedule",
-    "DistanceListBuilder",
-    "LookaheadFifo",
     "PartialMatrixStore",
     "PartialMatrixWriter",
     "PrefetchStats",

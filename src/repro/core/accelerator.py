@@ -20,10 +20,12 @@ by ``SpArchConfig.engine``: the scalar reference in this module
 (:class:`_LeafStreamer` + :class:`~repro.hardware.merge_tree.MergeTree`),
 the batched implementation in :mod:`repro.core.vectorized`, and the
 bounded-memory chunked implementation in :mod:`repro.core.streaming` used
-for paper-scale runs.  All produce identical results and statistics — see
+for paper-scale runs.  The prefetcher policy has a reference/fast pair too:
+the scalar engine runs :class:`~repro.core.prefetcher.RowPrefetcher`'s
+per-access reference loop, the other two its event-driven replay wherever
+that applies.  All produce identical results and statistics — see
 ``tests/integration/test_engine_equivalence.py``.  Everything else (plan
-construction, the prefetcher policy, traffic accounting, result
-materialisation) is shared code.
+construction, traffic accounting, result materialisation) is shared code.
 """
 
 from __future__ import annotations
@@ -311,6 +313,7 @@ class SpArch:
                 line_elements=config.prefetch_line_elements,
                 element_bytes=element_bytes,
                 lookahead_window=config.lookahead_fifo_elements,
+                reference=config.engine == "scalar",
             )
             prefetch_stats = prefetcher.simulate(access_order)
             traffic.add(TrafficCategory.MATRIX_B_READ,

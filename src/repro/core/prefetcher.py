@@ -7,6 +7,13 @@ policy — it can, because the future access order is *known*: it is exactly
 the original-column sequence of the left-matrix elements streaming through
 the look-ahead FIFO.
 
+The MatA column fetcher pushes the left-matrix elements it is about to
+consume into that FIFO (8192 elements in Table I), and the distance list
+builder walks it to find when every right-matrix row is next needed (§II-E,
+Figure 10).  The window is finite, which is why Figure 17(d) sweeps its
+size: a row whose next use lies beyond the window looks identical to a row
+that is never used again.
+
 Replacement policy, as in the paper:
 
 * the victim is the buffered row whose next use is furthest in the future;
@@ -17,7 +24,12 @@ Replacement policy, as in the paper:
   the resident remainder still produces hits later (Figure 9, step 7→8).
 
 The simulation runs at *segment* (buffer line) granularity and reports the
-DRAM bytes read for matrix B, the hit rate, and the eviction count.
+DRAM bytes read for matrix B, the hit rate, and the eviction count.  Two
+implementations give identical statistics and final buffer state: the
+per-access reference loop, which every input can take and the scalar engine
+always takes, and an event-driven replay
+(:meth:`RowPrefetcher._simulate_events`) for a cold buffer whose accessed
+rows each fit in it.
 """
 
 from __future__ import annotations
@@ -25,13 +37,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.lookahead import UNKNOWN_NEXT_USE
 from repro.formats.csr import CSRMatrix
 from repro.memory.buffer import RowBuffer
+
+#: Next-use value meaning "not referenced within the look-ahead window".
+UNKNOWN_NEXT_USE = float("inf")
 
 
 @dataclass
@@ -46,7 +60,6 @@ class PrefetchStats:
     evicted_lines: int = 0
     dram_bytes_read: int = 0
     bytes_without_buffer: int = 0
-    per_access_miss_bytes: list[int] = field(default_factory=list, repr=False)
 
     @property
     def hit_rate(self) -> float:
@@ -71,34 +84,24 @@ class RowPrefetcher:
         line_elements: elements per buffer line (48 in Table I).
         element_bytes: bytes per buffered element (12 in Table I).
         lookahead_window: look-ahead FIFO depth in elements (8192 in Table I).
+        reference: run the per-access reference loop on every input, as the
+            scalar engine does, instead of the event-driven replay; both
+            produce identical statistics and buffer state.
     """
 
     def __init__(self, matrix_b: CSRMatrix, *, num_lines: int = 1024,
                  line_elements: int = 48, element_bytes: int = 12,
-                 lookahead_window: int = 8192) -> None:
+                 lookahead_window: int = 8192, reference: bool = False) -> None:
         self._matrix_b = matrix_b
         self._buffer = RowBuffer(num_lines, line_elements, element_bytes)
         self._lookahead_window = lookahead_window
+        self._reference = reference
         self._row_nnz = matrix_b.nnz_per_row()
 
     @property
     def buffer(self) -> RowBuffer:
         """The underlying row buffer (for occupancy/area accounting)."""
         return self._buffer
-
-    # ------------------------------------------------------------------
-    def _row_segments(self, row: int) -> int:
-        return self._buffer.segments_for_row(int(self._row_nnz[row]))
-
-    def _segment_elements(self, row: int, segment: int) -> int:
-        """Number of real elements stored in segment ``segment`` of ``row``."""
-        nnz = int(self._row_nnz[row])
-        full = self._buffer.line_elements
-        start = segment * full
-        return max(0, min(full, nnz - start))
-
-    def _segment_bytes(self, row: int, segment: int) -> int:
-        return self._segment_elements(row, segment) * self._buffer.element_bytes
 
     # ------------------------------------------------------------------
     def simulate(self, access_sequence: np.ndarray) -> PrefetchStats:
@@ -130,11 +133,18 @@ class RowPrefetcher:
         # simultaneously, the near-Bélády policy never evicts, so the whole
         # simulation collapses to "first touch misses, repeats hit" — exactly
         # computable with one first-occurrence mask and no replacement heap.
+        # When only each row fits on its own, the event-driven replay runs
+        # instead of the loop below (unless the reference is requested).
         if self._buffer.lines_used == 0:
-            distinct_rows = np.unique(access_sequence)
-            if int(num_segments_arr[distinct_rows].sum()) <= self._buffer.num_lines:
+            distinct_rows = np.flatnonzero(np.bincount(access_sequence))
+            distinct_segments = num_segments_arr[distinct_rows]
+            if int(distinct_segments.sum()) <= self._buffer.num_lines:
                 return self._simulate_unbounded(access_sequence, distinct_rows,
                                                 num_segments_arr, stats)
+            if (not self._reference
+                    and int(distinct_segments.max()) <= self._buffer.num_lines):
+                return self._simulate_events(access_sequence, num_segments_arr,
+                                             stats)
 
         initially_resident = sorted(self._buffer.resident_rows)
 
@@ -143,9 +153,8 @@ class RowPrefetcher:
         # position's successor within its group is its next use.  This
         # covers the per-access priority refresh; the irregular queries
         # (victim refresh, warm start) binary-search the same grouping via
-        # ``next_use`` below, replacing the eager per-row distance lists of
-        # :class:`~repro.core.lookahead.DistanceListBuilder` whose O(n)
-        # construction dominated short simulations.
+        # ``next_use`` below instead of building eager per-row distance
+        # lists, whose O(n) construction dominated short simulations.
         n = len(access_sequence)
         grouped = np.argsort(access_sequence, kind="stable")
         next_occurrence = np.full(n, -1, dtype=np.int64)
@@ -168,8 +177,9 @@ class RowPrefetcher:
         def next_use(row: int, now: int) -> float:
             """Next access of ``row`` strictly after ``now``, window-limited.
 
-            Same contract as ``DistanceListBuilder.next_use``; the per-row
-            position lists are slices of ``grouped`` found by binary search.
+            Returns :data:`UNKNOWN_NEXT_USE` when the next use lies beyond the
+            look-ahead window or never comes; the per-row position lists are
+            slices of ``grouped`` found by binary search.
             """
             if not row_ranges:
                 build_row_ranges()
@@ -280,7 +290,6 @@ class RowPrefetcher:
         lines_free = buffer.lines_free
         stamp_rows_append = stamp_rows.append
         unknown_append = unknown_fifo.append
-        per_access_miss_bytes = stats.per_access_miss_bytes
         element_hits = element_misses = segment_hits = segment_misses = 0
         dram_bytes_read = bytes_without_buffer = inserted_lines = 0
 
@@ -290,7 +299,6 @@ class RowPrefetcher:
             bytes_without_buffer += row_elements * element_bytes
 
             if num_segments == 0:
-                per_access_miss_bytes.append(0)
                 continue
 
             resident = resident_get(row)
@@ -345,7 +353,6 @@ class RowPrefetcher:
             segment_hits += num_segments - num_missing
             segment_misses += num_missing
             dram_bytes_read += miss_bytes
-            per_access_miss_bytes.append(miss_bytes)
             # The row was just touched: refresh its eviction priority using
             # the precomputed next-occurrence table (inlined push_candidate).
             stamp = advance()
@@ -368,6 +375,165 @@ class RowPrefetcher:
         buffer.record_hit(segment_hits)
         buffer.record_miss(segment_misses)
         buffer.apply_policy_effects(inserted_lines=inserted_lines,
+                                    evicted_lines=stats.evicted_lines)
+        return stats
+
+    def _simulate_events(self, access_sequence: np.ndarray,
+                         num_segments_arr: np.ndarray,
+                         stats: PrefetchStats) -> PrefetchStats:
+        """Event-driven replay of the replacement loop in :meth:`simulate`.
+
+        Produces exactly the loop's :class:`PrefetchStats` and final buffer
+        state, provided the buffer starts empty and every accessed row fits
+        in it.  Then three properties of the policy let the per-access
+        bookkeeping shrink to a few list lookups:
+
+        * A row's resident segments are always a prefix: they are fetched in
+          ascending order and spilled highest first, and a row never spills
+          itself.  Residency is one line count per row.
+        * An unknown-next-use candidate ranks in the FIFO by when it was
+          pushed.  A touch pushes it at its own position, so the touches
+          whose next use lies beyond the window form a precomputed sorted
+          list that a head pointer walks.  A partial spill re-keys the row
+          at the current access, to the back of the FIFO (a small deque) or
+          into the known class once its next use is within the window.
+        * A known-next-use candidate is identified by its next-use position
+          ``p`` alone: the row is ``access_sequence[p]``, and the candidate
+          is live while ``p`` lies ahead.  The heap holds plain ints, and
+          the touches that feed it are pushed only when it is consulted.
+
+        Each row thus has at most one live candidate, which is consumed when
+        the row spills, so no stamps or deferred pushes are needed.  The loop
+        records which accesses miss and how many of their lines were still
+        resident; the hit, miss and byte counters follow with numpy.
+        """
+        buffer = self._buffer
+        full = buffer.line_elements
+        element_bytes = buffer.element_bytes
+        window = self._lookahead_window
+        row_nnz = self._row_nnz
+        n = len(access_sequence)
+        positions = np.arange(n)
+
+        # Next access of the same row after each position (``n``: never),
+        # from grouping positions by row.  The (row, position) keys are
+        # distinct, so the faster unstable sort keeps positions ascending.
+        grouped = np.argsort(access_sequence * n + positions)
+        next_occurrence = np.full(n, n, dtype=np.int64)
+        same_row = access_sequence[grouped[1:]] == access_sequence[grouped[:-1]]
+        next_occurrence[grouped[:-1][same_row]] = grouped[1:][same_row]
+        # Which class each touch pushes its row into; empty rows are never
+        # buffered, so they push nothing.  A sentinel ``n`` ends each list.
+        access_segments = num_segments_arr[access_sequence]
+        buffered = access_segments > 0
+        known = ((next_occurrence < n)
+                 & (next_occurrence - positions <= window))
+        unknown_pushes = np.flatnonzero(buffered & ~known)
+        known_pushes = np.flatnonzero(buffered & known)
+        unknown_list = unknown_pushes.tolist() + [n]
+        unknown_next = next_occurrence[unknown_pushes].tolist() + [n]
+        known_list = known_pushes.tolist() + [n]
+        known_next = next_occurrence[known_pushes].tolist()
+
+        rows = access_sequence.tolist()
+        num_segments = num_segments_arr.tolist()
+        resident = [0] * len(num_segments)
+        missed = bytearray(n)
+        heap: list[int] = []
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        respilled: deque[tuple[int, int, int]] = deque()
+        unknown_head = known_head = 0
+        lines_free = buffer.num_lines
+        partial_hit_lines = 0
+
+        for now, row in enumerate(rows):
+            lines = resident[row]
+            wanted = num_segments[row]
+            if lines == wanted:
+                continue
+            missed[now] = 1
+            partial_hit_lines += lines
+            resident[row] = wanted
+            lines_free -= wanted - lines
+            if lines_free >= 0:
+                continue
+            deficit = -lines_free
+            lines_free = 0
+
+            # Unknown class first, oldest first: the touch list's head
+            # (skipping rows touched again since) or the oldest re-keyed spill.
+            while deficit:
+                position = unknown_list[unknown_head]
+                while position < now and unknown_next[unknown_head] <= now:
+                    unknown_head += 1
+                    position = unknown_list[unknown_head]
+                if respilled:
+                    while respilled and respilled[0][2] <= now:
+                        respilled.popleft()
+                    if respilled and (position >= now
+                                      or respilled[0][0] <= position):
+                        _, position, next_use = respilled.popleft()
+                    elif position < now:
+                        next_use = unknown_next[unknown_head]
+                        unknown_head += 1
+                    else:
+                        break
+                elif position < now:
+                    next_use = unknown_next[unknown_head]
+                    unknown_head += 1
+                else:
+                    break
+                victim = rows[position]
+                lines = resident[victim] - 1
+                resident[victim] = lines
+                deficit -= 1
+                if lines:
+                    if next_use < n and next_use - now <= window:
+                        heappush(heap, -next_use)
+                    else:
+                        respilled.append((now, position, next_use))
+
+            if deficit:
+                # Known class: push the touches made since the last visit,
+                # then spill the furthest next use until the row is gone.
+                while known_list[known_head] < now:
+                    next_use = known_next[known_head]
+                    if next_use > now:
+                        heappush(heap, -next_use)
+                    known_head += 1
+                while deficit:
+                    # Live entries (next use still ahead) outrank every stale
+                    # one, and their rows hold enough lines: the top is live.
+                    victim = rows[-heap[0]]
+                    lines = resident[victim]
+                    if lines > deficit:
+                        resident[victim] = lines - deficit
+                        break
+                    resident[victim] = 0
+                    deficit -= lines
+                    heappop(heap)
+
+        missed_rows = access_sequence[np.frombuffer(missed, dtype=bool)]
+        total_elements = int(row_nnz[access_sequence].sum())
+        stats.accesses = n
+        stats.segment_misses = (int(num_segments_arr[missed_rows].sum())
+                                - partial_hit_lines)
+        stats.segment_hits = int(access_segments.sum()) - stats.segment_misses
+        stats.element_misses = (int(row_nnz[missed_rows].sum())
+                                - full * partial_hit_lines)
+        stats.element_hits = total_elements - stats.element_misses
+        # The buffer started empty: whatever was fetched and is gone spilled.
+        stats.evicted_lines = stats.segment_misses - sum(resident)
+        stats.dram_bytes_read = stats.element_misses * element_bytes
+        stats.bytes_without_buffer = total_elements * element_bytes
+
+        resident_map = buffer.resident_map
+        for row in np.flatnonzero(resident).tolist():
+            resident_map[row] = set(range(resident[row]))
+        buffer.record_hit(stats.segment_hits)
+        buffer.record_miss(stats.segment_misses)
+        buffer.apply_policy_effects(inserted_lines=stats.segment_misses,
                                     evicted_lines=stats.evicted_lines)
         return stats
 
@@ -397,28 +563,10 @@ class RowPrefetcher:
         stats.segment_misses = int(access_segments[first_touch].sum())
         stats.segment_hits = int(access_segments.sum()) - stats.segment_misses
         stats.dram_bytes_read = miss_elements * element_bytes
-        stats.per_access_miss_bytes = np.where(
-            first_touch, access_nnz * element_bytes, 0).tolist()
 
         self._buffer.record_hit(stats.segment_hits)
         self._buffer.record_miss(stats.segment_misses)
         for row in distinct_rows.tolist():
             for segment in range(int(num_segments_arr[row])):
                 self._buffer.insert(row, segment)
-        return stats
-
-    def simulate_without_buffer(self, access_sequence: np.ndarray) -> PrefetchStats:
-        """Model the no-prefetcher case: every access re-reads its full row."""
-        access_sequence = np.asarray(access_sequence, dtype=np.int64)
-        stats = PrefetchStats()
-        element_bytes = self._buffer.element_bytes
-        for row in access_sequence:
-            row_elements = int(self._row_nnz[int(row)])
-            row_bytes = row_elements * element_bytes
-            stats.accesses += 1
-            stats.element_misses += row_elements
-            stats.segment_misses += self._row_segments(int(row))
-            stats.dram_bytes_read += row_bytes
-            stats.bytes_without_buffer += row_bytes
-            stats.per_access_miss_bytes.append(row_bytes)
         return stats

@@ -1,23 +1,73 @@
-"""Unit and property tests for the MatB row prefetcher (§II-D, Figure 9)."""
+"""Unit and property tests for the MatB row prefetcher (§II-D, Figure 9).
+
+The event-driven replay must reproduce the per-access reference loop
+exactly: every :class:`PrefetchStats` field and the final buffer state.
+"""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.accelerator import SpArch
+from repro.core.config import SpArchConfig
 from repro.core.prefetcher import RowPrefetcher
 from repro.formats.csr import CSRMatrix
 from repro.matrices.synthetic import powerlaw_matrix, random_matrix
 
 
+def _matrix_with_row_nnz(row_nnz) -> CSRMatrix:
+    """Matrix whose row ``i`` has exactly ``row_nnz[i]`` nonzeros."""
+    row_nnz = np.asarray(row_nnz, dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    indices = np.concatenate([np.arange(k, dtype=np.int64) for k in row_nnz])
+    width = max(int(row_nnz.max()), 1)
+    return CSRMatrix(indptr, indices, np.ones(len(indices)),
+                     (len(row_nnz), width))
+
+
 def _uniform_matrix(num_rows: int, row_nnz: int) -> CSRMatrix:
     """Matrix whose every row has exactly ``row_nnz`` nonzeros."""
-    indptr = np.arange(num_rows + 1, dtype=np.int64) * row_nnz
-    indices = np.tile(np.arange(row_nnz, dtype=np.int64), num_rows)
-    data = np.ones(num_rows * row_nnz)
-    return CSRMatrix(indptr, indices, data, (num_rows, max(row_nnz, 1)))
+    return _matrix_with_row_nnz([row_nnz] * num_rows)
+
+
+def _buffer_state(prefetcher: RowPrefetcher) -> tuple:
+    """Everything a simulation leaves in the row buffer."""
+    buffer = prefetcher.buffer
+    return ({row: set(segments)
+             for row, segments in buffer.resident_map.items()},
+            buffer.lines_used, buffer.evictions, buffer.segment_hits,
+            buffer.segment_misses)
+
+
+def _simulate_both(matrix: CSRMatrix, sequence, **kwargs):
+    """Run the reference loop and the default path; both must agree."""
+    access = np.asarray(sequence, dtype=np.int64)
+    reference = RowPrefetcher(matrix, reference=True, **kwargs)
+    fast = RowPrefetcher(matrix, **kwargs)
+    expected = reference.simulate(access)
+    observed = fast.simulate(access)
+    assert dataclasses.asdict(observed) == dataclasses.asdict(expected)
+    assert _buffer_state(fast) == _buffer_state(reference)
+    return observed, fast
+
+
+@pytest.fixture
+def count_event_runs(monkeypatch):
+    """Count calls of the event-driven replay (it still runs)."""
+    calls = []
+    original = RowPrefetcher._simulate_events
+
+    def spy(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(RowPrefetcher, "_simulate_events", spy)
+    return calls
 
 
 def test_every_access_hits_when_buffer_is_large_enough():
@@ -78,16 +128,6 @@ def test_empty_rows_and_empty_sequence():
     assert prefetcher.simulate(np.array([], dtype=np.int64)).accesses == 0
 
 
-def test_simulate_without_buffer_rereads_every_row():
-    matrix = _uniform_matrix(4, 5)
-    prefetcher = RowPrefetcher(matrix, num_lines=8, line_elements=8)
-    sequence = np.array([0, 0, 1, 0])
-    stats = prefetcher.simulate_without_buffer(sequence)
-    assert stats.dram_bytes_read == 4 * 5 * 12
-    assert stats.element_hits == 0
-    assert stats.traffic_reduction == 1.0
-
-
 def test_traffic_reduction_property():
     matrix = powerlaw_matrix(128, 4.0, seed=3)
     access = np.asarray(matrix.indices, dtype=np.int64)
@@ -144,3 +184,157 @@ def test_prefetcher_invariants_hold_for_random_sequences(sequence, lines,
     assert stats.accesses == len(sequence)
     # The buffer never exceeds its capacity.
     assert prefetcher.buffer.lines_used <= prefetcher.buffer.num_lines
+
+
+@st.composite
+def _prefetch_cases(draw):
+    """Buffer geometry, per-row sizes and an access sequence with runs."""
+    line_elements = draw(st.integers(min_value=1, max_value=8))
+    num_lines = draw(st.integers(min_value=1, max_value=16))
+    # Rows may span several lines, but none needs more than the buffer, so
+    # the event path applies whenever the accessed rows do not all fit.
+    row_nnz = draw(st.lists(
+        st.integers(min_value=0, max_value=num_lines * line_elements),
+        min_size=1, max_size=12))
+    runs = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(row_nnz) - 1),
+                  st.integers(min_value=1, max_value=4)),
+        min_size=1, max_size=60))
+    sequence = [row for row, length in runs for _ in range(length)]
+    # Short windows make next uses cross the window edge most often.
+    window = draw(st.one_of(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=len(sequence) + 3)))
+    return row_nnz, sequence, num_lines, line_elements, window
+
+
+@given(_prefetch_cases())
+@settings(max_examples=300, deadline=None)
+def test_event_path_matches_reference_loop(case):
+    """Differential property: stats and final buffer state are identical."""
+    row_nnz, sequence, num_lines, line_elements, window = case
+    _simulate_both(_matrix_with_row_nnz(row_nnz), sequence,
+                   num_lines=num_lines, line_elements=line_elements,
+                   lookahead_window=window)
+
+
+def test_unknown_class_spills_round_robin_and_rekeys():
+    """Partial spills move a row to the back of the FIFO, or into the
+    known class once its next use enters the window (Figure 9, step 7→8).
+
+    Every row is two one-element lines; the buffer holds four lines and the
+    window is one access deep.
+    """
+    matrix = _uniform_matrix(3, 2)
+    stats, prefetcher = _simulate_both(matrix, [0, 1, 2, 0, 1], num_lines=4,
+                                       line_elements=1, lookahead_window=1)
+    # Access 2 spills one line each of rows 0 and 1, not all of row 0.  Row
+    # 0 (next use 3) turns known and survives; row 1 (next use 4) goes back
+    # into the FIFO ahead of row 2, so access 3 spills row 1's last line.
+    # Access 4 spills one line each of rows 2 and 0.
+    assert stats.segment_hits == 1
+    assert stats.segment_misses == 9
+    assert stats.evicted_lines == 5
+    assert prefetcher.buffer.resident_map == {0: {0}, 1: {0, 1}, 2: {0}}
+
+
+def test_known_class_spills_the_furthest_row_whole():
+    """Among rows with a visible next use, the furthest one spills line by
+    line until it is gone before any other row loses a line."""
+    matrix = _uniform_matrix(3, 2)
+    stats, prefetcher = _simulate_both(matrix, [0, 1, 2, 1, 0], num_lines=4,
+                                       line_elements=1, lookahead_window=16)
+    # Access 2 spills both lines of row 0 (next use 4), keeping row 1 (next
+    # use 3) whole; access 4 then round-robins over rows 2 and 1.
+    assert stats.segment_hits == 2
+    assert stats.segment_misses == 8
+    assert stats.evicted_lines == 4
+    assert prefetcher.buffer.resident_map == {0: {0, 1}, 1: {0}, 2: {0}}
+
+
+@pytest.mark.parametrize("window,hits", [(3, 1), (2, 0)])
+def test_next_use_exactly_one_window_ahead_is_visible_at_a_touch(window,
+                                                                hits):
+    """Row 0 is next used 3 accesses after its touch.  With a 3-deep window
+    that use is visible, so never-reused row 1 spills instead of it."""
+    stats, _ = _simulate_both(_uniform_matrix(3, 1), [0, 1, 2, 0],
+                              num_lines=2, line_elements=1,
+                              lookahead_window=window)
+    assert stats.segment_hits == hits
+
+
+@pytest.mark.parametrize("window,hits", [(2, 1), (1, 0)])
+def test_next_use_exactly_one_window_ahead_is_visible_at_a_respill(window,
+                                                                  hits):
+    """Access 2 spills one line each of two-line rows 0 and 1.  Row 0's
+    next use (access 4) is then 2 ahead: a 2-deep window re-keys it into
+    the known class, so access 3 takes row 1's last line and row 0 keeps
+    a line for access 4."""
+    stats, _ = _simulate_both(_matrix_with_row_nnz([2, 2, 2, 1]),
+                              [0, 1, 2, 3, 0], num_lines=4, line_elements=1,
+                              lookahead_window=window)
+    assert stats.segment_hits == hits
+
+
+@pytest.mark.parametrize("row_nnz,sequence,num_lines,window", [
+    # Accesses to an empty row still count toward the look-ahead distance.
+    ([1, 0, 1, 1], [0, 1, 1, 2, 3, 1, 0, 2, 1, 3, 0], 2, 2),
+    # A one-access window: every reuse but back-to-back repeats is unknown.
+    ([2, 3, 1, 2, 4], [0, 1, 2, 0, 3, 4, 4, 1, 2, 3, 0, 4, 1], 5, 1),
+    # A window past the sequence end: every reuse is visible.
+    ([3, 1, 4, 1, 5, 9, 2], [6, 5, 4, 3, 2, 1, 0, 5, 6, 1, 2, 5, 3], 6, 64),
+])
+def test_event_path_edge_cases(count_event_runs, row_nnz, sequence,
+                               num_lines, window):
+    """The event path runs, and matches the loop, at the window's extremes."""
+    _simulate_both(_matrix_with_row_nnz(row_nnz), sequence,
+                   num_lines=num_lines, line_elements=2,
+                   lookahead_window=window)
+    assert len(count_event_runs) == 1
+
+
+def test_event_path_matches_reference_on_a_powerlaw_operand(count_event_runs):
+    """A longer sequence with hub rows, multi-line rows and both classes."""
+    matrix = powerlaw_matrix(512, 6.0, seed=23)
+    access = np.asarray(matrix.indices, dtype=np.int64)
+    stats, _ = _simulate_both(matrix, access, num_lines=48, line_elements=4,
+                              lookahead_window=300)
+    assert len(count_event_runs) == 1
+    assert stats.evicted_lines > 0
+
+
+def test_warm_buffer_takes_the_reference_loop(count_event_runs):
+    matrix = powerlaw_matrix(256, 6.0, seed=19)
+    access = np.asarray(matrix.indices, dtype=np.int64)
+    kwargs = dict(num_lines=16, line_elements=8, lookahead_window=128)
+    warm = RowPrefetcher(matrix, **kwargs)
+    warm.simulate(access)
+    assert warm.buffer.lines_used > 0
+    reference = RowPrefetcher(matrix, reference=True, **kwargs)
+    reference.simulate(access)
+    del count_event_runs[:]
+    assert warm.simulate(access) == reference.simulate(access)
+    assert _buffer_state(warm) == _buffer_state(reference)
+    assert count_event_runs == []
+
+
+def test_row_longer_than_buffer_takes_the_reference_loop(count_event_runs):
+    """A row needing more lines than the buffer holds spills itself, which
+    only the reference loop models."""
+    matrix = _matrix_with_row_nnz([3, 9, 2])  # row 1 spans three lines
+    stats, _ = _simulate_both(matrix, [0, 1, 2, 1, 0], num_lines=2,
+                              line_elements=4, lookahead_window=8)
+    assert count_event_runs == []
+    assert stats.evicted_lines > 0
+
+
+def test_scalar_engine_runs_the_reference_loop(count_event_runs):
+    """The scalar engine is the oracle: it never takes the event path."""
+    matrix = random_matrix(120, 120, 900, seed=4)
+    config = SpArchConfig(prefetch_buffer_lines=8, prefetch_line_elements=4,
+                          lookahead_fifo_elements=64)
+    scalar = SpArch(config.replace(engine="scalar")).multiply(matrix, matrix)
+    assert count_event_runs == []
+    vectorized = SpArch(config).multiply(matrix, matrix)
+    assert len(count_event_runs) == 1
+    assert scalar.stats.prefetch_hit_rate == vectorized.stats.prefetch_hit_rate
