@@ -5,15 +5,15 @@ Two comparisons on mid-size rMAT matrices:
 * **Engine kernels** (asserted ≥ 3×): the leaf streamer + merge tree — the
   code paths ``SpArchConfig.engine`` actually switches — executing the same
   Huffman merge plan.  This is the hot path the vectorized backend batches
-  (partial-product gathers, one stable argsort per round, ``reduceat``
-  folding) and where the scalar reference walks elements and node pairs in
-  Python.
+  (partial-product gathers, a blocked merge with one packed-word sort per
+  block, ``reduceat`` folding) and where the scalar reference walks
+  elements and node pairs in Python.
 * **End-to-end multiply** (asserted ≥ 1.5×, actual ratio recorded): full
   ``SpArch.multiply``.  Besides the kernels, the engines differ in the
   Bélády prefetcher (the scalar engine runs its per-access reference loop,
   the vectorized engine its event-driven replay) and share plan
   construction and result materialisation verbatim, so the
-  whole-simulation ratio stays near the kernel ratio (both about 3.5–4×
+  whole-simulation ratio stays near the kernel ratio (both about 4.5–5×
   on these sizes).
 
 Timings use best-of-three to shrug off scheduler noise; the differential

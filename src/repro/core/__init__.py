@@ -10,7 +10,7 @@ from repro.core.accelerator import SpArch, multiply
 from repro.core.column_fetcher import ColumnFetcher, FetchedElement
 from repro.core.condensing import condensed_column_weights, partial_matrix_sizes
 from repro.core.config import BACKEND_FIELDS, SpArchConfig
-from repro.core.fastpath import HAVE_NUMBA, fold_sorted_runs, row_offsets
+from repro.core.fastpath import fold_sorted_runs, row_offsets
 from repro.core.huffman import (
     MergePlan,
     MergeRound,
@@ -37,7 +37,6 @@ __all__ = [
     "partial_matrix_sizes",
     "SpArchConfig",
     "BACKEND_FIELDS",
-    "HAVE_NUMBA",
     "fold_sorted_runs",
     "row_offsets",
     "MergePlan",

@@ -19,11 +19,13 @@ Three interchangeable backends implement the multiply/merge hot path, chosen
 by ``SpArchConfig.engine``: the scalar reference in this module
 (:class:`_LeafStreamer` + :class:`~repro.hardware.merge_tree.MergeTree`),
 the batched implementation in :mod:`repro.core.vectorized`, and the
-bounded-memory chunked implementation in :mod:`repro.core.streaming` used
-for paper-scale runs.  The prefetcher policy has a reference/fast pair too:
-the scalar engine runs :class:`~repro.core.prefetcher.RowPrefetcher`'s
-per-access reference loop, the other two its event-driven replay wherever
-that applies.  All produce identical results and statistics — see
+bounded-memory chunked leaf streamer in :mod:`repro.core.streaming` used
+for paper-scale runs.  Both batched engines merge with the blocked
+:class:`~repro.core.vectorized.VectorizedMergeTree`, sized by
+``streaming_block_elements``.  The prefetcher policy has a reference/fast
+pair too: the scalar engine runs
+:class:`~repro.core.prefetcher.RowPrefetcher`'s per-access reference loop,
+the other two its event-driven replay wherever that applies.  All produce identical results and statistics — see
 ``tests/integration/test_engine_equivalence.py``.  Everything else (plan
 construction, traffic accounting, result materialisation) is shared code.
 """
@@ -43,7 +45,7 @@ from repro.core.huffman import MergePlan, huffman_schedule, sequential_schedule
 from repro.core.partial_matrix import PartialMatrixStore, PartialMatrixWriter
 from repro.core.prefetcher import PrefetchStats, RowPrefetcher
 from repro.core.stats import SimulationStats, SpGEMMResult
-from repro.core.streaming import StreamingLeafStreamer, StreamingMergeTree
+from repro.core.streaming import StreamingLeafStreamer
 from repro.core.vectorized import VectorizedLeafStreamer, VectorizedMergeTree
 from repro.formats.condensed import CondensedMatrix
 from repro.formats.convert import csr_to_csc
@@ -181,13 +183,11 @@ class SpArch:
                            merger_width=config.merger_width,
                            chunk_size=config.merger_chunk_size,
                            fifo_capacity=config.partial_matrix_writer_fifo)
-        if config.engine == "streaming":
-            merge_tree: MergeTree = StreamingMergeTree(
-                block_elements=config.streaming_block_elements, **tree_kwargs)
-        elif config.engine == "vectorized":
-            merge_tree = VectorizedMergeTree(**tree_kwargs)
-        else:
+        if config.engine == "scalar":
             merge_tree = MergeTree(**tree_kwargs)
+        else:
+            merge_tree = VectorizedMergeTree(
+                block_elements=config.streaming_block_elements, **tree_kwargs)
         store = PartialMatrixStore(traffic, element_bytes=config.element_bytes)
         writer = PartialMatrixWriter(traffic, element_bytes=config.element_bytes,
                                      fifo_depth=config.partial_matrix_writer_fifo)

@@ -20,21 +20,24 @@ backends (see :mod:`repro.core.vectorized`, :mod:`repro.core.streaming` and
   element by element and merges streams pairwise, mirroring the hardware
   structure one step at a time;
 * ``"vectorized"`` — batched numpy kernels (fancy-indexed partial-product
-  generation, one stable argsort per merge round, ``np.add.reduceat``
-  duplicate folding) with all cycle/traffic/comparator counters computed in
-  closed form so the statistics stay bit-identical to the scalar model;
-* ``"streaming"`` — the vectorized kernels with bounded working sets:
-  partial products are generated lazily in chunks of
-  ``streaming_chunk_leaves`` leaves as the merge plan consumes them, and
-  each merge round is folded block by block (``streaming_block_elements``
-  output elements at a time) instead of materialising every product of the
-  matrix at once.  This is the backend that runs paper-scale (10⁵+-row)
-  scenarios with unscaled Table I buffers.
+  generation, a blocked merge of every round with one packed-word sort per
+  block, ``np.add.reduceat`` duplicate folding) with all
+  cycle/traffic/comparator counters computed in closed form so the
+  statistics stay bit-identical to the scalar model;
+* ``"streaming"`` — the vectorized kernels with a bounded multiplier-side
+  working set: partial products are generated lazily in chunks of
+  ``streaming_chunk_leaves`` leaves as the merge plan consumes them instead
+  of materialising every product of the matrix at once.  This is the
+  backend that runs paper-scale (10⁵+-row) scenarios with unscaled Table I
+  buffers.
 
-The two ``streaming_*`` chunk sizes are *simulation-host* tuning knobs, not
-architecture: they never change results, counters or traffic (a hypothesis
-property test pins this), so they are excluded from cache keys and config
-fingerprints via :data:`BACKEND_FIELDS`.
+Both batched engines run the same merge tree,
+:class:`~repro.core.vectorized.VectorizedMergeTree`, whose blocks take at
+most ``streaming_block_elements`` elements from each stream.  The two
+``streaming_*`` sizes are *simulation-host* tuning knobs, not architecture:
+they never change results, counters or traffic (a hypothesis property test
+pins this), so they are excluded from cache keys and config fingerprints
+via :data:`BACKEND_FIELDS`.
 """
 
 from __future__ import annotations
@@ -81,9 +84,9 @@ class SpArchConfig:
         streaming_chunk_leaves: (streaming engine only) number of merge-plan
             leaves whose partial products are generated per batch; bounds
             the multiplier-side working set.
-        streaming_block_elements: (streaming engine only) approximate
-            number of merged elements folded per block inside a merge
-            round; bounds the merge-side working set.
+        streaming_block_elements: (both batched engines) elements a merge
+            block may take from one input stream; bounds the merge-side
+            working set.
         enable_pipelined_merge: pipeline multiply and merge on chip (the
             first of the paper's four techniques).  When disabled the model
             degenerates to the two-phase OuterSPACE-style dataflow.

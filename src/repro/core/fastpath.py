@@ -1,43 +1,75 @@
-"""Compiled fast-path kernels for the merge/condensing hot loops.
+"""Fast-path numpy kernels for the merge/condensing hot loops.
 
-The streaming backend (and, through shared helpers, the vectorized one)
-funnels its per-block work through the two kernels here:
+The batched merge tree (:class:`repro.core.vectorized.VectorizedMergeTree`)
+and the leaf streamers funnel their per-block work through the kernels here:
 
+* :func:`merge_sorted_streams` — one packed-word sort that merges a block's
+  sorted streams in exactly the order a stable argsort of their
+  concatenation gives;
 * :func:`fold_sorted_runs` — duplicate-key folding + exact-zero elimination
   of one sorted stream, the inner loop of every merge round;
 * :func:`row_offsets` — the offset-within-row of every stored CSR element,
   the quantity matrix condensing groups by.
 
-Each kernel has two implementations.  The numpy one is the reference and
-always available; when :mod:`numba` is importable the jitted variant is
-installed instead (``HAVE_NUMBA`` records which one is live).  The numba
-loops replicate the numpy kernels' arithmetic exactly — ``fold`` accumulates
-each run left to right, the same association ``np.add.reduceat`` uses — so
-switching implementations never changes a bit of output; the differential
-harness (``tests/integration/test_engine_equivalence.py``) holds either way.
-
-The container this repository is developed in does not ship numba, so the
-numpy-blocked path is the one CI exercises; the numba path is gated, not
-required.
+The fold uses the same ``np.add.reduceat`` call as the scalar
+:class:`~repro.hardware.adder.AdderSlice`, so both engines sum every run
+with the same association (``reduceat`` adds the first element to a
+pairwise sum of the rest, not a left-to-right chain) and produce the same
+IEEE-754 results.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-    HAVE_NUMBA = True
-except ImportError:  # numba is an optional accelerator, never a dependency
-    numba = None
-    HAVE_NUMBA = False
+
+# ----------------------------------------------------------------------
+# Block merge
+# ----------------------------------------------------------------------
+def merge_sorted_streams(key_parts: list[np.ndarray],
+                         value_parts: list[np.ndarray]
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted (key, value) streams, equal keys in stream order.
+
+    Every element is packed into one int64 word ``key << b | position``,
+    where ``position`` is its index in the concatenation of the streams and
+    ``b = bit_length(n - 1)`` for ``n`` elements.  The words are distinct
+    and order by key first, then by position, so numpy's default (unstable,
+    SIMD) sort puts them in exactly the order
+    ``np.argsort(np.concatenate(key_parts), kind="stable")`` gives.  The
+    keys come back with an arithmetic ``>> b`` (negative keys included) and
+    the values are gathered by the position bits.
+
+    When a key falls outside the ``64 - b``-bit signed range the words
+    would overflow, and the kernel falls back to the stable argsort.
+
+    Returns the merged keys, in the concatenation's key dtype, and values.
+    """
+    all_vals = np.concatenate(value_parts)
+    words = np.concatenate(key_parts, dtype=np.int64)
+    key_dtype = np.result_type(*[keys.dtype for keys in key_parts])
+    num_elements = len(words)
+    if num_elements < 2:
+        return words.astype(key_dtype, copy=False), all_vals
+    shift = (num_elements - 1).bit_length()
+    limit = 1 << (63 - shift)
+    if not -limit <= int(words.min()) <= int(words.max()) < limit:
+        all_keys = np.concatenate(key_parts)
+        order = np.argsort(all_keys, kind="stable")
+        return all_keys[order], all_vals[order]
+    words <<= shift
+    words |= np.arange(num_elements, dtype=np.int64)
+    words.sort()
+    merged_vals = all_vals[words & ((1 << shift) - 1)]
+    words >>= shift
+    return words.astype(key_dtype, copy=False), merged_vals
 
 
 # ----------------------------------------------------------------------
 # Duplicate folding + zero elimination
 # ----------------------------------------------------------------------
-def _fold_sorted_runs_numpy(keys: np.ndarray, values: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray, int]:
+def fold_sorted_runs(keys: np.ndarray, values: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """Fold equal-key runs of a sorted stream and drop exact zeros.
 
     Same ``np.add.reduceat`` kernel as
@@ -64,46 +96,10 @@ def _fold_sorted_runs_numpy(keys: np.ndarray, values: np.ndarray
     return keys[starts[keep]], folded_vals[keep], num_runs
 
 
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    @numba.njit(cache=True)
-    def _fold_sorted_runs_jit(keys, values):
-        n = len(keys)
-        out_keys = np.empty(n, dtype=keys.dtype)
-        out_vals = np.empty(n, dtype=values.dtype)
-        num_runs = 0
-        out = 0
-        i = 0
-        while i < n:
-            key = keys[i]
-            acc = values[i]
-            i += 1
-            # Left-to-right accumulation: the association np.add.reduceat
-            # (and the scalar AdderSlice) applies, so the IEEE-754 sums
-            # match the numpy kernel exactly.
-            while i < n and keys[i] == key:
-                acc += values[i]
-                i += 1
-            num_runs += 1
-            if acc != 0.0:
-                out_keys[out] = key
-                out_vals[out] = acc
-                out += 1
-        return out_keys[:out], out_vals[:out], num_runs
-
-    def fold_sorted_runs(keys: np.ndarray, values: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, int]:
-        out_keys, out_vals, num_runs = _fold_sorted_runs_jit(keys, values)
-        return out_keys, out_vals, int(num_runs)
-
-    fold_sorted_runs.__doc__ = _fold_sorted_runs_numpy.__doc__
-else:
-    fold_sorted_runs = _fold_sorted_runs_numpy
-
-
 # ----------------------------------------------------------------------
 # Condensing offsets
 # ----------------------------------------------------------------------
-def _row_offsets_numpy(indptr: np.ndarray) -> np.ndarray:
+def row_offsets(indptr: np.ndarray) -> np.ndarray:
     """Offset of every stored element within its CSR row.
 
     Element ``p`` of row-major CSR storage lives in condensed column
@@ -114,22 +110,3 @@ def _row_offsets_numpy(indptr: np.ndarray) -> np.ndarray:
     row_lengths = np.diff(indptr)
     return (np.arange(nnz, dtype=np.int64)
             - np.repeat(indptr[:-1], row_lengths))
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    @numba.njit(cache=True)
-    def _row_offsets_jit(indptr):
-        nnz = indptr[-1]
-        offsets = np.empty(nnz, dtype=np.int64)
-        for row in range(len(indptr) - 1):
-            start = indptr[row]
-            for position in range(start, indptr[row + 1]):
-                offsets[position] = position - start
-        return offsets
-
-    def row_offsets(indptr: np.ndarray) -> np.ndarray:
-        return _row_offsets_jit(np.asarray(indptr, dtype=np.int64))
-
-    row_offsets.__doc__ = _row_offsets_numpy.__doc__
-else:
-    row_offsets = _row_offsets_numpy

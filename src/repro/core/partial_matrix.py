@@ -124,17 +124,21 @@ class PartialMatrixWriter:
         values = np.asarray(values, dtype=np.float64)
         if len(keys) != len(values):
             raise ValueError("keys and values must have equal length")
-        num_cols = shape[1]
+        num_rows, num_cols = shape
         if num_cols and (len(keys) < 2 or bool(np.all(keys[1:] > keys[:-1]))):
             # The merge tree emits strictly increasing keys (folded and
             # zero-eliminated), so the stream already *is* canonical CSR
             # content: build it directly instead of re-sorting through the
-            # generic COO canonicalisation.
-            rows = keys // num_cols
-            counts = np.bincount(rows, minlength=shape[0])
-            indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            result = CSRMatrix(indptr, keys % num_cols, values.copy(), shape)
+            # generic COO canonicalisation.  Row boundaries are a binary
+            # search for each row's base key ``row * num_cols``, and columns
+            # are the keys minus their row's base, so no key is divided.
+            if len(keys) and (keys[0] < 0
+                              or keys[-1] >= num_rows * num_cols):
+                raise ValueError(f"result keys fall outside shape {shape}")
+            row_base = np.arange(num_rows + 1, dtype=np.int64) * num_cols
+            indptr = np.searchsorted(keys, row_base)
+            cols = keys - np.repeat(row_base[:-1], np.diff(indptr))
+            result = CSRMatrix(indptr, cols, values.copy(), shape)
         else:
             rows = keys // num_cols if num_cols else keys
             cols = keys % num_cols if num_cols else keys

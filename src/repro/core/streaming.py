@@ -4,42 +4,18 @@ The vectorized backend materialises *every* partial product of the multiply
 up front — an ``O(multiplications)`` allocation that is fine for the scaled
 proxies of DESIGN.md §2 but dwarfs the matrices themselves at paper scale
 (10⁵–10⁶ rows, tens of millions of products).  This module bounds the
-working set without changing a single bit of output:
+multiplier-side working set without changing a single bit of output:
+:class:`StreamingLeafStreamer` defers partial-product generation until the
+merge plan consumes each leaf, generating ``streaming_chunk_leaves``
+upcoming leaves per batched numpy pass (the accelerator binds the plan's
+consumption order via :meth:`StreamingLeafStreamer.bind_plan`).  Product
+generation is elementwise-independent — each element's products are
+``value * B[col, :]`` regardless of batching — so chunked generation is
+bit-identical to the all-at-once pass.
 
-* :class:`StreamingLeafStreamer` defers partial-product generation until the
-  merge plan consumes each leaf, generating ``streaming_chunk_leaves``
-  upcoming leaves per batched numpy pass (the accelerator binds the plan's
-  consumption order via :meth:`StreamingLeafStreamer.bind_plan`).  Product
-  generation is elementwise-independent — each element's products are
-  ``value * B[col, :]`` regardless of batching — so chunked generation is
-  bit-identical to the all-at-once pass.
-* :class:`StreamingMergeTree` folds each merge round block by block instead
-  of sorting the whole concatenation at once: every iteration picks a key
-  *cutoff*, drains all elements ``≤ cutoff`` from every input stream, and
-  sorts/folds only that block (roughly ``streaming_block_elements`` elements
-  per contributing stream).
-
-Why the blocked merge is exact:
-
-* The cutoff is the minimum over active streams of the key ``block``
-  positions ahead (or the stream's last key), and *every* element ``≤
-  cutoff`` is taken from *every* stream via ``searchsorted(side="right")``.
-  Keys in later blocks are therefore strictly greater than every key in
-  this block, so (a) concatenating the per-block outputs reproduces the
-  globally sorted order, and (b) no equal-key run ever straddles a block
-  boundary — the per-block :func:`~repro.core.fastpath.fold_sorted_runs`
-  folds exactly the runs the global fold would, with the same left-to-right
-  association, no carry logic needed.
-* Within a block, the drained slices are concatenated in ascending stream
-  order — the same order the global concatenation uses — so the per-block
-  stable argsort breaks key ties identically to the global stable argsort.
-* Progress is guaranteed: the stream achieving the cutoff advances by at
-  least ``min(block, remaining)`` elements each iteration.
-
-All statistics are unaffected by construction: the tournament accounting is
-computed from stream lengths before any element moves (shared with the
-vectorized tree), and the adder counters accumulated per block sum to the
-global values because runs never straddle blocks.
+The merge side needs nothing engine-specific: both batched engines run
+:class:`~repro.core.vectorized.VectorizedMergeTree`, which already merges
+each round in blocks of ``streaming_block_elements`` elements per stream.
 
 The differential harness (``tests/integration/test_engine_equivalence.py``)
 pins streaming == vectorized == scalar over all 16 ablation combinations,
@@ -51,9 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fastpath import fold_sorted_runs
 from repro.core.huffman import MergePlan
-from repro.core.vectorized import VectorizedLeafStreamer, VectorizedMergeTree
+from repro.core.vectorized import VectorizedLeafStreamer
 from repro.formats.csr import CSRMatrix
 from repro.hardware.multiplier_array import MultiplierArray
 
@@ -140,84 +115,3 @@ class StreamingLeafStreamer(VectorizedLeafStreamer):
                 chunk = [leaf]
             self._generate_chunk(chunk)
         return self._pending.pop(leaf)
-
-
-class StreamingMergeTree(VectorizedMergeTree):
-    """Merge tree that sorts and folds each round in bounded blocks.
-
-    Identical tournament accounting and epilogue to the vectorized tree
-    (both are lengths-only); only the functional merge+fold is overridden
-    with the cutoff-blocked equivalent described in the module docstring.
-
-    Args:
-        block_elements: target elements drained per stream per block (≥ 1);
-            the transient sort working set is bounded by roughly
-            ``block_elements × active streams``.
-    """
-
-    def __init__(self, num_layers: int = 6, merger_width: int = 16,
-                 chunk_size: int = 4, fifo_capacity: int = 1024, *,
-                 block_elements: int = 1 << 16) -> None:
-        super().__init__(num_layers=num_layers, merger_width=merger_width,
-                         chunk_size=chunk_size, fifo_capacity=fifo_capacity)
-        self._block_elements = max(1, int(block_elements))
-
-    def _merge_and_fold(self, cleaned: list[tuple[np.ndarray, np.ndarray]]
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        streams = [(keys, vals) for keys, vals in cleaned if len(keys)]
-        if not streams:
-            key_dtype = (np.result_type(*[keys.dtype for keys, _ in cleaned])
-                         if cleaned else np.dtype(np.int64))
-            return np.empty(0, dtype=key_dtype), np.empty(0)
-
-        block = self._block_elements
-        cursors = [0] * len(streams)
-        lengths = [len(keys) for keys, _ in streams]
-        out_key_parts: list[np.ndarray] = []
-        out_val_parts: list[np.ndarray] = []
-        adder_stats = self._adder.stats
-
-        while True:
-            active = [i for i in range(len(streams)) if cursors[i] < lengths[i]]
-            if not active:
-                break
-            # Largest key this block may contain: the smallest "block
-            # positions ahead" key over the active streams.  Every active
-            # stream contributes *all* of its elements ≤ cutoff, so later
-            # blocks hold strictly greater keys only.
-            cutoff = min(
-                int(streams[i][0][min(cursors[i] + block, lengths[i]) - 1])
-                for i in active)
-            part_keys: list[np.ndarray] = []
-            part_vals: list[np.ndarray] = []
-            for i in active:
-                keys, vals = streams[i]
-                start = cursors[i]
-                stop = start + int(np.searchsorted(keys[start:], cutoff,
-                                                   side="right"))
-                if stop > start:
-                    part_keys.append(keys[start:stop])
-                    part_vals.append(vals[start:stop])
-                    cursors[i] = stop
-            if len(part_keys) == 1:
-                block_keys, block_vals = part_keys[0], part_vals[0]
-            else:
-                all_keys = np.concatenate(part_keys)
-                all_vals = np.concatenate(part_vals)
-                order = np.argsort(all_keys, kind="stable")
-                block_keys = all_keys[order]
-                block_vals = all_vals[order]
-            folded_keys, folded_vals, num_runs = fold_sorted_runs(block_keys,
-                                                                  block_vals)
-            adder_stats.elements_processed += len(block_keys)
-            adder_stats.additions += len(block_keys) - num_runs
-            if len(folded_keys):
-                out_key_parts.append(folded_keys)
-                out_val_parts.append(folded_vals)
-
-        if not out_key_parts:
-            key_dtype = np.result_type(*[keys.dtype for keys, _ in streams])
-            return np.empty(0, dtype=key_dtype), np.empty(0)
-        if len(out_key_parts) == 1:
-            return out_key_parts[0], out_val_parts[0]
-        return np.concatenate(out_key_parts), np.concatenate(out_val_parts)

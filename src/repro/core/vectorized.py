@@ -13,20 +13,25 @@ kernels:
 * :class:`VectorizedLeafStreamer` — partial-product generation for a whole
   merge-plan leaf with ``np.repeat`` + fancy indexing (one gather instead of
   one Python iteration per left element);
-* :class:`VectorizedMergeTree` — one ``np.concatenate`` + stable ``argsort``
-  per merge round instead of the pairwise tournament, duplicate folding via
+* :class:`VectorizedMergeTree` — each merge round is merged in bounded
+  blocks, each block with one packed-word sort
+  (:func:`repro.core.fastpath.merge_sorted_streams`) instead of the
+  pairwise tournament, duplicate folding via
   :func:`repro.core.fastpath.fold_sorted_runs` (the same ``np.add.reduceat``
   kernel the scalar adder uses), and boolean-mask zero elimination.  The
   cycle, comparator-operation and per-layer traffic counters are computed in
   closed form from the input stream *lengths*, replaying the tournament
-  accounting without moving any elements.
+  accounting without moving any elements.  Both batched engines
+  (``"vectorized"`` and ``"streaming"``) run this tree.
 
 Why the results are bit-identical to the scalar backend:
 
 * A pairwise tournament of stable two-way merges over the input list is a
   bottom-up stable mergesort, which orders equal keys by original stream
-  position — exactly what one stable ``argsort`` over the concatenation
-  produces.  Since the merged element order matches, the duplicate folds —
+  position — exactly what a stable argsort over the concatenation
+  produces, and what the packed-word sort reproduces block by block (see
+  :class:`VectorizedMergeTree` for why the blocks are exact).  Since the
+  merged element order matches, the duplicate folds —
   ``np.add.reduceat`` over run starts, the same kernel
   :class:`~repro.hardware.adder.AdderSlice` uses for the scalar tree —
   reduce the same value sequences with the same association and produce
@@ -36,11 +41,10 @@ Why the results are bit-identical to the scalar backend:
 * Every counter the scalar model accumulates per element or per node pair is
   a function of the stream lengths only, so it can be summed directly.
 
-Both halves of the hot path are deliberately split into *metadata* and
-*execution* so the streaming backend (:mod:`repro.core.streaming`) can reuse
-them: the leaf streamer separates element grouping (cheap, O(nnz(A))) from
-product materialisation (the peak-memory term), and the merge tree separates
-tournament accounting from the functional merge+fold.
+The leaf streamer is deliberately split into *metadata* and *execution* so
+the streaming backend (:mod:`repro.core.streaming`) can reuse it: element
+grouping is cheap, O(nnz(A)), while product materialisation is the
+peak-memory term the streaming subclass defers.
 
 ``tests/integration/test_engine_equivalence.py`` enforces the equivalence
 over synthetic + rMAT matrices and every ablation combination.
@@ -48,13 +52,19 @@ over synthetic + rMAT matrices and every ablation combination.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.core.condensing import (
     original_column_partial_sizes,
     partial_matrix_sizes,
 )
-from repro.core.fastpath import fold_sorted_runs, row_offsets
+from repro.core.fastpath import (
+    fold_sorted_runs,
+    merge_sorted_streams,
+    row_offsets,
+)
 from repro.formats.condensed import CondensedMatrix
 from repro.formats.convert import csr_to_csc
 from repro.formats.csr import CSRMatrix
@@ -134,9 +144,9 @@ class VectorizedLeafStreamer:
         self._left_vals = left_vals
         # Per-element product counts and per-leaf product boundaries.  When
         # the (row, col) keyspace fits in 32 bits the keys are built as
-        # int32: the per-round stable sorts run noticeably faster and the
-        # key values (hence all downstream results) are unchanged; the
-        # promotion rule lives in repro.formats.keys.
+        # int32: the products take half the key memory and the key values
+        # (hence all downstream results) are unchanged; the promotion rule
+        # lives in repro.formats.keys.
         counts = self._b_row_nnz[left_cols]
         self._counts = counts
         self._key_dtype = linear_key_dtype(matrix_a.num_rows,
@@ -243,20 +253,54 @@ class VectorizedLeafStreamer:
 
 
 class VectorizedMergeTree(MergeTree):
-    """Merge tree with batched merging and closed-form activity counters.
+    """Merge tree with a blocked batched merge and closed-form counters.
 
-    Functionally merges each round with one stable argsort over the
-    concatenated inputs (equal keys keep input-list order, matching the
-    pairwise stable tournament), folds duplicates with the shared
-    :func:`~repro.core.fastpath.fold_sorted_runs` kernel and drops zeros
-    with a boolean mask.  The per-layer merger counters are replayed from
-    the stream lengths alone, so ``stats`` (and the shared layer mergers' /
-    adder's counters) match the scalar tree exactly.
+    Both batched engines run this tree.  Each round is merged and folded in
+    bounded blocks: a block takes every element up to a key *cutoff* from
+    every input stream, merges them with the packed-word sort of
+    :func:`~repro.core.fastpath.merge_sorted_streams` (equal keys keep
+    input-list order, matching the pairwise stable tournament), folds
+    duplicates with the shared :func:`~repro.core.fastpath.fold_sorted_runs`
+    kernel and drops zeros with a boolean mask.  The per-layer merger
+    counters are replayed from the stream lengths alone, so ``stats`` (and
+    the shared layer mergers' / adder's counters) match the scalar tree
+    exactly.
 
-    :meth:`merge` is split into tournament *accounting* (lengths only) and
-    the functional :meth:`_merge_and_fold`; the streaming tree overrides
-    only the latter with a blocked, bounded-working-set equivalent.
+    Why the blocked merge is exact:
+
+    * Only a stream with more than ``block_elements`` elements left may set
+      the cutoff: the smallest key ``block_elements`` positions ahead over
+      those streams.  *Every* element ``≤ cutoff`` is taken from *every*
+      stream via ``searchsorted(side="right")``, so later blocks hold
+      strictly greater keys only.  Concatenating the per-block outputs
+      therefore reproduces the globally sorted order, and no equal-key run
+      straddles a block boundary — each block folds exactly the runs the
+      global fold would, with the same association, and the per-block
+      adder counters sum to the global ones.
+    * When no stream has more than ``block_elements`` elements left, the
+      block takes everything that is left.
+    * Within a block the drained slices are concatenated in ascending
+      stream order, so ties break exactly as in one stable sort of the
+      whole round.
+    * The stream that sets the cutoff advances by at least
+      ``block_elements`` elements, so every round finishes.  A block takes
+      at most ``block_elements`` elements from a stream whose keys are
+      distinct (leaf streams and folded rounds always are), so the sort
+      working set is bounded by ``block_elements`` × active streams.
+
+    Args:
+        block_elements: elements a block may take from one stream (≥ 1);
+            ``SpArchConfig.streaming_block_elements`` for the accelerator.
+            It tunes the simulation host only: results and counters are the
+            same for every value.
     """
+
+    def __init__(self, num_layers: int = 6, merger_width: int = 16,
+                 chunk_size: int = 4, fifo_capacity: int = 1024, *,
+                 block_elements: int = 1 << 16) -> None:
+        super().__init__(num_layers=num_layers, merger_width=merger_width,
+                         chunk_size=chunk_size, fifo_capacity=fifo_capacity)
+        self._block_elements = max(1, int(block_elements))
 
     def merge(self, streams: list[tuple[np.ndarray, np.ndarray]]
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -264,11 +308,11 @@ class VectorizedMergeTree(MergeTree):
             raise ValueError(
                 f"cannot merge {len(streams)} streams on a {self.num_ways}-way tree"
             )
-        # Unlike the scalar tree this skips the per-stream sortedness scan:
+        # Input streams must be key-sorted: the block cutoffs are found by
+        # binary search.  Unlike the scalar tree this does not check it, as
         # the accelerator only ever feeds it streams that are sorted by
-        # construction (multiplier output and previously folded rounds), and
-        # the scalar engine remains the validating reference.  An unsorted
-        # stream would be silently sorted here rather than rejected.
+        # construction (multiplier output and previously folded rounds);
+        # the scalar tree is the validating reference.
         cleaned: list[tuple[np.ndarray, np.ndarray]] = []
         for keys, values in streams:
             if not (isinstance(keys, np.ndarray)
@@ -283,7 +327,7 @@ class VectorizedMergeTree(MergeTree):
 
         total_elements = self._account_tournament(
             [len(keys) for keys, _ in cleaned])
-        out_keys, out_vals = self._merge_and_fold(cleaned)
+        out_keys, out_vals = self._merge_blocks(cleaned)
 
         self.stats.additions = self._adder.stats.additions
         self.stats.elements_out += len(out_keys)
@@ -329,24 +373,62 @@ class VectorizedMergeTree(MergeTree):
         self.stats.elements_into_root += total_elements
         return total_elements
 
-    def _merge_and_fold(self, cleaned: list[tuple[np.ndarray, np.ndarray]]
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Functional merge + fused duplicate folding / zero elimination.
+    def _blocks(self, streams: list[tuple[np.ndarray, np.ndarray]]
+                ) -> Iterator[tuple[list[np.ndarray], list[np.ndarray]]]:
+        """Yield each block of a round as ``(key_parts, value_parts)``.
 
-        One stable sort over the whole concatenation; updates the adder
-        counters for the processed elements.
+        One slice per stream that contributes to the block, in stream
+        order; the cutoff rule is described in the class docstring.
         """
-        if len(cleaned) == 1:
-            merged_keys, merged_vals = cleaned[0]
-        else:
-            all_keys = np.concatenate([keys for keys, _ in cleaned])
-            all_vals = np.concatenate([vals for _, vals in cleaned])
-            order = np.argsort(all_keys, kind="stable")
-            merged_keys = all_keys[order]
-            merged_vals = all_vals[order]
+        block = self._block_elements
+        pending = [(keys, vals, 0) for keys, vals in streams if len(keys)]
+        while pending:
+            ends = [int(keys[start + block - 1]) for keys, _, start in pending
+                    if len(keys) - start > block]
+            cutoff = min(ends) if ends else None
+            key_parts: list[np.ndarray] = []
+            value_parts: list[np.ndarray] = []
+            rest = []
+            for keys, vals, start in pending:
+                stop = (len(keys) if cutoff is None
+                        else int(np.searchsorted(keys, cutoff, side="right")))
+                if stop > start:
+                    key_parts.append(keys[start:stop])
+                    value_parts.append(vals[start:stop])
+                if stop < len(keys):
+                    rest.append((keys, vals, stop))
+            pending = rest
+            yield key_parts, value_parts
 
-        out_keys, out_vals, num_runs = fold_sorted_runs(merged_keys,
-                                                        merged_vals)
-        self._adder.stats.elements_processed += len(merged_keys)
-        self._adder.stats.additions += len(merged_keys) - num_runs
-        return out_keys, out_vals
+    def _merge_blocks(self, streams: list[tuple[np.ndarray, np.ndarray]]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Merge, fold and zero-eliminate one round block by block.
+
+        Updates the adder counters for the processed elements.
+        """
+        adder_stats = self._adder.stats
+        key_dtype = np.result_type(*[keys.dtype for keys, _ in streams])
+        out_key_parts: list[np.ndarray] = []
+        out_val_parts: list[np.ndarray] = []
+        for key_parts, value_parts in self._blocks(streams):
+            if len(key_parts) == 1:
+                block_keys, block_vals = key_parts[0], value_parts[0]
+            else:
+                block_keys, block_vals = merge_sorted_streams(key_parts,
+                                                              value_parts)
+            folded_keys, folded_vals, num_runs = fold_sorted_runs(block_keys,
+                                                                  block_vals)
+            adder_stats.elements_processed += len(block_keys)
+            adder_stats.additions += len(block_keys) - num_runs
+            if len(folded_keys):
+                out_key_parts.append(folded_keys)
+                out_val_parts.append(folded_vals)
+
+        if not out_key_parts:
+            return np.empty(0, dtype=key_dtype), np.empty(0)
+        if len(out_key_parts) == 1:
+            out_keys, out_vals = out_key_parts[0], out_val_parts[0]
+        else:
+            out_keys = np.concatenate(out_key_parts)
+            out_vals = np.concatenate(out_val_parts)
+        return out_keys.astype(key_dtype, copy=False), out_vals

@@ -1,15 +1,66 @@
-"""Unit tests for the compiled fast-path kernels (`repro.core.fastpath`)."""
+"""Unit tests for the fast-path kernels (`repro.core.fastpath`)."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fastpath import (
-    HAVE_NUMBA,
-    _fold_sorted_runs_numpy,
     fold_sorted_runs,
+    merge_sorted_streams,
     row_offsets,
 )
+
+#: Keys a few units either side of these centres sit on the packed sort's
+#: overflow boundary, so examples there take the stable-argsort fallback.
+OVERFLOW_CENTRES = (1 << 62, -(1 << 62))
+
+
+def reference_merge(key_parts, value_parts):
+    """One stable argsort over the concatenation."""
+    keys = np.concatenate(key_parts)
+    values = np.concatenate(value_parts)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], values[order]
+
+
+def assert_same_merge(got, want):
+    """Keys equal with the same dtype, values equal bit for bit."""
+    assert got[0].dtype == want[0].dtype
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1].view(np.uint64),
+                                  want[1].view(np.uint64))
+
+
+@st.composite
+def sorted_streams(draw):
+    """1–64 sorted key streams, some empty, with duplicate and tied keys.
+
+    Keys are drawn from a narrow window, so they repeat within a stream and
+    tie across streams.  Near zero the window is signed and streams mix
+    int32 and int64 keys; near ±2⁶² all keys are int64.  Values include
+    ``±0.0``, so a wrong tie order shows in the bits.
+    """
+    num_streams = draw(st.integers(1, 64))
+    near_overflow = draw(st.booleans())
+    centre = draw(st.sampled_from(OVERFLOW_CENTRES)) if near_overflow else 0
+    span = draw(st.sampled_from((0, 3, 40, 10**6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    key_parts, value_parts = [], []
+    for _ in range(num_streams):
+        length = int(rng.integers(0, 24))
+        keys = np.sort(rng.integers(centre - span, centre + span + 1,
+                                    size=length))
+        if centre == 0 and rng.random() < 0.5:
+            keys = keys.astype(np.int32)
+        values = rng.standard_normal(length)
+        values[rng.random(length) < 0.2] = 0.0
+        values[rng.random(length) < 0.2] = -0.0
+        key_parts.append(keys)
+        value_parts.append(values)
+    return key_parts, value_parts
 
 
 def reference_fold(keys, values):
@@ -75,17 +126,34 @@ class TestFoldSortedRuns:
         out_keys, _, _ = fold_sorted_runs(keys, vals)
         assert out_keys.dtype == np.int32
 
-    def test_numpy_variant_always_available(self):
-        # Whatever backend is installed, the numpy reference must exist
-        # and agree — it is the contract the numba loop is held to.
-        keys = np.array([1, 1, 2], dtype=np.int64)
-        vals = np.array([0.5, 0.5, -1.0])
-        assert isinstance(HAVE_NUMBA, bool)
-        got = fold_sorted_runs(keys, vals)
-        want = _fold_sorted_runs_numpy(keys, vals)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        assert got[2] == want[2]
+
+class TestMergeSortedStreams:
+    @settings(max_examples=300, deadline=None)
+    @given(sorted_streams())
+    def test_matches_stable_argsort(self, streams):
+        key_parts, value_parts = streams
+        assert_same_merge(merge_sorted_streams(key_parts, value_parts),
+                          reference_merge(key_parts, value_parts))
+
+    @pytest.mark.parametrize("keys", [
+        [(1 << 62) - 1, -(1 << 62)],      # largest packable range for n = 2
+        [1 << 62, 0],                      # one past the top: fallback
+        [-(1 << 62) - 1, 0],               # one past the bottom: fallback
+        [(1 << 63) - 1, -(1 << 63)],       # the int64 extremes
+    ])
+    def test_overflow_boundary(self, keys):
+        key_parts = [np.array([k], dtype=np.int64) for k in keys]
+        value_parts = [np.array([1.0]), np.array([2.0])]
+        assert_same_merge(merge_sorted_streams(key_parts, value_parts),
+                          reference_merge(key_parts, value_parts))
+
+    def test_single_element_and_empty(self):
+        empty = merge_sorted_streams([np.empty(0, np.int32)], [np.empty(0)])
+        assert len(empty[0]) == 0 and empty[0].dtype == np.int32
+        one = merge_sorted_streams([np.empty(0, np.int64), np.array([3])],
+                                   [np.empty(0), np.array([2.5])])
+        np.testing.assert_array_equal(one[0], [3])
+        np.testing.assert_array_equal(one[1], [2.5])
 
 
 class TestRowOffsets:

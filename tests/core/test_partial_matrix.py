@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.partial_matrix import PartialMatrixStore, PartialMatrixWriter
+from repro.formats.convert import coo_to_csr
+from repro.formats.coo import COOMatrix
 from repro.memory.traffic import TrafficCategory, TrafficCounter
 
 
@@ -68,3 +70,30 @@ def test_writer_empty_result():
     assert result.nnz == 0
     with pytest.raises(ValueError):
         writer.write_result(np.array([1]), np.empty(0), (2, 2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_writer_matches_coo_path_with_empty_rows(seed):
+    # Rows 0-2, 9-11 and 17-19 stay empty: leading, middle and trailing.
+    rng = np.random.default_rng(seed)
+    num_rows, num_cols = 20, 13
+    occupied = np.r_[3:9, 12:17]
+    pool = (occupied[:, None] * num_cols + np.arange(num_cols)).ravel()
+    keys = np.sort(rng.choice(pool, size=40, replace=False))
+    vals = rng.standard_normal(len(keys))
+    result = PartialMatrixWriter(TrafficCounter()).write_result(
+        keys, vals, (num_rows, num_cols))
+    want = coo_to_csr(COOMatrix(keys // num_cols, keys % num_cols, vals,
+                                (num_rows, num_cols)))
+    np.testing.assert_array_equal(result.indptr, want.indptr)
+    np.testing.assert_array_equal(result.indices, want.indices)
+    np.testing.assert_array_equal(result.data, want.data)
+    assert result.indptr[3] == 0 and result.indptr[17] == len(keys)
+
+
+@pytest.mark.parametrize("keys", [[-1, 4], [-5], [3, 12], [12]])
+def test_writer_rejects_keys_outside_shape(keys):
+    # A 3x4 result holds keys 0..11 only.
+    writer = PartialMatrixWriter(TrafficCounter())
+    with pytest.raises(ValueError):
+        writer.write_result(np.array(keys), np.ones(len(keys)), (3, 4))
