@@ -100,7 +100,7 @@ class EnergyBreakdown:
         return {name: value / total for name, value in self.by_module().items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyModel:
     """Computes energy, power and nJ/FLOP figures from simulation statistics.
 

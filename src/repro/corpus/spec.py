@@ -22,6 +22,7 @@ The generator families cover the paper's evaluation axes:
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.formats.csr import CSRMatrix
@@ -209,15 +210,19 @@ _FINGERPRINT_MEMO: dict[Scenario, str] = {}
 _FINGERPRINT_LOCK = threading.Lock()
 
 
-def scenario_fingerprint(scenario: Scenario) -> str:
+def scenario_fingerprint(scenario: Scenario, *,
+                         build: Callable[[Scenario], CSRMatrix] | None = None
+                         ) -> str:
     """The scenario's operand fingerprint, memoised by recipe.
 
     This is the content address a scenario-recipe request resolves to: the
     :func:`~repro.experiments.runner.matrix_fingerprint` of the matrix the
-    recipe builds.  A cold scenario is built transiently just to hash; the
-    matrix is dropped immediately (execution materialises operands when —
-    and only when — a point actually runs).  Safe to call from concurrent
-    service threads; a race on a cold recipe at worst hashes it twice.
+    recipe builds.  A memoised recipe builds nothing.  A cold one is built
+    through ``build`` (:meth:`Scenario.build` by default, which drops the
+    matrix once hashed); the service passes its operand cache here, so a
+    cold request that goes on to run finds its operand already built.
+    Safe to call from concurrent service threads; a race on a cold recipe
+    at worst hashes it twice.
     """
     with _FINGERPRINT_LOCK:
         fingerprint = _FINGERPRINT_MEMO.get(scenario)
@@ -226,7 +231,8 @@ def scenario_fingerprint(scenario: Scenario) -> str:
         # which corpus declarations must not depend on at import time.
         from repro.experiments.runner import matrix_fingerprint
 
-        fingerprint = matrix_fingerprint(scenario.build())
+        matrix = scenario.build() if build is None else build(scenario)
+        fingerprint = matrix_fingerprint(matrix)
         with _FINGERPRINT_LOCK:
             _FINGERPRINT_MEMO.setdefault(scenario, fingerprint)
     return fingerprint

@@ -43,6 +43,14 @@ class EngineRun:
 class Engine(abc.ABC):
     """One SpGEMM executor behind the registry.
 
+    Engines are immutable values: nothing :meth:`cache_fields` reads may
+    change after construction.  The SpArch configuration, the energy model
+    and its constants, and the baselines' platform models are frozen
+    dataclasses, and :meth:`using_backend` returns a new engine rather
+    than re-pinning this one.  The experiment runner relies on this: it
+    derives an engine's identity fingerprint once per instance and reuses
+    it for every later cache key.
+
     Attributes:
         name: registry id, lowercase ("sparch", "mkl", "outerspace", ...).
         display_name: label used in comparison tables ("SpArch", "MKL").

@@ -175,9 +175,6 @@ def engine_point_key(engine: Engine, matrix_a: CSRMatrix | None,
     ``matrix_a`` may be ``None`` — a key can be computed for an operand
     that is no longer materialised.
     """
-    identity = dict(engine.cache_fields())
-    if include_backend:
-        identity["backend"] = engine.backend
     digest = hashlib.sha256()
     if fingerprint_a is None:
         if matrix_a is None:
@@ -192,8 +189,27 @@ def engine_point_key(engine: Engine, matrix_a: CSRMatrix | None,
             fingerprint_b = matrix_fingerprint(matrix_b)
     digest.update(fingerprint_a.encode())
     digest.update(fingerprint_b.encode())
-    digest.update(_identity_fingerprint(identity).encode())
+    digest.update(_engine_identity(engine, include_backend).encode())
     return digest.hexdigest()
+
+
+def _engine_identity(engine: Engine, include_backend: bool) -> str:
+    """The engine's identity fingerprint, derived once per engine instance.
+
+    Engines are immutable values (see :class:`~repro.engines.base.Engine`),
+    so ``cache_fields()`` hashed through :func:`_identity_fingerprint`
+    never changes for one instance.  Memoising it on the instance, per
+    ``include_backend`` value, spares each warm request the dataclass walk,
+    JSON encoding and SHA-256 of an unchanged configuration.
+    """
+    memo = vars(engine).setdefault("_identity_fingerprints", {})
+    fingerprint = memo.get(include_backend)
+    if fingerprint is None:
+        identity = dict(engine.cache_fields())
+        if include_backend:
+            identity["backend"] = engine.backend
+        fingerprint = memo[include_backend] = _identity_fingerprint(identity)
+    return fingerprint
 
 
 def _engine_task(task: tuple[Engine, CSRMatrix, CSRMatrix | None]) -> dict:

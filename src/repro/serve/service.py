@@ -14,10 +14,16 @@ and vice versa.
 
 The request path, in order:
 
-1. **Parse/resolve** — unknown engines, malformed scenario references and
-   bad config overrides are answered with a ``400``-style error payload.
-2. **Fast path** — a store probe; a warm point is answered without
-   touching the worker pool (and without ever building its operand).
+1. **Parse/resolve** — unknown engines, malformed scenario references,
+   bad config overrides and a non-numeric or non-finite ``delay`` are
+   answered with a ``400``-style error payload.
+2. **Key, then fast path** — the point key joins the recipe's operand
+   fingerprint (memoised per recipe) and the engine's identity fingerprint
+   (memoised per engine instance; the service keeps one engine per name
+   and config), so a warm request re-derives neither.  A store probe then
+   answers a warm point without touching the worker pool and without
+   building its operand.  A recipe not yet fingerprinted is built once,
+   into the operand LRU, where execution finds it.
 3. **Admission control** — cold points need a worker slot.  If more than
    ``queue_limit`` requests are already waiting for one, the request is
    rejected with an explicit ``503``-style payload rather than queued
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import threading
 import time
@@ -248,7 +255,15 @@ class SpGEMMService:
             raise RequestError(
                 f"engine {engine_name!r} takes no configuration; drop "
                 f"'config' or use a simulation engine")
-        delay = float(payload.get("delay") or 0.0)
+        delay = payload.get("delay") or 0.0
+        try:
+            delay = float(delay)
+        except (TypeError, ValueError):
+            raise RequestError(
+                f"'delay' must be a number of seconds, got {delay!r}"
+            ) from None
+        if not math.isfinite(delay):
+            raise RequestError(f"'delay' must be finite, got {delay!r}")
         return _ParsedRequest(
             engine_name=engine_name,
             scenario=scenario,
@@ -378,7 +393,10 @@ class SpGEMMService:
 
     def _execute(self, req: _ParsedRequest) -> dict:
         engine = self._engine_for(req)
-        fingerprint = scenario_fingerprint(req.scenario)
+        # A cold recipe is built into the operand LRU, where the run's
+        # matrix supplier finds it: each cold request builds once.
+        fingerprint = scenario_fingerprint(req.scenario,
+                                           build=self._matrix_for)
         key = self._runner.point_key(engine, None, fingerprint_a=fingerprint)
         kind = "sim" if get_engine_entry(req.engine_name).kind == \
             "simulation" else "baseline"

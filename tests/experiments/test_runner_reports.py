@@ -286,3 +286,121 @@ class TestUnifiedReportMemo:
         assert report.backend == "scalar"
         shared = ExperimentRunner()
         assert shared.run_engine("mkl", matrix).backend == "vectorized"
+
+
+def _unmemoised_key(engine, matrix, *, include_backend):
+    """A point key derived afresh, bypassing the identity memo."""
+    import hashlib
+
+    from repro.experiments.runner import _identity_fingerprint, \
+        matrix_fingerprint
+
+    identity = dict(engine.cache_fields())
+    if include_backend:
+        identity["backend"] = engine.backend
+    operand = matrix_fingerprint(matrix).encode()
+    digest = hashlib.sha256()
+    digest.update(operand)
+    digest.update(operand)  # the self-product A · A
+    digest.update(_identity_fingerprint(identity).encode())
+    return digest.hexdigest()
+
+
+class TestEngineIdentityMemo:
+    """Point keys reuse each engine's identity fingerprint, and the memo
+    never changes a key: stores written before it stay valid."""
+
+    @pytest.mark.parametrize("forced", [None, "scalar", "vectorized"])
+    def test_memoised_keys_equal_fresh_derivations(self, matrix, forced):
+        from repro.analysis.energy import EnergyConstants, EnergyModel
+        from repro.engines.registry import create_engine, list_engines
+        from repro.engines.sparch import SpArchEngine
+
+        runner = ExperimentRunner(engine=forced)
+        engines = {name: create_engine(name) for name in list_engines()}
+        engines["override"] = SpArchEngine(SpArchConfig(merge_tree_layers=4))
+        engines["zero-dram"] = SpArchEngine(energy_model=EnergyModel(
+            constants=EnergyConstants(dram_byte=0.0)))
+        keys = {}
+        for label, engine in engines.items():
+            pinned = engine if forced is None else \
+                engine.using_backend(forced)
+            expected = _unmemoised_key(pinned, matrix,
+                                       include_backend=forced is not None)
+            # The first call fills the memo and the second reads it.
+            keys[label] = runner.point_key(pinned, matrix)
+            assert keys[label] == expected, label
+            assert runner.point_key(pinned, matrix) == expected, label
+        # Energy constants alone separate two SpArch points.
+        assert len(set(keys.values())) == len(keys)
+
+    def test_identity_is_derived_once_per_engine_and_keying(self, matrix,
+                                                            monkeypatch):
+        from repro.engines.sparch import SpArchEngine
+
+        calls = []
+        real = SpArchEngine.cache_fields
+        monkeypatch.setattr(SpArchEngine, "cache_fields",
+                            lambda self: calls.append(1) or real(self))
+        engine = SpArchEngine()
+        unforced = ExperimentRunner()
+        key = unforced.point_key(engine, matrix)
+        assert unforced.point_key(engine, matrix) == key
+        assert len(calls) == 1
+        # A forced runner keys with the backend: its own memo slot, filled
+        # once.  The default engine already runs vectorized, so the runner
+        # keys this very instance.
+        assert engine.backend == "vectorized"
+        forced = ExperimentRunner(engine="vectorized")
+        forced_key = forced.point_key(engine, matrix)
+        assert forced.point_key(engine, matrix) == forced_key != key
+        assert len(calls) == 2
+        # A fresh engine derives its own identity.
+        unforced.point_key(SpArchEngine(), matrix)
+        assert len(calls) == 3
+
+    def test_concurrent_first_calls_agree(self):
+        """Service threads share one engine: racing to fill its memo must
+        never yield a key that differs from the fresh derivation."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.engines.registry import create_engine, list_engines
+
+        fingerprint = "ab" * 32
+        runner = ExperimentRunner()
+        expected = {name: runner.point_key(create_engine(name), None,
+                                           fingerprint_a=fingerprint)
+                    for name in list_engines()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                engines = {name: create_engine(name) for name in expected}
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [(name, pool.submit(runner.point_key, engine,
+                                                  None,
+                                                  fingerprint_a=fingerprint))
+                               for name, engine in engines.items()
+                               for _ in range(8)]
+                    for name, future in futures:
+                        assert future.result(timeout=30) == expected[name]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_keys_are_pinned(self):
+        """Keys written by earlier versions must keep resolving: a changed
+        derivation would silently invalidate every store."""
+        import numpy as np
+
+        from repro.formats.csr import CSRMatrix
+
+        tiny = CSRMatrix(np.array([0, 2, 3, 4]), np.array([0, 2, 1, 0]),
+                         np.array([1.0, 2.0, 3.0, 4.0]), (3, 3))
+        runner = ExperimentRunner()
+        assert runner.point_key("sparch", tiny) == (
+            "805063c15b76540d5755c84ad9c44c4b63b895377bdc3e1653cbd6ccdc00507c")
+        assert runner.point_key("mkl", tiny) == (
+            "852df5a89c5f80c3a704e8103669cc3b802203b9ab532e2bd8fbc6f179ddc4e2")
+        assert ExperimentRunner(engine="scalar").point_key("heap", tiny) == (
+            "dfca01229e62386cf65c9ab4e2095a9674378f1a63e4c6c427e80d6ef6eee8c2")

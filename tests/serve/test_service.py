@@ -58,6 +58,16 @@ class TestValidation:
          "config"),
         ({"engine": "heap", "scenario": SCENARIOS[0],
           "config": {"merge_tree_layers": 4}}, "no configuration"),
+        ({"engine": "heap", "scenario": SCENARIOS[0], "delay": "x"},
+         "delay"),
+        ({"engine": "heap", "scenario": SCENARIOS[0], "delay": [1.0]},
+         "delay"),
+        ({"engine": "heap", "scenario": SCENARIOS[0], "delay": {"s": 1}},
+         "delay"),
+        ({"engine": "heap", "scenario": SCENARIOS[0],
+          "delay": float("nan")}, "delay"),
+        ({"engine": "heap", "scenario": SCENARIOS[0], "delay": "inf"},
+         "delay"),
     ])
     def test_bad_requests_get_400(self, payload, fragment):
         response = make_service().request(payload)
@@ -113,6 +123,31 @@ class TestServing:
         })
         assert response["status"] == "ok"
         assert response["scenario"] == "tiny"
+
+    def test_cold_recipe_builds_once_and_warm_repeats_build_nothing(
+            self, monkeypatch):
+        from repro.corpus import spec
+
+        builds = []
+        real_build = spec.Scenario.build
+        monkeypatch.setattr(spec.Scenario, "build",
+                            lambda scenario: builds.append(scenario.name)
+                            or real_build(scenario))
+        # A fresh recipe memo: every recipe is cold, whatever ran before.
+        monkeypatch.setattr(spec, "_FINGERPRINT_MEMO", {})
+        service = make_service()
+        recipe = {"name": "once", "family": "rmat",
+                  "params": {"num_rows": 96, "edge_factor": 3, "seed": 5}}
+        first = service.request({"engine": "sparch", "scenario": recipe})
+        assert first["outcome"] == "computed"
+        assert builds == ["once"]  # fingerprinted and run from one build
+        second = service.request({"engine": "sparch", "scenario": recipe})
+        assert second["outcome"] == "hit"
+        assert builds == ["once"]
+        # The served summary is the one a direct run gives.
+        direct = ExperimentRunner().run_engine(
+            "sparch", real_build(resolve_scenario(recipe)))
+        assert first["summary"] == second["summary"] == direct.summary()
 
     def test_config_overrides_reach_the_simulation(self):
         service = make_service()
