@@ -15,17 +15,21 @@ final cycle count is the maximum of the memory-bound and compute-bound
 estimates plus the per-round startup overhead — the bandwidth-bound analysis
 the paper's roofline (Figure 15) is built on.
 
-Three interchangeable backends implement the multiply/merge hot path, chosen
-by ``SpArchConfig.engine``: the scalar reference in this module
-(:class:`_LeafStreamer` + :class:`~repro.hardware.merge_tree.MergeTree`),
-the batched implementation in :mod:`repro.core.vectorized`, and the
-bounded-memory chunked leaf streamer in :mod:`repro.core.streaming` used
-for paper-scale runs.  Both batched engines merge with the blocked
+Two interchangeable code paths implement the multiply/merge hot path,
+chosen by ``SpArchConfig.engine``: the scalar reference in this module
+(:class:`_LeafStreamer` + :class:`~repro.hardware.merge_tree.MergeTree`,
+``engine="scalar"``) and the batched implementation in
+:mod:`repro.core.vectorized` (``engine="vectorized"``, also named
+``"streaming"``).  The batched path generates partial products one merge
+round at a time (:meth:`~repro.core.vectorized.VectorizedLeafStreamer.bind_plan`)
+and merges with the blocked
 :class:`~repro.core.vectorized.VectorizedMergeTree`, sized by
-``streaming_block_elements``.  The prefetcher policy has a reference/fast
-pair too: the scalar engine runs
+``streaming_block_elements``, so its working set is bounded per merge round
+— which is what runs paper-scale scenarios.  The prefetcher policy has a
+reference/fast pair too: the scalar engine runs
 :class:`~repro.core.prefetcher.RowPrefetcher`'s per-access reference loop,
-the other two its event-driven replay wherever that applies.  All produce identical results and statistics — see
+the batched engine its event-driven replay wherever that applies.  Both
+produce identical results and statistics — see
 ``tests/integration/test_engine_equivalence.py``.  Everything else (plan
 construction, traffic accounting, result materialisation) is shared code.
 """
@@ -45,7 +49,6 @@ from repro.core.huffman import MergePlan, huffman_schedule, sequential_schedule
 from repro.core.partial_matrix import PartialMatrixStore, PartialMatrixWriter
 from repro.core.prefetcher import PrefetchStats, RowPrefetcher
 from repro.core.stats import SimulationStats, SpGEMMResult
-from repro.core.streaming import StreamingLeafStreamer
 from repro.core.vectorized import VectorizedLeafStreamer, VectorizedMergeTree
 from repro.formats.condensed import CondensedMatrix
 from repro.formats.convert import csr_to_csc
@@ -117,6 +120,9 @@ class _LeafStreamer:
             return self._condensed.column(column).original_cols.copy()
         return np.full(self._csc.col_nnz(column), column, dtype=np.int64)
 
+    def bind_plan(self, plan: MergePlan) -> None:
+        """Accept the merge plan; the reference multiplies leaf by leaf."""
+
     def leaf_stream(self, leaf: int) -> tuple[np.ndarray, np.ndarray]:
         """Multiply one leaf and return its sorted (key, value) stream."""
         column = self._leaf_columns[leaf]
@@ -173,6 +179,7 @@ class SpArch:
                 f"dimension mismatch: cannot multiply {matrix_a.shape} by "
                 f"{matrix_b.shape}"
             )
+        _check_row_order(matrix_b)
         config = self._config
         result_shape = (matrix_a.shape[0], matrix_b.shape[1])
 
@@ -201,25 +208,12 @@ class SpArch:
             stats.scheduler = self._scheduler_name()
             return SpGEMMResult(CSRMatrix.empty(result_shape), stats)
 
-        if config.engine == "streaming":
-            streamer: _LeafStreamer = StreamingLeafStreamer(
-                matrix_a, matrix_b, multipliers,
-                condensing=config.enable_matrix_condensing,
-                chunk_leaves=config.streaming_chunk_leaves)
-        elif config.engine == "vectorized":
-            streamer = VectorizedLeafStreamer(
-                matrix_a, matrix_b, multipliers,
-                condensing=config.enable_matrix_condensing)
-        else:
-            streamer = _LeafStreamer(
-                matrix_a, matrix_b, multipliers,
-                condensing=config.enable_matrix_condensing)
-        weights = streamer.leaf_weights()
-        plan = self._build_plan(weights)
-        if isinstance(streamer, StreamingLeafStreamer):
-            # Tell the lazy streamer which leaves the plan consumes next, so
-            # its generation chunks line up with consumption order.
-            streamer.bind_plan(plan)
+        streamer_type = (_LeafStreamer if config.engine == "scalar"
+                         else VectorizedLeafStreamer)
+        streamer = streamer_type(matrix_a, matrix_b, multipliers,
+                                 condensing=config.enable_matrix_condensing)
+        plan = self._build_plan(streamer.leaf_weights())
+        streamer.bind_plan(plan)
         plan_is_pipelined = config.enable_pipelined_merge
 
         stats.num_partial_matrices = streamer.num_leaves
@@ -278,13 +272,8 @@ class SpArch:
     def _consumption_access_order(self, streamer: _LeafStreamer,
                                   plan: MergePlan) -> np.ndarray:
         """Right-matrix row sequence in the order leaves are consumed."""
-        pieces: list[np.ndarray] = []
-        for merge_round in plan.rounds:
-            for node_id in merge_round.input_ids:
-                if node_id < plan.num_leaves:
-                    pieces.append(streamer.leaf_access_order(node_id))
-        if not plan.rounds and plan.num_leaves == 1:
-            pieces.append(streamer.leaf_access_order(0))
+        pieces = [streamer.leaf_access_order(leaf)
+                  for leaves in plan.leaf_rounds() for leaf in leaves]
         if not pieces:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(pieces)
@@ -378,6 +367,26 @@ class SpArch:
             else:
                 store.write(merge_round.output_id, merged_keys, merged_vals)
         return results[root_id]
+
+
+def _check_row_order(matrix_b: CSRMatrix) -> None:
+    """Reject a right operand whose rows are not sorted by column.
+
+    Every engine streams a right-operand row as an already key-sorted run
+    of partial products.  Equal neighbours are allowed: the merge tree
+    folds duplicates.
+    """
+    steps = np.diff(matrix_b.indices)
+    # A step onto the first element of a row crosses rows, so it may drop.
+    row_starts = matrix_b.indptr[1:-1]
+    steps[row_starts[(row_starts > 0) & (row_starts < matrix_b.nnz)] - 1] = 0
+    drops = np.flatnonzero(steps < 0)
+    if len(drops):
+        row = int(np.searchsorted(matrix_b.indptr, drops[0],
+                                  side="right")) - 1
+        raise ValueError(
+            f"right operand row {row} has decreasing column indices; every "
+            f"row of the right operand must be sorted by column")
 
 
 def multiply(matrix_a: CSRMatrix, matrix_b: CSRMatrix,

@@ -12,32 +12,31 @@ The defaults reproduce the configuration evaluated in the paper:
 The ``enable_*`` flags turn the paper's four techniques on and off for the
 breakdown experiment of Figure 16.
 
-The ``engine`` field selects between three functionally identical simulation
-backends (see :mod:`repro.core.vectorized`, :mod:`repro.core.streaming` and
+The ``engine`` field selects one of two functionally identical simulation
+code paths under three names, :data:`BACKENDS` (see
+:mod:`repro.core.vectorized` and
 ``tests/integration/test_engine_equivalence.py``):
 
 * ``"scalar"`` — the reference implementation that walks partial products
   element by element and merges streams pairwise, mirroring the hardware
   structure one step at a time;
-* ``"vectorized"`` — batched numpy kernels (fancy-indexed partial-product
-  generation, a blocked merge of every round with one packed-word sort per
-  block, ``np.add.reduceat`` duplicate folding) with all
-  cycle/traffic/comparator counters computed in closed form so the
-  statistics stay bit-identical to the scalar model;
-* ``"streaming"`` — the vectorized kernels with a bounded multiplier-side
-  working set: partial products are generated lazily in chunks of
-  ``streaming_chunk_leaves`` leaves as the merge plan consumes them instead
-  of materialising every product of the matrix at once.  This is the
-  backend that runs paper-scale (10⁵+-row) scenarios with unscaled Table I
-  buffers.
+* ``"vectorized"`` and ``"streaming"`` — two names for the batched numpy
+  kernels (fancy-indexed partial-product generation one merge round at a
+  time, a blocked merge of every round with one packed-word sort per block,
+  ``np.add.reduceat`` duplicate folding) with all cycle/traffic/comparator
+  counters computed in closed form so the statistics stay bit-identical to
+  the scalar model.  Their working set is bounded per merge round, which is
+  what runs paper-scale (10⁵+-row) scenarios with unscaled Table I buffers.
+  Both names stay valid because stored sweep cells and forced-backend cache
+  keys carry them.
 
-Both batched engines run the same merge tree,
-:class:`~repro.core.vectorized.VectorizedMergeTree`, whose blocks take at
-most ``streaming_block_elements`` elements from each stream.  The two
-``streaming_*`` sizes are *simulation-host* tuning knobs, not architecture:
-they never change results, counters or traffic (a hypothesis property test
-pins this), so they are excluded from cache keys and config fingerprints
-via :data:`BACKEND_FIELDS`.
+The batched merge tree,
+:class:`~repro.core.vectorized.VectorizedMergeTree`, takes at most
+``streaming_block_elements`` elements from each stream per block.  That
+size is a *simulation-host* tuning knob, not architecture: it never changes
+results, counters or traffic (a hypothesis property test pins this), so it
+is excluded from cache keys and config fingerprints via
+:data:`BACKEND_FIELDS`, together with the engine name.
 """
 
 from __future__ import annotations
@@ -48,12 +47,15 @@ from dataclasses import dataclass
 from repro.memory.hbm import HBMConfig
 from repro.utils.validation import check_nonnegative_int, check_positive_int
 
+#: The valid ``SpArchConfig.engine`` names: the scalar reference, and two
+#: names for the batched engine.
+BACKENDS = ("scalar", "vectorized", "streaming")
+
 #: Config fields that select or tune the simulation *backend* without
 #: affecting any simulated quantity.  Cache keys and config fingerprints
 #: (``repro.experiments.runner``, ``repro.engines.sparch``) exclude them so
-#: switching backends or chunk sizes reuses existing cached results.
-BACKEND_FIELDS = ("engine", "streaming_chunk_leaves",
-                  "streaming_block_elements")
+#: switching backends or block sizes reuses existing cached results.
+BACKEND_FIELDS = ("engine", "streaming_block_elements")
 
 
 @dataclass(frozen=True)
@@ -78,15 +80,12 @@ class SpArchConfig:
             the look-ahead FIFO and the merge-tree pipelines); this is the
             startup overhead §III-C credits matrix condensing with amortising.
         hbm: HBM memory configuration.
-        engine: simulation backend — ``"vectorized"`` (default),
-            ``"scalar"`` or ``"streaming"``; all produce identical results
-            and statistics.
-        streaming_chunk_leaves: (streaming engine only) number of merge-plan
-            leaves whose partial products are generated per batch; bounds
-            the multiplier-side working set.
-        streaming_block_elements: (both batched engines) elements a merge
-            block may take from one input stream; bounds the merge-side
-            working set.
+        engine: simulation backend, one of :data:`BACKENDS` —
+            ``"vectorized"`` (default) or its other name ``"streaming"``,
+            or ``"scalar"``; all produce identical results and statistics.
+        streaming_block_elements: (batched engine) elements a merge block
+            may take from one input stream; bounds the merge-side working
+            set.
         enable_pipelined_merge: pipeline multiply and merge on chip (the
             first of the paper's four techniques).  When disabled the model
             degenerates to the two-phase OuterSPACE-style dataflow.
@@ -111,7 +110,6 @@ class SpArchConfig:
     round_startup_cycles: int = 256
     hbm: HBMConfig = dataclasses.field(default_factory=HBMConfig)
     engine: str = "vectorized"
-    streaming_chunk_leaves: int = 64
     streaming_block_elements: int = 1 << 16
     enable_pipelined_merge: bool = True
     enable_matrix_condensing: bool = True
@@ -136,13 +134,11 @@ class SpArchConfig:
             raise ValueError("merger_width must be a multiple of merger_chunk_size")
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
-        if self.engine not in ("scalar", "vectorized", "streaming"):
+        if self.engine not in BACKENDS:
             raise ValueError(
-                "engine must be 'scalar', 'vectorized' or 'streaming', "
+                f"engine must be one of {', '.join(map(repr, BACKENDS))}, "
                 f"got {self.engine!r}"
             )
-        check_positive_int(self.streaming_chunk_leaves,
-                           "streaming_chunk_leaves")
         check_positive_int(self.streaming_block_elements,
                            "streaming_block_elements")
 

@@ -114,6 +114,19 @@ class MergePlan:
             return 0.0
         return self.internal_weight - self.nodes[self.root_id].weight
 
+    def leaf_rounds(self) -> list[tuple[int, ...]]:
+        """The leaves each merge round consumes, in execution order.
+
+        A plan with a single leaf has no rounds; its leaf still passes
+        through the merge tree once, so it is listed as one round of its
+        own.
+        """
+        if not self.rounds:
+            return [(0,)] if self.num_leaves == 1 else []
+        return [tuple(node_id for node_id in merge_round.input_ids
+                      if node_id < self.num_leaves)
+                for merge_round in self.rounds]
+
     def leaf_depths(self) -> list[int]:
         """Depth of every leaf in the scheduled tree (root depth = 0)."""
         if self._depths:

@@ -1,4 +1,4 @@
-"""Vectorized simulation backend (``SpArchConfig(engine="vectorized")``).
+"""Batched simulation backend (``SpArchConfig(engine="vectorized")``).
 
 The scalar backend walks the multiply/merge hot path one Python object at a
 time: :meth:`~repro.hardware.multiplier_array.MultiplierArray.multiply_column`
@@ -10,9 +10,9 @@ This module provides drop-in replacements that compute *exactly* the same
 functional result and *exactly* the same statistics with batched numpy
 kernels:
 
-* :class:`VectorizedLeafStreamer` — partial-product generation for a whole
-  merge-plan leaf with ``np.repeat`` + fancy indexing (one gather instead of
-  one Python iteration per left element);
+* :class:`VectorizedLeafStreamer` — partial-product generation for every
+  leaf of a merge round at once with ``np.repeat`` + fancy indexing (one
+  gather instead of one Python iteration per left element);
 * :class:`VectorizedMergeTree` — each merge round is merged in bounded
   blocks, each block with one packed-word sort
   (:func:`repro.core.fastpath.merge_sorted_streams`) instead of the
@@ -21,8 +21,7 @@ kernels:
   kernel the scalar adder uses), and boolean-mask zero elimination.  The
   cycle, comparator-operation and per-layer traffic counters are computed in
   closed form from the input stream *lengths*, replaying the tournament
-  accounting without moving any elements.  Both batched engines
-  (``"vectorized"`` and ``"streaming"``) run this tree.
+  accounting without moving any elements.
 
 Why the results are bit-identical to the scalar backend:
 
@@ -37,14 +36,19 @@ Why the results are bit-identical to the scalar backend:
   reduce the same value sequences with the same association and produce
   the same IEEE-754 results.
 * Partial products are generated by multiplying the same operand pairs in
-  the same order (``value * B[k, c]``), only batched.
+  the same order (``value * B[k, c]``), only batched.  Each product depends
+  on its own operand pair alone, so generating a round's leaves in one pass
+  gives the same bits as generating each leaf on its own.
 * Every counter the scalar model accumulates per element or per node pair is
   a function of the stream lengths only, so it can be summed directly.
 
-The leaf streamer is deliberately split into *metadata* and *execution* so
-the streaming backend (:mod:`repro.core.streaming`) can reuse it: element
-grouping is cheap, O(nnz(A)), while product materialisation is the
-peak-memory term the streaming subclass defers.
+``"streaming"`` is a second name for this backend: both names build the
+same streamer and tree.  The streamer's working set is bounded per merge
+round: element grouping is O(nnz(A)) metadata built up front, and the
+partial products of a round's leaves are generated when the round starts
+and dropped as the round consumes them, so no more than one round's
+products are live at a time.  The merge tree holds that round's streams
+anyway.
 
 ``tests/integration/test_engine_equivalence.py`` enforces the equivalence
 over synthetic + rMAT matrices and every ablation combination.
@@ -65,6 +69,7 @@ from repro.core.fastpath import (
     merge_sorted_streams,
     row_offsets,
 )
+from repro.core.huffman import MergePlan
 from repro.formats.condensed import CondensedMatrix
 from repro.formats.convert import csr_to_csc
 from repro.formats.csr import CSRMatrix
@@ -77,16 +82,18 @@ class VectorizedLeafStreamer:
     """Batched replacement for the accelerator's scalar leaf streamer.
 
     Exposes the same interface (``num_leaves``, ``leaf_weights``,
-    ``leaf_a_elements``, ``leaf_access_order``, ``leaf_stream``) but
-    pre-groups the left operand's elements by merge-plan leaf once, so each
-    ``leaf_stream`` call is a constant number of numpy gathers.
+    ``leaf_a_elements``, ``leaf_access_order``, ``bind_plan``,
+    ``leaf_stream``) but pre-groups the left operand's elements by
+    merge-plan leaf once, so generating any set of leaves is a constant
+    number of numpy gathers.
 
     ``__init__`` only builds the per-leaf grouping *metadata* (element
     boundaries, left operand arrays in leaf order, per-element product
-    counts and multiplier-cycle prefix sums — all O(nnz(A))); the
-    :meth:`_materialise` hook then generates the partial products for every
-    leaf at once.  The streaming subclass overrides that hook to defer
-    generation until each leaf is consumed.
+    counts and multiplier-cycle prefix sums — all O(nnz(A))).  Products are
+    generated on demand: once :meth:`bind_plan` has named the plan's merge
+    rounds, the first :meth:`leaf_stream` call of a round generates every
+    leaf of that round in one batched pass, and each leaf's products are
+    dropped when it is consumed.
 
     Args:
         matrix_a: left operand in CSR format.
@@ -161,20 +168,42 @@ class VectorizedLeafStreamer:
         self._cycles_prefix = np.concatenate(
             [np.zeros(1, dtype=np.int64),
              np.cumsum((counts + throughput - 1) // throughput)])
-        self._materialise()
+        # Leaves of the bound plan's rounds, and the generated leaves the
+        # current round has not consumed yet.
+        self._leaf_round: dict[int, tuple[int, ...]] = {}
+        self._pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
-    def _materialise(self) -> None:
-        """Generate the partial products of every leaf at once.
+    def bind_plan(self, plan: MergePlan) -> None:
+        """Generate products one merge round of ``plan`` at a time.
 
-        One batched multiply for all leaves: ``np.repeat`` spreads each
-        left element over its right-matrix row, a fancy-indexed gather
-        pulls the row contents, and each leaf's partial products end up in
-        one contiguous slice (left elements by ascending row, each row's
-        products by ascending column — the scalar concatenation order).
+        Unbound, or for a leaf outside the plan, each leaf is generated on
+        its own: the same bits, in more and smaller passes.
         """
-        self._prod_keys, self._prod_vals = self._generate_products(
-            np.arange(len(self._left_cols), dtype=np.int64))
+        self._leaf_round = {leaf: leaves for leaves in plan.leaf_rounds()
+                            for leaf in leaves}
+
+    def _generate_leaves(self, leaves: tuple[int, ...]) -> None:
+        """Generate the partial products of ``leaves`` in one batched pass.
+
+        ``np.repeat`` spreads each left element over its right-matrix row,
+        a fancy-indexed gather pulls the row contents, and each leaf's
+        partial products end up in one contiguous slice (left elements by
+        ascending row, each row's products by ascending column — the scalar
+        concatenation order).
+        """
+        leaf_ids = np.asarray(leaves, dtype=np.int64)
+        starts = self._elem_starts[leaf_ids]
+        lengths = self._elem_starts[leaf_ids + 1] - starts
+        # Each leaf's element range, one leaf after another.
+        elem_idx = (np.arange(int(lengths.sum()), dtype=np.int64)
+                    + np.repeat(starts - (np.cumsum(lengths) - lengths),
+                                lengths))
+        keys, vals = self._generate_products(elem_idx)
+        ends = np.cumsum(self._prod_starts[leaf_ids + 1]
+                         - self._prod_starts[leaf_ids]).tolist()
+        for leaf, start, stop in zip(leaves, [0] + ends, ends):
+            self._pending[leaf] = (keys[start:stop], vals[start:stop])
 
     def _generate_products(self, elem_idx: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +211,8 @@ class VectorizedLeafStreamer:
 
         Each element's products are ``value * B[col, :]`` with keys
         ``row * num_cols + B column`` — independent per element, so any
-        batching (all elements at once, one chunk of leaves, a single
-        leaf) produces identical bits.
+        batching (one merge round's leaves or a single leaf) produces
+        identical bits.
         """
         matrix_b = self._matrix_b
         counts = self._counts[elem_idx]
@@ -244,18 +273,20 @@ class VectorizedLeafStreamer:
     def leaf_stream(self, leaf: int) -> tuple[np.ndarray, np.ndarray]:
         """Return one leaf's sorted (key, value) partial-product stream.
 
-        The products were generated for all leaves at once in ``__init__``,
-        so this is a slice plus O(1) multiplier-counter updates.
+        Generates the leaf's whole merge round if the leaf is not pending
+        yet.  The returned arrays are popped, so once the round has
+        consumed every leaf nothing of it stays pending.
         """
         self._record_leaf_counters(leaf)
-        start, stop = self._prod_starts[leaf], self._prod_starts[leaf + 1]
-        return self._prod_keys[start:stop], self._prod_vals[start:stop]
+        if leaf not in self._pending:
+            self._generate_leaves(self._leaf_round.get(leaf, (leaf,)))
+        return self._pending.pop(leaf)
 
 
 class VectorizedMergeTree(MergeTree):
     """Merge tree with a blocked batched merge and closed-form counters.
 
-    Both batched engines run this tree.  Each round is merged and folded in
+    The batched engine runs this tree.  Each round is merged and folded in
     bounded blocks: a block takes every element up to a key *cutoff* from
     every input stream, merges them with the packed-word sort of
     :func:`~repro.core.fastpath.merge_sorted_streams` (equal keys keep

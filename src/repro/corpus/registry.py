@@ -23,7 +23,8 @@ PAPER_SCALE_BENCHMARKS = ("patents_main", "m133-b3")
 
 #: The paper-scale dimension rung: 10⁵ rows, the low end of the regime the
 #: paper reports (10⁵–10⁶).  Scenarios at this rung run with *unscaled*
-#: Table I buffers on the streaming engine.
+#: Table I buffers on the batched engine (as ``engine="streaming"``), whose
+#: working set is bounded per merge round.
 PAPER_SCALE_RUNG = 100_000
 
 

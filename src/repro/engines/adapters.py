@@ -42,9 +42,9 @@ class BaselineEngineAdapter(Engine):
         return getattr(self._baseline, "engine", "scalar")
 
     def using_backend(self, backend: str) -> "BaselineEngineAdapter":
-        # The baselines carry no streaming core: their vectorized path is
-        # already bounded-memory, so a streaming pin runs vectorized (the
-        # two SpArch backends it bridges are proven identical anyway).
+        # "streaming" is the SpArch core's second name for its batched
+        # engine.  The baselines have no such name: their vectorized path
+        # is already bounded-memory, so a streaming pin runs vectorized.
         if backend == "streaming":
             backend = "vectorized"
         pinned = self._baseline.using_engine(backend)

@@ -16,15 +16,13 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+# BACKENDS names the execution backends every engine understands, proven
+# identical by the differential harnesses: a scalar reference loop and a
+# batched fast path, which answers to both "vectorized" and "streaming".
+# Baselines map "streaming" to their vectorized path.
+from repro.core.config import BACKENDS  # noqa: F401  (re-exported)
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import CostReport
-
-#: The execution backends every engine understands, proven identical by the
-#: differential harnesses: a scalar reference loop, a vectorized fast path,
-#: and (for the SpArch core) the bounded-memory streaming backend used at
-#: paper scale.  Baselines have no streaming core and map "streaming" to
-#: their vectorized path.
-BACKENDS = ("scalar", "vectorized", "streaming")
 
 
 @dataclass

@@ -49,7 +49,7 @@ class SpArchEngine(Engine):
         return self._config.engine
 
     def using_backend(self, backend: str) -> "SpArchEngine":
-        """Return this engine pinned to the scalar/vectorized/streaming core."""
+        """Return this engine pinned to one of the config's ``BACKENDS``."""
         if backend == self._config.engine:
             return self
         return SpArchEngine(self._config.replace(engine=backend),
@@ -59,8 +59,8 @@ class SpArchEngine(Engine):
         """Cache identity: the configuration (minus the backend) and the
         energy constants.
 
-        The backend fields — engine choice and the streaming chunk sizes —
-        are excluded because all cores are proven to produce identical
+        The backend fields — engine choice and the merge block size — are
+        excluded because both cores are proven to produce identical
         statistics; the runner re-adds the engine for forced cross-check
         runs, exactly as it always keyed SpArch points.  The energy
         constants are *included* because the memoised report bakes the

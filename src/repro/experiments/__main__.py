@@ -18,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.core.config import BACKENDS
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.runner import ExperimentRunner, set_default_runner
 from repro.utils.reporting import cost_table
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="memoise simulation results on disk under DIR "
                              "(e.g. .repro-cache); default: in-memory only")
     parser.add_argument("--engine",
-                        choices=("scalar", "vectorized", "streaming"),
+                        choices=BACKENDS,
                         default=None,
                         help="force a simulation backend for every run "
                              "(SpArch and baselines alike)")

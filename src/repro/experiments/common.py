@@ -240,8 +240,10 @@ def paper_scale_config(base_config: SpArchConfig | None = None) -> SpArchConfig:
 
     Unscaled Table I buffers — at this dimension the capacity-to-working-set
     ratio *is* the paper's operating point, so no proxy compensation applies
-    — on the streaming backend, whose working set is bounded per merge
-    round rather than per matrix.
+    — on the batched backend, whose working set is bounded per merge round
+    rather than per matrix.  It is named ``"streaming"`` here because stored
+    sweep cells and forced-backend cache keys carry that name; it is the
+    same engine as ``"vectorized"``.
     """
     base_config = base_config or SpArchConfig()
     return base_config.replace(engine="streaming")

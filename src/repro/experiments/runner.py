@@ -56,7 +56,7 @@ from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 
 from repro.baselines.base import BaselineSummary, SpGEMMBaseline
-from repro.core.config import BACKEND_FIELDS, SpArchConfig
+from repro.core.config import BACKEND_FIELDS, BACKENDS, SpArchConfig
 from repro.core.stats import SimulationStats
 from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.base import Engine
@@ -104,10 +104,10 @@ def config_fingerprint(config: SpArchConfig, *,
     to produce identical results and statistics, so cached simulation points
     are shared between them.  ``include_engine=True`` keys the entry to the
     backend — used when a backend is *forced*, so a cross-check run really
-    simulates instead of replaying the other backend's cache.  The streaming
-    chunk sizes are *always* excluded: they are simulation-host tuning knobs
+    simulates instead of replaying the other backend's cache.  The merge
+    block size is *always* excluded: it is a simulation-host tuning knob
     with no effect on any simulated quantity (pinned by a property test),
-    so varying them must never fragment the memo.
+    so varying it must never fragment the memo.
     """
     payload = dataclasses.asdict(config)
     for field in BACKEND_FIELDS:
@@ -322,8 +322,7 @@ class ExperimentRunner:
                  jobs: int = 1, engine: str | None = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if engine is not None and engine not in ("scalar", "vectorized",
-                                                 "streaming"):
+        if engine is not None and engine not in BACKENDS:
             raise ValueError(f"unknown engine {engine!r}")
         self._jobs = jobs
         self._engine = engine

@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.config import BACKENDS
 from repro.corpus.registry import get_corpus, list_corpora
 from repro.experiments.runner import ExperimentRunner
 from repro.sweeps.driver import run_sweep, summarise_store_file
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="share the experiment runner's on-disk memo")
     run.add_argument("--engine",
-                     choices=("scalar", "vectorized", "streaming"),
+                     choices=BACKENDS,
                      default=None,
                      help="force an execution backend (backend-specific "
                           "fingerprints, as in the experiments CLI)")

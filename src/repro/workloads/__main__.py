@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 
+from repro.core.config import BACKENDS
 from repro.experiments.runner import ExperimentRunner
 from repro.matrices.suite import load_benchmark
 from repro.utils.reporting import Table
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-rows", type=int, default=600,
                         help="proxy dimension cap for the matrix")
     parser.add_argument("--engine", default=None,
-                        choices=["scalar", "vectorized", "streaming"],
+                        choices=BACKENDS,
                         help="simulation backend variant "
                              "(SpArchConfig(engine=...))")
     parser.add_argument("--via", default="compiled",

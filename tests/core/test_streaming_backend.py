@@ -1,10 +1,10 @@
 """Unit tests for the batched engines' two building blocks.
 
-The end-to-end contract (streaming == vectorized == scalar) lives in
-``tests/integration/test_engine_equivalence.py`` and the chunk-invariance
+The end-to-end contract (batched == scalar) lives in
+``tests/integration/test_engine_equivalence.py`` and the block-size
 property test; this module exercises the pieces in isolation — the blocked
 merge+fold of :class:`VectorizedMergeTree` against the scalar tree, and the
-lazy leaf streamer against the materialising one.
+round-batched leaf streamer against the scalar ``_LeafStreamer``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import repro.core.vectorized as vectorized
+from repro.core.accelerator import _LeafStreamer
 from repro.core.huffman import huffman_schedule
-from repro.core.streaming import StreamingLeafStreamer
 from repro.core.vectorized import VectorizedLeafStreamer, VectorizedMergeTree
 from repro.hardware.merge_tree import MergeTree
 from repro.hardware.multiplier_array import MultiplierArray
@@ -144,63 +144,69 @@ class TestBlockedMergeTree:
         assert tree.stats.additions == 1
 
 
-class TestStreamingLeafStreamer:
+def assert_same_multiplier_counters(got, want):
+    assert got.stats.multiplications == want.stats.multiplications
+    assert got.stats.left_elements == want.stats.left_elements
+    assert got.stats.cycles == want.stats.cycles
+
+
+class TestBatchedLeafStreamer:
+    """The batched streamer against the scalar ``_LeafStreamer``."""
+
     @pytest.mark.parametrize("condensing", [True, False])
-    @pytest.mark.parametrize("chunk", [1, 3, 10**6])
-    def test_leaf_streams_match_vectorized(self, condensing, chunk):
+    @pytest.mark.parametrize("ways", [4, 64])
+    def test_bound_streams_match_scalar(self, condensing, ways):
         matrix = generate_rmat(RMATConfig(num_rows=120, edge_factor=4,
                                           seed=5))
-        reference = VectorizedLeafStreamer(matrix, matrix,
-                                           MultiplierArray(16),
-                                           condensing=condensing)
-        lazy_mults = MultiplierArray(16)
-        lazy = StreamingLeafStreamer(matrix, matrix, lazy_mults,
-                                     condensing=condensing,
-                                     chunk_leaves=chunk)
-        plan = huffman_schedule([float(w) for w in lazy.leaf_weights()], 8)
-        lazy.bind_plan(plan)
-        assert lazy.num_leaves == reference.num_leaves
-        np.testing.assert_array_equal(lazy.leaf_weights(),
+        reference_mults, batched_mults = MultiplierArray(16), MultiplierArray(16)
+        reference = _LeafStreamer(matrix, matrix, reference_mults,
+                                  condensing=condensing)
+        batched = VectorizedLeafStreamer(matrix, matrix, batched_mults,
+                                         condensing=condensing)
+        assert batched.num_leaves == reference.num_leaves
+        np.testing.assert_array_equal(batched.leaf_weights(),
                                       reference.leaf_weights())
+        plan = huffman_schedule([float(w) for w in batched.leaf_weights()],
+                                ways)
+        batched.bind_plan(plan)
         # Consume in plan order, as the accelerator does.
-        order = [node_id for merge_round in plan.rounds
-                 for node_id in merge_round.input_ids
-                 if node_id < plan.num_leaves]
-        for leaf in order:
-            want_keys, want_vals = reference.leaf_stream(leaf)
-            got_keys, got_vals = lazy.leaf_stream(leaf)
-            np.testing.assert_array_equal(want_keys, got_keys)
-            np.testing.assert_array_equal(want_vals, got_vals)
-        # The multiplier counters replay identically.
-        ref_stats = reference._multipliers.stats
-        assert lazy_mults.stats.multiplications == ref_stats.multiplications
-        assert lazy_mults.stats.left_elements == ref_stats.left_elements
-        assert lazy_mults.stats.cycles == ref_stats.cycles
+        for leaves in plan.leaf_rounds():
+            for leaf in leaves:
+                want_keys, want_vals = reference.leaf_stream(leaf)
+                got_keys, got_vals = batched.leaf_stream(leaf)
+                np.testing.assert_array_equal(want_keys, got_keys)
+                np.testing.assert_array_equal(want_vals, got_vals)
+        assert_same_multiplier_counters(batched_mults, reference_mults)
 
-    def test_unbound_streamer_falls_back_to_single_leaves(self):
+    @pytest.mark.parametrize("condensing", [True, False])
+    def test_unbound_streams_match_scalar(self, condensing):
         matrix = random_matrix(60, 60, 240, seed=2)
-        reference = VectorizedLeafStreamer(matrix, matrix,
-                                           MultiplierArray(16),
-                                           condensing=True)
-        lazy = StreamingLeafStreamer(matrix, matrix, MultiplierArray(16),
-                                     condensing=True, chunk_leaves=4)
+        reference_mults, batched_mults = MultiplierArray(16), MultiplierArray(16)
+        reference = _LeafStreamer(matrix, matrix, reference_mults,
+                                  condensing=condensing)
+        batched = VectorizedLeafStreamer(matrix, matrix, batched_mults,
+                                         condensing=condensing)
         # No bind_plan: every leaf generates on demand, out of any order.
-        for leaf in reversed(range(lazy.num_leaves)):
+        for leaf in reversed(range(batched.num_leaves)):
             want = reference.leaf_stream(leaf)
-            got = lazy.leaf_stream(leaf)
+            got = batched.leaf_stream(leaf)
             np.testing.assert_array_equal(want[0], got[0])
             np.testing.assert_array_equal(want[1], got[1])
+            assert not batched._pending
+        assert_same_multiplier_counters(batched_mults, reference_mults)
 
-    def test_consumed_leaves_are_dropped(self):
+    def test_pending_products_never_span_two_rounds(self):
         matrix = random_matrix(80, 80, 320, seed=4)
-        lazy = StreamingLeafStreamer(matrix, matrix, MultiplierArray(16),
-                                     condensing=True, chunk_leaves=2)
-        plan = huffman_schedule([float(w) for w in lazy.leaf_weights()], 4)
-        lazy.bind_plan(plan)
-        order = [node_id for merge_round in plan.rounds
-                 for node_id in merge_round.input_ids
-                 if node_id < plan.num_leaves]
-        for leaf in order:
-            lazy.leaf_stream(leaf)
-            # Popped on consumption: at most chunk-1 generated leaves wait.
-            assert len(lazy._pending) < 2
+        batched = VectorizedLeafStreamer(matrix, matrix, MultiplierArray(16),
+                                         condensing=False)
+        plan = huffman_schedule([float(w) for w in batched.leaf_weights()], 4)
+        batched.bind_plan(plan)
+        leaf_rounds = [leaves for leaves in plan.leaf_rounds() if leaves]
+        assert sum(len(leaves) > 1 for leaves in leaf_rounds) > 1
+        for leaves in leaf_rounds:
+            for position, leaf in enumerate(leaves):
+                batched.leaf_stream(leaf)
+                # The first leaf generates its round and nothing more; each
+                # consumed leaf is dropped.
+                assert set(batched._pending) == set(leaves[position + 1:])
+            assert not batched._pending

@@ -1,12 +1,11 @@
-"""Property test: streaming output is invariant under chunk-size choice.
+"""Property test: batched output is invariant under the merge block size.
 
-``streaming_chunk_leaves`` and ``streaming_block_elements`` are
-simulation-host knobs — per the contract in :mod:`repro.core.config` they
-must never change a result array, a counter, or a DRAM byte.  This test
-drives the full accelerator over random operands and random chunk sizes
-(*including* the degenerate extremes: one leaf / one element per batch, and
-batches larger than the whole problem) and compares everything against the
-vectorized engine.
+``streaming_block_elements`` is a simulation-host knob — per the contract in
+:mod:`repro.core.config` it must never change a result array, a counter, or
+a DRAM byte.  This test drives the full accelerator over random operands and
+random block sizes (*including* the degenerate extremes: one element per
+block, and blocks larger than the whole problem), under both names of the
+batched engine, and compares everything against the scalar engine.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ def csr_pairs(draw, max_dim: int = 14, max_nnz: int = 50):
     return build(rows_a, inner), build(inner, cols_b)
 
 
-#: Chunk strategies always covering the extremes (1, and ≥ everything).
-chunk_leaves = st.one_of(st.just(1), st.integers(2, 7), st.just(10 ** 6))
+#: Block sizes always covering the extremes (1, and ≥ everything).
 block_elements = st.one_of(st.just(1), st.integers(2, 50), st.just(10 ** 9))
 
 ablations = st.sampled_from([
@@ -66,18 +64,19 @@ ablations = st.sampled_from([
 ])
 
 
-@given(csr_pairs(), chunk_leaves, block_elements, ablations)
+@given(csr_pairs(), st.sampled_from(("vectorized", "streaming")),
+       block_elements, ablations)
 @settings(max_examples=40, deadline=None)
-def test_streaming_invariant_under_chunk_sizes(pair, chunk, block, features):
+def test_streaming_invariant_under_block_sizes(pair, engine, block, features):
     matrix_a, matrix_b = pair
     config = SpArchConfig(merge_tree_layers=2, prefetch_buffer_lines=8,
                           prefetch_line_elements=4,
                           lookahead_fifo_elements=32, **features)
-    reference = SpArch(config.replace(engine="vectorized")).multiply(
+    reference = SpArch(config.replace(engine="scalar")).multiply(
         matrix_a, matrix_b)
     streamed = SpArch(config.replace(
-        engine="streaming", streaming_chunk_leaves=chunk,
-        streaming_block_elements=block)).multiply(matrix_a, matrix_b)
+        engine=engine, streaming_block_elements=block)).multiply(
+        matrix_a, matrix_b)
 
     for field in COMPARED_STATS:
         assert (getattr(reference.stats, field)

@@ -1,10 +1,9 @@
 """Differential harness: every engine must match the scalar reference.
 
-The vectorized backend (:mod:`repro.core.vectorized`) and the streaming
-backend (:mod:`repro.core.streaming`) are only allowed to be *faster* /
-*leaner* — every functional output and every statistic must be exactly the
-output of the scalar reference model.  This module locks that contract down
-over
+The batched backend (:mod:`repro.core.vectorized`, named ``"vectorized"``
+or ``"streaming"``) is only allowed to be *faster* / *leaner* — every
+functional output and every statistic must be exactly the output of the
+scalar reference model.  This module locks that contract down over
 
 * a grid of synthetic + rMAT matrices (square and rectangular, with
   explicit-zero products, hub-dominated and uniform),
@@ -42,26 +41,29 @@ COMPARED_STATS = (
 ABLATION_GRID = list(itertools.product([True, False], repeat=4))
 
 
+def assert_same_run(reference, other) -> None:
+    """Two multiplies agree on the result arrays and every statistic."""
+    for field in COMPARED_STATS:
+        assert getattr(reference.stats, field) == getattr(other.stats, field), \
+            f"stats field {field!r} diverges"
+    assert (reference.stats.traffic.by_category()
+            == other.stats.traffic.by_category())
+
+    assert reference.matrix.shape == other.matrix.shape
+    np.testing.assert_array_equal(reference.matrix.indptr,
+                                  other.matrix.indptr)
+    np.testing.assert_array_equal(reference.matrix.indices,
+                                  other.matrix.indices)
+    np.testing.assert_array_equal(reference.matrix.data, other.matrix.data)
+
+
 def assert_engines_agree(matrix_a: CSRMatrix, matrix_b: CSRMatrix,
                          config: SpArchConfig) -> None:
-    """Run all three engines on ``A · B`` and compare result + statistics."""
+    """Run the scalar and batched engines on ``A · B`` and compare them."""
     scalar = SpArch(config.replace(engine="scalar")).multiply(matrix_a, matrix_b)
-    for engine in ("vectorized", "streaming"):
-        other = SpArch(config.replace(engine=engine)).multiply(
-            matrix_a, matrix_b)
-
-        for field in COMPARED_STATS:
-            assert getattr(scalar.stats, field) == getattr(other.stats, field), \
-                f"stats field {field!r} diverges on engine {engine!r}"
-        assert (scalar.stats.traffic.by_category()
-                == other.stats.traffic.by_category()), engine
-
-        assert scalar.matrix.shape == other.matrix.shape
-        np.testing.assert_array_equal(scalar.matrix.indptr,
-                                      other.matrix.indptr)
-        np.testing.assert_array_equal(scalar.matrix.indices,
-                                      other.matrix.indices)
-        np.testing.assert_array_equal(scalar.matrix.data, other.matrix.data)
+    batched = SpArch(config.replace(engine="vectorized")).multiply(
+        matrix_a, matrix_b)
+    assert_same_run(scalar, batched)
 
 
 @pytest.fixture(scope="module")
@@ -159,13 +161,13 @@ def test_cancelling_products():
         ("off" if value is False else str(value)))
 def test_streaming_tiny_chunks_all_ablations(grid_matrices, pipelined,
                                              condensing, huffman, prefetcher):
-    """Streaming with forced multi-chunk execution matches the vectorized
+    """Streaming with forced multi-block merges matches the vectorized
     engine under every ablation combination.
 
-    Chunk sizes far below the leaf/product counts force many generation
-    chunks and many fold blocks per round — the regime where a carry or
-    tie-break bug would surface.  (The scalar cross-check of the same grid
-    runs in ``test_all_ablation_combinations``.)
+    A block size far below the round sizes forces many fold blocks per
+    round — the regime where a carry or tie-break bug would surface.  (The
+    scalar cross-check of the same grid runs in
+    ``test_all_ablation_combinations``.)
     """
     config = SpArchConfig(
         enable_pipelined_merge=pipelined,
@@ -181,17 +183,20 @@ def test_streaming_tiny_chunks_all_ablations(grid_matrices, pipelined,
     reference = SpArch(config.replace(engine="vectorized")).multiply(
         matrix, matrix)
     streamed = SpArch(config.replace(
-        engine="streaming", streaming_chunk_leaves=3,
-        streaming_block_elements=97)).multiply(matrix, matrix)
-    for field in COMPARED_STATS:
-        assert (getattr(reference.stats, field)
-                == getattr(streamed.stats, field)), field
-    np.testing.assert_array_equal(reference.matrix.indptr,
-                                  streamed.matrix.indptr)
-    np.testing.assert_array_equal(reference.matrix.indices,
-                                  streamed.matrix.indices)
-    np.testing.assert_array_equal(reference.matrix.data,
-                                  streamed.matrix.data)
+        engine="streaming", streaming_block_elements=97)).multiply(
+        matrix, matrix)
+    assert_same_run(reference, streamed)
+
+
+def test_streaming_is_the_vectorized_engine(grid_matrices):
+    """``"streaming"`` names the batched engine: same result, same stats."""
+    config = SpArchConfig(merge_tree_layers=3)
+    for matrix in grid_matrices.values():
+        vectorized = SpArch(config.replace(engine="vectorized")).multiply(
+            matrix, matrix)
+        streaming = SpArch(config.replace(engine="streaming")).multiply(
+            matrix, matrix)
+        assert_same_run(vectorized, streaming)
 
 
 def test_scalar_engine_validates_unsorted_streams():
