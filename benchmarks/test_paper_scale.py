@@ -1,11 +1,13 @@
-"""Paper-scale smoke benchmark: a 10⁵-row suite rung, unscaled buffers.
+"""Paper-scale smoke benchmark: the 10⁵-row suite rungs, unscaled buffers.
 
 The benchmark suite normally runs on ``BENCH_MAX_ROWS = 600`` proxies with
-proxy-scaled buffers.  This module is the exception: it executes the
-*smallest paper-scale rung* — patents_main capped at 10⁵ rows — on the
+proxy-scaled buffers.  This module is the exception: it executes each
+*paper-scale rung* of ``PAPER_SCALE_NAMES`` capped at 10⁵ rows on the
 streaming engine with the **unscaled Table I configuration**, exactly the
-regime DESIGN.md's proxy-scaling argument used to exclude.  Tracked
-quantities:
+regime DESIGN.md's proxy-scaling argument used to exclude.  The two rungs
+reach different prefetcher paths: patents_main's rows span several buffer
+lines, so its replay runs the event loop, while every m133-b3 row fits one
+line and its replay settles in closed form.  Tracked quantities, per rung:
 
 * ``rows_per_second`` — result rows divided by best-of wall-clock; the
   headline throughput number for the paper-scale trajectory (methodology in
@@ -25,15 +27,16 @@ from __future__ import annotations
 import resource
 import time
 
+import pytest
+
 from bench_results import enforce_threshold, record_result
 from repro.core.accelerator import SpArch
 from repro.experiments.common import (
     PAPER_SCALE_MAX_ROWS,
+    PAPER_SCALE_NAMES,
     load_paper_scale_suite,
 )
 
-#: The smallest (cheapest-nnz) paper-scale rung of the suite ladder.
-RUNG_NAME = "patents_main"
 REPEATS = 3
 
 #: Rows/second floor — ~15× below the measured reference-host number, so
@@ -50,11 +53,12 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def test_paper_scale_rung_streaming_throughput():
-    """patents_main @ 10⁵ rows, streaming engine, unscaled Table I."""
+@pytest.mark.parametrize("rung_name", PAPER_SCALE_NAMES)
+def test_paper_scale_rung_streaming_throughput(rung_name):
+    """One rung @ 10⁵ rows, streaming engine, unscaled Table I."""
     suite = load_paper_scale_suite(max_rows=PAPER_SCALE_MAX_ROWS,
-                                   names=[RUNG_NAME])
-    matrix, config = suite[RUNG_NAME]
+                                   names=[rung_name])
+    matrix, config = suite[rung_name]
     assert config.engine == "streaming"
     assert config.prefetch_buffer_lines == 1024  # unscaled Table I
     assert config.lookahead_fifo_elements == 8192
@@ -69,7 +73,7 @@ def test_paper_scale_rung_streaming_throughput():
     peak_rss_mib = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                     / 1024.0)
 
-    record_result(f"paper_scale[{RUNG_NAME}@{PAPER_SCALE_MAX_ROWS}]",
+    record_result(f"paper_scale[{rung_name}@{PAPER_SCALE_MAX_ROWS}]",
                   seconds=best,
                   rows_per_second=rows_per_second,
                   rows=matrix.shape[0],
@@ -80,7 +84,8 @@ def test_paper_scale_rung_streaming_throughput():
                   threshold=MIN_ROWS_PER_SECOND)
     if rows_per_second < MIN_ROWS_PER_SECOND:
         enforce_threshold(
-            f"paper-scale rung ran at {rows_per_second:,.0f} rows/s "
+            f"paper-scale rung {rung_name} ran at "
+            f"{rows_per_second:,.0f} rows/s "
             f"(< {MIN_ROWS_PER_SECOND:,.0f}; {best:.2f}s for "
             f"{matrix.shape[0]:,} rows)"
         )

@@ -24,12 +24,19 @@ Replacement policy, as in the paper:
   the resident remainder still produces hits later (Figure 9, step 7→8).
 
 The simulation runs at *segment* (buffer line) granularity and reports the
-DRAM bytes read for matrix B, the hit rate, and the eviction count.  Two
-implementations give identical statistics and final buffer state: the
-per-access reference loop, which every input can take and the scalar engine
-always takes, and an event-driven replay
-(:meth:`RowPrefetcher._simulate_events`) for a cold buffer whose accessed
-rows each fit in it.
+DRAM bytes read for matrix B, the hit rate, and the eviction count.  Three
+paths give identical statistics and final buffer state:
+
+* the per-access reference loop, which every input can take and the scalar
+  engine always takes;
+* an event-driven replay (:meth:`RowPrefetcher._simulate_events`) for a
+  cold buffer whose accessed rows each fit in it;
+* inside that replay, a closed form
+  (:meth:`RowPrefetcher._settle_one_line_rows`) for when every accessed row
+  needs at most one line: it guesses which accesses hit, checks the guess
+  against the policy in a few numpy passes, and on success derives every
+  counter without a per-access loop.  When the check fails, the replay's
+  loop runs.
 """
 
 from __future__ import annotations
@@ -113,11 +120,21 @@ class RowPrefetcher:
 
         Returns:
             :class:`PrefetchStats` with hit rates and DRAM byte counts.
+
+        Raises:
+            ValueError: an access names a row outside the right operand.
         """
         access_sequence = np.asarray(access_sequence, dtype=np.int64)
         stats = PrefetchStats()
         if len(access_sequence) == 0:
             return stats
+        num_rows = len(self._row_nnz)
+        if access_sequence.min() < 0 or access_sequence.max() >= num_rows:
+            bad = int(np.flatnonzero((access_sequence < 0)
+                                     | (access_sequence >= num_rows))[0])
+            raise ValueError(
+                f"access {bad} names row {int(access_sequence[bad])}, "
+                f"outside the right operand's {num_rows} rows")
 
         # Per-row geometry, precomputed once: segment count, size of the
         # (possibly short) last segment, and total bytes.  The per-access
@@ -406,12 +423,13 @@ class RowPrefetcher:
         the row spills, so no stamps or deferred pushes are needed.  The loop
         records which accesses miss and how many of their lines were still
         resident; the hit, miss and byte counters follow with numpy.
+
+        When every accessed row needs at most one line, the closed form
+        :meth:`_settle_one_line_rows` is tried first, and the loop runs only
+        when it declines.
         """
         buffer = self._buffer
-        full = buffer.line_elements
-        element_bytes = buffer.element_bytes
         window = self._lookahead_window
-        row_nnz = self._row_nnz
         n = len(access_sequence)
         positions = np.arange(n)
 
@@ -423,13 +441,20 @@ class RowPrefetcher:
         same_row = access_sequence[grouped[1:]] == access_sequence[grouped[:-1]]
         next_occurrence[grouped[:-1][same_row]] = grouped[1:][same_row]
         # Which class each touch pushes its row into; empty rows are never
-        # buffered, so they push nothing.  A sentinel ``n`` ends each list.
+        # buffered, so they push nothing.
         access_segments = num_segments_arr[access_sequence]
         buffered = access_segments > 0
         known = ((next_occurrence < n)
                  & (next_occurrence - positions <= window))
         unknown_pushes = np.flatnonzero(buffered & ~known)
         known_pushes = np.flatnonzero(buffered & known)
+        if int(access_segments.max()) == 1:
+            settled = self._settle_one_line_rows(
+                access_sequence, access_segments, next_occurrence,
+                known_pushes, unknown_pushes, stats)
+            if settled is not None:
+                return settled
+        # A sentinel ``n`` ends each list.
         unknown_list = unknown_pushes.tolist() + [n]
         unknown_next = next_occurrence[unknown_pushes].tolist() + [n]
         known_list = known_pushes.tolist() + [n]
@@ -514,23 +539,87 @@ class RowPrefetcher:
                     deficit -= lines
                     heappop(heap)
 
-        missed_rows = access_sequence[np.frombuffer(missed, dtype=bool)]
+        return self._record_replay(
+            access_sequence, access_segments,
+            np.frombuffer(missed, dtype=bool), partial_hit_lines,
+            {row: resident[row] for row in np.flatnonzero(resident).tolist()},
+            stats)
+
+    def _settle_one_line_rows(self, access_sequence: np.ndarray,
+                              access_segments: np.ndarray,
+                              next_occurrence: np.ndarray,
+                              known_pushes: np.ndarray,
+                              unknown_pushes: np.ndarray,
+                              stats: PrefetchStats) -> PrefetchStats | None:
+        """Closed form of :meth:`_simulate_events` for one-line rows.
+
+        Applies when the buffer starts empty and every accessed row needs at
+        most one line.  It guesses that an access hits exactly when its
+        row's previous touch saw it inside the window, i.e. the hits are
+        ``next_occurrence[known_pushes]``.  The other buffered accesses
+        ``m_1 < m_2 < ...`` miss; with ``C`` lines and ``M`` misses, spill
+        ``k`` of ``E = max(0, M - C)`` falls at ``m_{C+k}``.  The guess
+        holds when, with ``u_1 < u_2 < ...`` the unknown-class pushes (there
+        are ``M`` of them):
+
+        1. every ``u_k`` with ``k <= E`` precedes spill ``k``, and its row
+           is not touched again until after it, so ``u_k`` heads the
+           unknown-class FIFO there and spill ``k`` evicts its row;
+        2. no ``u_i`` with ``i > E`` is touched again, so no row whose
+           reuse the window missed survives to that reuse.
+
+        Then every statistic and the final buffer follow from counts: the
+        rows of ``u_i`` with ``i > E`` stay resident.  Otherwise it returns
+        ``None`` and leaves the buffer untouched, and the replay runs.
+        DESIGN.md §6 gives the proof.
+        """
+        n = len(access_sequence)
+        spills = max(0, len(unknown_pushes) - self._buffer.num_lines)
+        victims = unknown_pushes[:spills]
+        survivors = unknown_pushes[spills:]
+        if (next_occurrence[survivors] < n).any():
+            return None
+        guessed_hit = np.zeros(n, dtype=bool)
+        guessed_hit[next_occurrence[known_pushes]] = True
+        missed = (access_segments > 0) & ~guessed_hit
+        spill_at = np.flatnonzero(missed)[self._buffer.num_lines:]
+        if not ((victims < spill_at).all()
+                and (next_occurrence[victims] > spill_at).all()):
+            return None
+        return self._record_replay(
+            access_sequence, access_segments, missed, 0,
+            dict.fromkeys(access_sequence[survivors].tolist(), 1), stats)
+
+    def _record_replay(self, access_sequence: np.ndarray,
+                       access_segments: np.ndarray, missed: np.ndarray,
+                       partial_hit_lines: int, resident: dict[int, int],
+                       stats: PrefetchStats) -> PrefetchStats:
+        """Fill ``stats`` and the empty buffer from a replay's outcome.
+
+        ``missed`` flags the accesses that fetched lines,
+        ``partial_hit_lines`` counts the lines those accesses found still
+        resident, and ``resident`` maps each row left in the buffer to its
+        line count (a prefix of its segments).
+        """
+        buffer = self._buffer
+        row_nnz = self._row_nnz
+        missed_rows = access_sequence[missed]
         total_elements = int(row_nnz[access_sequence].sum())
-        stats.accesses = n
-        stats.segment_misses = (int(num_segments_arr[missed_rows].sum())
+        stats.accesses = len(access_sequence)
+        stats.segment_misses = (int(access_segments[missed].sum())
                                 - partial_hit_lines)
         stats.segment_hits = int(access_segments.sum()) - stats.segment_misses
         stats.element_misses = (int(row_nnz[missed_rows].sum())
-                                - full * partial_hit_lines)
+                                - buffer.line_elements * partial_hit_lines)
         stats.element_hits = total_elements - stats.element_misses
         # The buffer started empty: whatever was fetched and is gone spilled.
-        stats.evicted_lines = stats.segment_misses - sum(resident)
-        stats.dram_bytes_read = stats.element_misses * element_bytes
-        stats.bytes_without_buffer = total_elements * element_bytes
+        stats.evicted_lines = stats.segment_misses - sum(resident.values())
+        stats.dram_bytes_read = stats.element_misses * buffer.element_bytes
+        stats.bytes_without_buffer = total_elements * buffer.element_bytes
 
         resident_map = buffer.resident_map
-        for row in np.flatnonzero(resident).tolist():
-            resident_map[row] = set(range(resident[row]))
+        for row, lines in resident.items():
+            resident_map[row] = set(range(lines))
         buffer.record_hit(stats.segment_hits)
         buffer.record_miss(stats.segment_misses)
         buffer.apply_policy_effects(inserted_lines=stats.segment_misses,

@@ -173,13 +173,21 @@ class RowBuffer:
         The replacement-policy simulation inlines insert/evict on the
         residency mapping for speed; this applies the net line-count and
         eviction effects in one call.  Counts must describe exactly what was
-        done to :attr:`resident_map`.
+        done to :attr:`resident_map`: the resulting line count must fit the
+        buffer and equal the number of resident segments, or a
+        ``ValueError`` is raised and the counters are left unchanged.
         """
         if inserted_lines < 0 or evicted_lines < 0:
             raise ValueError("line counts must be non-negative")
-        self._lines_used += inserted_lines - evicted_lines
-        if not 0 <= self._lines_used <= self._num_lines:
+        lines_used = self._lines_used + inserted_lines - evicted_lines
+        if not 0 <= lines_used <= self._num_lines:
             raise ValueError("policy effects left the buffer inconsistent")
+        resident_lines = sum(map(len, self._resident.values()))
+        if resident_lines != lines_used:
+            raise ValueError(
+                f"policy effects leave {lines_used} lines in use, but "
+                f"{resident_lines} segments are resident")
+        self._lines_used = lines_used
         self.evictions += evicted_lines
 
     def record_hit(self, count: int = 1) -> None:

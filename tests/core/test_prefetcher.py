@@ -1,7 +1,8 @@
 """Unit and property tests for the MatB row prefetcher (§II-D, Figure 9).
 
-The event-driven replay must reproduce the per-access reference loop
-exactly: every :class:`PrefetchStats` field and the final buffer state.
+The event-driven replay, and the closed form it tries first for one-line
+rows, must reproduce the per-access reference loop exactly: every
+:class:`PrefetchStats` field and the final buffer state.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.core.accelerator import SpArch
 from repro.core.config import SpArchConfig
 from repro.core.prefetcher import RowPrefetcher
 from repro.formats.csr import CSRMatrix
+from repro.matrices.suite import load_benchmark
 from repro.matrices.synthetic import powerlaw_matrix, random_matrix
 
 
@@ -68,6 +70,21 @@ def count_event_runs(monkeypatch):
 
     monkeypatch.setattr(RowPrefetcher, "_simulate_events", spy)
     return calls
+
+
+@pytest.fixture
+def settle_outcomes(monkeypatch):
+    """Record each closed-form attempt: True settled, False declined."""
+    outcomes = []
+    original = RowPrefetcher._settle_one_line_rows
+
+    def spy(self, *args):
+        settled = original(self, *args)
+        outcomes.append(settled is not None)
+        return settled
+
+    monkeypatch.setattr(RowPrefetcher, "_settle_one_line_rows", spy)
+    return outcomes
 
 
 def test_every_access_hits_when_buffer_is_large_enough():
@@ -338,3 +355,145 @@ def test_scalar_engine_runs_the_reference_loop(count_event_runs):
     vectorized = SpArch(config).multiply(matrix, matrix)
     assert len(count_event_runs) == 1
     assert scalar.stats.prefetch_hit_rate == vectorized.stats.prefetch_hit_rate
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("bad_row", [-1, 8])
+def test_out_of_range_rows_are_rejected(reference, warm, bad_row):
+    """A row outside the operand raises a ValueError naming the access,
+    on a cold or warm buffer, and leaves the buffer as it was."""
+    prefetcher = RowPrefetcher(_uniform_matrix(8, 1), num_lines=2,
+                               line_elements=1, reference=reference)
+    if warm:
+        prefetcher.simulate(np.array([0, 1, 2, 3]))
+    before = _buffer_state(prefetcher)
+    with pytest.raises(ValueError, match=f"access 1 names row {bad_row},"):
+        prefetcher.simulate(np.array([0, bad_row, 2]))
+    assert _buffer_state(prefetcher) == before
+
+
+@st.composite
+def _one_line_cases(draw):
+    """One-line rows under pressure: more distinct rows than lines."""
+    line_elements = draw(st.integers(min_value=1, max_value=4))
+    num_lines = draw(st.integers(min_value=1, max_value=8))
+    # The first num_lines + 1 rows are non-empty and each is accessed, so
+    # the accessed rows never all fit; the rest may be empty.
+    row_nnz = (draw(st.lists(st.integers(min_value=1, max_value=line_elements),
+                             min_size=num_lines + 1, max_size=num_lines + 1))
+               + draw(st.lists(st.integers(min_value=0,
+                                           max_value=line_elements),
+                               max_size=4)))
+    runs = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(row_nnz) - 1),
+                  st.integers(min_value=1, max_value=3)),
+        max_size=40))
+    sequence = [row for row, length in runs for _ in range(length)]
+    for row in range(len(row_nnz)):
+        sequence.insert(draw(st.integers(min_value=0,
+                                         max_value=len(sequence))), row)
+    window = draw(st.one_of(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=len(sequence) + 3)))
+    return row_nnz, sequence, num_lines, line_elements, window
+
+
+@given(_one_line_cases())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_matches_reference_loop(case):
+    """Differential property for one-line rows, where the closed form is
+    tried: stats and final buffer state match the loop either way."""
+    row_nnz, sequence, num_lines, line_elements, window = case
+    _simulate_both(_matrix_with_row_nnz(row_nnz), sequence,
+                   num_lines=num_lines, line_elements=line_elements,
+                   lookahead_window=window)
+
+
+def test_closed_form_settles_and_declines_on_seeded_cases(settle_outcomes):
+    """400 seeded one-line-row cases: the closed form settles many and
+    declines many, and every case matches the loop."""
+    rng = np.random.default_rng(16)
+    for _ in range(400):
+        line_elements = int(rng.integers(1, 5))
+        num_lines = int(rng.integers(1, 9))
+        num_rows = num_lines + int(rng.integers(1, 9))
+        row_nnz = rng.integers(0, line_elements + 1, size=num_rows)
+        row_nnz[0] = 1  # keep the matrix non-empty
+        length = int(rng.integers(num_rows, 6 * num_rows))
+        # A working set drifting once across the rows: the narrower its
+        # spread, the more local the reuse.
+        spread = int(rng.integers(0, num_rows))
+        sequence = ((np.arange(length) * num_rows // length
+                     + rng.integers(0, spread + 1, size=length)) % num_rows)
+        _simulate_both(_matrix_with_row_nnz(row_nnz), sequence,
+                       num_lines=num_lines, line_elements=line_elements,
+                       lookahead_window=int(rng.integers(1, length + 4)))
+    settled = sum(settle_outcomes)
+    assert settled >= 50
+    assert len(settle_outcomes) - settled >= 50
+
+
+@pytest.mark.parametrize(
+    "sequence,num_lines,window,settles,hits,evicted,resident", [
+        # Every reuse is back to back, so the window sees it; each pair's
+        # first access spills the row touched longest ago.
+        ([0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1], 2, 1, True, 6, 4,
+         {0: {0}, 1: {0}}),
+        # Every reuse is visible, so spill 1 finds no unknown-class row:
+        # the FIFO runs dry and the known class spills.
+        ([0, 1, 2, 0, 1, 2], 2, 8, False, 2, 2, {1: {0}, 2: {0}}),
+        # Row 0's reuse lies beyond the window, yet it hits: no spill came
+        # before it.  The spill at access 3 skips that stale head and
+        # takes row 1.
+        ([0, 1, 0, 2], 2, 1, False, 1, 1, {0: {0}, 2: {0}}),
+        # Only row 0 spills, so row 2 survives to a reuse the window missed.
+        ([0, 1, 2, 3, 2], 3, 1, False, 1, 1, {1: {0}, 2: {0}, 3: {0}}),
+    ])
+def test_closed_form_hand_checked_cases(settle_outcomes, sequence, num_lines,
+                                        window, settles, hits, evicted,
+                                        resident):
+    """One-element rows and lines, checked by hand against the policy."""
+    matrix = _uniform_matrix(max(sequence) + 1, 1)
+    stats, prefetcher = _simulate_both(matrix, sequence, num_lines=num_lines,
+                                       line_elements=1,
+                                       lookahead_window=window)
+    assert settle_outcomes == [settles]
+    assert stats.segment_hits == hits
+    assert stats.segment_misses == len(sequence) - hits
+    assert stats.evicted_lines == evicted
+    assert prefetcher.buffer.resident_map == resident
+
+
+def test_rows_longer_than_one_line_skip_the_closed_form(count_event_runs,
+                                                        settle_outcomes):
+    """A two-line row among one-line rows sends the replay straight to its
+    loop."""
+    matrix = _matrix_with_row_nnz([1, 1, 2, 1])
+    _simulate_both(matrix, [0, 1, 2, 3, 0, 1, 3, 2, 0], num_lines=3,
+                   line_elements=1, lookahead_window=2)
+    assert len(count_event_runs) == 1
+    assert settle_outcomes == []
+
+
+def test_engines_agree_where_the_closed_form_settles(settle_outcomes):
+    """m133-b3's rows fit one Table I line; with a 16-line buffer and a
+    128-element window the batched engine settles in closed form."""
+    matrix = load_benchmark("m133-b3", max_rows=2000)
+    config = SpArchConfig(prefetch_buffer_lines=16,
+                          lookahead_fifo_elements=128)
+    batched = SpArch(config).multiply(matrix, matrix)
+    assert settle_outcomes == [True]
+    scalar = SpArch(config.replace(engine="scalar")).multiply(matrix, matrix)
+    assert settle_outcomes == [True]
+    assert dataclasses.asdict(batched.stats) == dataclasses.asdict(
+        scalar.stats)
+
+
+@pytest.mark.parametrize("max_rows", [2000, 20000])
+def test_table1_buffers_decline_on_m133_proxies(settle_outcomes, max_rows):
+    """Under Table I buffers the proxies' spills find no eligible
+    unknown-class row often enough that the closed form declines."""
+    matrix = load_benchmark("m133-b3", max_rows=max_rows)
+    SpArch(SpArchConfig()).multiply(matrix, matrix)
+    assert settle_outcomes == [False]

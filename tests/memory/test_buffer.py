@@ -79,3 +79,17 @@ def test_invalid_construction():
 def test_buffer_line_identity():
     assert BufferLine(3, 1) == BufferLine(3, 1)
     assert BufferLine(3, 1) != BufferLine(3, 2)
+
+
+def test_policy_effects_must_match_the_resident_segments():
+    """A policy that counts lines the residency map does not hold fails
+    loudly and leaves the counters as they were."""
+    buffer = RowBuffer(num_lines=4, line_elements=4)
+    buffer.resident_map.update({2: {0, 1}, 5: {0}})
+    with pytest.raises(ValueError, match="2 lines in use, but 3 segments"):
+        buffer.apply_policy_effects(inserted_lines=2, evicted_lines=0)
+    assert (buffer.lines_used, buffer.evictions) == (0, 0)
+    buffer.apply_policy_effects(inserted_lines=4, evicted_lines=1)
+    assert (buffer.lines_used, buffer.evictions) == (3, 1)
+    with pytest.raises(ValueError, match="inconsistent"):
+        buffer.apply_policy_effects(inserted_lines=0, evicted_lines=4)
