@@ -3,7 +3,9 @@
 The public entry point is :class:`repro.core.accelerator.SpArch`, which wires
 together matrix condensing, the Huffman tree scheduler, the row prefetcher
 and the pipelined multiply/merge datapath, and returns both the functional
-SpGEMM result and the simulated performance/energy statistics.
+SpGEMM result and the simulated performance/energy statistics.  The row
+prefetcher models the replacement *policy* of §II-D (which line to evict),
+not the hash table and next-use reduction tree that implement it (§II-E).
 """
 
 from repro.core.accelerator import SpArch, multiply
@@ -21,11 +23,6 @@ from repro.core.huffman import (
 )
 from repro.core.partial_matrix import PartialMatrixStore, PartialMatrixWriter
 from repro.core.prefetcher import PrefetchStats, RowPrefetcher
-from repro.core.replacement import (
-    BufferIndexHashTable,
-    NextUseReductionTree,
-    ReplacementStats,
-)
 from repro.core.stats import SimulationStats, SpGEMMResult
 
 __all__ = [
@@ -49,9 +46,6 @@ __all__ = [
     "PartialMatrixWriter",
     "PrefetchStats",
     "RowPrefetcher",
-    "BufferIndexHashTable",
-    "NextUseReductionTree",
-    "ReplacementStats",
     "SimulationStats",
     "SpGEMMResult",
 ]

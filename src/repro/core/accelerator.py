@@ -23,10 +23,9 @@ chosen by ``SpArchConfig.engine``: the scalar reference in this module
 ``"streaming"``).  The batched path generates partial products one merge
 round at a time (:meth:`~repro.core.vectorized.VectorizedLeafStreamer.bind_plan`)
 and merges with the blocked
-:class:`~repro.core.vectorized.VectorizedMergeTree`, sized by
-``streaming_block_elements``, so its working set is bounded per merge round
-— which is what runs paper-scale scenarios.  The prefetcher policy has a
-reference/fast pair too: the scalar engine runs
+:class:`~repro.core.vectorized.VectorizedMergeTree`, so its working set is
+bounded per merge round — which is what runs paper-scale scenarios.  The
+prefetcher policy has a reference/fast pair too: the scalar engine runs
 :class:`~repro.core.prefetcher.RowPrefetcher`'s per-access reference loop,
 the batched engine its event-driven replay wherever that applies.  Both
 produce identical results and statistics — see
@@ -186,15 +185,12 @@ class SpArch:
         traffic = TrafficCounter()
         hbm = HBMModel(config.hbm)
         multipliers = MultiplierArray(config.num_multipliers)
-        tree_kwargs = dict(num_layers=config.merge_tree_layers,
-                           merger_width=config.merger_width,
-                           chunk_size=config.merger_chunk_size,
-                           fifo_capacity=config.partial_matrix_writer_fifo)
-        if config.engine == "scalar":
-            merge_tree = MergeTree(**tree_kwargs)
-        else:
-            merge_tree = VectorizedMergeTree(
-                block_elements=config.streaming_block_elements, **tree_kwargs)
+        tree_type = (MergeTree if config.engine == "scalar"
+                     else VectorizedMergeTree)
+        merge_tree = tree_type(num_layers=config.merge_tree_layers,
+                               merger_width=config.merger_width,
+                               chunk_size=config.merger_chunk_size,
+                               fifo_capacity=config.partial_matrix_writer_fifo)
         store = PartialMatrixStore(traffic, element_bytes=config.element_bytes)
         writer = PartialMatrixWriter(traffic, element_bytes=config.element_bytes,
                                      fifo_depth=config.partial_matrix_writer_fifo)

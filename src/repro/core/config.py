@@ -30,13 +30,12 @@ code paths under three names, :data:`BACKENDS` (see
   Both names stay valid because stored sweep cells and forced-backend cache
   keys carry them.
 
-The batched merge tree,
-:class:`~repro.core.vectorized.VectorizedMergeTree`, takes at most
-``streaming_block_elements`` elements from each stream per block.  That
-size is a *simulation-host* tuning knob, not architecture: it never changes
-results, counters or traffic (a hypothesis property test pins this), so it
-is excluded from cache keys and config fingerprints via
-:data:`BACKEND_FIELDS`, together with the engine name.
+The engine name is excluded from cache keys and config fingerprints via
+:data:`BACKEND_FIELDS`.  The batched merge tree's block size is not a
+field at all: it is the module constant
+:data:`repro.core.vectorized.BLOCK_ELEMENTS`, a simulation-host setting
+that never changes results, counters or traffic (a hypothesis property
+test pins this).
 """
 
 from __future__ import annotations
@@ -51,11 +50,11 @@ from repro.utils.validation import check_nonnegative_int, check_positive_int
 #: names for the batched engine.
 BACKENDS = ("scalar", "vectorized", "streaming")
 
-#: Config fields that select or tune the simulation *backend* without
-#: affecting any simulated quantity.  Cache keys and config fingerprints
+#: Config fields that select the simulation *backend* without affecting any
+#: simulated quantity.  Cache keys and config fingerprints
 #: (``repro.experiments.runner``, ``repro.engines.sparch``) exclude them so
-#: switching backends or block sizes reuses existing cached results.
-BACKEND_FIELDS = ("engine", "streaming_block_elements")
+#: switching backends reuses existing cached results.
+BACKEND_FIELDS = ("engine",)
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,6 @@ class SpArchConfig:
         engine: simulation backend, one of :data:`BACKENDS` —
             ``"vectorized"`` (default) or its other name ``"streaming"``,
             or ``"scalar"``; all produce identical results and statistics.
-        streaming_block_elements: (batched engine) elements a merge block
-            may take from one input stream; bounds the merge-side working
-            set.
         enable_pipelined_merge: pipeline multiply and merge on chip (the
             first of the paper's four techniques).  When disabled the model
             degenerates to the two-phase OuterSPACE-style dataflow.
@@ -110,7 +106,6 @@ class SpArchConfig:
     round_startup_cycles: int = 256
     hbm: HBMConfig = dataclasses.field(default_factory=HBMConfig)
     engine: str = "vectorized"
-    streaming_block_elements: int = 1 << 16
     enable_pipelined_merge: bool = True
     enable_matrix_condensing: bool = True
     enable_huffman_scheduler: bool = True
@@ -139,8 +134,6 @@ class SpArchConfig:
                 f"engine must be one of {', '.join(map(repr, BACKENDS))}, "
                 f"got {self.engine!r}"
             )
-        check_positive_int(self.streaming_block_elements,
-                           "streaming_block_elements")
 
     # ------------------------------------------------------------------
     @property

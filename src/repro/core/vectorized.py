@@ -77,6 +77,11 @@ from repro.formats.keys import linear_key_dtype
 from repro.hardware.merge_tree import MergeTree
 from repro.hardware.multiplier_array import MultiplierArray
 
+#: Elements a merge block may take from one input stream: bounds the merge's
+#: working set.  It tunes the simulation host only — results, counters and
+#: traffic are the same for every value — so it is not configuration.
+BLOCK_ELEMENTS = 1 << 16
+
 
 class VectorizedLeafStreamer:
     """Batched replacement for the accelerator's scalar leaf streamer.
@@ -321,16 +326,18 @@ class VectorizedMergeTree(MergeTree):
 
     Args:
         block_elements: elements a block may take from one stream (≥ 1);
-            ``SpArchConfig.streaming_block_elements`` for the accelerator.
-            It tunes the simulation host only: results and counters are the
-            same for every value.
+            :data:`BLOCK_ELEMENTS`, read when the tree is built, by default
+            (the accelerator always uses the default).  Results and
+            counters are the same for every value.
     """
 
     def __init__(self, num_layers: int = 6, merger_width: int = 16,
                  chunk_size: int = 4, fifo_capacity: int = 1024, *,
-                 block_elements: int = 1 << 16) -> None:
+                 block_elements: int | None = None) -> None:
         super().__init__(num_layers=num_layers, merger_width=merger_width,
                          chunk_size=chunk_size, fifo_capacity=fifo_capacity)
+        if block_elements is None:
+            block_elements = BLOCK_ELEMENTS
         self._block_elements = max(1, int(block_elements))
 
     def merge(self, streams: list[tuple[np.ndarray, np.ndarray]]

@@ -59,13 +59,13 @@ class SpArchEngine(Engine):
         """Cache identity: the configuration (minus the backend) and the
         energy constants.
 
-        The backend fields — engine choice and the merge block size — are
-        excluded because both cores are proven to produce identical
-        statistics; the runner re-adds the engine for forced cross-check
-        runs, exactly as it always keyed SpArch points.  The energy
-        constants are *included* because the memoised report bakes the
-        per-module energy in — two engines differing only in their energy
-        model must not share a cache entry.
+        The backend field — the engine choice — is excluded because both
+        cores are proven to produce identical statistics; the runner
+        re-adds the engine for forced cross-check runs, exactly as it
+        always keyed SpArch points.  The energy constants are *included*
+        because the memoised report bakes the per-module energy in — two
+        engines differing only in their energy model must not share a
+        cache entry.
         """
         import dataclasses
 

@@ -21,8 +21,8 @@ LAYER_SWEEP = (2, 3, 4, 5, 6, 7)
 
 PAPER_METRICS = {
     "chosen_layers": 6,
-    "gflops_at_6_layers": 10.45,
-    "gflops_at_2_layers": 4.13,
+    "gflops[layers:6]": 10.45,
+    "gflops[layers:2]": 4.13,
 }
 
 

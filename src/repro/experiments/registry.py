@@ -18,7 +18,6 @@ from repro.experiments import (
     fig17_dse,
     fig18_merge_tree,
     scheduler_ablation,
-    sweep,
     table2_comparison,
     table3_energy,
     workloads_e2e,
@@ -72,9 +71,6 @@ EXPERIMENTS: tuple[ExperimentEntry, ...] = (
     ExperimentEntry("workloads", "End-to-end workload pipelines vs baselines "
                     "(repro.workloads registry)",
                     workloads_e2e.run),
-    ExperimentEntry("sweep", "Corpus sweep via the sharded result-store "
-                    "driver (repro.sweeps registry; fig17-dse by default)",
-                    sweep.run),
 )
 
 _BY_ID = {entry.experiment_id: entry for entry in EXPERIMENTS}

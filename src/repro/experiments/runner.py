@@ -104,10 +104,7 @@ def config_fingerprint(config: SpArchConfig, *,
     to produce identical results and statistics, so cached simulation points
     are shared between them.  ``include_engine=True`` keys the entry to the
     backend — used when a backend is *forced*, so a cross-check run really
-    simulates instead of replaying the other backend's cache.  The merge
-    block size is *always* excluded: it is a simulation-host tuning knob
-    with no effect on any simulated quantity (pinned by a property test),
-    so varying it must never fragment the memo.
+    simulates instead of replaying the other backend's cache.
     """
     payload = dataclasses.asdict(config)
     for field in BACKEND_FIELDS:

@@ -5,16 +5,11 @@ The modules here model the accelerator datapath:
 * :mod:`repro.hardware.comparator_array` — the parallel merge unit (Fig. 3).
 * :mod:`repro.hardware.hierarchical_merger` — the two-level comparator array
   that reduces comparator count to O(n^{4/3}) (Fig. 4).
-* :mod:`repro.hardware.merge_tree` — the 64-way merge tree of FIFOs and
-  shared per-layer mergers (Fig. 5).
+* :mod:`repro.hardware.merge_tree` — the 64-way merge tree of shared
+  per-layer mergers (Fig. 5).
 * :mod:`repro.hardware.adder` / :mod:`repro.hardware.zero_eliminator` — the
   adder slice and zero eliminator that fold duplicate coordinates (Fig. 6).
 * :mod:`repro.hardware.multiplier_array` — the outer-product multipliers.
-* :mod:`repro.hardware.fifo` — bounded FIFOs with occupancy statistics.
-* :mod:`repro.hardware.clock` — a tiny two-phase clocked-module kernel used
-  by the cycle-level micro models.
-* :mod:`repro.hardware.streaming` — a clock-stepped micro-model of the merge
-  tree used to validate the transaction-level cycle estimates.
 
 Each block provides both a *functional* path (exact results, used to verify
 correctness against scipy) and an *activity* model (cycles, comparator
@@ -22,30 +17,21 @@ operations, additions) consumed by the performance and energy models.
 """
 
 from repro.hardware.adder import AdderSlice, add_duplicates
-from repro.hardware.clock import ClockedModule, CycleSimulator
 from repro.hardware.comparator_array import ComparatorArray, merge_windows
-from repro.hardware.fifo import Fifo
 from repro.hardware.hierarchical_merger import HierarchicalMerger, comparator_count
 from repro.hardware.merge_tree import MergeTree, MergeTreeStats
 from repro.hardware.multiplier_array import MultiplierArray
-from repro.hardware.streaming import StreamingMergeTree, StreamingStats
-from repro.hardware.zero_eliminator import ZeroEliminator, eliminate_zeros
+from repro.hardware.zero_eliminator import eliminate_zeros
 
 __all__ = [
     "AdderSlice",
     "add_duplicates",
-    "ClockedModule",
-    "CycleSimulator",
     "ComparatorArray",
     "merge_windows",
-    "Fifo",
     "HierarchicalMerger",
     "comparator_count",
     "MergeTree",
     "MergeTreeStats",
     "MultiplierArray",
-    "StreamingMergeTree",
-    "StreamingStats",
-    "ZeroEliminator",
     "eliminate_zeros",
 ]

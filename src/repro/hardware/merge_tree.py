@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hardware.adder import AdderSlice
-from repro.hardware.fifo import Fifo
 from repro.hardware.hierarchical_merger import HierarchicalMerger
 from repro.hardware.zero_eliminator import eliminate_zeros
 from repro.utils.validation import check_positive_int

@@ -14,27 +14,22 @@ element's ``zero_count``, so different elements shift by different amounts in
 the same cycle.  The latency is ``log2(N)`` cycles for an input of width
 ``N``.
 
-The module offers both the staged bit-by-bit model (:class:`ZeroEliminator`,
-used by the unit tests to validate the shifting network of Figure 6) and a
-vectorised functional helper (:func:`eliminate_zeros`).
+The simulator needs only the shifter's functional contract, which
+:func:`eliminate_zeros` implements with a boolean mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-import math
-
 import numpy as np
-
-from repro.utils.validation import check_positive_int
 
 
 def eliminate_zeros(keys: np.ndarray, values: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Drop entries whose value is exactly zero, preserving order.
 
-    This is the functional contract of the zero eliminator; the hardware
-    achieves it with the staged shifter modelled by :class:`ZeroEliminator`.
+    This is the functional contract of the zero eliminator: the survivors
+    come out packed in their input order, as the staged shifter of Figure 6
+    leaves them.
     """
     keys = np.asarray(keys, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
@@ -42,115 +37,3 @@ def eliminate_zeros(keys: np.ndarray, values: np.ndarray
         raise ValueError("keys and values must have equal length")
     keep = values != 0.0
     return keys[keep], values[keep]
-
-
-def zero_counts(values: list[float]) -> list[int]:
-    """Prefix count of zeros strictly before each position (first stage).
-
-    ``zero_counts([1, 0, 0, 2])`` returns ``[0, 0, 1, 2]`` — element ``2``
-    has two zeros in front of it and must therefore shift left by two.
-    """
-    counts = []
-    zeros_so_far = 0
-    for value in values:
-        counts.append(zeros_so_far)
-        if value == 0.0:
-            zeros_so_far += 1
-    return counts
-
-
-@dataclass
-class ZeroEliminatorTrace:
-    """Intermediate state of every shifter layer, for inspection/testing."""
-
-    layers: list[list[float]] = field(default_factory=list)
-
-
-class ZeroEliminator:
-    """Staged log-shifter model of the zero eliminator.
-
-    Args:
-        width: number of elements processed per invocation (*N* in Figure 6);
-            the latency is ``ceil(log2(width))`` cycles.
-    """
-
-    def __init__(self, width: int) -> None:
-        check_positive_int(width, "width")
-        self._width = width
-        self._num_layers = max(1, math.ceil(math.log2(width))) if width > 1 else 1
-        self.total_elements = 0
-        self.total_invocations = 0
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    @property
-    def num_layers(self) -> int:
-        """Number of shifter layers == pipeline latency in cycles."""
-        return self._num_layers
-
-    @property
-    def latency_cycles(self) -> int:
-        """Latency of one invocation (the shifter is fully pipelined)."""
-        return self._num_layers
-
-    def compress(self, keys: list[int], values: list[float],
-                 *, trace: ZeroEliminatorTrace | None = None
-                 ) -> tuple[list[int], list[float]]:
-        """Compress one window of at most ``width`` elements.
-
-        Zero-valued entries are removed and the survivors are packed to the
-        left, exactly as the layered shifter of Figure 6 does.  When ``trace``
-        is given, the value vector after every shifter layer is appended to
-        ``trace.layers`` so tests can check the per-layer behaviour.
-
-        Returns:
-            ``(packed_keys, packed_values)`` with zeros removed.
-        """
-        if len(keys) != len(values):
-            raise ValueError("keys and values must have equal length")
-        if len(keys) > self._width:
-            raise ValueError(
-                f"window of {len(keys)} elements exceeds eliminator width "
-                f"{self._width}"
-            )
-        self.total_elements += len(keys)
-        self.total_invocations += 1
-
-        counts = zero_counts(values)
-        # Work on fixed-width lanes; empty lanes hold (None, 0.0).
-        lane_keys: list[int | None] = list(keys) + [None] * (self._width - len(keys))
-        lane_vals: list[float] = list(values) + [0.0] * (self._width - len(keys))
-        lane_counts = counts + [0] * (self._width - len(counts))
-
-        for layer in range(self._num_layers):
-            shift = 1 << layer
-            new_keys: list[int | None] = [None] * self._width
-            new_vals = [0.0] * self._width
-            new_counts = [0] * self._width
-            for pos in range(self._width):
-                if lane_vals[pos] == 0.0 and lane_keys[pos] is None:
-                    continue
-                # A zero produced by the adder still occupies a lane until a
-                # later element shifts over it; it simply never moves left.
-                if lane_vals[pos] == 0.0:
-                    continue
-                target = pos - shift if (lane_counts[pos] >> layer) & 1 else pos
-                new_keys[target] = lane_keys[pos]
-                new_vals[target] = lane_vals[pos]
-                new_counts[target] = lane_counts[pos]
-            lane_keys, lane_vals, lane_counts = new_keys, new_vals, new_counts
-            if trace is not None:
-                trace.layers.append(list(lane_vals))
-
-        packed_keys: list[int] = []
-        packed_vals: list[float] = []
-        for key, value in zip(lane_keys, lane_vals):
-            if key is not None and value != 0.0:
-                packed_keys.append(key)
-                packed_vals.append(value)
-        return packed_keys, packed_vals
-
-    def __repr__(self) -> str:
-        return f"ZeroEliminator(width={self._width}, layers={self._num_layers})"

@@ -29,7 +29,6 @@ from repro.sweeps.driver import (
     SweepRunSummary,
     group_reports,
     run_sweep,
-    summarise_groups,
     summarise_records,
 )
 from repro.sweeps.index import (
@@ -96,7 +95,6 @@ __all__ = [
     "run_sweep",
     "SweepRunSummary",
     "group_reports",
-    "summarise_groups",
     "summarise_records",
     "SWEEPS",
     "list_sweeps",

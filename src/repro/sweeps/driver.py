@@ -333,19 +333,14 @@ def run_sweep(spec: SweepSpec, *,
 # ----------------------------------------------------------------------
 # Summarising stores
 # ----------------------------------------------------------------------
-def group_reports(records: list[SweepRecord], *,
-                  reports: dict[str, CostReport] | None = None
+def group_reports(records: list[SweepRecord]
                   ) -> dict[tuple[str, str], list[CostReport]]:
     """Records' reports grouped by ``(engine, config label)``.
 
     Group order follows first appearance, which for canonical (merged)
-    records is the sweep's engine/config declaration order.  ``reports``
-    accepts a precomputed :func:`~repro.sweeps.store.records_to_reports`
-    mapping so callers that also need the per-cell reports deserialise
-    each record only once.
+    records is the sweep's engine/config declaration order.
     """
-    if reports is None:
-        reports = records_to_reports(records)
+    reports = records_to_reports(records)
     groups: dict[tuple[str, str], list[CostReport]] = {}
     for record in records:
         groups.setdefault((record.engine, record.config_label),
@@ -353,9 +348,9 @@ def group_reports(records: list[SweepRecord], *,
     return groups
 
 
-def summarise_groups(groups: dict[tuple[str, str], list[CostReport]], *,
-                     title: str = "sweep summary") -> Table:
-    """Per-(engine, config) summary table of grouped reports.
+def summarise_records(records: list[SweepRecord], *,
+                      title: str = "sweep summary") -> Table:
+    """Per-(engine, config) summary table of a (merged) result store.
 
     The Figure 17 quantities — geomean GFLOP/s and total DRAM bytes — plus
     modelled runtime and headline energy, one row per grid column.
@@ -365,7 +360,7 @@ def summarise_groups(groups: dict[tuple[str, str], list[CostReport]], *,
         columns=["engine", "config", "cells", "geomean GFLOP/s",
                  "DRAM [B]", "runtime [s]", "energy [J]"],
     )
-    for (engine, label), reports in groups.items():
+    for (engine, label), reports in group_reports(records).items():
         table.add_row(
             engine, label, len(reports),
             geomean_gflops(reports),
@@ -374,12 +369,6 @@ def summarise_groups(groups: dict[tuple[str, str], list[CostReport]], *,
             sum(report.energy_joules for report in reports),
         )
     return table
-
-
-def summarise_records(records: list[SweepRecord], *,
-                      title: str = "sweep summary") -> Table:
-    """Per-(engine, config) summary table of a (merged) result store."""
-    return summarise_groups(group_reports(records), title=title)
 
 
 #: Floor applied to per-report GFLOP/s before the log — the same floor

@@ -166,8 +166,7 @@ class ResultStore:
     Args:
         path: JSONL file location; an existing file's valid records are
             loaded (that is what makes a sweep resumable).  ``None`` keeps
-            the store in memory only — one process lifetime, used by the
-            ``sweep`` experiment harness when no ``--store`` is given.
+            the store in memory only, for one process lifetime.
         fsync: flush each appended record to stable storage before
             returning.  Off by default (a torn tail already rotates by
             recomputation); the fabric coordinator turns it on when asked
@@ -431,7 +430,7 @@ def require_single_sweep(records: list[SweepRecord]) -> None:
     meaningful within one sweep's grid; silently collapsing or mixing the
     cells of two sweeps sharing a store would misattribute results.
     Callers holding a shared store filter by ``sweep_id`` first (as the
-    summarise CLI and the ``sweep`` experiment do).
+    summarise CLI does).
     """
     sweep_ids = {record.sweep_id for record in records}
     if len(sweep_ids) > 1:
@@ -445,7 +444,8 @@ def records_to_reports(records: list[SweepRecord]) -> dict[str, CostReport]:
     """Deserialise records into ``{"scenario|engine|config": report}``.
 
     The one definition of the report-key format, shared by
-    :meth:`ResultStore.reports` and the ``sweep`` experiment harness.
+    :meth:`ResultStore.reports` and the sweep summaries of
+    :mod:`repro.sweeps.driver`.
     Records must belong to one sweep (see :func:`require_single_sweep`).
     """
     require_single_sweep(records)

@@ -16,6 +16,7 @@ from repro.matrices.synthetic import (
     powerlaw_matrix,
     random_matrix,
 )
+from repro.memory.hbm import HBMConfig, HBMModel
 from repro.memory.traffic import TrafficCategory
 
 #: Every combination of the four ablation switches exercised by Figure 16.
@@ -196,3 +197,22 @@ def test_multiply_convenience_function_uses_config():
         result.stats.prefetch_hit_rate))
     assert SpArch(config).config is config
     assert repr(result).startswith("SpGEMMResult")
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+def test_dram_time_is_priced_at_aggregate_bandwidth(engine):
+    """Memory cycles are the run's DRAM bytes at the aggregate HBM
+    bandwidth (§II-D), however that bandwidth is split into channels."""
+    matrix = powerlaw_matrix(200, 8, seed=3)
+    table1 = SpArchConfig(engine=engine)
+    stats = SpArch(table1).multiply(matrix, matrix).stats
+    assert stats.memory_cycles == HBMModel(table1.hbm).memory_cycles(
+        stats.traffic.read_bytes, stats.traffic.write_bytes)
+    assert stats.memory_cycles > 0
+
+    regrouped = SpArchConfig(engine=engine, hbm=HBMConfig(
+        num_channels=8, bytes_per_second_per_channel=16e9))
+    other = SpArch(regrouped).multiply(matrix, matrix).stats
+    assert other.dram_bytes == stats.dram_bytes
+    assert other.memory_cycles == stats.memory_cycles
+    assert other.cycles == stats.cycles

@@ -1,9 +1,9 @@
-"""Micro-tests for degenerate inputs on both engines and the stream FIFOs.
+"""Micro-tests for degenerate inputs on both engines.
 
 These pin the edge cases the per-element stream code paths are easiest to
 get wrong: empty operands, products that cancel to an all-zero result,
-single-nonzero operands (the one-leaf merge plan), empty right-matrix rows,
-and the FIFO drain behaviour of the clock-stepped merge tree.
+single-nonzero operands (the one-leaf merge plan) and empty right-matrix
+rows.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 from repro.core.accelerator import SpArch
 from repro.core.config import SpArchConfig
 from repro.formats.csr import CSRMatrix
-from repro.hardware.streaming import StreamingMergeTree
 
 ENGINES = ("scalar", "vectorized")
 
@@ -109,32 +108,3 @@ def test_dimension_mismatch_raises(engine):
 def test_invalid_engine_name_rejected():
     with pytest.raises(ValueError, match="engine"):
         SpArchConfig(engine="turbo")
-
-
-# ----------------------------------------------------------------------
-# Streaming-tree FIFO behaviour (deque-backed after the O(n) pop fix)
-# ----------------------------------------------------------------------
-
-def test_streaming_tree_empty_and_single_streams():
-    tree = StreamingMergeTree(num_layers=2, merger_width=2, fifo_capacity=8)
-    keys, values, stats = tree.merge([])
-    assert len(keys) == 0 and len(values) == 0 and stats.elements_out == 0
-
-    keys, values, stats = tree.merge([(np.array([1, 3]), np.array([1.0, 2.0]))])
-    np.testing.assert_array_equal(keys, [1, 3])
-    np.testing.assert_array_equal(values, [1.0, 2.0])
-
-
-def test_streaming_tree_interleaves_long_unbalanced_streams():
-    """A long stream against an empty one drains without stalling forever."""
-    long_keys = np.arange(500, dtype=np.int64)
-    long_vals = np.ones(500)
-    tree = StreamingMergeTree(num_layers=2, merger_width=4, fifo_capacity=16)
-    keys, values, stats = tree.merge([
-        (long_keys, long_vals),
-        (np.empty(0, np.int64), np.empty(0)),
-        (np.array([2, 7]), np.array([5.0, 6.0])),
-    ])
-    assert len(keys) == 502
-    assert np.all(np.diff(keys) >= 0)
-    assert stats.elements_out == 502

@@ -7,9 +7,12 @@ any engine runs, and every engine name fails the same way.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import vectorized
 from repro.core.accelerator import SpArch
 from repro.core.config import BACKENDS, SpArchConfig
 from repro.formats.csr import CSRMatrix
@@ -29,10 +32,10 @@ def right_operand(rows: list[list[int]], num_cols: int) -> CSRMatrix:
 def test_every_engine_rejects_unsorted_rows(engine, block):
     matrix_a = CSRMatrix.from_dense(np.ones((3, 2)))
     matrix_b = right_operand([[2, 0], [1]], num_cols=3)
-    simulator = SpArch(SpArchConfig(engine=engine,
-                                    streaming_block_elements=block))
-    with pytest.raises(ValueError, match="right operand row 0"):
-        simulator.multiply(matrix_a, matrix_b)
+    simulator = SpArch(SpArchConfig(engine=engine))
+    with mock.patch.object(vectorized, "BLOCK_ELEMENTS", block):
+        with pytest.raises(ValueError, match="right operand row 0"):
+            simulator.multiply(matrix_a, matrix_b)
 
 
 @pytest.mark.parametrize("engine", BACKENDS)

@@ -1,19 +1,23 @@
 """Property test: batched output is invariant under the merge block size.
 
-``streaming_block_elements`` is a simulation-host knob — per the contract in
-:mod:`repro.core.config` it must never change a result array, a counter, or
-a DRAM byte.  This test drives the full accelerator over random operands and
-random block sizes (*including* the degenerate extremes: one element per
-block, and blocks larger than the whole problem), under both names of the
-batched engine, and compares everything against the scalar engine.
+``repro.core.vectorized.BLOCK_ELEMENTS`` is a simulation-host setting — per
+the contract in :mod:`repro.core.config` it must never change a result
+array, a counter, or a DRAM byte.  This test drives the full accelerator
+over random operands and random block sizes (*including* the degenerate
+extremes: one element per block, and blocks larger than the whole
+problem), under both names of the batched engine, and compares everything
+against the scalar engine.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import vectorized
 from repro.core.accelerator import SpArch
 from repro.core.config import SpArchConfig
 from repro.formats.convert import coo_to_csr
@@ -74,9 +78,9 @@ def test_streaming_invariant_under_block_sizes(pair, engine, block, features):
                           lookahead_fifo_elements=32, **features)
     reference = SpArch(config.replace(engine="scalar")).multiply(
         matrix_a, matrix_b)
-    streamed = SpArch(config.replace(
-        engine=engine, streaming_block_elements=block)).multiply(
-        matrix_a, matrix_b)
+    with mock.patch.object(vectorized, "BLOCK_ELEMENTS", block):
+        streamed = SpArch(config.replace(engine=engine)).multiply(
+            matrix_a, matrix_b)
 
     for field in COMPARED_STATS:
         assert (getattr(reference.stats, field)

@@ -12,7 +12,7 @@ class TestCli:
         assert main(["--list"]) == 0
         output = capsys.readouterr().out
         for experiment_id in ("fig08", "fig11", "table2", "dram", "scheduler",
-                              "workloads", "sweep"):
+                              "workloads"):
             assert experiment_id in output
 
     def test_no_arguments_behaves_like_list(self, capsys):

@@ -55,7 +55,7 @@ class TestRegistry:
         ids = list_experiments()
         assert ids == ["fig08", "table2", "table3", "fig11", "fig12", "fig13",
                        "fig14", "fig15", "fig16", "fig17", "fig18", "dram",
-                       "condense", "scheduler", "workloads", "sweep"]
+                       "condense", "scheduler", "workloads"]
 
     def test_lookup_and_error(self):
         entry = get_experiment("fig11")
@@ -175,6 +175,15 @@ class TestSweeps:
             "gflops[layers:2]"]
         assert result.metrics["dram[layers:6]"] <= result.metrics[
             "dram[layers:2]"]
+
+    def test_fig18_prints_its_paper_throughputs(self):
+        rendered = fig18_merge_tree.run(names=["wiki-Vote"],
+                                        max_rows=150).render()
+        headline = dict(line.strip().split(": ", 1)
+                        for line in rendered.splitlines()
+                        if line.startswith("  gflops["))
+        assert headline["gflops[layers:6]"].endswith("(paper: 10.45)")
+        assert headline["gflops[layers:2]"].endswith("(paper: 4.13)")
 
 
 class TestAblations:

