@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import time
 
-from repro.baselines import GustavsonSpGEMM
 from repro.experiments.runner import ExperimentRunner
 from repro.matrices import powerlaw_matrix
 from repro.utils import human_bytes
 from repro.workloads import (
+    EngineExecutor,
     PipelineBuilder,
-    SpArchExecutor,
     compile_workload,
     list_workloads,
     run_workload,
@@ -80,7 +79,7 @@ def main() -> None:
     runner = ExperimentRunner()
 
     def run_compiled(*, fuse: bool):
-        pipeline = PipelineBuilder(SpArchExecutor(runner=runner),
+        pipeline = PipelineBuilder(EngineExecutor("sparch", runner=runner),
                                    inputs={"A": matrix})
         output = workload.run(pipeline, params={"threshold": 0.1}, fuse=fuse)
         return pipeline.result(workload.name, output)
@@ -102,8 +101,8 @@ def main() -> None:
     start = time.perf_counter()
     on_sparch = run_workload("cosine", matrix, runner=runner, threshold=0.3)
     cold_seconds = time.perf_counter() - start
-    on_mkl = run_workload("cosine", matrix, baseline=GustavsonSpGEMM(),
-                          runner=runner, threshold=0.3)
+    on_mkl = run_workload("cosine", matrix, engine="mkl", runner=runner,
+                          threshold=0.3)
     speedup = on_mkl.total_runtime_seconds / on_sparch.total_runtime_seconds
     saving = on_mkl.total_energy_joules / on_sparch.total_energy_joules
     print(f"modelled CPU runtime  : {on_mkl.total_runtime_seconds * 1e6:.1f} µs")

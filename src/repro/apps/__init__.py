@@ -10,11 +10,10 @@ the accumulated accelerator statistics:
 * :mod:`repro.apps.markov_clustering` — Markov clustering (MCL), whose
   expansion step is a repeated sparse matrix self-product.
 
-Both are thin wrappers over the declarative pipeline framework in
-:mod:`repro.workloads`: the computation is a registered workload DAG of
-SpGEMM and host stages, and the wrappers add the application-level
-interpretation (triangle counts, cluster extraction) on top of the
-pipeline's :class:`~repro.workloads.pipeline.WorkloadResult`.
+Each is one :func:`~repro.workloads.registry.run_workload` call on its
+registered compiled spec plus the application-level interpretation
+(triangle counts, cluster extraction) of the resulting
+:class:`~repro.workloads.pipeline.WorkloadResult`.
 """
 
 from repro.apps.markov_clustering import MarkovClusteringResult, markov_clustering

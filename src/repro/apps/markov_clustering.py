@@ -12,11 +12,11 @@ stochastic transition matrix:
 
 Iterating expansion/inflation converges to a doubly-idempotent matrix whose
 attractor structure defines the clusters.  The iteration itself is the
-registered ``mcl`` workload pipeline (:mod:`repro.workloads.library`) —
-expansion SpGEMM stages alternating with inflate/prune/normalise host
-stages; this module is the thin application wrapper that keeps the original
-public API, routes the expansions through a SpGEMM engine (the SpArch
-simulator by default) and interprets the converged matrix into clusters.
+registered ``mcl`` workload (:mod:`repro.workloads.graphs`) — expansion
+SpGEMM stages alternating with inflate/prune/normalise host stages; this
+module runs it with :func:`~repro.workloads.registry.run_workload` on a
+SpGEMM engine (the SpArch simulator by default) and interprets the
+converged matrix into clusters.
 """
 
 from __future__ import annotations
@@ -26,17 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.accelerator import SpArch
-from repro.core.config import SpArchConfig
 from repro.core.stats import SimulationStats
+from repro.engines.base import Engine
 from repro.experiments.runner import ExperimentRunner
+from repro.formats.convert import to_scipy
 from repro.formats.csr import CSRMatrix
-from repro.workloads.library import build_mcl
-from repro.workloads.pipeline import (
-    PipelineBuilder,
-    SpArchExecutor,
-    WorkloadResult,
-)
+from repro.workloads.pipeline import WorkloadResult
+from repro.workloads.registry import run_workload
 
 
 @dataclass
@@ -51,7 +47,8 @@ class MarkovClusteringResult:
         converged: whether the chaos measure dropped below the tolerance
             before the iteration limit.
         total_spgemm_stats: per-iteration simulator statistics of the
-            expansion products.
+            expansion products (empty on a baseline engine; ``workload``
+            carries its cost reports).
         workload: per-stage record of the underlying pipeline execution.
     """
 
@@ -130,8 +127,7 @@ def markov_clustering(graph: CSRMatrix, *, expansion: int = 2,
                       inflation: float = 2.0, prune_threshold: float = 1e-4,
                       max_iterations: int = 30, tolerance: float = 1e-6,
                       add_self_loops: bool = True,
-                      engine: SpArch | None = None,
-                      config: SpArchConfig | None = None,
+                      engine: Engine | str = "sparch",
                       runner: ExperimentRunner | None = None
                       ) -> MarkovClusteringResult:
     """Cluster ``graph`` with MCL, running every expansion on the accelerator.
@@ -147,23 +143,18 @@ def markov_clustering(graph: CSRMatrix, *, expansion: int = 2,
         tolerance: convergence threshold on the chaos measure.
         add_self_loops: add the identity before normalising (the standard
             MCL trick that guarantees aperiodicity).
-        engine: SpGEMM engine; a fresh :class:`SpArch` by default.
-        config: configuration for the default engine.
+        engine: SpGEMM engine, a registry name or an instance; the SpArch
+            simulator under Table I by default.
         runner: when given, expansion statistics are memoised through the
-            experiment runner's fingerprint cache instead of running a
-            private engine (exclusive with ``engine``).
+            experiment runner's fingerprint cache instead of running the
+            engine directly.
 
     Returns:
         :class:`MarkovClusteringResult` with the clusters and the simulator
         statistics of every expansion SpGEMM.
     """
-    if graph.shape[0] != graph.shape[1]:
-        raise ValueError(f"adjacency matrix must be square, got {graph.shape}")
-
-    executor = SpArchExecutor(engine=engine, runner=runner, config=config)
-    pipeline = PipelineBuilder(executor, inputs={"A": graph})
-    converged_stage = build_mcl(
-        pipeline,
+    workload = run_workload(
+        "mcl", graph, engine=engine, runner=runner,
         expansion=expansion,
         inflation=inflation,
         prune_threshold=prune_threshold,
@@ -171,9 +162,7 @@ def markov_clustering(graph: CSRMatrix, *, expansion: int = 2,
         tolerance=tolerance,
         add_self_loops=add_self_loops,
     )
-    workload = pipeline.result("mcl", converged_stage)
-
-    clusters = _extract_clusters(pipeline.scipy_value(converged_stage))
+    clusters = _extract_clusters(to_scipy(workload.output))
     labels = np.empty(graph.shape[0], dtype=np.int64)
     for cluster_id, members in enumerate(clusters):
         labels[members] = cluster_id

@@ -13,14 +13,10 @@ class SpArchEngine(Engine):
     """Cycle-accurate SpArch simulation behind the :class:`Engine` interface.
 
     The engine object holds only the configuration (picklable, cheap); a
-    fresh :class:`~repro.core.accelerator.SpArch` is built per run unless an
-    explicit ``simulator`` instance is pinned (the workload pipelines use
-    that to reproduce hand-driven simulator sessions exactly).
+    fresh :class:`~repro.core.accelerator.SpArch` is built per run.
 
     Args:
         config: architectural configuration (Table I by default).
-        simulator: explicit simulator instance to reuse across runs; its
-            configuration wins over ``config``.
         energy_model: per-event energy model for the report's per-module
             split (paper constants by default).
     """
@@ -30,12 +26,8 @@ class SpArchEngine(Engine):
     kind = "simulation"
 
     def __init__(self, config: SpArchConfig | None = None, *,
-                 simulator: SpArch | None = None,
                  energy_model=None) -> None:
-        if simulator is not None:
-            config = simulator.config
         self._config = config or SpArchConfig()
-        self._simulator = simulator
         self._energy_model = energy_model
 
     # ------------------------------------------------------------------
@@ -82,9 +74,8 @@ class SpArchEngine(Engine):
     # ------------------------------------------------------------------
     def run(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix | None = None
             ) -> EngineRun:
-        simulator = self._simulator or SpArch(self._config)
         right = matrix_a if matrix_b is None else matrix_b
-        result = simulator.multiply(matrix_a, right)
+        result = SpArch(self._config).multiply(matrix_a, right)
         report = CostReport.from_stats(result.stats, config=self._config,
                                        engine=self.name,
                                        energy_model=self._energy_model)

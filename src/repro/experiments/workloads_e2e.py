@@ -9,10 +9,11 @@ end-to-end cycles / DRAM bytes / energy of the whole pipeline — the
 application-level counterpart of Figures 11 and 12.
 
 Backends are dispatched through the engine registry
-(:mod:`repro.engines`): one :class:`~repro.workloads.pipeline.EngineExecutor`
-per engine, no per-backend branches.  Each pipeline run reduces to one
-aggregate :class:`~repro.metrics.report.CostReport`, which is the only
-thing the comparison consumes — so the sweep parallelises cleanly:
+(:mod:`repro.engines`): each run hands one engine to
+:func:`~repro.workloads.registry.run_workload`, with no per-backend
+branches.  Each pipeline run reduces to one aggregate
+:class:`~repro.metrics.report.CostReport`, which is the only thing the
+comparison consumes — so the sweep parallelises cleanly:
 
 * **serial** (default): every SpGEMM stage routes through the
   :class:`~repro.experiments.runner.ExperimentRunner` fingerprint cache, so
@@ -47,7 +48,6 @@ from repro.matrices.suite import load_benchmark
 from repro.metrics.report import CostReport
 from repro.utils.maths import geometric_mean
 from repro.utils.reporting import Table
-from repro.workloads.pipeline import EngineExecutor
 from repro.workloads.registry import get_workload, list_workloads, run_workload
 
 #: Suite matrices the comparison runs on by default — a small, structurally
@@ -70,8 +70,8 @@ SWEEP_PARAMS: dict[str, dict] = {
 def _run_one(workload_id: str, params: dict, matrix: CSRMatrix,
              engine: Engine, runner: ExperimentRunner) -> CostReport:
     """Run one (workload, backend, matrix) pipeline; aggregate its cost."""
-    executor = EngineExecutor(engine, runner=runner)
-    result = run_workload(workload_id, matrix, executor=executor, **params)
+    result = run_workload(workload_id, matrix, engine=engine, runner=runner,
+                          **params)
     return result.aggregate_report()
 
 

@@ -1,9 +1,10 @@
-"""Declarative multi-stage SpGEMM workload pipelines.
+"""Multi-stage SpGEMM workload pipelines.
 
 The paper motivates SpArch with end-to-end applications — triangle
 counting, Markov clustering — that chain many SpGEMMs.  This subpackage is
 the subsystem those applications (and every future scenario sweep) plug
-into:
+into.  Every workload is a compiled declarative spec, and
+:func:`~repro.workloads.registry.run_workload` is the one way to run it:
 
 * :mod:`repro.workloads.pipeline` — the stage DAG: SpGEMM stages dispatched
   to the SpArch simulator or any baseline, host stages for element-wise
@@ -15,12 +16,10 @@ into:
   graph specs (JSON/YAML stage graphs or the tiny expression language)
   parsed into a typed IR, shape/sparsity-checked with stage-named
   diagnostics, scheduled deterministically, optionally host-op-fused, and
-  lowered onto the same pipeline builder.
+  lowered onto the pipeline builder.
 * :mod:`repro.workloads.graphs` — every registered workload's compiled
-  spec (the original five re-expressed, plus pagerank, gnn_sample,
+  spec (triangles, mcl, khop, galerkin, cosine, pagerank, gnn_sample,
   amg_vcycle, tri_enum and serve_mix).
-* :mod:`repro.workloads.library` — the original five hand-written build
-  programs, kept as the compiled specs' byte-parity reference.
 * :mod:`repro.workloads.probes` — annotation and loop-stop probes
   compiled specs record workload-level scalars with.
 * :mod:`repro.workloads.registry` — frozen specs, id lookup and
@@ -49,11 +48,8 @@ from repro.workloads.ops import (
 )
 from repro.workloads.pipeline import (
     SPGEMM_KIND,
-    BaselineExecutor,
     EngineExecutor,
     PipelineBuilder,
-    SpArchExecutor,
-    StageExecutor,
     StageResult,
     WorkloadResult,
 )
@@ -68,13 +64,10 @@ from repro.workloads.registry import (
 __all__ = [
     "SPGEMM_KIND",
     "HOST_OPS",
-    "BaselineExecutor",
     "CompiledWorkload",
     "EngineExecutor",
     "PipelineBuilder",
-    "SpArchExecutor",
     "SpecError",
-    "StageExecutor",
     "StageResult",
     "WorkloadResult",
     "WorkloadSpec",

@@ -5,17 +5,13 @@ a corpus scenario) and prints the per-stage cost table — the quick way to
 inspect a pipeline.  ``--list`` prints the registered workload ids;
 unknown ids raise the same helpful error as the experiment registry.
 
-Compiler-era switches:
+Switches:
 
 * ``--engine {scalar,vectorized,streaming}`` picks the simulation backend
   variant (``SpArchConfig(engine=...)``);
-* ``--via {compiled,build}`` selects the declarative spec executor or the
-  legacy hand-written build program (byte-identical where both exist);
 * ``--fuse`` collapses adjacent host ops into fused stages;
 * ``--json OUT`` writes every run's canonical result payload (the golden
-  byte-parity encoding, host wall-times included) to one merged file;
-* ``--verify-compiled`` exits non-zero if any registered workload lacks a
-  compiled spec — the CI smoke job's first gate.
+  encoding, host wall-times included) to one merged file.
 
 The full SpArch-vs-baselines comparison sweep lives in
 ``python -m repro.experiments workloads``.
@@ -27,17 +23,13 @@ import argparse
 import json
 import sys
 
-from repro.core.config import BACKENDS
+from repro.core.config import BACKENDS, SpArchConfig
+from repro.engines.sparch import SpArchEngine
 from repro.experiments.runner import ExperimentRunner
 from repro.matrices.suite import load_benchmark
 from repro.utils.reporting import Table
 from repro.workloads.compiler import result_payload
-from repro.workloads.registry import (
-    WORKLOADS,
-    get_workload,
-    list_workloads,
-    run_workload,
-)
+from repro.workloads.registry import get_workload, list_workloads, run_workload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="workload ids to run (e.g. mcl khop), or 'all'")
     parser.add_argument("--list", action="store_true",
                         help="list the registered workloads and exit")
-    parser.add_argument("--verify-compiled", action="store_true",
-                        help="check every registered workload has a compiled "
-                             "spec and exit (non-zero on a gap)")
     parser.add_argument("--matrix", default="ca-CondMat",
                         help="benchmark-suite matrix to run on")
     parser.add_argument("--scenario", default=None, metavar="CORPUS/NAME",
@@ -64,13 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=BACKENDS,
                         help="simulation backend variant "
                              "(SpArchConfig(engine=...))")
-    parser.add_argument("--via", default="compiled",
-                        choices=["compiled", "build"],
-                        help="run the compiled declarative spec (default) or "
-                             "the legacy hand-written build program")
     parser.add_argument("--fuse", action="store_true",
-                        help="fuse adjacent host ops into single stages "
-                             "(compiled path only)")
+                        help="fuse adjacent host ops into single stages")
     parser.add_argument("--json", default=None, metavar="OUT",
                         help="write the runs' canonical result payloads "
                              "(host wall-times included) to OUT")
@@ -83,18 +67,6 @@ def _print_listing() -> None:
     for workload_id in list_workloads():
         spec = get_workload(workload_id)
         print(f"{workload_id:>10}  {spec.title}")
-
-
-def _verify_compiled() -> int:
-    """Exit code 0 iff every registered workload carries a compiled spec."""
-    missing = [spec.workload_id for spec in WORKLOADS
-               if spec.compiled is None]
-    if missing:
-        print("workloads without a compiled spec: " + ", ".join(missing),
-              file=sys.stderr)
-        return 1
-    print(f"all {len(WORKLOADS)} registered workloads carry a compiled spec")
-    return 0
 
 
 def _load_matrix(args: argparse.Namespace):
@@ -110,8 +82,6 @@ def _load_matrix(args: argparse.Namespace):
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.verify_compiled:
-        return _verify_compiled()
     if args.list or not args.workloads:
         _print_listing()
         return 0
@@ -121,17 +91,15 @@ def main(argv: list[str] | None = None) -> int:
         requested = list_workloads()
 
     label, matrix = _load_matrix(args)
-    config = None
+    engine = "sparch"
     if args.engine is not None:
-        from repro.core.config import SpArchConfig
-
-        config = SpArchConfig(engine=args.engine)
+        engine = SpArchEngine(SpArchConfig(engine=args.engine))
     runner = ExperimentRunner(cache_dir=args.cache_dir)
     payloads = []
     for workload_id in requested:
         spec = get_workload(workload_id)
-        result = run_workload(workload_id, matrix, runner=runner,
-                              config=config, via=args.via, fuse=args.fuse)
+        result = run_workload(workload_id, matrix, engine=engine,
+                              runner=runner, fuse=args.fuse)
         table = Table(
             title=f"{spec.title} — {label} ({matrix.shape[0]} rows), "
                   f"backend {result.backend}",
@@ -163,7 +131,6 @@ def main(argv: list[str] | None = None) -> int:
         merged = {
             "matrix": label,
             "engine": args.engine or "vectorized",
-            "via": args.via,
             "fused": args.fuse,
             "results": payloads,
         }

@@ -10,9 +10,9 @@ graphs with stage-named diagnostics before any engine runs
 deterministic execution order
 (:mod:`~repro.workloads.compiler.schedule`), an optional fusion pass
 collapses adjacent host ops (:mod:`~repro.workloads.compiler.fuse`), and
-the executor lowers the scheduled graph onto the same pipeline builder —
-engine registry, runner memoisation, ops registry — that the hand-written
-build programs used (:mod:`~repro.workloads.compiler.execute`).
+the executor lowers the scheduled graph onto the pipeline builder —
+engine registry, runner memoisation, ops registry
+(:mod:`~repro.workloads.compiler.execute`).
 
 Entry points:
 

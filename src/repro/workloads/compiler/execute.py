@@ -2,21 +2,16 @@
 
 This is the lowering half of the compiler: a checked
 :class:`~repro.workloads.compiler.ir.GraphSpec` plus its schedule runs
-against the *same* :class:`~repro.workloads.pipeline.PipelineBuilder` the
-hand-written build programs used — SpGEMM nodes dispatch through the
-builder's stage executor (engine registry / ExperimentRunner memo, same
-fingerprints as sweeps and serving) and host nodes through the ops
-registry.  Compiled and legacy workloads therefore share one execution
-path, one stage-record schema and one cost model; the byte-parity goldens
-pin that the five re-expressed legacy workloads produce identical
-payloads.
+against a :class:`~repro.workloads.pipeline.PipelineBuilder` — SpGEMM
+nodes dispatch through the builder's stage executor (engine registry /
+ExperimentRunner memo, same fingerprints as sweeps and serving) and host
+nodes through the ops registry.
 
 Name handling: spec-level value names are mapped to pipeline value names
 through an environment (conditional stages alias instead of executing;
 loop variables rebind each iteration).  Stage names inside loop/repeat
 bodies may carry counter placeholders (``inflate[{i}]``) formatted with
-the live counter values, reproducing the hand-written naming scheme
-(``inflate[3]``) exactly.
+the live counter values (``inflate[3]``).
 """
 
 from __future__ import annotations
@@ -239,8 +234,7 @@ def execute_graph(graph: GraphSpec, order: tuple[int, ...],
     :meth:`PipelineBuilder.result`).
 
     Raises:
-        ValueError: an input declared ``square`` is not (same message the
-            hand-written build programs raised).
+        ValueError: an input declared ``square`` is not.
     """
     env: dict[str, str] = {}
     for inp in graph.inputs:

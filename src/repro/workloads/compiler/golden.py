@@ -5,14 +5,12 @@ WorkloadResult` onto a deterministic JSON-compatible dict: every stage
 record's name/kind/wiring and modelled costs, the workload annotations,
 the summary, and a content digest of the output matrix.  Host wall-time
 (``host_seconds``) is *excluded* — it is nondeterministic measurement, not
-modelled cost, so byte-parity between a compiled spec and its hand-written
-build program is well-defined.
+modelled cost, so two runs of one workload have equal payloads.
 
 ``payload_bytes`` serialises the payload with sorted keys and no
-whitespace variance; the legacy-parity goldens compare these bytes
-directly, and the workloads CLI writes the same payload under ``--json``
-(with ``host_seconds`` added back as a separate, explicitly
-non-canonical field).
+whitespace variance, so equal runs give equal bytes; the workloads CLI
+writes the same payload under ``--json`` (with ``host_seconds`` added back
+as a separate, explicitly non-canonical field).
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ lengths) and :class:`CounterRef` (the enclosing loop/repeat counter).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Union
 
 __all__ = [
@@ -238,9 +239,10 @@ class InputIR:
 class ParamIR:
     """One declared workload parameter with its default and constraints.
 
-    ``minimum`` is inclusive ("must be at least"), ``above`` exclusive
-    ("must exceed") — the messages match the hand-written build programs
-    the compiled specs replace byte for byte.
+    The default's type is the parameter's type: an ``int`` default admits
+    integers only, a ``float`` default any real number, and neither
+    admits a bool.  ``minimum`` is inclusive ("must be at least"),
+    ``above`` exclusive ("must exceed").
     """
 
     name: str
@@ -249,8 +251,14 @@ class ParamIR:
     above: Union[int, float, None] = None
 
     def validate(self, value) -> None:
-        """Check one resolved value; raises ``ValueError`` like the legacy
-        build programs did."""
+        """Check one resolved value; raises ``ValueError`` naming the
+        parameter."""
+        kind = type(self.default)
+        wanted = {int: Integral, float: Real}.get(kind)
+        if wanted is not None and (isinstance(value, bool)
+                                   or not isinstance(value, wanted)):
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{self.name} must be {noun}, got {value!r}")
         if self.minimum is not None and value < self.minimum:
             raise ValueError(f"{self.name} must be at least {self.minimum}, "
                              f"got {value}")
@@ -451,9 +459,8 @@ class LoopIR:
     body nodes see ``var`` bound to the current carry and rebind it to the
     value named by ``update`` after each pass.  ``stop`` (optional) ends
     the loop once its probe reads below tolerance — evaluated *after* the
-    update, exactly like the hand-written convergence loops did.  On exit,
-    ``iterations_key`` / ``converged_key`` (when set) record the trip
-    count and early-exit flag as workload annotations.
+    update.  On exit, ``iterations_key`` / ``converged_key`` (when set)
+    record the trip count and early-exit flag as workload annotations.
     """
 
     var: str
@@ -622,10 +629,10 @@ class GraphSpec:
         """Merge declared defaults with ``overrides`` and validate.
 
         Raises:
-            TypeError: an override names no declared parameter (matching
-                what a hand-written build program's signature would do).
-            ValueError: a value violates a declared constraint, with the
-                same message the legacy build programs raised.
+            TypeError: an override names no declared parameter (as a
+                function signature would).
+            ValueError: a value has the wrong type or violates a declared
+                constraint; the message names the parameter.
         """
         declared = {param.name: param for param in self.params}
         merged = {name: param.default for name, param in declared.items()}

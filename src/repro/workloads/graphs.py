@@ -1,14 +1,12 @@
 """The registered workloads' declarative graph specs.
 
-Every workload in the registry ships as a compiled spec — the five legacy
-pipelines re-expressed through the compiler front end (golden-proven
-byte-identical to their original hand-written build programs) plus five
-new families that exist *only* as specs.  Straight-line pipelines use the
-expression language; workloads with loops, repeats or threaded chains use
-the JSON stage-graph form — together the registry exercises every front
-end and every IR node kind.
+Every workload in the registry is a compiled spec, and the spec is the
+only form it has.  Straight-line pipelines use the expression language;
+workloads with loops, repeats or threaded chains use the JSON stage-graph
+form — together the registry exercises every front end and every IR node
+kind.
 
-Legacy, re-expressed (byte-parity pinned in
+The original five (pinned to golden payloads in
 ``tests/workloads/test_compiler_parity.py``):
 
 * ``triangles`` — ``(A·A) ⊙ A`` with optional simple-graph normalisation.
@@ -18,7 +16,7 @@ Legacy, re-expressed (byte-parity pinned in
 * ``galerkin``  — the ``R·A·P`` triple product.
 * ``cosine``    — thresholded ``Â·Âᵀ`` similarity self-join.
 
-New families (scipy-golden-tested in
+Five more families (scipy-golden-tested in
 ``tests/workloads/test_new_workloads.py``):
 
 * ``pagerank``   — power iteration ``r ← α·M·r + (1−α)/n`` with a

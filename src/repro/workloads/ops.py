@@ -4,7 +4,7 @@ Every non-SpGEMM stage of a workload pipeline is a *host op*: a named pure
 function from ``scipy.sparse`` CSR operands (plus scalar keyword parameters)
 to one CSR result.  The ops registered here are the element-wise /
 normalise / prune / mask vocabulary the registered workloads are written in
-(:mod:`repro.workloads.library`); new workloads can extend the vocabulary
+(:mod:`repro.workloads.graphs`); new workloads can extend the vocabulary
 with :func:`register_host_op`.
 
 Host ops run on the host processor, not on the accelerator, so pipeline
@@ -14,9 +14,8 @@ existed (the apps timed only their SpGEMM kernels).  Ops must never mutate
 their operands: pipeline values are shared between stages.
 
 The sparse math helpers (:func:`column_normalize`, :func:`inflate`,
-:func:`prune`, :func:`chaos`) are also the implementation behind
-:mod:`repro.apps.markov_clustering`, so the ported app and the registered
-``mcl`` workload cannot drift apart numerically.
+:func:`prune`, :func:`chaos`) implement the ``mcl`` workload's host stages
+and its convergence probe, which :mod:`repro.apps.markov_clustering` runs.
 """
 
 from __future__ import annotations

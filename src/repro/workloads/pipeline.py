@@ -1,10 +1,10 @@
-"""Declarative multi-stage SpGEMM pipelines.
+"""Multi-stage SpGEMM pipelines.
 
 A *workload* is a DAG of named stages over sparse matrices.  Stages come in
 two kinds:
 
-* **SpGEMM stages** — sparse matrix-matrix products, dispatched to a
-  :class:`StageExecutor` built on the engine registry
+* **SpGEMM stages** — sparse matrix-matrix products, dispatched to an
+  :class:`EngineExecutor` built on the engine registry
   (:mod:`repro.engines`): any registered engine — the SpArch simulator or
   any comparison baseline — addressed by name or instance, either executed
   directly or with its :class:`~repro.metrics.report.CostReport` memoised
@@ -15,41 +15,35 @@ two kinds:
   :mod:`repro.workloads.ops`, executed on the host and charged zero
   accelerator cost.
 
-Pipelines are *define-by-run*: a workload's build program receives a
-:class:`PipelineBuilder`, declares stages imperatively — data-dependent
-control flow such as MCL's convergence loop is ordinary Python — and each
-stage executes as it is declared while the DAG (names, kinds, dependencies)
-is recorded into the resulting :class:`WorkloadResult`.
+Pipelines are *define-by-run*: the compiler's executor
+(:mod:`repro.workloads.compiler.execute`) walks a compiled spec and
+declares its stages on a :class:`PipelineBuilder` — data-dependent
+control flow such as MCL's convergence loop is resolved as it runs — and
+each stage executes as it is declared while the DAG (names, kinds,
+dependencies) is recorded into the resulting :class:`WorkloadResult`.
 
-Functional semantics: when an executor returns its own result matrix
-(direct SpArch or baseline execution) the pipeline threads that matrix to
-downstream stages, so applications ported onto the framework reproduce
-their pre-framework outputs bit for bit.  When the executor memoises
-statistics through the experiment runner (which caches
-:class:`~repro.core.stats.SimulationStats` only), the functional product
-comes from one canonical exact host path instead — every backend then
-traverses identical intermediate matrices, which is what makes end-to-end
-backend comparisons apples-to-apples and cached re-runs incremental.
+Functional semantics: in direct mode the executor returns the engine's
+own result matrix and the pipeline threads it to downstream stages, so
+the applications in :mod:`repro.apps` return exactly what driving the
+engine by hand would.  When the executor memoises cost reports through the
+experiment runner, the functional product comes from one canonical exact
+host path instead — every backend then traverses identical intermediate
+matrices, which is what makes end-to-end backend comparisons
+apples-to-apples and cached re-runs incremental.
 """
 
 from __future__ import annotations
 
-import abc
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import scipy.sparse as sp
 
-from repro.analysis.energy import EnergyModel
-from repro.baselines.base import BaselineSummary, SpGEMMBaseline
-from repro.core.accelerator import SpArch
-from repro.core.config import SpArchConfig
+from repro.baselines.base import BaselineSummary
 from repro.core.stats import SimulationStats
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.base import Engine
 from repro.engines.registry import resolve_engine
-from repro.engines.sparch import SpArchEngine
 from repro.formats.convert import from_scipy, to_scipy
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import CostReport
@@ -126,7 +120,7 @@ class WorkloadResult:
         workload_id: registry id of the workload ("mcl", "khop", ...).
         backend: name of the SpGEMM backend ("SpArch", "MKL", ...).
         stages: per-stage records in execution order.
-        annotations: workload-level scalars set by the build program
+        annotations: workload-level scalars set by the spec
             (iterations, convergence flags, derived counts, ...).
         output: the designated output matrix, excluded from equality.
     """
@@ -234,73 +228,12 @@ class WorkloadResult:
 
 
 # ----------------------------------------------------------------------
-# Stage executors
+# The stage executor
 # ----------------------------------------------------------------------
-@dataclass
-class StageExecution:
-    """What an executor reports back for one SpGEMM stage.
-
-    ``matrix`` is the executor's own functional result when it computes one
-    (direct engine execution), or ``None`` when only the cost report was
-    produced (runner-memoised execution) — the pipeline then derives the
-    product through its canonical host path.
-    """
-
-    matrix: CSRMatrix | None
-    cycles: int
-    runtime_seconds: float
-    dram_bytes: int
-    energy_joules: float
-    multiplications: int
-    additions: int
-    report: CostReport | None = None
-    stats: SimulationStats | None = None
-    summary: BaselineSummary | None = None
-
-    @classmethod
-    def from_report(cls, report: CostReport, *,
-                    matrix: CSRMatrix | None = None) -> "StageExecution":
-        """Build a stage execution from a canonical cost report.
-
-        The native ``stats`` / ``summary`` views are rebuilt losslessly
-        from the report, so downstream consumers of either schema keep
-        working unchanged.
-        """
-        stats = report.to_stats() if report.kind == "simulation" else None
-        summary = (report.to_baseline_summary()
-                   if report.kind == "baseline" else None)
-        return cls(
-            matrix=matrix,
-            cycles=report.cycles,
-            runtime_seconds=report.runtime_seconds,
-            dram_bytes=report.dram_bytes,
-            energy_joules=report.energy_joules,
-            multiplications=report.multiplications,
-            additions=report.additions,
-            report=report,
-            stats=stats,
-            summary=summary,
-        )
-
-
-class StageExecutor(abc.ABC):
-    """Dispatches the SpGEMM stages of a pipeline and prices them."""
-
-    #: Backend name used in comparison tables ("SpArch", "MKL", ...).
-    backend_name: str = "backend"
-
-    @abc.abstractmethod
-    def execute(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix
-                ) -> StageExecution:
-        """Run (or price) one ``A · B`` product."""
-
-
-class EngineExecutor(StageExecutor):
+class EngineExecutor:
     """SpGEMM stages on any registered engine, addressed by name or instance.
 
-    This is the one dispatch path every pipeline backend goes through —
-    :class:`SpArchExecutor` and :class:`BaselineExecutor` are thin
-    constructors over it.  Two modes:
+    Two modes:
 
     * **direct mode** (default): calls :meth:`Engine.run` and threads the
       engine's own exact result matrix through the pipeline — parity with
@@ -319,82 +252,29 @@ class EngineExecutor(StageExecutor):
 
     def __init__(self, engine: Engine | str, *,
                  runner: ExperimentRunner | None = None) -> None:
-        self._engine_impl = resolve_engine(engine)
+        self._engine = resolve_engine(engine)
         self._runner = runner
-        self.backend_name = self._engine_impl.display_name
-
-    @property
-    def engine(self) -> Engine:
-        """The dispatched engine."""
-        return self._engine_impl
+        self.backend_name = self._engine.display_name
 
     def execute(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix
-                ) -> StageExecution:
+                ) -> tuple[CSRMatrix | None, CostReport]:
+        """Run (or replay) one ``A · B`` product.
+
+        Returns the engine's own result matrix — ``None`` in runner mode,
+        which memoises the cost report only — and the stage's report.
+        """
         if self._runner is not None:
-            report = self._runner.run_engine(self._engine_impl, matrix_a,
-                                             matrix_b=matrix_b)
-            return StageExecution.from_report(report)
-        run = self._engine_impl.run(matrix_a, matrix_b)
-        return StageExecution.from_report(run.report, matrix=run.matrix)
-
-
-class SpArchExecutor(EngineExecutor):
-    """SpGEMM stages on the SpArch simulator.
-
-    A thin constructor over :class:`EngineExecutor` that keeps the
-    historical signature: an explicit simulator instance (``engine=``,
-    direct mode — exact parity with driving the simulator by hand, which
-    is what the ported applications use) or a runner (``runner=``,
-    memoised mode), plus the configuration and energy model.
-
-    Args:
-        engine: explicit simulator instance (direct mode).
-        runner: experiment runner (runner mode); exclusive with ``engine``.
-        config: configuration for a fresh simulator / the runner's points.
-        energy_model: per-event energy model (paper constants by default).
-    """
-
-    def __init__(self, *, engine: SpArch | None = None,
-                 runner: ExperimentRunner | None = None,
-                 config: SpArchConfig | None = None,
-                 energy_model: EnergyModel | None = None) -> None:
-        if engine is not None and runner is not None:
-            raise ValueError("pass either engine= or runner=, not both")
-        super().__init__(SpArchEngine(config, simulator=engine,
-                                      energy_model=energy_model),
-                         runner=runner)
-
-    @property
-    def config(self) -> SpArchConfig:
-        """Configuration used for simulations and energy accounting."""
-        return self._engine_impl.config
-
-
-class BaselineExecutor(EngineExecutor):
-    """SpGEMM stages on one of the comparison baselines.
-
-    Args:
-        baseline: the baseline simulator (OuterSPACE, MKL-class, ...).
-        runner: optional experiment runner; when given, each stage's cost
-            report is memoised under the runner's fingerprint cache and the
-            functional product comes from the pipeline's canonical host
-            path.
-    """
-
-    def __init__(self, baseline: SpGEMMBaseline, *,
-                 runner: ExperimentRunner | None = None) -> None:
-        super().__init__(BaselineEngineAdapter(baseline), runner=runner)
-
-    @property
-    def baseline(self) -> SpGEMMBaseline:
-        return self._engine_impl.baseline
+            return None, self._runner.run_engine(self._engine, matrix_a,
+                                                 matrix_b=matrix_b)
+        run = self._engine.run(matrix_a, matrix_b)
+        return run.matrix, run.report
 
 
 # ----------------------------------------------------------------------
 # The builder
 # ----------------------------------------------------------------------
 class PipelineBuilder:
-    """Define-by-run pipeline context handed to workload build programs.
+    """Define-by-run pipeline context the compiled specs execute on.
 
     Values (pipeline inputs and stage outputs) live in one namespace and
     are referred to by name; each :meth:`spgemm` / :meth:`host` call
@@ -405,7 +285,7 @@ class PipelineBuilder:
         inputs: named input matrices, e.g. ``{"A": matrix}``.
     """
 
-    def __init__(self, executor: StageExecutor, *,
+    def __init__(self, executor: EngineExecutor, *,
                  inputs: dict[str, CSRMatrix]) -> None:
         if not inputs:
             raise ValueError("a pipeline needs at least one input matrix")
@@ -419,7 +299,7 @@ class PipelineBuilder:
 
     # ------------------------------------------------------------------
     @property
-    def executor(self) -> StageExecutor:
+    def executor(self) -> EngineExecutor:
         return self._executor
 
     @property
@@ -479,9 +359,9 @@ class PipelineBuilder:
         # Self-products share one operand object so the runner's cache key
         # takes its A·A fast path consistently across runs.
         matrix_b = matrix_a if right == left else from_scipy(self._get(right))
-        execution = self._executor.execute(matrix_a, matrix_b)
-        if execution.matrix is not None:
-            product: sp.spmatrix = to_scipy(execution.matrix)
+        matrix, report = self._executor.execute(matrix_a, matrix_b)
+        if matrix is not None:
+            product: sp.spmatrix = to_scipy(matrix)
         else:
             product = (self._get(left) @ self._get(right)).tocsr()
         self._store(name, product)
@@ -492,15 +372,17 @@ class PipelineBuilder:
             inputs=(left, right),
             output_shape=stored.shape,
             output_nnz=int(stored.nnz),
-            cycles=execution.cycles,
-            runtime_seconds=execution.runtime_seconds,
-            dram_bytes=execution.dram_bytes,
-            energy_joules=execution.energy_joules,
-            multiplications=execution.multiplications,
-            additions=execution.additions,
-            report=execution.report,
-            stats=execution.stats,
-            summary=execution.summary,
+            cycles=report.cycles,
+            runtime_seconds=report.runtime_seconds,
+            dram_bytes=report.dram_bytes,
+            energy_joules=report.energy_joules,
+            multiplications=report.multiplications,
+            additions=report.additions,
+            report=report,
+            stats=(report.to_stats() if report.kind == "simulation"
+                   else None),
+            summary=(report.to_baseline_summary()
+                     if report.kind == "baseline" else None),
         ))
         return name
 

@@ -1,8 +1,8 @@
 """Annotation and loop-stop probes for compiled workload graphs.
 
-Hand-written build programs computed workload-level scalars (triangle
-counts, walk totals, convergence measures) inline with ordinary Python.
-Compiled graph specs stay declarative by naming *probes* instead:
+Compiled graph specs compute workload-level scalars (triangle counts,
+walk totals, convergence measures) by naming *probes*, so the spec stays
+declarative:
 
 * **annotation probes** — pure functions from one ``scipy.sparse`` CSR
   value (plus scalar keyword parameters) to one float, recorded via
@@ -13,9 +13,9 @@ Compiled graph specs stay declarative by naming *probes* instead:
   :class:`~repro.workloads.compiler.ir.StopIR`.
 
 Both registries mirror :data:`repro.workloads.ops.HOST_OPS`: extensible by
-name, with lookup errors that list what is registered.  The probes defined
-here reproduce the annotations of the five hand-written workloads bit for
-bit — the compiled-vs-build byte-parity goldens depend on that.
+name, with lookup errors that list what is registered.  The annotations
+of the five original workloads are pinned by the golden payloads in
+``tests/workloads/test_compiler_parity.py``.
 """
 
 from __future__ import annotations

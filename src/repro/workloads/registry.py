@@ -1,41 +1,27 @@
-"""Registry mapping workload ids to their compiled specs and build programs.
+"""Registry mapping workload ids to their compiled specs.
 
 Mirrors :mod:`repro.experiments.registry`: a tuple of frozen specs, id
 lookup with a helpful unknown-id error, and one entry point —
-:func:`run_workload` — that wires a workload to a backend and returns its
+:func:`run_workload` — that runs a workload's compiled declarative spec
+(:mod:`repro.workloads.graphs`) on one SpGEMM engine and returns its
 :class:`~repro.workloads.pipeline.WorkloadResult`.
-
-Every registered workload carries a compiled declarative spec
-(:mod:`repro.workloads.graphs`); the five original workloads additionally
-keep their hand-written build programs (:mod:`repro.workloads.library`) as
-the byte-parity reference.  Both forms lower onto the same
-:class:`~repro.workloads.pipeline.PipelineBuilder`, so ``via="compiled"``
-(the default) and ``via="build"`` produce byte-identical results for the
-legacy five — ``tests/workloads/test_compiler_parity.py`` pins it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.baselines.base import SpGEMMBaseline
-from repro.core.accelerator import SpArch
-from repro.core.config import SpArchConfig
+from repro.engines.base import Engine
 from repro.formats.csr import CSRMatrix
 
 if TYPE_CHECKING:  # annotation only — see repro.workloads.pipeline
     from repro.experiments.runner import ExperimentRunner
-from repro.workloads import library
 from repro.workloads.compiler import CompiledWorkload
 from repro.workloads.graphs import compiled_workload
 from repro.workloads.pipeline import (
-    BaselineExecutor,
     EngineExecutor,
     PipelineBuilder,
-    SpArchExecutor,
-    StageExecutor,
     WorkloadResult,
 )
 
@@ -48,29 +34,14 @@ class WorkloadSpec:
         workload_id: short id used on the command line ("mcl", "khop").
         title: human-readable description of the pipeline.
         description: what the workload computes and which stages it runs.
-        compiled: the workload's compiled declarative spec (every
-            registered workload has one — the CLI's ``--verify-compiled``
-            and the CI smoke job enforce it).
-        build: optional hand-written pipeline build program (see
-            :mod:`repro.workloads.library`); kept for the five original
-            workloads as the byte-parity reference, ``None`` for
-            workloads that exist only as specs.
-        defaults: declarative default parameters of the spec, overridable
-            per run (``run_workload(..., **params)``).
+        compiled: the workload's compiled declarative spec; it declares
+            the parameters and their defaults.
     """
 
     workload_id: str
     title: str
     description: str
     compiled: CompiledWorkload
-    build: Callable[..., str] | None = field(default=None, compare=False)
-    defaults: tuple[tuple[str, object], ...] = ()
-
-    def params(self, overrides: dict | None = None) -> dict:
-        """Merge the spec's defaults with per-run ``overrides``."""
-        merged = dict(self.defaults)
-        merged.update(overrides or {})
-        return merged
 
 
 #: Every workload, in presentation order (the original five first).
@@ -81,7 +52,6 @@ WORKLOADS: tuple[WorkloadSpec, ...] = (
         "Square the adjacency on the SpGEMM backend, mask by the adjacency, "
         "and count each triangle exactly (one SpGEMM + one host mask).",
         compiled_workload("triangles"),
-        build=library.build_triangles,
     ),
     WorkloadSpec(
         "mcl",
@@ -89,8 +59,6 @@ WORKLOADS: tuple[WorkloadSpec, ...] = (
         "Alternate SpGEMM expansion with host inflation, pruning and "
         "column normalisation until the chaos measure converges.",
         compiled_workload("mcl"),
-        build=library.build_mcl,
-        defaults=(("max_iterations", 30),),
     ),
     WorkloadSpec(
         "khop",
@@ -98,8 +66,6 @@ WORKLOADS: tuple[WorkloadSpec, ...] = (
         "Chain k−1 SpGEMMs to count the length-k walks between every "
         "node pair of a simple graph.",
         compiled_workload("khop"),
-        build=library.build_khop,
-        defaults=(("k", 3),),
     ),
     WorkloadSpec(
         "galerkin",
@@ -107,8 +73,6 @@ WORKLOADS: tuple[WorkloadSpec, ...] = (
         "Aggregate nodes into a prolongator P, then compute the coarse "
         "operator Pᵀ·A·P as two chained SpGEMMs.",
         compiled_workload("galerkin"),
-        build=library.build_galerkin,
-        defaults=(("group_size", 4),),
     ),
     WorkloadSpec(
         "cosine",
@@ -116,8 +80,6 @@ WORKLOADS: tuple[WorkloadSpec, ...] = (
         "L2-normalise rows, multiply by the transpose on the SpGEMM "
         "backend, and keep pairs above the similarity threshold.",
         compiled_workload("cosine"),
-        build=library.build_cosine,
-        defaults=(("threshold", 0.2),),
     ),
     WorkloadSpec(
         "pagerank",
@@ -126,7 +88,6 @@ WORKLOADS: tuple[WorkloadSpec, ...] = (
         "spreads of the rank column until the update falls below "
         "tolerance.",
         compiled_workload("pagerank"),
-        defaults=(("max_iterations", 50),),
     ),
     WorkloadSpec(
         "gnn_sample",
@@ -134,7 +95,6 @@ WORKLOADS: tuple[WorkloadSpec, ...] = (
         "Cap every node's neighbourhood deterministically, then chain "
         "one propagation SpGEMM per layer over the sampled adjacency.",
         compiled_workload("gnn_sample"),
-        defaults=(("fanout", 3), ("layers", 2)),
     ),
     WorkloadSpec(
         "amg_vcycle",
@@ -143,7 +103,6 @@ WORKLOADS: tuple[WorkloadSpec, ...] = (
         "A·P, R·AP — until it is small enough or the level budget runs "
         "out.",
         compiled_workload("amg_vcycle"),
-        defaults=(("max_levels", 3),),
     ),
     WorkloadSpec(
         "tri_enum",
@@ -160,7 +119,6 @@ WORKLOADS: tuple[WorkloadSpec, ...] = (
         "self-product per block, and gather the results block-diagonally "
         "— the many-small-multiplications regime of a serving tier.",
         compiled_workload("serve_mix"),
-        defaults=(("batch", 4),),
     ),
 )
 
@@ -184,81 +142,32 @@ def get_workload(workload_id: str) -> WorkloadSpec:
 
 
 def run_workload(workload_id: str, matrix: CSRMatrix, *,
-                 executor: StageExecutor | str | None = None,
-                 baseline: SpGEMMBaseline | None = None,
-                 engine: SpArch | None = None,
+                 engine: Engine | str = "sparch",
                  runner: ExperimentRunner | None = None,
-                 config: SpArchConfig | None = None,
-                 via: str = "compiled",
                  fuse: bool = False,
                  **params) -> WorkloadResult:
-    """Run one registered workload on ``matrix`` under a SpGEMM backend.
-
-    The backend is chosen from the keyword arguments, most specific first:
-    an explicit ``executor`` (a :class:`StageExecutor` instance, or an
-    engine-registry name like ``"mkl"`` dispatched through
-    :class:`EngineExecutor`); a ``baseline`` (memoised through ``runner``
-    when one is given); otherwise SpArch — memoised through ``runner`` when
-    one is given, else a direct ``engine`` (fresh by default).
+    """Run one registered workload on ``matrix`` under a SpGEMM engine.
 
     Args:
         workload_id: one of :func:`list_workloads`.
         matrix: the workload's input matrix (pipeline value ``"A"``).
-        executor: fully custom stage executor, or an engine registry name.
-        baseline: run the SpGEMM stages on this comparison baseline.
-        engine: explicit SpArch instance (direct execution).
-        runner: experiment runner for per-stage memoisation.
-        config: SpArch configuration (Table I by default).
-        via: ``"compiled"`` (default) runs the declarative spec through
-            the compiler's executor; ``"build"`` runs the hand-written
-            build program (legacy workloads only).  The two are
-            byte-identical for every workload that has both.
-        fuse: collapse adjacent host ops into fused stages (compiled path
-            only; identical functional output, fewer host stage records).
-        **params: workload parameters, overriding the spec's defaults.
+        engine: the engine every SpGEMM stage runs on — a registry name
+            ("sparch", "mkl", ...) or an :class:`~repro.engines.base.Engine`
+            instance such as ``SpArchEngine(SpArchConfig(engine="scalar"))``.
+        runner: experiment runner that memoises each stage's cost report;
+            without one the engine runs directly (see
+            :class:`~repro.workloads.pipeline.EngineExecutor`).
+        fuse: collapse adjacent host ops into fused stages (identical
+            functional output, fewer host stage records).
+        **params: workload parameters, overriding the spec's declared
+            defaults; an undeclared name raises ``TypeError``.
 
     Returns:
         The pipeline's :class:`WorkloadResult`, output matrix included.
     """
     spec = get_workload(workload_id)
-    if via not in ("compiled", "build"):
-        raise ValueError(f"via must be 'compiled' or 'build', got {via!r}")
-    if via == "build" and spec.build is None:
-        raise ValueError(
-            f"workload {workload_id!r} has no hand-written build program; "
-            "it exists only as a compiled spec (use via='compiled')")
-    if fuse and via == "build":
-        raise ValueError("fuse=True applies to the compiled path only")
-    if isinstance(executor, str):
-        if baseline is not None or engine is not None:
-            raise ValueError(
-                "pass either an executor name or baseline=/engine=, not both")
-        from repro.engines.registry import create_engine, get_engine_entry
-
-        if (config is not None
-                and get_engine_entry(executor).kind != "simulation"):
-            raise ValueError(
-                f"config= applies to simulation engines only, not "
-                f"{executor!r}")
-        kwargs = {"config": config} if config is not None else {}
-        executor = EngineExecutor(create_engine(executor, **kwargs),
-                                  runner=runner)
-    elif executor is None:
-        if baseline is not None:
-            if engine is not None:
-                raise ValueError("pass either baseline= or engine=, not both")
-            executor = BaselineExecutor(baseline, runner=runner)
-        elif runner is not None:
-            if engine is not None:
-                raise ValueError("pass either engine= or runner=, not both")
-            executor = SpArchExecutor(runner=runner, config=config)
-        else:
-            executor = SpArchExecutor(engine=engine, config=config)
     first_input = spec.compiled.graph.inputs[0].name
-    pipeline = PipelineBuilder(executor, inputs={first_input: matrix})
-    if via == "build":
-        output = spec.build(pipeline, **spec.params(params))
-    else:
-        output = spec.compiled.run(pipeline, params=spec.params(params),
-                                   fuse=fuse)
+    pipeline = PipelineBuilder(EngineExecutor(engine, runner=runner),
+                               inputs={first_input: matrix})
+    output = spec.compiled.run(pipeline, params=params, fuse=fuse)
     return pipeline.result(spec.workload_id, output)

@@ -122,3 +122,12 @@ def test_invalid_arguments():
         markov_clustering(graph, expansion=1)
     with pytest.raises(ValueError, match="inflation"):
         markov_clustering(graph, inflation=1.0)
+
+
+def test_engine_by_name_gives_the_same_clusters():
+    graph = random_matrix(40, 40, 200, seed=5)
+    on_sparch = markov_clustering(graph, max_iterations=15)
+    on_mkl = markov_clustering(graph, max_iterations=15, engine="mkl")
+    assert on_mkl.clusters == on_sparch.clusters
+    assert on_mkl.workload.backend == "MKL"
+    assert on_mkl.total_spgemm_stats == []

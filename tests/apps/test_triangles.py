@@ -113,3 +113,19 @@ def test_workload_record_is_attached():
     assert result.workload.workload_id == "triangles"
     assert [s.kind for s in result.workload.stages] == [
         "simple_graph", "spgemm", "mask"]
+
+
+def test_engine_by_name_or_instance():
+    from repro.core.config import SpArchConfig
+    from repro.engines.sparch import SpArchEngine
+
+    graph = powerlaw_matrix(100, 4.0, seed=9)
+    reference = count_triangles(graph)
+    scalar = count_triangles(
+        graph, engine=SpArchEngine(SpArchConfig(engine="scalar")))
+    assert scalar.triangles == reference.triangles
+    assert scalar.spgemm_stats == reference.spgemm_stats
+    on_mkl = count_triangles(graph, engine="mkl")
+    assert on_mkl.triangles == reference.triangles
+    assert on_mkl.workload.backend == "MKL"
+    assert on_mkl.spgemm_stats is None

@@ -17,11 +17,11 @@ from repro.baselines import GustavsonSpGEMM
 from repro.core.accelerator import SpArch
 from repro.core.config import SpArchConfig
 from repro.engines import create_engine, list_engines
+from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.registry import get_engine_entry
 from repro.experiments.runner import ExperimentRunner
 from repro.matrices.synthetic import powerlaw_matrix
 from repro.metrics.compare import assert_reports_equal
-from repro.workloads.pipeline import BaselineExecutor, EngineExecutor
 from repro.workloads.registry import run_workload
 
 
@@ -95,39 +95,20 @@ def test_simulate_and_run_engine_share_one_memo_pool(matrix):
 
 
 def test_pipeline_dispatch_by_name_equals_dispatch_by_instance(matrix):
-    """EngineExecutor("mkl") == BaselineExecutor(GustavsonSpGEMM())."""
-    by_name = run_workload("triangles", matrix,
-                           executor=EngineExecutor("mkl"))
-    by_instance = run_workload("triangles", matrix,
-                               executor=BaselineExecutor(GustavsonSpGEMM()))
+    """engine="mkl" == engine=BaselineEngineAdapter(GustavsonSpGEMM())."""
+    by_name = run_workload("triangles", matrix, engine="mkl")
+    by_instance = run_workload(
+        "triangles", matrix,
+        engine=BaselineEngineAdapter(GustavsonSpGEMM()))
     assert by_name == by_instance  # WorkloadResult equality covers stages
     assert by_name.backend == "MKL"
-
-
-def test_string_executor_rejects_conflicting_backends_and_honours_config(matrix):
-    from repro.baselines import GustavsonSpGEMM
-    from repro.core.config import SpArchConfig
-
-    with pytest.raises(ValueError, match="not both"):
-        run_workload("triangles", matrix, executor="sparch",
-                     baseline=GustavsonSpGEMM())
-    # config= reaches the named sparch engine instead of being dropped.
-    config = SpArchConfig(engine="scalar")
-    result = run_workload("triangles", matrix, executor="sparch",
-                          config=config)
-    assert result.spgemm_stages[0].stats is not None
-    reference = run_workload("triangles", matrix, config=config)
-    assert result.spgemm_stages[0].stats == reference.spgemm_stages[0].stats
-    # ... and is rejected clearly for engines that take no configuration.
-    with pytest.raises(ValueError, match="simulation engines only"):
-        run_workload("triangles", matrix, executor="mkl", config=config)
 
 
 def test_every_engine_runs_a_workload_through_the_registry(matrix):
     """The acceptance sweep: every registered engine drives a pipeline."""
     totals = {}
     for name in list_engines():
-        result = run_workload("triangles", matrix, executor=name)
+        result = run_workload("triangles", matrix, engine=name)
         assert result.backend == get_engine_entry(name).factory().display_name
         totals[name] = result.summary()["triangles"]
     # Functional invariant: identical triangle counts on every backend.

@@ -52,12 +52,42 @@ def test_missing_workload_name_is_rejected():
                              "output": "A"})
 
 
-def test_param_bounds_name_the_parameter():
-    with pytest.raises(ValueError, match=r"k must be at least 2, got 1"):
-        ParamIR("k", 3, 2, None).validate(1)
-    with pytest.raises(ValueError, match=r"inflation must exceed 1, "
-                                         r"got 1.0"):
-        ParamIR("inflation", 2.0, None, 1).validate(1.0)
+@pytest.mark.parametrize("param, value, message", [
+    (ParamIR("k", 3, 2, None), 1, r"k must be at least 2, got 1"),
+    (ParamIR("inflation", 2.0, None, 1), 1.0,
+     r"inflation must exceed 1, got 1.0"),
+    (ParamIR("k", 3, 2, None), 2.5, r"k must be an integer, got 2.5"),
+    (ParamIR("k", 3, 2, None), "3", r"k must be an integer, got '3'"),
+    (ParamIR("k", 3, 2, None), True, r"k must be an integer, got True"),
+    (ParamIR("k", 3, 2, None), 3.0, r"k must be an integer, got 3.0"),
+    (ParamIR("max_iterations", 30), 2.5,
+     r"max_iterations must be an integer, got 2.5"),
+    (ParamIR("inflation", 2.0, None, 1), "2",
+     r"inflation must be a number, got '2'"),
+    (ParamIR("tolerance", 1e-6), None,
+     r"tolerance must be a number, got None"),
+])
+def test_param_bounds_name_the_parameter(param, value, message):
+    with pytest.raises(ValueError, match=message):
+        param.validate(value)
+
+
+@pytest.mark.parametrize("param, value", [
+    (ParamIR("k", 3, 2, None), 4),
+    (ParamIR("inflation", 2.0, None, 1), 3),
+    (ParamIR("normalize", True), False),
+    (ParamIR("name", "x"), "y"),
+])
+def test_well_typed_values_pass(param, value):
+    param.validate(value)
+
+
+def test_a_fractional_hop_count_is_rejected_before_any_stage_runs():
+    from repro.matrices import random_matrix
+    from repro.workloads import run_workload
+
+    with pytest.raises(ValueError, match=r"k must be an integer, got 2.5"):
+        run_workload("khop", random_matrix(16, 16, 40, seed=1), k=2.5)
 
 
 def test_unexpected_parameter_names_the_workload():

@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.config import SpArchConfig
+from repro.engines.sparch import SpArchEngine
 from repro.formats.convert import to_scipy
 from repro.matrices import powerlaw_matrix, random_matrix
 from repro.workloads import run_workload
@@ -22,8 +23,8 @@ from repro.workloads.compiler import payload_bytes
 ENGINES = ["scalar", "vectorized"]
 
 
-def _config(engine: str) -> SpArchConfig:
-    return SpArchConfig(engine=engine)
+def _sparch(engine: str) -> SpArchEngine:
+    return SpArchEngine(SpArchConfig(engine=engine))
 
 
 def _simple_graph(dense: np.ndarray) -> np.ndarray:
@@ -42,7 +43,7 @@ def _column_normalize(dense: np.ndarray) -> np.ndarray:
 def test_pagerank_matches_the_power_iteration(engine):
     matrix = powerlaw_matrix(30, 3.0, seed=11)
     alpha, tol = 0.85, 1e-10
-    result = run_workload("pagerank", matrix, config=_config(engine),
+    result = run_workload("pagerank", matrix, engine=_sparch(engine),
                           alpha=alpha, tolerance=tol, max_iterations=60)
 
     stochastic = _column_normalize(_simple_graph(matrix.to_dense()))
@@ -81,7 +82,7 @@ def _sample_rows(dense: np.ndarray, fanout: int) -> np.ndarray:
 def test_gnn_sampling_caps_fanout_then_propagates(engine):
     matrix = powerlaw_matrix(28, 4.0, seed=5)
     fanout, layers = 2, 3
-    result = run_workload("gnn_sample", matrix, config=_config(engine),
+    result = run_workload("gnn_sample", matrix, engine=_sparch(engine),
                           fanout=fanout, layers=layers)
 
     dense = matrix.to_dense()
@@ -103,7 +104,7 @@ def test_gnn_sampling_caps_fanout_then_propagates(engine):
 def test_amg_vcycle_coarsens_until_the_operator_is_small(engine):
     matrix = random_matrix(40, 40, 240, seed=9)
     group_size, max_levels, coarse_rows = 3, 4, 6
-    result = run_workload("amg_vcycle", matrix, config=_config(engine),
+    result = run_workload("amg_vcycle", matrix, engine=_sparch(engine),
                           group_size=group_size, max_levels=max_levels,
                           coarse_rows=coarse_rows)
 
@@ -130,7 +131,7 @@ def test_amg_vcycle_coarsens_until_the_operator_is_small(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_masked_triangle_enumeration_lists_each_triangle_once(engine):
     matrix = powerlaw_matrix(26, 4.0, seed=13)
-    result = run_workload("tri_enum", matrix, config=_config(engine))
+    result = run_workload("tri_enum", matrix, engine=_sparch(engine))
 
     lower = np.tril(_simple_graph(matrix.to_dense()), k=-1)
     tri = (lower @ lower) * lower
@@ -148,7 +149,7 @@ def test_masked_triangle_enumeration_lists_each_triangle_once(engine):
 def test_serve_mix_runs_one_product_per_diagonal_block(engine):
     matrix = random_matrix(30, 30, 200, seed=17)
     batch = 3
-    result = run_workload("serve_mix", matrix, config=_config(engine),
+    result = run_workload("serve_mix", matrix, engine=_sparch(engine),
                           batch=batch)
 
     dense = matrix.to_dense()
@@ -175,7 +176,7 @@ def test_engine_variants_agree_byte_for_byte(workload_id):
               "amg_vcycle": {"max_levels": 2}}.get(workload_id, {})
     payloads = {
         engine: payload_bytes(run_workload(workload_id, matrix,
-                                           config=_config(engine), **params))
+                                           engine=_sparch(engine), **params))
         for engine in ENGINES
     }
     assert payloads["scalar"] == payloads["vectorized"]
@@ -183,12 +184,9 @@ def test_engine_variants_agree_byte_for_byte(workload_id):
 
 @pytest.mark.parametrize("workload_id", ["pagerank", "tri_enum"])
 def test_new_workloads_run_on_baseline_backends(workload_id):
-    from repro.baselines import HashSpGEMM
-
     matrix = random_matrix(24, 24, 120, seed=31)
     params = {"max_iterations": 4} if workload_id == "pagerank" else {}
-    result = run_workload(workload_id, matrix, baseline=HashSpGEMM(),
-                          **params)
+    result = run_workload(workload_id, matrix, engine="cusparse", **params)
     assert result.output is not None
 
 

@@ -12,9 +12,8 @@ from repro.experiments.runner import ExperimentRunner
 from repro.formats.convert import to_scipy
 from repro.matrices import powerlaw_matrix, random_matrix
 from repro.workloads import (
-    BaselineExecutor,
+    EngineExecutor,
     PipelineBuilder,
-    SpArchExecutor,
     register_host_op,
 )
 from repro.workloads.ops import HOST_OPS, get_host_op, triangles_from_masked
@@ -27,17 +26,20 @@ def matrix():
 
 class TestPipelineBuilder:
     def test_spgemm_stage_computes_the_product(self, matrix):
-        pipeline = PipelineBuilder(SpArchExecutor(), inputs={"A": matrix})
+        pipeline = PipelineBuilder(EngineExecutor("sparch"),
+                                   inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         expected = matrix.to_dense() @ matrix.to_dense()
         np.testing.assert_allclose(pipeline.value("squared").to_dense(),
                                    expected, atol=1e-9)
 
     def test_runner_mode_matches_engine_mode(self, matrix):
-        engine = PipelineBuilder(SpArchExecutor(), inputs={"A": matrix})
-        engine.spgemm("squared", "A", "A")
-        runner = PipelineBuilder(SpArchExecutor(runner=ExperimentRunner()),
+        engine = PipelineBuilder(EngineExecutor("sparch"),
                                  inputs={"A": matrix})
+        engine.spgemm("squared", "A", "A")
+        runner = PipelineBuilder(
+            EngineExecutor("sparch", runner=ExperimentRunner()),
+            inputs={"A": matrix})
         runner.spgemm("squared", "A", "A")
         # Identical statistics; functional results agree to fp association.
         assert engine.stages[0].stats == runner.stages[0].stats
@@ -47,7 +49,8 @@ class TestPipelineBuilder:
 
     def test_engine_mode_threads_the_engine_result(self, matrix):
         reference = SpArch().multiply(matrix, matrix)
-        pipeline = PipelineBuilder(SpArchExecutor(), inputs={"A": matrix})
+        pipeline = PipelineBuilder(EngineExecutor("sparch"),
+                                   inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         result = pipeline.value("squared")
         np.testing.assert_array_equal(result.data, reference.matrix.data)
@@ -56,7 +59,7 @@ class TestPipelineBuilder:
     def test_baseline_executor_prices_with_the_platform_model(self, matrix):
         baseline = GustavsonSpGEMM()
         direct = baseline.multiply(matrix, matrix)
-        pipeline = PipelineBuilder(BaselineExecutor(baseline),
+        pipeline = PipelineBuilder(EngineExecutor("mkl"),
                                    inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         stage = pipeline.stages[0]
@@ -69,7 +72,7 @@ class TestPipelineBuilder:
     def test_baseline_runner_mode_memoises(self, matrix):
         runner = ExperimentRunner()
         pipeline = PipelineBuilder(
-            BaselineExecutor(GustavsonSpGEMM(), runner=runner),
+            EngineExecutor("mkl", runner=runner),
             inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         pipeline.spgemm("again", "A", "A")
@@ -77,7 +80,8 @@ class TestPipelineBuilder:
         assert pipeline.stages[0].summary == pipeline.stages[1].summary
 
     def test_stage_records_name_kind_and_inputs(self, matrix):
-        pipeline = PipelineBuilder(SpArchExecutor(), inputs={"A": matrix})
+        pipeline = PipelineBuilder(EngineExecutor("sparch"),
+                                   inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         pipeline.host("masked", "mask", "squared", "A")
         spgemm, host = pipeline.stages
@@ -90,7 +94,8 @@ class TestPipelineBuilder:
         assert (host.cycles, host.dram_bytes, host.energy_joules) == (0, 0, 0.0)
 
     def test_duplicate_stage_name_rejected(self, matrix):
-        pipeline = PipelineBuilder(SpArchExecutor(), inputs={"A": matrix})
+        pipeline = PipelineBuilder(EngineExecutor("sparch"),
+                                   inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         with pytest.raises(ValueError, match="already exists"):
             pipeline.spgemm("squared", "A", "A")
@@ -98,20 +103,18 @@ class TestPipelineBuilder:
             pipeline.host("A", "transpose", "A")
 
     def test_unknown_value_and_op_errors(self, matrix):
-        pipeline = PipelineBuilder(SpArchExecutor(), inputs={"A": matrix})
+        pipeline = PipelineBuilder(EngineExecutor("sparch"),
+                                   inputs={"A": matrix})
         with pytest.raises(KeyError, match="unknown pipeline value"):
             pipeline.spgemm("squared", "A", "B")
         with pytest.raises(KeyError, match="unknown host op"):
             pipeline.host("out", "not-an-op", "A")
         with pytest.raises(ValueError, match="at least one input"):
-            PipelineBuilder(SpArchExecutor(), inputs={})
-
-    def test_executor_argument_conflicts_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            SpArchExecutor(engine=SpArch(), runner=ExperimentRunner())
+            PipelineBuilder(EngineExecutor("sparch"), inputs={})
 
     def test_result_carries_output_and_annotations(self, matrix):
-        pipeline = PipelineBuilder(SpArchExecutor(), inputs={"A": matrix})
+        pipeline = PipelineBuilder(EngineExecutor("sparch"),
+                                   inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         pipeline.annotate("flag", 1)
         result = pipeline.result("demo", "squared")

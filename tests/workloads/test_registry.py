@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.apps import count_triangles
-from repro.baselines import GustavsonSpGEMM
+from repro.core.config import SpArchConfig
+from repro.engines.sparch import SpArchEngine
 from repro.experiments.runner import ExperimentRunner
 from repro.formats.convert import to_scipy
 from repro.matrices import powerlaw_matrix
@@ -49,14 +50,28 @@ class TestRegistry:
             get_workload("not-a-workload")
 
     def test_param_merging(self):
-        spec = get_workload("khop")
-        assert spec.params() == {"k": 3}
-        assert spec.params({"k": 5}) == {"k": 5}
+        compiled = get_workload("khop").compiled
+        assert compiled.resolve_params() == {"k": 3, "normalize": True}
+        assert compiled.resolve_params({"k": 5}) == {"k": 5,
+                                                     "normalize": True}
 
-    def test_backend_argument_conflicts_rejected(self, matrix, runner):
-        with pytest.raises(ValueError, match="not both"):
-            run_workload("khop", matrix, baseline=GustavsonSpGEMM(),
-                         engine=object())
+    @pytest.mark.parametrize("keyword", ["config", "baseline", "via",
+                                         "executor"])
+    def test_removed_backend_keywords_fail_naming_the_keyword(self, matrix,
+                                                              keyword):
+        with pytest.raises(TypeError, match=rf"workload 'triangles' got an "
+                                            rf"unexpected parameter "
+                                            rf"'{keyword}'"):
+            run_workload("triangles", matrix, **{keyword: None})
+
+    def test_runner_memoises_an_engine_instance(self, matrix, runner):
+        engine = SpArchEngine(SpArchConfig(engine="scalar"))
+        cold = run_workload("khop", matrix, engine=engine, runner=runner)
+        spgemms = len(cold.spgemm_stages)
+        assert (runner.cache_hits, runner.cache_misses) == (0, spgemms)
+        warm = run_workload("khop", matrix, engine=engine, runner=runner)
+        assert (runner.cache_hits, runner.cache_misses) == (spgemms, spgemms)
+        assert warm == cold
 
 
 class TestWorkloadFunctionalResults:
@@ -114,8 +129,7 @@ class TestWorkloadFunctionalResults:
     def test_baseline_backend_produces_same_functional_output(self, matrix,
                                                               runner):
         on_sparch = run_workload("khop", matrix, runner=runner)
-        on_mkl = run_workload("khop", matrix, baseline=GustavsonSpGEMM(),
-                              runner=runner)
+        on_mkl = run_workload("khop", matrix, engine="mkl", runner=runner)
         assert on_mkl.backend == "MKL"
         np.testing.assert_array_equal(on_mkl.output.indptr,
                                       on_sparch.output.indptr)
@@ -147,10 +161,6 @@ class TestWorkloadsCli:
         with pytest.raises(KeyError, match="known ids"):
             main(["not-a-workload"])
 
-    def test_verify_compiled_passes_on_the_registry(self, capsys):
-        assert main(["--verify-compiled"]) == 0
-        assert "compiled spec" in capsys.readouterr().out
-
     def test_engine_fuse_and_json_flags(self, capsys, tmp_path):
         import json
 
@@ -173,8 +183,3 @@ class TestWorkloadsCli:
     def test_scenario_flag_runs_on_a_corpus_scenario(self, capsys):
         assert main(["galerkin", "--scenario", "smoke/wiki-Vote@120"]) == 0
         assert "smoke/wiki-Vote@120" in capsys.readouterr().out
-
-    def test_via_build_matches_compiled_output(self, capsys):
-        assert main(["khop", "--matrix", "wiki-Vote", "--max-rows", "120",
-                     "--via", "build"]) == 0
-        assert "power[3]" in capsys.readouterr().out

@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.energy import EnergyModel
-from repro.baselines import HashSpGEMM
 from repro.core.config import SpArchConfig
+from repro.engines.sparch import SpArchEngine
 from repro.experiments.runner import ExperimentRunner
 from repro.matrices import powerlaw_matrix, random_matrix
 from repro.workloads import list_workloads, run_workload
@@ -42,8 +42,9 @@ def _tiny_matrix(seed: int, family: str):
 def test_aggregate_equals_the_sum_over_stages(seed, family, workload_id):
     matrix = _tiny_matrix(seed, family)
     config = SpArchConfig()
-    result = run_workload(workload_id, matrix, runner=ExperimentRunner(),
-                          config=config, **TINY_PARAMS.get(workload_id, {}))
+    result = run_workload(workload_id, matrix, engine=SpArchEngine(config),
+                          runner=ExperimentRunner(),
+                          **TINY_PARAMS.get(workload_id, {}))
 
     spgemms = [stage for stage in result.stages if stage.is_spgemm]
     hosts = [stage for stage in result.stages if not stage.is_spgemm]
@@ -94,9 +95,8 @@ def test_cached_rerun_returns_an_identical_workload_result(tmp_path):
 def test_cached_rerun_is_identical_for_baseline_backends():
     matrix = powerlaw_matrix(70, 4.0, seed=22)
     runner = ExperimentRunner()
-    baseline = HashSpGEMM()
-    cold = run_workload("khop", matrix, baseline=baseline, runner=runner)
+    cold = run_workload("khop", matrix, engine="cusparse", runner=runner)
     misses = runner.cache_misses
-    warm = run_workload("khop", matrix, baseline=baseline, runner=runner)
+    warm = run_workload("khop", matrix, engine="cusparse", runner=runner)
     assert warm == cold
     assert runner.cache_misses == misses
