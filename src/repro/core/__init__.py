@@ -8,10 +8,10 @@ prefetcher models the replacement *policy* of §II-D (which line to evict),
 not the hash table and next-use reduction tree that implement it (§II-E).
 """
 
-from repro.core.accelerator import SpArch, multiply
+from repro.core.accelerator import Dataflow, SpArch, multiply
 from repro.core.column_fetcher import ColumnFetcher, FetchedElement
 from repro.core.condensing import condensed_column_weights, partial_matrix_sizes
-from repro.core.config import BACKEND_FIELDS, SpArchConfig
+from repro.core.config import BACKEND_FIELDS, PRICING_FIELDS, SpArchConfig
 from repro.core.fastpath import fold_sorted_runs, row_offsets
 from repro.core.huffman import (
     MergePlan,
@@ -27,6 +27,7 @@ from repro.core.stats import SimulationStats, SpGEMMResult
 
 __all__ = [
     "SpArch",
+    "Dataflow",
     "multiply",
     "ColumnFetcher",
     "FetchedElement",
@@ -34,6 +35,7 @@ __all__ = [
     "partial_matrix_sizes",
     "SpArchConfig",
     "BACKEND_FIELDS",
+    "PRICING_FIELDS",
     "fold_sorted_runs",
     "row_offsets",
     "MergePlan",

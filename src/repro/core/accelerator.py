@@ -31,9 +31,30 @@ the batched engine its event-driven replay wherever that applies.  Both
 produce identical results and statistics — see
 ``tests/integration/test_engine_equivalence.py``.  Everything else (plan
 construction, traffic accounting, result materialisation) is shared code.
+
+A multiply runs in two steps.  :meth:`SpArch.run_dataflow` does the work
+that no field in :data:`~repro.core.config.PRICING_FIELDS` can change:
+the plan, the right-operand access order, the products, the merge rounds,
+the spills and the result write.  It records each merge round's input
+stream lengths in a :class:`Dataflow`.  :meth:`SpArch.price` then turns
+one dataflow into one configuration's statistics: it replays the row
+prefetcher over the access order with that configuration's buffer,
+replays the merge-tree counters from the recorded lengths with its merger
+geometry (:meth:`~repro.core.vectorized.VectorizedMergeTree.account`), and
+adds the multiplier, memory and startup cycles.  The pricing is exact
+because the merge counters depend only on the stream lengths and the
+merger geometry, and the prefetcher sees only the access order and the
+right operand's row lengths.  So configurations that differ only in
+pricing fields can share one dataflow; the experiment runner groups such
+points (DESIGN.md §11).  The scalar reference never shares: it prices
+its merges from its own tree's counters, which keeps the differential
+harness comparing the batched pricing against an untouched reference.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +74,7 @@ from repro.formats.condensed import CondensedMatrix
 from repro.formats.convert import csr_to_csc
 from repro.formats.csr import CSRMatrix
 from repro.formats.keys import linear_keys
-from repro.hardware.merge_tree import MergeTree
+from repro.hardware.merge_tree import MergeTree, MergeTreeStats
 from repro.hardware.multiplier_array import MultiplierArray
 from repro.memory.hbm import HBMModel
 from repro.memory.traffic import TrafficCategory, TrafficCounter
@@ -138,6 +159,42 @@ class _LeafStreamer:
         return keys, vals
 
 
+@dataclass
+class Dataflow:
+    """Everything one ``A · B`` computes that no pricing field changes.
+
+    :meth:`SpArch.run_dataflow` produces it and :meth:`SpArch.price` turns
+    it into one design point's statistics.  Every configuration with the
+    same :meth:`~repro.core.config.SpArchConfig.dataflow_key` runs this
+    same dataflow, so one run serves all of them.
+
+    Attributes:
+        config: the configuration the dataflow ran under.
+        matrix: the exact result.
+        matrix_b: the right operand; prefetcher replays read its row lengths.
+        access_order: right-operand rows in the order the multipliers
+            consume them.
+        round_lengths: the input stream lengths of every merge-tree pass,
+            in execution order (empty when an operand was empty).
+        stats: the counters and DRAM traffic the dataflow fixes: plan
+            facts, multiplications, additions, output size, merge-tree
+            root elements, and the traffic of reading A, spilling partial
+            results and writing the result.  :meth:`SpArch.price` fills in
+            the rest on a copy.
+        merge_stats: the scalar engine's own merge-tree counters, which
+            price its merges; ``None`` on the batched engine, which
+            replays them from ``round_lengths``.
+    """
+
+    config: SpArchConfig
+    matrix: CSRMatrix
+    matrix_b: CSRMatrix
+    access_order: np.ndarray
+    round_lengths: list[list[int]]
+    stats: SimulationStats
+    merge_stats: MergeTreeStats | None = None
+
+
 class SpArch:
     """The SpArch accelerator: functional SpGEMM plus performance simulation.
 
@@ -164,6 +221,14 @@ class SpArch:
     def multiply(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix) -> SpGEMMResult:
         """Simulate ``C = A · B`` and return the result with statistics.
 
+        Two steps: :meth:`run_dataflow` computes everything no pricing
+        field can change (plan, access order, products, merge rounds,
+        spills and the result write), then :meth:`price` turns that
+        dataflow into this configuration's statistics.  The result keeps
+        the dataflow, so any configuration with the same
+        :meth:`~repro.core.config.SpArchConfig.dataflow_key` can price it
+        too without multiplying again.
+
         Args:
             matrix_a: left operand in CSR format.
             matrix_b: right operand in CSR format; ``A.shape[1]`` must equal
@@ -171,7 +236,19 @@ class SpArch:
 
         Returns:
             :class:`~repro.core.stats.SpGEMMResult` containing the exact CSR
-            result and the simulated performance statistics.
+            result, the simulated performance statistics and the dataflow.
+        """
+        dataflow = self.run_dataflow(matrix_a, matrix_b)
+        return SpGEMMResult(dataflow.matrix, self.price(dataflow), dataflow)
+
+    def run_dataflow(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix
+                     ) -> Dataflow:
+        """Run the parts of ``A · B`` that no pricing field changes.
+
+        Returns the exact result, the right-operand access order, every
+        merge round's input stream lengths, and the counters and traffic
+        they fix.  The merge buffers are dropped before this returns, so
+        :meth:`price` runs beside the result only.
         """
         if matrix_a.shape[1] != matrix_b.shape[0]:
             raise ValueError(
@@ -181,36 +258,33 @@ class SpArch:
         _check_row_order(matrix_b)
         config = self._config
         result_shape = (matrix_a.shape[0], matrix_b.shape[1])
-
-        traffic = TrafficCounter()
-        hbm = HBMModel(config.hbm)
-        multipliers = MultiplierArray(config.num_multipliers)
-        tree_type = (MergeTree if config.engine == "scalar"
-                     else VectorizedMergeTree)
-        merge_tree = tree_type(num_layers=config.merge_tree_layers,
-                               merger_width=config.merger_width,
-                               chunk_size=config.merger_chunk_size,
-                               fifo_capacity=config.partial_matrix_writer_fifo)
-        store = PartialMatrixStore(traffic, element_bytes=config.element_bytes)
-        writer = PartialMatrixWriter(traffic, element_bytes=config.element_bytes,
-                                     fifo_depth=config.partial_matrix_writer_fifo)
-
-        stats = SimulationStats(clock_hz=config.clock_hz,
-                                peak_bandwidth_bytes_per_cycle=config.hbm.bytes_per_cycle)
-        stats.traffic = traffic
+        stats = SimulationStats()
 
         # Degenerate cases: an empty operand produces an empty result.
         if matrix_a.nnz == 0 or matrix_b.nnz == 0:
             stats.scheduler = self._scheduler_name()
-            return SpGEMMResult(CSRMatrix.empty(result_shape), stats)
+            return Dataflow(config, CSRMatrix.empty(result_shape), matrix_b,
+                            np.zeros(0, dtype=np.int64), [], stats)
 
-        streamer_type = (_LeafStreamer if config.engine == "scalar"
-                         else VectorizedLeafStreamer)
-        streamer = streamer_type(matrix_a, matrix_b, multipliers,
-                                 condensing=config.enable_matrix_condensing)
+        traffic = stats.traffic
+        # The multiplier count paces only the multipliers' own activity
+        # counters; :meth:`price` charges the multiply cycles.
+        multipliers = MultiplierArray(config.num_multipliers)
+        scalar = config.engine == "scalar"
+        merge_tree = (MergeTree if scalar else VectorizedMergeTree)(
+            num_layers=config.merge_tree_layers,
+            merger_width=config.merger_width,
+            chunk_size=config.merger_chunk_size,
+            fifo_capacity=config.partial_matrix_writer_fifo)
+        store = PartialMatrixStore(traffic, element_bytes=config.element_bytes)
+        writer = PartialMatrixWriter(traffic, element_bytes=config.element_bytes,
+                                     fifo_depth=config.partial_matrix_writer_fifo)
+
+        streamer = (_LeafStreamer if scalar else VectorizedLeafStreamer)(
+            matrix_a, matrix_b, multipliers,
+            condensing=config.enable_matrix_condensing)
         plan = self._build_plan(streamer.leaf_weights())
         streamer.bind_plan(plan)
-        plan_is_pipelined = config.enable_pipelined_merge
 
         stats.num_partial_matrices = streamer.num_leaves
         stats.condensed_columns = (streamer.condensed.num_condensed_columns
@@ -219,39 +293,85 @@ class SpArch:
         stats.scheduler = plan.scheduler
         stats.multiplications = multiplication_count(matrix_a, matrix_b)
 
-        # --- Input traffic ------------------------------------------------
         # The left operand is streamed exactly once, leaf by leaf.
-        a_bytes = matrix_a.nnz * config.element_bytes
-        traffic.add(TrafficCategory.MATRIX_A_READ, a_bytes)
-
+        traffic.add(TrafficCategory.MATRIX_A_READ,
+                    matrix_a.nnz * config.element_bytes)
         access_order = self._consumption_access_order(streamer, plan)
-        prefetch_stats = self._simulate_matrix_b_reads(matrix_b, access_order,
-                                                       traffic)
+
+        round_lengths: list[list[int]] = []
+        out_keys, out_vals = self._execute_plan(
+            streamer, plan, merge_tree, store,
+            config.enable_pipelined_merge, round_lengths)
+        result = writer.write_result(out_keys, out_vals, result_shape)
+
+        stats.output_nnz = result.nnz
+        stats.additions = merge_tree.stats.additions
+        stats.merge_tree_elements = merge_tree.stats.elements_into_root
+        # The scalar reference prices its merges from its own tree.
+        return Dataflow(config, result, matrix_b, access_order, round_lengths,
+                        stats, merge_tree.stats if scalar else None)
+
+    def price(self, dataflow: Dataflow) -> SimulationStats:
+        """This configuration's statistics for a dataflow.
+
+        Replays the row prefetcher over the dataflow's access order with
+        this configuration's buffer, prices the recorded merge rounds with
+        its merger geometry, and adds multiplier, memory and startup
+        cycles.  The batched engine prices every configuration this way,
+        the one whose dataflow ran included; the scalar reference takes
+        its merge counters from its own tree, so it prices only the
+        dataflow it ran.
+
+        Raises:
+            ValueError: the dataflow ran under a configuration with another
+                :meth:`~repro.core.config.SpArchConfig.dataflow_key`, or, on
+                the scalar engine, under any other configuration.
+        """
+        config = self._config
+        if config.dataflow_key() != dataflow.config.dataflow_key():
+            raise ValueError(
+                "the dataflow ran under a configuration that differs in a "
+                "field outside PRICING_FIELDS; it cannot be priced here")
+        if dataflow.merge_stats is not None and config != dataflow.config:
+            raise ValueError("a scalar dataflow prices only its own "
+                             "configuration")
+        recorded = dataflow.stats
+        stats = dataclasses.replace(recorded, traffic=TrafficCounter(
+            dict(recorded.traffic.bytes_by_category)))
+        stats.clock_hz = config.clock_hz
+        stats.peak_bandwidth_bytes_per_cycle = config.hbm.bytes_per_cycle
+        if not dataflow.round_lengths:  # an empty operand: nothing ran
+            return stats
+
+        traffic = stats.traffic
+        prefetch_stats = self._simulate_matrix_b_reads(
+            dataflow.matrix_b, dataflow.access_order, traffic)
         stats.prefetch_hit_rate = prefetch_stats.hit_rate
         stats.prefetch_bytes_saved = (prefetch_stats.bytes_without_buffer
                                       - prefetch_stats.dram_bytes_read)
         stats.buffer_element_reads = prefetch_stats.element_hits
 
-        # --- Execute the merge plan ----------------------------------------
-        out_keys, out_vals = self._execute_plan(streamer, plan, merge_tree,
-                                                store, plan_is_pipelined)
-        result = writer.write_result(out_keys, out_vals, result_shape)
+        merge_stats = dataflow.merge_stats
+        if merge_stats is None:
+            tree = VectorizedMergeTree(num_layers=config.merge_tree_layers,
+                                       merger_width=config.merger_width,
+                                       chunk_size=config.merger_chunk_size)
+            for lengths in dataflow.round_lengths:
+                tree.account(lengths)
+            merge_stats = tree.stats
+        stats.comparator_ops = merge_stats.comparator_ops
 
-        # --- Derived statistics --------------------------------------------
-        stats.output_nnz = result.nnz
-        stats.additions = merge_tree.stats.additions
-        stats.comparator_ops = merge_tree.stats.comparator_ops
-        stats.merge_tree_elements = merge_tree.stats.elements_into_root
-
+        hbm = HBMModel(config.hbm)
         multiply_cycles = -(-stats.multiplications // config.num_multipliers)
-        merge_cycles = merge_tree.stats.cycles
-        startup_cycles = (len(plan.rounds) + 1) * config.round_startup_cycles
-        stats.compute_cycles = multiply_cycles + merge_cycles
+        startup_cycles = ((stats.num_merge_rounds + 1)
+                          * config.round_startup_cycles)
+        stats.compute_cycles = multiply_cycles + merge_stats.cycles
         stats.memory_cycles = hbm.memory_cycles(traffic.read_bytes,
                                                 traffic.write_bytes)
-        stats.cycles = max(stats.compute_cycles, stats.memory_cycles) + startup_cycles
+        stats.cycles = (max(stats.compute_cycles, stats.memory_cycles)
+                        + startup_cycles)
         stats.runtime_seconds = hbm.runtime_seconds(stats.cycles)
-        return SpGEMMResult(result, stats)
+        return stats
 
     # ------------------------------------------------------------------
     def _scheduler_name(self) -> str:
@@ -326,9 +446,11 @@ class SpArch:
 
     def _execute_plan(self, streamer: _LeafStreamer, plan: MergePlan,
                       merge_tree: MergeTree, store: PartialMatrixStore,
-                      pipelined: bool) -> tuple[np.ndarray, np.ndarray]:
+                      pipelined: bool, round_lengths: list[list[int]]
+                      ) -> tuple[np.ndarray, np.ndarray]:
         """Run every merge round functionally, charging spill traffic.
 
+        Appends each round's input stream lengths to ``round_lengths``.
         When ``pipelined`` is false the model degenerates to the two-phase
         OuterSPACE dataflow: every leaf's multiplied result is written to DRAM
         before merging starts and read back when its round executes, exactly
@@ -339,6 +461,7 @@ class SpArch:
             if not pipelined:
                 store.write(0, keys, vals)
                 keys, vals = store.read(0)
+            round_lengths.append([len(keys)])
             folded_keys, folded_vals = merge_tree.merge([(keys, vals)])
             return folded_keys, folded_vals
 
@@ -357,6 +480,8 @@ class SpArch:
                 else:
                     keys, vals = store.read(node_id)
                 streams.append((keys, vals))
+            round_lengths.append([len(stream_keys)
+                                  for stream_keys, _ in streams])
             merged_keys, merged_vals = merge_tree.merge(streams)
             if merge_round.output_id == root_id:
                 results[root_id] = (merged_keys, merged_vals)

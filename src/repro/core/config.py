@@ -36,6 +36,10 @@ field at all: it is the module constant
 :data:`repro.core.vectorized.BLOCK_ELEMENTS`, a simulation-host setting
 that never changes results, counters or traffic (a hypothesis property
 test pins this).
+
+:data:`PRICING_FIELDS` names the fields that only price a multiply and
+never change what it computes; configs that differ only there share one
+dataflow (:meth:`SpArchConfig.dataflow_key`).
 """
 
 from __future__ import annotations
@@ -44,7 +48,11 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.memory.hbm import HBMConfig
-from repro.utils.validation import check_nonnegative_int, check_positive_int
+from repro.utils.validation import (
+    check_nonnegative_int,
+    check_positive_finite,
+    check_positive_int,
+)
 
 #: The valid ``SpArchConfig.engine`` names: the scalar reference, and two
 #: names for the batched engine.
@@ -55,6 +63,29 @@ BACKENDS = ("scalar", "vectorized", "streaming")
 #: (``repro.experiments.runner``, ``repro.engines.sparch``) exclude them so
 #: switching backends reuses existing cached results.
 BACKEND_FIELDS = ("engine",)
+
+#: Config fields that only *price* a dataflow: the merger geometry, the
+#: multiplier count, the row prefetcher's buffer and look-ahead, the clock,
+#: the round startup and the memory system.  None of them changes the
+#: condensing, the merge schedule, the products, the merge rounds or the
+#: result, so configs that differ only here share one dataflow
+#: (:meth:`SpArchConfig.dataflow_key`,
+#: :meth:`repro.core.accelerator.SpArch.price`).  A field missing from this
+#: list is part of the sharing key, so a new field shares nothing until it
+#: is listed.
+PRICING_FIELDS = (
+    "merger_width",
+    "merger_chunk_size",
+    "num_multipliers",
+    "lookahead_fifo_elements",
+    "prefetch_buffer_lines",
+    "prefetch_line_elements",
+    "prefetch_element_bytes",
+    "enable_row_prefetcher",
+    "clock_hz",
+    "round_startup_cycles",
+    "hbm",
+)
 
 
 @dataclass(frozen=True)
@@ -127,8 +158,10 @@ class SpArchConfig:
         check_nonnegative_int(self.round_startup_cycles, "round_startup_cycles")
         if self.merger_width % self.merger_chunk_size != 0:
             raise ValueError("merger_width must be a multiple of merger_chunk_size")
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
+        check_positive_finite(self.clock_hz, "clock_hz")
+        if not isinstance(self.hbm, HBMConfig):
+            raise TypeError(f"hbm must be an HBMConfig, got "
+                            f"{type(self.hbm).__name__}")
         if self.engine not in BACKENDS:
             raise ValueError(
                 f"engine must be one of {', '.join(map(repr, BACKENDS))}, "
@@ -185,3 +218,16 @@ class SpArchConfig:
     def replace(self, **overrides) -> "SpArchConfig":
         """Return a copy with arbitrary fields overridden."""
         return dataclasses.replace(self, **overrides)
+
+    def dataflow_key(self) -> "SpArchConfig":
+        """This config with every :data:`PRICING_FIELDS` entry at its default.
+
+        Configs with equal keys run the same dataflow on one operand, so
+        one run of it can be priced under each of them.
+        """
+        return dataclasses.replace(self, **_PRICING_DEFAULTS)
+
+
+#: The Table I value of every pricing field, which sharing keys carry.
+_PRICING_DEFAULTS = {name: getattr(SpArchConfig(), name)
+                     for name in PRICING_FIELDS}

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.formats.csr import CSRMatrix
 from repro.memory.traffic import TrafficCategory, TrafficCounter
+
+if TYPE_CHECKING:
+    from repro.core.accelerator import Dataflow
 
 
 @dataclass
@@ -135,10 +139,16 @@ class SimulationStats:
 
 @dataclass
 class SpGEMMResult:
-    """Functional result plus simulation statistics of one SpGEMM run."""
+    """Functional result plus simulation statistics of one SpGEMM run.
+
+    ``dataflow`` is the :class:`~repro.core.accelerator.Dataflow` the run
+    priced, which other configurations sharing its dataflow key can price
+    too.
+    """
 
     matrix: CSRMatrix
     stats: SimulationStats
+    dataflow: Dataflow | None = field(default=None, compare=False)
 
     @property
     def nnz(self) -> int:

@@ -363,19 +363,30 @@ class VectorizedMergeTree(MergeTree):
         if not cleaned:
             return np.empty(0, dtype=np.int64), np.empty(0)
 
-        total_elements = self._account_tournament(
-            [len(keys) for keys, _ in cleaned])
+        self.account([len(keys) for keys, _ in cleaned])
         out_keys, out_vals = self._merge_blocks(cleaned)
-
         self.stats.additions = self._adder.stats.additions
         self.stats.elements_out += len(out_keys)
+        return out_keys, out_vals
+
+    def account(self, lengths: list[int]) -> None:
+        """Charge one pass's merger counters from its stream lengths alone.
+
+        Cycles, comparator operations, per-layer traffic and root elements
+        are what :meth:`merge` counts without looking at keys, so a
+        recorded pass can be priced under another merger geometry without
+        moving an element (:meth:`repro.core.accelerator.SpArch.price`).
+
+        Args:
+            lengths: the input stream lengths of one pass (at least one).
+        """
+        total_elements = self._account_tournament(lengths)
         self.stats.comparator_ops = sum(
             m.stats.comparator_ops for m in self._layer_mergers
         )
         root_cycles = (-(-total_elements // self._merger_width)
                        if total_elements else 0)
         self.stats.cycles += root_cycles + self._num_layers
-        return out_keys, out_vals
 
     # ------------------------------------------------------------------
     def _account_tournament(self, lengths: list[int]) -> int:

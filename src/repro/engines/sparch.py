@@ -2,11 +2,28 @@
 
 from __future__ import annotations
 
-from repro.core.accelerator import SpArch
+from dataclasses import dataclass
+
+from repro.core.accelerator import Dataflow, SpArch
 from repro.core.config import SpArchConfig
+from repro.core.stats import SimulationStats
 from repro.engines.base import Engine, EngineRun
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import CostReport
+
+
+@dataclass
+class SpArchRun(EngineRun):
+    """An :class:`EngineRun` that keeps the dataflow it priced.
+
+    Attributes:
+        dataflow: what the multiply computed before pricing; any SpArch
+            engine whose configuration has the same
+            :meth:`~repro.core.config.SpArchConfig.dataflow_key` can
+            :meth:`~SpArchEngine.price` it.
+    """
+
+    dataflow: Dataflow
 
 
 class SpArchEngine(Engine):
@@ -73,10 +90,38 @@ class SpArchEngine(Engine):
 
     # ------------------------------------------------------------------
     def run(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix | None = None
-            ) -> EngineRun:
+            ) -> SpArchRun:
         right = matrix_a if matrix_b is None else matrix_b
         result = SpArch(self._config).multiply(matrix_a, right)
-        report = CostReport.from_stats(result.stats, config=self._config,
-                                       engine=self.name,
-                                       energy_model=self._energy_model)
-        return EngineRun(matrix=result.matrix, report=report)
+        return SpArchRun(matrix=result.matrix,
+                         report=self._report(result.stats),
+                         dataflow=result.dataflow)
+
+    def price(self, dataflow: Dataflow) -> EngineRun:
+        """Price a dataflow that ran under a configuration sharing its key.
+
+        No element is multiplied or merged: see
+        :meth:`~repro.core.accelerator.SpArch.price`.  The run's matrix
+        is the dataflow's result object itself.
+        """
+        stats = SpArch(self._config).price(dataflow)
+        return EngineRun(matrix=dataflow.matrix, report=self._report(stats))
+
+    def _report(self, stats: SimulationStats) -> CostReport:
+        return CostReport.from_stats(stats, config=self._config,
+                                     engine=self.name,
+                                     energy_model=self._energy_model)
+
+
+def run_shared(engines: list[SpArchEngine], matrix_a: CSRMatrix,
+               matrix_b: CSRMatrix | None = None) -> list[EngineRun]:
+    """Run ``A · B`` once and price it under every engine's configuration.
+
+    The engines' configurations must share one
+    :meth:`~repro.core.config.SpArchConfig.dataflow_key` on the batched
+    engine.  The first engine runs in full through :meth:`SpArchEngine.run`;
+    every other is priced over that run's dataflow.  All the returned runs
+    share one result matrix object.
+    """
+    first = engines[0].run(matrix_a, matrix_b)
+    return [first, *(engine.price(first.dataflow) for engine in engines[1:])]

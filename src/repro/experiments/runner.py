@@ -32,10 +32,17 @@ canonical schema:
   when a backend is explicitly forced (``--engine`` / ``engine=``), in
   which case entries are keyed per backend so the cross-check really
   simulates.
+* **Shared dataflows** — :meth:`run_engine_many` groups the uncached
+  batched-engine SpArch points that share an operand and every field
+  outside :data:`~repro.core.config.PRICING_FIELDS`: each group runs one
+  dataflow and prices every point over it
+  (:func:`~repro.engines.sparch.run_shared`), so a design-space batch
+  multiplies and merges each operand once.  Scalar points, baselines and
+  timeout runs never share.
 * **Fan-out** — :meth:`run_engine_many` (and everything built on it) runs
-  distinct uncached points through ``concurrent.futures`` worker processes
-  (``--jobs`` / ``REPRO_JOBS``), falling back to in-process execution for a
-  single job.
+  its groups of uncached points through ``concurrent.futures`` worker
+  processes (``--jobs`` / ``REPRO_JOBS``), falling back to in-process
+  execution for a single job or a single group.
 
 Experiment harnesses accept a ``runner`` keyword and route every point
 through this class, so one ``python -m repro.experiments all`` sweep
@@ -61,7 +68,7 @@ from repro.core.stats import SimulationStats
 from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.base import Engine
 from repro.engines.registry import resolve_engine
-from repro.engines.sparch import SpArchEngine
+from repro.engines.sparch import SpArchEngine, run_shared
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import SCHEMA_VERSION, CostReport
 from repro.serve.store import ReportStore
@@ -215,6 +222,33 @@ def _engine_task(task: tuple[Engine, CSRMatrix, CSRMatrix | None]) -> dict:
     return engine.run(matrix_a, matrix_b).report.to_dict()
 
 
+def _engine_group_task(task: tuple[list[Engine], CSRMatrix, None]
+                       ) -> list[dict]:
+    """Worker entry point: run one group of points, return report dicts.
+
+    A one-point group runs through :func:`_engine_task`; a larger one is
+    SpArch points sharing a dataflow (:func:`_sharing_id`).
+    """
+    engines, matrix_a, matrix_b = task
+    if len(engines) == 1:
+        return [_engine_task((engines[0], matrix_a, matrix_b))]
+    return [run.report.to_dict()
+            for run in run_shared(engines, matrix_a, matrix_b)]
+
+
+def _sharing_id(engine: Engine, matrix: CSRMatrix, key: str) -> object:
+    """Points with equal ids run one dataflow (see :func:`run_shared`).
+
+    A batched-engine SpArch point's id is its operand object and its
+    config's dataflow key; every other point is alone under its own key.
+    Operands are compared by identity, which is how grid callers pass one
+    scenario's matrix to all its cells.
+    """
+    if isinstance(engine, SpArchEngine) and engine.backend != "scalar":
+        return id(matrix), engine.config.dataflow_key()
+    return key
+
+
 def _engine_task_to_pipe(task, connection) -> None:
     """Timeout-mode worker entry point: report outcome through a pipe."""
     try:
@@ -237,6 +271,8 @@ def run_tasks_with_timeout(items: list[tuple[str, tuple]], *,
     interrupted mid-task without poisoning the pool), each task here runs in
     a dedicated process that is ``SIGKILL``-ed the moment its deadline
     passes — a hung engine costs its own timeout, never the whole batch.
+    Each task is one point that runs its own dataflow: nothing is shared,
+    so no point waits on another's.
 
     Args:
         items: ``(key, (engine, matrix_a, matrix_b))`` pairs; keys must be
@@ -474,6 +510,14 @@ class ExperimentRunner:
                         ) -> list[CostReport | None]:
         """Run many ``A · A`` points, fanning uncached ones out.
 
+        Uncached batched-engine SpArch points on one operand object whose
+        configs differ only in :data:`~repro.core.config.PRICING_FIELDS`
+        form one group: the group runs one dataflow, through the first
+        point's :meth:`~repro.engines.base.Engine.run`, and prices every
+        other point over it.  Every other point is a group of its own.
+        Under ``jobs > 1`` the worker processes receive whole groups, so
+        a batch keeps at most as many workers busy as it has groups.
+
         Args:
             tasks: ``(engine, matrix)`` pairs; order is preserved in the
                 returned list and duplicate points compute once.
@@ -482,13 +526,14 @@ class ExperimentRunner:
                 every point (the sweeps driver) skip re-hashing each
                 operand's CSR arrays per task.
             timeout: per-point wall-clock budget in seconds.  With a
-                timeout set, uncached points run in dedicated killable
-                processes (see :func:`run_tasks_with_timeout`) and a point
-                that hangs past its budget — or raises — yields ``None``
-                in the returned list instead of a report: *failed but
-                retryable*, never cached, so a later run re-attempts it.
-                Without a timeout (the default) the returned list never
-                contains ``None`` and engine errors propagate.
+                timeout set, every uncached point runs in its own killable
+                process (see :func:`run_tasks_with_timeout`) and shares
+                no dataflow, and a point that hangs past its budget — or
+                raises — yields ``None`` in the returned list instead of a
+                report: *failed but retryable*, never cached, so a later
+                run re-attempts it.  Without a timeout (the default) the
+                returned list never contains ``None`` and engine errors
+                propagate.
         """
         engines = [self._effective_engine(engine) for engine, _ in tasks]
         forced = self._engine is not None
@@ -512,24 +557,31 @@ class ExperimentRunner:
 
         self._store.record_batch(hits=len(keys) - len(missing),
                                  misses=len(missing))
-        if missing:
-            items = list(missing.items())
-            if timeout is not None:
-                outcomes = run_tasks_with_timeout(items, timeout=timeout,
-                                                  jobs=self._jobs)
-                for key, payload in outcomes.items():
-                    # Only successful points enter the memo: a timed-out or
-                    # failed point stays uncached so a retry really retries.
-                    if isinstance(payload, dict):
-                        self._cache_store(key, payload, missing_kinds[key])
-            elif self._jobs > 1 and len(items) > 1:
+        if missing and timeout is not None:
+            outcomes = run_tasks_with_timeout(list(missing.items()),
+                                              timeout=timeout,
+                                              jobs=self._jobs)
+            for key, payload in outcomes.items():
+                # Only successful points enter the memo: a timed-out or
+                # failed point stays uncached so a retry really retries.
+                if isinstance(payload, dict):
+                    self._cache_store(key, payload, missing_kinds[key])
+        elif missing:
+            groups: dict[object, list[str]] = {}
+            for key, (engine, matrix, _) in missing.items():
+                groups.setdefault(_sharing_id(engine, matrix, key),
+                                  []).append(key)
+            group_keys = list(groups.values())
+            group_tasks = [([missing[key][0] for key in members],
+                            missing[members[0]][1], None)
+                           for members in group_keys]
+            if self._jobs > 1 and len(group_tasks) > 1:
                 with ProcessPoolExecutor(max_workers=self._jobs) as pool:
-                    payloads = list(pool.map(_engine_task,
-                                             [task for _, task in items]))
+                    payloads = list(pool.map(_engine_group_task, group_tasks))
             else:
-                payloads = [_engine_task(task) for _, task in items]
-            if timeout is None:
-                for (key, _), payload in zip(items, payloads):
+                payloads = [_engine_group_task(task) for task in group_tasks]
+            for members, group_payloads in zip(group_keys, payloads):
+                for key, payload in zip(members, group_payloads):
                     self._cache_store(key, payload, missing_kinds[key])
 
         reports: list[CostReport | None] = []

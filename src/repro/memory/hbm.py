@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_finite, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,9 @@ class HBMConfig:
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_channels, "num_channels")
-        if self.bytes_per_second_per_channel <= 0:
-            raise ValueError("bytes_per_second_per_channel must be positive")
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
+        check_positive_finite(self.bytes_per_second_per_channel,
+                              "bytes_per_second_per_channel")
+        check_positive_finite(self.clock_hz, "clock_hz")
         for name, value in (("read_efficiency", self.read_efficiency),
                             ("write_efficiency", self.write_efficiency)):
             if not 0 < value <= 1:

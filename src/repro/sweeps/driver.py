@@ -4,12 +4,15 @@
 engine executions: it enumerates the canonical cell order, keeps the
 deterministic ``index % shard_count`` slice, skips every cell already
 recorded in the :class:`~repro.sweeps.store.ResultStore`, and runs the
-rest in chunks through
+rest in batches through
 :meth:`~repro.experiments.runner.ExperimentRunner.run_engine_many` (process
 fan-out under ``--jobs``), appending one schema-versioned record per cell
-as each chunk lands.  Because records append *per chunk* and done-ness is
-per cell, a killed sweep loses at most one chunk of work and a resumed one
-re-executes only unfinished cells.
+as each batch lands.  A batch is the pending cells of the next ``jobs``
+scenarios, so a scenario's design points reach the runner together and
+share one dataflow per operand wherever their configs differ only in
+pricing fields.  Because records append *per batch* and done-ness
+is per cell, a killed sweep loses at most one batch of work and a resumed
+one re-executes only unfinished cells.
 
 Each record also carries the runner's point fingerprint: cells that
 coincide (two grid configs collapsing to one effective design) still get
@@ -193,7 +196,6 @@ def run_sweep(spec: SweepSpec, *,
               shard_index: int = 0, shard_count: int = 1,
               max_rows: int | None = None,
               max_cells: int | None = None,
-              chunk_size: int | None = None,
               cell_timeout: float | None = None
               ) -> tuple[SweepRunSummary, ResultStore]:
     """Execute (this shard of) a sweep, appending results to the store.
@@ -211,14 +213,12 @@ def run_sweep(spec: SweepSpec, *,
         max_cells: stop after executing this many cells — the programmatic
             equivalent of a mid-flight kill, used by the resumability tests
             and useful for time-boxed incremental runs.
-        chunk_size: cells per execution batch (defaults to the runner's
-            job count); records append after each batch, bounding how much
-            work a kill can lose.
         cell_timeout: per-cell wall-clock budget in seconds.  With it set,
-            each uncached cell runs in a killable process and a hung (or
-            crashing) engine marks that cell *failed-retryable* — counted
-            in the summary, no record appended — instead of blocking the
-            shard forever.  ``None`` (default) lets cells run unbounded.
+            each uncached cell runs in its own killable process, sharing
+            no dataflow, and a hung (or crashing) engine marks that cell
+            *failed-retryable* — counted in the summary, no record
+            appended — instead of blocking the shard forever.  ``None``
+            (default) lets cells run unbounded.
 
     Returns:
         ``(summary, store)`` — the run's counts and the (possibly newly
@@ -265,11 +265,21 @@ def run_sweep(spec: SweepSpec, *,
         raise ValueError(f"max_cells must be non-negative, got {max_cells}")
     budget = len(pending) if max_cells is None else min(max_cells,
                                                         len(pending))
-    chunk = max(1, chunk_size if chunk_size is not None else runner.jobs)
+    # A batch is the pending cells of the next ``runner.jobs`` scenarios
+    # (pending cells are scenario-contiguous, as the canonical order is
+    # scenario-major), so each scenario's design points reach the runner
+    # together and share one dataflow per operand where they can.
+    # Records append after each batch, bounding how much a kill can lose.
+    scenarios = [list(group) for _, group in
+                 groupby(pending[:budget],
+                         key=lambda item: item[0].scenario.name)]
+    batches = [[item for group in scenarios[start:start + runner.jobs]
+                for item in group]
+               for start in range(0, len(scenarios), runner.jobs)]
 
-    # Execution materialises operands lazily, chunk by chunk, and frees
+    # Execution materialises operands lazily, batch by batch, and frees
     # each scenario's matrix after its last pending cell runs — peak
-    # memory is one chunk's operands, never the remaining corpus.  A cold
+    # memory is one batch's operands, never the remaining corpus.  A cold
     # scenario with pending cells is thus generated twice (once above to
     # fingerprint, once here to execute); that is deliberate: generation
     # is cheap next to simulation, warm processes skip the first build
@@ -281,8 +291,7 @@ def run_sweep(spec: SweepSpec, *,
     matrices: dict[str, CSRMatrix] = {}
     attempted = 0
     failed_cells: list[str] = []
-    while attempted < budget:
-        batch = pending[attempted:min(attempted + chunk, budget)]
+    for batch in batches:
         for name in {cell.scenario.name for cell, _, _ in batch}:
             if name not in matrices:
                 matrices[name] = corpus.get_scenario(name).build()

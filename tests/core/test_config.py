@@ -72,3 +72,42 @@ def test_hbm_config_validation():
     config = HBMConfig(num_channels=8, bytes_per_second_per_channel=4e9)
     assert config.total_bandwidth_bytes_per_second == pytest.approx(32e9)
     assert config.bytes_per_cycle == pytest.approx(32.0)
+
+
+@pytest.mark.parametrize("clock_hz", [float("nan"), float("inf"),
+                                      float("-inf")])
+def test_non_finite_clock_rejected(clock_hz):
+    with pytest.raises(ValueError, match="clock_hz"):
+        SpArchConfig(clock_hz=clock_hz)
+
+
+@pytest.mark.parametrize("clock_hz", [True, False, "1e9"])
+def test_non_numeric_clock_rejected(clock_hz):
+    with pytest.raises(TypeError, match="clock_hz"):
+        SpArchConfig(clock_hz=clock_hz)
+
+
+def test_integer_clock_accepted():
+    assert SpArchConfig(clock_hz=2_000_000_000).peak_multiply_flops == 32e9
+
+
+def test_hbm_must_be_an_hbm_config():
+    with pytest.raises(TypeError, match="HBMConfig"):
+        SpArchConfig(hbm={"num_channels": 2})
+
+
+@pytest.mark.parametrize("field", ["bytes_per_second_per_channel",
+                                   "clock_hz"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_hbm_non_finite_rates_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        HBMConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["bytes_per_second_per_channel",
+                                   "clock_hz"])
+@pytest.mark.parametrize("value", [True, "8e9"])
+def test_hbm_non_numeric_rates_rejected(field, value):
+    with pytest.raises(TypeError, match=field):
+        HBMConfig(**{field: value})

@@ -97,6 +97,23 @@ class TestValidation:
         assert "bad config overrides" in response["error"]
         assert removed_field in response["error"]
 
+    @pytest.mark.parametrize("overrides", [
+        {"hbm": {"num_channels": 2}},
+        {"clock_hz": float("nan")},
+        {"clock_hz": True},
+    ], ids=["hbm-dict", "clock-nan", "clock-bool"])
+    def test_mistyped_or_non_finite_override_gets_400(self, overrides):
+        # Both are pricing fields: unchecked, a dict reached the HBM model
+        # as a 500 and NaN or a bool priced the point without complaint.
+        response = make_service().request(
+            {"engine": "sparch", "config": overrides,
+             "scenario": {"name": "tiny-rmat", "family": "rmat",
+                          "params": {"num_rows": 64, "edge_factor": 4,
+                                     "seed": 3}}})
+        assert response["status"] == "error"
+        assert response["code"] == 400
+        assert "bad config overrides" in response["error"]
+
     def test_bad_requests_count_without_entering_the_pool(self):
         service = make_service()
         service.request({"engine": "no-such", "scenario": SCENARIOS[0]})

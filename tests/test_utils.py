@@ -10,6 +10,7 @@ from repro.utils.maths import geometric_mean, harmonic_mean, human_bytes, human_
 from repro.utils.reporting import Table, format_table
 from repro.utils.validation import (
     check_nonnegative_int,
+    check_positive_finite,
     check_positive_int,
     check_power_of_two,
     require,
@@ -94,6 +95,16 @@ class TestValidation:
         assert check_nonnegative_int(0, "x") == 0
         with pytest.raises(ValueError):
             check_nonnegative_int(-1, "x")
+
+    def test_check_positive_finite(self):
+        assert check_positive_finite(2.5, "x") == 2.5
+        assert check_positive_finite(3, "x") == 3
+        for bad in (0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="x"):
+                check_positive_finite(bad, "x")
+        for bad in (True, "1.0", None):
+            with pytest.raises(TypeError, match="x"):
+                check_positive_finite(bad, "x")
 
     def test_check_power_of_two(self):
         assert check_power_of_two(64, "x") == 64
