@@ -37,7 +37,6 @@ from repro.core.partial_matrix import PartialMatrixStore
 from repro.core.vectorized import VectorizedLeafStreamer, VectorizedMergeTree
 from repro.formats.csr import CSRMatrix
 from repro.hardware.merge_tree import MergeTree
-from repro.hardware.multiplier_array import MultiplierArray
 from repro.matrices.rmat import RMATConfig, generate_rmat
 from repro.memory.traffic import TrafficCounter
 
@@ -61,13 +60,11 @@ def _best_of(repeats: int, fn) -> float:
 
 def _run_engine_kernels(matrix: CSRMatrix, engine: str) -> tuple[np.ndarray, np.ndarray]:
     """Stream every leaf and execute the full merge plan on one engine."""
-    multipliers = MultiplierArray(16)
     if engine == "vectorized":
-        streamer = VectorizedLeafStreamer(matrix, matrix, multipliers,
-                                          condensing=True)
+        streamer = VectorizedLeafStreamer(matrix, matrix, condensing=True)
         tree = VectorizedMergeTree(num_layers=6)
     else:
-        streamer = _LeafStreamer(matrix, matrix, multipliers, condensing=True)
+        streamer = _LeafStreamer(matrix, matrix, condensing=True)
         tree = MergeTree(num_layers=6)
     plan = huffman_schedule([float(w) for w in streamer.leaf_weights()],
                             tree.num_ways)

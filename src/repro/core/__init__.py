@@ -9,7 +9,6 @@ not the hash table and next-use reduction tree that implement it (§II-E).
 """
 
 from repro.core.accelerator import Dataflow, SpArch, multiply
-from repro.core.column_fetcher import ColumnFetcher, FetchedElement
 from repro.core.condensing import condensed_column_weights, partial_matrix_sizes
 from repro.core.config import BACKEND_FIELDS, PRICING_FIELDS, SpArchConfig
 from repro.core.fastpath import fold_sorted_runs, row_offsets
@@ -29,8 +28,6 @@ __all__ = [
     "SpArch",
     "Dataflow",
     "multiply",
-    "ColumnFetcher",
-    "FetchedElement",
     "condensed_column_weights",
     "partial_matrix_sizes",
     "SpArchConfig",

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.column_fetcher import ColumnFetcher
 from repro.core.condensing import (
     multiplication_count,
     original_column_partial_sizes,
@@ -75,7 +74,7 @@ from repro.formats.convert import csr_to_csc
 from repro.formats.csr import CSRMatrix
 from repro.formats.keys import linear_keys
 from repro.hardware.merge_tree import MergeTree, MergeTreeStats
-from repro.hardware.multiplier_array import MultiplierArray
+from repro.hardware.multiplier_array import multiply_column
 from repro.memory.hbm import HBMModel
 from repro.memory.traffic import TrafficCategory, TrafficCounter
 
@@ -89,11 +88,10 @@ class _LeafStreamer:
     linearised (row, column) key, ready for the merge tree.
     """
 
-    def __init__(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix,
-                 multipliers: MultiplierArray, *, condensing: bool) -> None:
+    def __init__(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix, *,
+                 condensing: bool) -> None:
         self._matrix_a = matrix_a
         self._matrix_b = matrix_b
-        self._multipliers = multipliers
         self._condensing = condensing
         self._condensed = CondensedMatrix(matrix_a) if condensing else None
         if condensing:
@@ -113,11 +111,6 @@ class _LeafStreamer:
     def num_leaves(self) -> int:
         return len(self._leaf_columns)
 
-    @property
-    def leaf_columns(self) -> list[int]:
-        """Column index (condensed or original) backing every leaf."""
-        return list(self._leaf_columns)
-
     # ------------------------------------------------------------------
     def leaf_weights(self) -> np.ndarray:
         """Estimated partial-matrix size of every leaf (Huffman weights)."""
@@ -125,13 +118,6 @@ class _LeafStreamer:
             return partial_matrix_sizes(self._condensed, self._matrix_b)
         sizes = original_column_partial_sizes(self._matrix_a, self._matrix_b)
         return sizes[self._leaf_columns]
-
-    def leaf_a_elements(self, leaf: int) -> int:
-        """Left-matrix elements the column fetcher reads for this leaf."""
-        column = self._leaf_columns[leaf]
-        if self._condensing:
-            return int(self._condensed.column_nnz(column))
-        return int(self._csc.col_nnz(column))
 
     def leaf_access_order(self, leaf: int) -> np.ndarray:
         """Right-matrix rows needed by this leaf, in consumption order."""
@@ -148,12 +134,12 @@ class _LeafStreamer:
         column = self._leaf_columns[leaf]
         if self._condensing:
             col = self._condensed.column(column)
-            rows, cols, vals = self._multipliers.multiply_column(
+            rows, cols, vals = multiply_column(
                 col.rows, col.original_cols, col.values, self._matrix_b)
         else:
             a_rows, a_vals = self._csc.col(column)
             a_cols = np.full(len(a_rows), column, dtype=np.int64)
-            rows, cols, vals = self._multipliers.multiply_column(
+            rows, cols, vals = multiply_column(
                 a_rows, a_cols, a_vals, self._matrix_b)
         keys = linear_keys(rows, cols, self._matrix_b.num_cols)
         return keys, vals
@@ -267,22 +253,16 @@ class SpArch:
                             np.zeros(0, dtype=np.int64), [], stats)
 
         traffic = stats.traffic
-        # The multiplier count paces only the multipliers' own activity
-        # counters; :meth:`price` charges the multiply cycles.
-        multipliers = MultiplierArray(config.num_multipliers)
         scalar = config.engine == "scalar"
         merge_tree = (MergeTree if scalar else VectorizedMergeTree)(
             num_layers=config.merge_tree_layers,
             merger_width=config.merger_width,
-            chunk_size=config.merger_chunk_size,
-            fifo_capacity=config.partial_matrix_writer_fifo)
+            chunk_size=config.merger_chunk_size)
         store = PartialMatrixStore(traffic, element_bytes=config.element_bytes)
-        writer = PartialMatrixWriter(traffic, element_bytes=config.element_bytes,
-                                     fifo_depth=config.partial_matrix_writer_fifo)
+        writer = PartialMatrixWriter(traffic, element_bytes=config.element_bytes)
 
         streamer = (_LeafStreamer if scalar else VectorizedLeafStreamer)(
-            matrix_a, matrix_b, multipliers,
-            condensing=config.enable_matrix_condensing)
+            matrix_a, matrix_b, condensing=config.enable_matrix_condensing)
         plan = self._build_plan(streamer.leaf_weights())
         streamer.bind_plan(plan)
 

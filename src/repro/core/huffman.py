@@ -42,10 +42,6 @@ class MergeTreeNode:
     weight: float
     children: tuple[int, ...] = ()
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass
 class MergeRound:
@@ -105,14 +101,6 @@ class MergePlan:
     def total_weight(self) -> float:
         """Sum of *all* node weights — the quantity Figure 8 reports."""
         return self.leaf_weight + self.internal_weight
-
-    @property
-    def partial_result_weight(self) -> float:
-        """Internal weight excluding the root (the root is the final output,
-        which is written to DRAM exactly once regardless of the schedule)."""
-        if not self.rounds:
-            return 0.0
-        return self.internal_weight - self.nodes[self.root_id].weight
 
     def leaf_rounds(self) -> list[tuple[int, ...]]:
         """The leaves each merge round consumes, in execution order.

@@ -55,17 +55,6 @@ class PartialMatrixStore:
         self._traffic = traffic
         self._element_bytes = element_bytes
         self._stored: dict[int, StoredPartialMatrix] = {}
-        self.total_spilled_elements = 0
-        self.total_reloaded_elements = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def num_stored(self) -> int:
-        """Number of partial results currently resident in DRAM."""
-        return len(self._stored)
-
-    def contains(self, node_id: int) -> bool:
-        return node_id in self._stored
 
     def write(self, node_id: int, keys: np.ndarray, values: np.ndarray) -> None:
         """Spill a partially merged result to DRAM."""
@@ -76,7 +65,6 @@ class PartialMatrixStore:
         if node_id in self._stored:
             raise ValueError(f"partial result {node_id} already stored")
         self._stored[node_id] = StoredPartialMatrix(node_id, keys, values)
-        self.total_spilled_elements += len(keys)
         self._traffic.add(TrafficCategory.PARTIAL_WRITE,
                           len(keys) * self._element_bytes)
 
@@ -86,14 +74,9 @@ class PartialMatrixStore:
             stored = self._stored.pop(node_id)
         except KeyError:
             raise KeyError(f"partial result {node_id} is not stored") from None
-        self.total_reloaded_elements += stored.nnz
         self._traffic.add(TrafficCategory.PARTIAL_READ,
                           stored.nnz * self._element_bytes)
         return stored.keys, stored.values
-
-    def peek_nnz(self, node_id: int) -> int:
-        """Size of a stored partial result without consuming it."""
-        return self._stored[node_id].nnz
 
 
 class PartialMatrixWriter:
@@ -102,20 +85,12 @@ class PartialMatrixWriter:
     Args:
         traffic: counter to charge the final result write to.
         element_bytes: bytes per output element (index + value).
-        fifo_depth: output FIFO depth (1024 elements in Table I); recorded
-            for the SRAM area model.
     """
 
-    def __init__(self, traffic: TrafficCounter, *, element_bytes: int = 16,
-                 fifo_depth: int = 1024) -> None:
+    def __init__(self, traffic: TrafficCounter, *,
+                 element_bytes: int = 16) -> None:
         self._traffic = traffic
         self._element_bytes = element_bytes
-        self._fifo_depth = fifo_depth
-        self.total_elements_written = 0
-
-    @property
-    def fifo_depth(self) -> int:
-        return self._fifo_depth
 
     def write_result(self, keys: np.ndarray, values: np.ndarray,
                      shape: tuple[int, int]) -> CSRMatrix:
@@ -143,7 +118,6 @@ class PartialMatrixWriter:
             rows = keys // num_cols if num_cols else keys
             cols = keys % num_cols if num_cols else keys
             result = coo_to_csr(COOMatrix(rows, cols, values, shape))
-        self.total_elements_written += result.nnz
         self._traffic.add(TrafficCategory.RESULT_WRITE,
                           result.nnz * self._element_bytes)
         return result

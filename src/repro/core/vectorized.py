@@ -1,7 +1,7 @@
 """Batched simulation backend (``SpArchConfig(engine="vectorized")``).
 
 The scalar backend walks the multiply/merge hot path one Python object at a
-time: :meth:`~repro.hardware.multiplier_array.MultiplierArray.multiply_column`
+time: :func:`~repro.hardware.multiplier_array.multiply_column`
 loops over left-matrix elements and the merge tree runs a pairwise stable
 tournament with one ``argsort`` per node pair.  Both are faithful to the
 hardware structure but dominate the simulation runtime.
@@ -19,7 +19,7 @@ kernels:
   pairwise tournament, duplicate folding via
   :func:`repro.core.fastpath.fold_sorted_runs` (the same ``np.add.reduceat``
   kernel the scalar adder uses), and boolean-mask zero elimination.  The
-  cycle, comparator-operation and per-layer traffic counters are computed in
+  cycle, comparator-operation and root-element counters are computed in
   closed form from the input stream *lengths*, replaying the tournament
   accounting without moving any elements.
 
@@ -75,7 +75,6 @@ from repro.formats.convert import csr_to_csc
 from repro.formats.csr import CSRMatrix
 from repro.formats.keys import linear_key_dtype
 from repro.hardware.merge_tree import MergeTree
-from repro.hardware.multiplier_array import MultiplierArray
 
 #: Elements a merge block may take from one input stream: bounds the merge's
 #: working set.  It tunes the simulation host only — results, counters and
@@ -87,33 +86,29 @@ class VectorizedLeafStreamer:
     """Batched replacement for the accelerator's scalar leaf streamer.
 
     Exposes the same interface (``num_leaves``, ``leaf_weights``,
-    ``leaf_a_elements``, ``leaf_access_order``, ``bind_plan``,
-    ``leaf_stream``) but pre-groups the left operand's elements by
-    merge-plan leaf once, so generating any set of leaves is a constant
-    number of numpy gathers.
+    ``leaf_access_order``, ``bind_plan``, ``leaf_stream``) but pre-groups
+    the left operand's elements by merge-plan leaf once, so generating any
+    set of leaves is a constant number of numpy gathers.
 
     ``__init__`` only builds the per-leaf grouping *metadata* (element
-    boundaries, left operand arrays in leaf order, per-element product
-    counts and multiplier-cycle prefix sums — all O(nnz(A))).  Products are
-    generated on demand: once :meth:`bind_plan` has named the plan's merge
-    rounds, the first :meth:`leaf_stream` call of a round generates every
-    leaf of that round in one batched pass, and each leaf's products are
-    dropped when it is consumed.
+    boundaries, left operand arrays in leaf order and per-element product
+    counts — all O(nnz(A))).  Products are generated on demand: once
+    :meth:`bind_plan` has named the plan's merge rounds, the first
+    :meth:`leaf_stream` call of a round generates every leaf of that round
+    in one batched pass, and each leaf's products are dropped when it is
+    consumed.
 
     Args:
         matrix_a: left operand in CSR format.
         matrix_b: right operand in CSR format.
-        multipliers: multiplier array whose activity counters are kept in
-            sync with the scalar backend.
         condensing: whether a leaf is a condensed column (True) or an
             original column (False).
     """
 
-    def __init__(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix,
-                 multipliers: MultiplierArray, *, condensing: bool) -> None:
+    def __init__(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix, *,
+                 condensing: bool) -> None:
         self._matrix_a = matrix_a
         self._matrix_b = matrix_b
-        self._multipliers = multipliers
         self._condensing = condensing
         self._b_row_nnz = matrix_b.nnz_per_row()
         self._condensed = CondensedMatrix(matrix_a) if condensing else None
@@ -167,12 +162,6 @@ class VectorizedLeafStreamer:
         products_before = np.concatenate([np.zeros(1, dtype=np.int64),
                                           prod_ends])
         self._prod_starts = products_before[self._elem_starts]
-        # Multiplier-cycle prefix sums over the leaf-grouped elements, so
-        # the per-leaf counter updates are O(1) lookups.
-        throughput = multipliers.throughput
-        self._cycles_prefix = np.concatenate(
-            [np.zeros(1, dtype=np.int64),
-             np.cumsum((counts + throughput - 1) // throughput)])
         # Leaves of the bound plan's rounds, and the generated leaves the
         # current round has not consumed yet.
         self._leaf_round: dict[int, tuple[int, ...]] = {}
@@ -244,11 +233,6 @@ class VectorizedLeafStreamer:
     def num_leaves(self) -> int:
         return len(self._leaf_columns)
 
-    @property
-    def leaf_columns(self) -> list[int]:
-        """Column index (condensed or original) backing every leaf."""
-        return list(self._leaf_columns)
-
     # ------------------------------------------------------------------
     def leaf_weights(self) -> np.ndarray:
         """Estimated partial-matrix size of every leaf (Huffman weights)."""
@@ -257,23 +241,10 @@ class VectorizedLeafStreamer:
         sizes = original_column_partial_sizes(self._matrix_a, self._matrix_b)
         return sizes[self._leaf_columns]
 
-    def leaf_a_elements(self, leaf: int) -> int:
-        """Left-matrix elements the column fetcher reads for this leaf."""
-        return int(self._elem_starts[leaf + 1] - self._elem_starts[leaf])
-
     def leaf_access_order(self, leaf: int) -> np.ndarray:
         """Right-matrix rows needed by this leaf, in consumption order."""
         start, stop = self._elem_starts[leaf], self._elem_starts[leaf + 1]
         return self._left_cols[start:stop].copy()
-
-    def _record_leaf_counters(self, leaf: int) -> None:
-        """Multiplier activity, identical to the scalar per-element updates."""
-        start, stop = self._prod_starts[leaf], self._prod_starts[leaf + 1]
-        stats = self._multipliers.stats
-        stats.left_elements += self.leaf_a_elements(leaf)
-        stats.multiplications += int(stop - start)
-        stats.cycles += int(self._cycles_prefix[self._elem_starts[leaf + 1]]
-                            - self._cycles_prefix[self._elem_starts[leaf]])
 
     def leaf_stream(self, leaf: int) -> tuple[np.ndarray, np.ndarray]:
         """Return one leaf's sorted (key, value) partial-product stream.
@@ -282,7 +253,6 @@ class VectorizedLeafStreamer:
         yet.  The returned arrays are popped, so once the round has
         consumed every leaf nothing of it stays pending.
         """
-        self._record_leaf_counters(leaf)
         if leaf not in self._pending:
             self._generate_leaves(self._leaf_round.get(leaf, (leaf,)))
         return self._pending.pop(leaf)
@@ -297,7 +267,7 @@ class VectorizedMergeTree(MergeTree):
     :func:`~repro.core.fastpath.merge_sorted_streams` (equal keys keep
     input-list order, matching the pairwise stable tournament), folds
     duplicates with the shared :func:`~repro.core.fastpath.fold_sorted_runs`
-    kernel and drops zeros with a boolean mask.  The per-layer merger
+    kernel and drops zeros with a boolean mask.  The layer mergers'
     counters are replayed from the stream lengths alone, so ``stats`` (and
     the shared layer mergers' / adder's counters) match the scalar tree
     exactly.
@@ -332,10 +302,10 @@ class VectorizedMergeTree(MergeTree):
     """
 
     def __init__(self, num_layers: int = 6, merger_width: int = 16,
-                 chunk_size: int = 4, fifo_capacity: int = 1024, *,
+                 chunk_size: int = 4, *,
                  block_elements: int | None = None) -> None:
         super().__init__(num_layers=num_layers, merger_width=merger_width,
-                         chunk_size=chunk_size, fifo_capacity=fifo_capacity)
+                         chunk_size=chunk_size)
         if block_elements is None:
             block_elements = BLOCK_ELEMENTS
         self._block_elements = max(1, int(block_elements))
@@ -366,16 +336,15 @@ class VectorizedMergeTree(MergeTree):
         self.account([len(keys) for keys, _ in cleaned])
         out_keys, out_vals = self._merge_blocks(cleaned)
         self.stats.additions = self._adder.stats.additions
-        self.stats.elements_out += len(out_keys)
         return out_keys, out_vals
 
     def account(self, lengths: list[int]) -> None:
         """Charge one pass's merger counters from its stream lengths alone.
 
-        Cycles, comparator operations, per-layer traffic and root elements
-        are what :meth:`merge` counts without looking at keys, so a
-        recorded pass can be priced under another merger geometry without
-        moving an element (:meth:`repro.core.accelerator.SpArch.price`).
+        Cycles, comparator operations and root elements are what
+        :meth:`merge` counts without looking at keys, so a recorded pass
+        can be priced under another merger geometry without moving an
+        element (:meth:`repro.core.accelerator.SpArch.price`).
 
         Args:
             lengths: the input stream lengths of one pass (at least one).
@@ -399,23 +368,18 @@ class VectorizedMergeTree(MergeTree):
         layer = 0
         while len(current) > 1:
             merger = self._layer_mergers[min(layer, self._num_layers - 1)]
-            merger_stats = merger.stats
-            width = merger.total_width          # == merger.throughput
+            width = merger.throughput
             num_comparators = merger.num_comparators
             next_level: list[int] = []
-            layer_traffic = 0
+            layer_cycles = 0
             for i in range(0, len(current), 2):
                 if i + 1 >= len(current):
                     next_level.append(current[i])
                     continue
                 total = current[i] + current[i + 1]
-                cycles = -(-total // width) if total else 0
-                merger_stats.cycles += cycles
-                merger_stats.comparator_ops += cycles * num_comparators
-                merger_stats.elements_merged += total
-                layer_traffic += total
+                layer_cycles += -(-total // width) if total else 0
                 next_level.append(total)
-            self.stats.record_layer(layer, layer_traffic)
+            merger.stats.comparator_ops += layer_cycles * num_comparators
             current = next_level
             layer += 1
         total_elements = current[0]
@@ -467,7 +431,6 @@ class VectorizedMergeTree(MergeTree):
                                                               value_parts)
             folded_keys, folded_vals, num_runs = fold_sorted_runs(block_keys,
                                                                   block_vals)
-            adder_stats.elements_processed += len(block_keys)
             adder_stats.additions += len(block_keys) - num_runs
             if len(folded_keys):
                 out_key_parts.append(folded_keys)

@@ -196,11 +196,6 @@ class CorpusSpec:
                           tuple(scenario.scaled(max_rows)
                                 for scenario in self.scenarios))
 
-    def build_all(self) -> dict[str, CSRMatrix]:
-        """Materialise every scenario, keyed by name (canonical order)."""
-        return {scenario.name: scenario.build()
-                for scenario in self.scenarios}
-
 
 #: Scenarios build deterministically from their parameters, so a recipe's
 #: operand fingerprint never changes — memoising it by recipe lets sweep

@@ -121,7 +121,9 @@ def run_shared(engines: list[SpArchEngine], matrix_a: CSRMatrix,
     :meth:`~repro.core.config.SpArchConfig.dataflow_key` on the batched
     engine.  The first engine runs in full through :meth:`SpArchEngine.run`;
     every other is priced over that run's dataflow.  All the returned runs
-    share one result matrix object.
+    share one result matrix object.  A one-engine list is just that
+    engine's ``run``, so the experiment runner passes any engine, baselines
+    included, as a group of one.
     """
     first = engines[0].run(matrix_a, matrix_b)
     return [first, *(engine.price(first.dataflow) for engine in engines[1:])]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SpArchConfig
 from repro.core.stats import SimulationStats
+from repro.corpus.registry import PAPER_SCALE_MAX_ROWS, PAPER_SCALE_NAMES
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import SCHEMA_VERSION, CostReport
@@ -265,14 +266,6 @@ def load_scaled_suite(*, max_rows: int = DEFAULT_MAX_ROWS,
                scaled_config(name, max_rows=max_rows, base_config=base_config))
         for name in selected
     }
-
-
-#: Default paper-scale dimension cap (10⁵ rows) and the suite benchmarks
-#: cheap enough to run at it routinely: the smallest-nnz big-suite members
-#: (patents_main averages ~2.3 nnz/row, so the 10⁵-row proxy stays around
-#: half a million partial products; m133-b3 is the denser mid rung).
-PAPER_SCALE_MAX_ROWS = 100_000
-PAPER_SCALE_NAMES = ("patents_main", "m133-b3")
 
 
 def load_paper_scale_suite(*, max_rows: int = PAPER_SCALE_MAX_ROWS,

@@ -51,7 +51,6 @@ simulates each shared point once.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -63,7 +62,7 @@ from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 
 from repro.baselines.base import BaselineSummary, SpGEMMBaseline
-from repro.core.config import BACKEND_FIELDS, BACKENDS, SpArchConfig
+from repro.core.config import BACKENDS, SpArchConfig
 from repro.core.stats import SimulationStats
 from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.base import Engine
@@ -101,56 +100,6 @@ def _identity_fingerprint(payload: dict) -> str:
     digest = hashlib.sha256()
     digest.update(json.dumps(payload, sort_keys=True, default=str).encode())
     return digest.hexdigest()
-
-
-def config_fingerprint(config: SpArchConfig, *,
-                       include_engine: bool = False) -> str:
-    """Content hash of a SpArch configuration.
-
-    By default the ``engine`` backend is excluded: the backends are proven
-    to produce identical results and statistics, so cached simulation points
-    are shared between them.  ``include_engine=True`` keys the entry to the
-    backend — used when a backend is *forced*, so a cross-check run really
-    simulates instead of replaying the other backend's cache.
-    """
-    payload = dataclasses.asdict(config)
-    for field in BACKEND_FIELDS:
-        payload.pop(field, None)
-    if include_engine:
-        payload["engine"] = config.engine
-    return _identity_fingerprint(payload)
-
-
-def simulation_key(matrix_a: CSRMatrix, matrix_b: CSRMatrix,
-                   config: SpArchConfig, *,
-                   include_engine: bool = False) -> str:
-    """Cache key of one SpArch ``A · B`` simulation under ``config``."""
-    return engine_point_key(SpArchEngine(config), matrix_a, matrix_b,
-                            include_backend=include_engine)
-
-
-def baseline_fingerprint(baseline: SpGEMMBaseline, *,
-                         include_engine: bool = False) -> str:
-    """Content hash of a baseline's model identity.
-
-    Uses :meth:`~repro.baselines.base.BaselineEngine.cache_fields` (class
-    name, platform constants, algorithm parameters).  As with
-    :func:`config_fingerprint`, the execution backend is excluded unless it
-    is forced.
-    """
-    payload = dict(baseline.cache_fields())
-    if include_engine:
-        payload["engine"] = baseline.engine
-    return _identity_fingerprint(payload)
-
-
-def baseline_simulation_key(baseline: SpGEMMBaseline, matrix_a: CSRMatrix,
-                            matrix_b: CSRMatrix, *,
-                            include_engine: bool = False) -> str:
-    """Cache key of one baseline ``A · B`` run."""
-    return engine_point_key(BaselineEngineAdapter(baseline),
-                            matrix_a, matrix_b,
-                            include_backend=include_engine)
 
 
 def engine_point_key(engine: Engine, matrix_a: CSRMatrix | None,
@@ -226,12 +175,11 @@ def _engine_group_task(task: tuple[list[Engine], CSRMatrix, None]
                        ) -> list[dict]:
     """Worker entry point: run one group of points, return report dicts.
 
-    A one-point group runs through :func:`_engine_task`; a larger one is
-    SpArch points sharing a dataflow (:func:`_sharing_id`).
+    A group is one point, or SpArch points sharing a dataflow
+    (:func:`_sharing_id`); :func:`run_shared` runs a one-point group as
+    that engine's plain :meth:`~repro.engines.base.Engine.run`.
     """
     engines, matrix_a, matrix_b = task
-    if len(engines) == 1:
-        return [_engine_task((engines[0], matrix_a, matrix_b))]
     return [run.report.to_dict()
             for run in run_shared(engines, matrix_a, matrix_b)]
 
@@ -404,15 +352,6 @@ class ExperimentRunner:
         return self._store.stats()
 
     # ------------------------------------------------------------------
-    @property
-    def _memory_cache(self) -> dict[str, dict]:
-        """Legacy alias for the store's memory tier (tests share memos)."""
-        return self._store._memory
-
-    @_memory_cache.setter
-    def _memory_cache(self, value: dict[str, dict]) -> None:
-        self._store._memory = value
-
     def _cache_load(self, key: str, kind: str) -> dict | None:
         return self._store.load(key, kind)
 

@@ -7,12 +7,13 @@ the registry, and then loops: ``acquire`` a cell lease, compute the cell,
 time so a *slow* cell keeps its lease while a *dead* worker's lease
 expires and is reclaimed.
 
-:class:`CellExecutor` replicates ``run_sweep``'s record construction
-exactly — same fingerprint memo, same point key, same
-``run_engine_many`` path (including the per-cell wall-clock timeout) —
-which is load-bearing: the byte-parity invariant of the fabric rests on
-every worker producing byte-identical records for a given cell, no
-matter which worker runs it or on which attempt.
+:class:`CellExecutor` replicates ``run_sweep``'s execution exactly — same
+fingerprint memo, same point key, same ``run_engine_many`` path (including
+the per-cell wall-clock timeout), and the same record constructor
+(:func:`repro.sweeps.driver._cell_record`) — which is load-bearing: the
+byte-parity invariant of the fabric rests on every worker producing
+byte-identical records for a given cell, no matter which worker runs it or
+on which attempt.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from repro.corpus.spec import scenario_fingerprint
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
-from repro.sweeps.driver import _cell_engine
+from repro.sweeps.driver import _cell_engine, _cell_record
 from repro.sweeps.registry import get_sweep
 from repro.sweeps.spec import SweepCell, SweepSpec, enumerate_cells
 from repro.sweeps.store import SweepRecord
@@ -91,15 +92,7 @@ class CellExecutor:
             raise CellExecutionError(
                 f"cell {cell.cell_id} timed out or crashed under "
                 f"cell_timeout={self._cell_timeout}")
-        return SweepRecord(
-            sweep_id=self._spec.sweep_id,
-            cell_index=cell.index,
-            scenario=cell.scenario.name,
-            engine=cell.engine,
-            config_label=cell.config_label,
-            key=key,
-            report=report.to_dict(),
-        )
+        return _cell_record(self._spec, cell, key, report)
 
 
 class _Heartbeat:

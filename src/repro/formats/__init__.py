@@ -1,6 +1,6 @@
 """Sparse matrix containers used throughout the SpArch reproduction.
 
-The simulator works with three storage formats:
+The simulator works with four storage formats:
 
 * :class:`~repro.formats.coo.COOMatrix` — coordinate triples, the format in
   which partial product matrices flow through the merge tree.
@@ -12,6 +12,9 @@ The simulator works with three storage formats:
 * :class:`~repro.formats.condensed.CondensedMatrix` — the paper's condensed
   view of a CSR matrix, where condensed column *i* holds the *i*-th nonzero of
   every row (§II-B, Figure 7).
+
+Matrix Market files load through scipy:
+``from_scipy(scipy.io.mmread(path))`` gives the CSR operand.
 """
 
 from repro.formats.coo import COOMatrix
@@ -26,7 +29,6 @@ from repro.formats.convert import (
     from_scipy,
     to_scipy,
 )
-from repro.formats.matrix_market import read_matrix_market, write_matrix_market
 
 __all__ = [
     "COOMatrix",
@@ -40,6 +42,4 @@ __all__ = [
     "csc_to_csr",
     "from_scipy",
     "to_scipy",
-    "read_matrix_market",
-    "write_matrix_market",
 ]

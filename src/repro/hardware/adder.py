@@ -16,10 +16,9 @@ import numpy as np
 
 @dataclass
 class AdderStats:
-    """Activity counters of the adder slice."""
+    """Activity counter of the adder slice."""
 
     additions: int = 0
-    elements_processed: int = 0
 
 
 class AdderSlice:
@@ -51,7 +50,6 @@ class AdderSlice:
         values = np.asarray(values, dtype=np.float64)
         if len(keys) != len(values):
             raise ValueError("keys and values must have equal length")
-        self.stats.elements_processed += len(keys)
         if len(keys) == 0:
             return keys.copy(), values.copy()
         if np.any(keys[1:] < keys[:-1]):
@@ -68,15 +66,3 @@ class AdderSlice:
         # Each run of k equal keys needs k-1 additions.
         self.stats.additions += len(keys) - len(starts)
         return unique_keys, summed
-
-    def reset_stats(self) -> None:
-        """Zero the activity counters."""
-        self.stats = AdderStats()
-
-
-def add_duplicates(keys: np.ndarray, values: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Functional helper: fold duplicates and report the addition count."""
-    adder = AdderSlice()
-    folded_keys, folded_values = adder.fold(keys, values)
-    return folded_keys, folded_values, adder.stats.additions

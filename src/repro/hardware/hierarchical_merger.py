@@ -10,6 +10,10 @@ merger processes *n* elements per cycle using only
     (2·n^{2/3} − 1) · (n^{1/3})² + (n^{2/3})²  =  O(n^{4/3})
 
 comparators.  SpArch instantiates the 16-wide variant (4×4 top + 4×4 low).
+
+The boundary logic of Figures 3 and 4 is not simulated: the merger is a
+stable merge charged ⌈n / width⌉ cycles, each of which uses every
+comparator (DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -18,12 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hardware.comparator_array import (
-    ComparatorArray,
-    MergerStats,
-    boundary_tiles,
-    comparison_matrix,
-)
 from repro.utils.validation import check_positive_int
 
 
@@ -51,35 +49,11 @@ def comparator_count(total_width: int, chunk_size: int) -> int:
     return low_level + top_level
 
 
-def chunk_pairs(a_chunk_maxima: list[int], b_chunk_maxima: list[int]
-                ) -> list[tuple[int, int]]:
-    """Select the chunk pairs the low-level arrays must merge.
+@dataclass
+class MergerStats:
+    """Activity counter of one merger, summed by the merge tree."""
 
-    The top-level comparator array compares the last (largest) element of
-    every chunk.  Its boundary tiles (the same rules as Figure 3) define a
-    monotone staircase from the first chunk pair to the last; each boundary
-    tile is one ``(a_chunk, b_chunk)`` pair handed to a low-level array.  For
-    fully overlapping inputs with *c* chunks per side this yields the
-    ``2·c − 1`` pairs shown in Figure 4.
-
-    Args:
-        a_chunk_maxima: last (largest) element of each chunk of the left
-            input array.
-        b_chunk_maxima: last element of each chunk of the top input array.
-
-    Returns:
-        ``(a_chunk_index, b_chunk_index)`` pairs in diagonal-group order.
-    """
-    if not a_chunk_maxima or not b_chunk_maxima:
-        return []
-    num_a, num_b = len(a_chunk_maxima), len(b_chunk_maxima)
-    ge = comparison_matrix(list(a_chunk_maxima), list(b_chunk_maxima))
-    pairs: list[tuple[int, int]] = []
-    for i, j in sorted(boundary_tiles(ge), key=lambda tile: tile[0] + tile[1]):
-        if i + j >= num_a + num_b - 1:
-            continue  # staircase ends once both final chunks are paired
-        pairs.append((min(i, num_a - 1), min(j, num_b - 1)))
-    return pairs
+    comparator_ops: int = 0
 
 
 @dataclass
@@ -103,7 +77,6 @@ class HierarchicalMerger:
                 f"total_width {self.total_width} must be a multiple of "
                 f"chunk_size {self.chunk_size}"
             )
-        self._flat_equivalent = ComparatorArray(self.total_width)
 
     # ------------------------------------------------------------------
     @property
@@ -118,23 +91,22 @@ class HierarchicalMerger:
 
     @property
     def throughput(self) -> int:
-        """Sustained merged elements per cycle (same as a flat array)."""
+        """Sustained merged elements per cycle."""
         return self.total_width
-
-    @property
-    def comparator_savings(self) -> float:
-        """Ratio of flat-array comparators to hierarchical comparators."""
-        flat = self.total_width * self.total_width
-        return flat / self.num_comparators
 
     # ------------------------------------------------------------------
     def merge(self, a_keys: np.ndarray, a_vals: np.ndarray,
               b_keys: np.ndarray, b_vals: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
-        """Merge two sorted streams; see :meth:`ComparatorArray.merge`.
+        """Merge two sorted key/value streams into one sorted stream.
 
-        The functional result is identical to a flat array; only the
-        comparator-operation count (and therefore energy) differs.
+        Functionally this is a stable two-way merge on the keys; the
+        activity model charges ``ceil(output_length / throughput)`` cycles
+        and ``num_comparators`` comparator operations per cycle, which is
+        how the real array behaves in steady state.
+
+        Returns:
+            ``(merged_keys, merged_values)``; duplicates are preserved.
         """
         a_keys = np.asarray(a_keys, dtype=np.int64)
         b_keys = np.asarray(b_keys, dtype=np.int64)
@@ -155,20 +127,8 @@ class HierarchicalMerger:
             merged_vals = vals[order]
 
         cycles = -(-total // self.throughput) if total else 0
-        self.stats.cycles += cycles
         self.stats.comparator_ops += cycles * self.num_comparators
-        self.stats.elements_merged += total
         return merged_keys, merged_vals
-
-    def merge_cycles(self, total_elements: int) -> int:
-        """Cycles needed to stream ``total_elements`` through the merger."""
-        if total_elements < 0:
-            raise ValueError("total_elements must be non-negative")
-        return -(-total_elements // self.throughput) if total_elements else 0
-
-    def reset_stats(self) -> None:
-        """Zero the activity counters."""
-        self.stats = MergerStats()
 
     def __repr__(self) -> str:
         return (f"HierarchicalMerger(total_width={self.total_width}, "

@@ -11,12 +11,12 @@ by linearised (row, column) key) into one canonical stream.  It reports:
 
 * functional result — the merged, duplicate-folded, zero-eliminated stream;
 * activity — cycles (throughput-bound by the root merger), comparator
-  operations per layer, floating point additions, FIFO traffic.
+  operations, floating point additions and the elements entering the root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +34,6 @@ class MergeTreeStats:
     comparator_ops: int = 0
     additions: int = 0
     elements_into_root: int = 0
-    elements_out: int = 0
-    layer_elements: dict[int, int] = field(default_factory=dict)
-
-    def record_layer(self, layer: int, elements: int) -> None:
-        """Accumulate the number of elements that traversed ``layer``."""
-        self.layer_elements[layer] = self.layer_elements.get(layer, 0) + elements
 
 
 class MergeTree:
@@ -52,19 +46,14 @@ class MergeTree:
             each layer (16 in SpArch).
         chunk_size: low-level comparator array width of the hierarchical
             merger (4 in SpArch).
-        fifo_capacity: capacity of each node FIFO, used only for occupancy
-            accounting in the SRAM model.
     """
 
     def __init__(self, num_layers: int = 6, merger_width: int = 16,
-                 chunk_size: int = 4, fifo_capacity: int = 1024) -> None:
+                 chunk_size: int = 4) -> None:
         check_positive_int(num_layers, "num_layers")
         check_positive_int(merger_width, "merger_width")
-        check_positive_int(fifo_capacity, "fifo_capacity")
         self._num_layers = num_layers
         self._merger_width = merger_width
-        self._chunk_size = chunk_size
-        self._fifo_capacity = fifo_capacity
         # One shared merger per layer (Figure 5: "each layer shares one
         # merger to balance the throughput").
         self._layer_mergers = [
@@ -83,26 +72,6 @@ class MergeTree:
     def num_ways(self) -> int:
         """Maximum number of input arrays merged in a single pass."""
         return 2 ** self._num_layers
-
-    @property
-    def merger_width(self) -> int:
-        return self._merger_width
-
-    @property
-    def num_mergers(self) -> int:
-        """Physical mergers instantiated (one per layer)."""
-        return self._num_layers
-
-    @property
-    def total_comparators(self) -> int:
-        """Comparators across all layer mergers, for the area model."""
-        return sum(m.num_comparators for m in self._layer_mergers)
-
-    @property
-    def total_fifo_entries(self) -> int:
-        """Total FIFO storage (one FIFO per tree node), for the SRAM model."""
-        num_nodes = 2 ** (self._num_layers + 1) - 1
-        return num_nodes * self._fifo_capacity
 
     # ------------------------------------------------------------------
     def merge(self, streams: list[tuple[np.ndarray, np.ndarray]]
@@ -141,18 +110,14 @@ class MergeTree:
         while len(current) > 1:
             merger = self._layer_mergers[min(layer, self._num_layers - 1)]
             next_level: list[tuple[np.ndarray, np.ndarray]] = []
-            layer_traffic = 0
             for i in range(0, len(current), 2):
                 if i + 1 >= len(current):
                     next_level.append(current[i])
                     continue
                 a_keys, a_vals = current[i]
                 b_keys, b_vals = current[i + 1]
-                merged_keys, merged_vals = merger.merge(a_keys, a_vals,
-                                                        b_keys, b_vals)
-                layer_traffic += len(merged_keys)
-                next_level.append((merged_keys, merged_vals))
-            self.stats.record_layer(layer, layer_traffic)
+                next_level.append(merger.merge(a_keys, a_vals,
+                                               b_keys, b_vals))
             current = next_level
             layer += 1
 
@@ -162,7 +127,6 @@ class MergeTree:
         folded_keys, folded_vals = self._adder.fold(merged_keys, merged_vals)
         out_keys, out_vals = eliminate_zeros(folded_keys, folded_vals)
         self.stats.additions = self._adder.stats.additions
-        self.stats.elements_out += len(out_keys)
         self.stats.comparator_ops = sum(
             m.stats.comparator_ops for m in self._layer_mergers
         )
@@ -180,13 +144,6 @@ class MergeTree:
         if total_output_elements == 0:
             return 0
         return -(-total_output_elements // self._merger_width) + self._num_layers
-
-    def reset_stats(self) -> None:
-        """Zero all activity counters."""
-        self.stats = MergeTreeStats()
-        for merger in self._layer_mergers:
-            merger.reset_stats()
-        self._adder.reset_stats()
 
     def __repr__(self) -> str:
         return (f"MergeTree(num_layers={self._num_layers}, "

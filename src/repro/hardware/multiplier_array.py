@@ -8,105 +8,53 @@ column (the right matrix rows are CSR-sorted) and the products of successive
 left elements have increasing row index, so each condensed column's partial
 matrix leaves the multipliers sorted by (row, column) — ready for the merge
 tree.
+
+The array's throughput (``SpArchConfig.num_multipliers`` products per
+cycle) is charged once per multiply, in
+:meth:`repro.core.accelerator.SpArch.price`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
-from repro.utils.validation import check_positive_int
 
 
-@dataclass
-class MultiplierStats:
-    """Activity counters of the multiplier array."""
-
-    multiplications: int = 0
-    cycles: int = 0
-    left_elements: int = 0
-
-
-@dataclass
-class MultiplierArray:
-    """A bank of floating point multipliers.
+def multiply_column(left_rows: np.ndarray, left_cols: np.ndarray,
+                    left_vals: np.ndarray, matrix_b: CSRMatrix
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multiply a whole condensed column against the right matrix.
 
     Args:
-        num_multipliers: total multipliers (16 in SpArch: 2 groups of 8).
+        left_rows: row index of each condensed-column element (ascending).
+        left_cols: original column index of each element — the right
+            matrix row it selects.
+        left_vals: element values.
+        matrix_b: the right operand in CSR format.
+
+    Returns:
+        ``(rows, cols, vals)`` of the column's partial-product matrix in
+        (row, column)-sorted COO order.
     """
+    left_rows = np.asarray(left_rows, dtype=np.int64)
+    left_cols = np.asarray(left_cols, dtype=np.int64)
+    left_vals = np.asarray(left_vals, dtype=np.float64)
+    if not (len(left_rows) == len(left_cols) == len(left_vals)):
+        raise ValueError("left element arrays must have equal length")
 
-    num_multipliers: int = 16
-    stats: MultiplierStats = field(default_factory=MultiplierStats)
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.num_multipliers, "num_multipliers")
-
-    @property
-    def throughput(self) -> int:
-        """Multiplications per cycle."""
-        return self.num_multipliers
-
-    def multiply_element(self, row: int, value: float, b_cols: np.ndarray,
-                         b_vals: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Multiply one left-matrix element against one right-matrix row.
-
-        Returns:
-            ``(rows, cols, vals)`` of the produced partial products in COO
-            order (constant row, columns ascending).
-        """
-        b_cols = np.asarray(b_cols, dtype=np.int64)
-        b_vals = np.asarray(b_vals, dtype=np.float64)
-        if len(b_cols) != len(b_vals):
-            raise ValueError("b_cols and b_vals must have equal length")
-        count = len(b_cols)
-        self.stats.multiplications += count
-        self.stats.left_elements += 1
-        self.stats.cycles += -(-count // self.throughput) if count else 0
-        rows = np.full(count, row, dtype=np.int64)
-        return rows, b_cols.copy(), value * b_vals
-
-    def multiply_column(self, left_rows: np.ndarray, left_cols: np.ndarray,
-                        left_vals: np.ndarray, matrix_b: CSRMatrix
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Multiply a whole condensed column against the right matrix.
-
-        Args:
-            left_rows: row index of each condensed-column element (ascending).
-            left_cols: original column index of each element — the right
-                matrix row it selects.
-            left_vals: element values.
-            matrix_b: the right operand in CSR format.
-
-        Returns:
-            ``(rows, cols, vals)`` of the column's partial-product matrix in
-            (row, column)-sorted COO order.
-        """
-        left_rows = np.asarray(left_rows, dtype=np.int64)
-        left_cols = np.asarray(left_cols, dtype=np.int64)
-        left_vals = np.asarray(left_vals, dtype=np.float64)
-        if not (len(left_rows) == len(left_cols) == len(left_vals)):
-            raise ValueError("left element arrays must have equal length")
-
-        out_rows: list[np.ndarray] = []
-        out_cols: list[np.ndarray] = []
-        out_vals: list[np.ndarray] = []
-        for row, col, value in zip(left_rows, left_cols, left_vals):
-            b_cols, b_vals = matrix_b.row(int(col))
-            rows, cols, vals = self.multiply_element(int(row), float(value),
-                                                     b_cols, b_vals)
-            if len(rows):
-                out_rows.append(rows)
-                out_cols.append(cols)
-                out_vals.append(vals)
-        if not out_rows:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0)
-        return (np.concatenate(out_rows), np.concatenate(out_cols),
-                np.concatenate(out_vals))
-
-    def reset_stats(self) -> None:
-        """Zero the activity counters."""
-        self.stats = MultiplierStats()
+    out_rows: list[np.ndarray] = []
+    out_cols: list[np.ndarray] = []
+    out_vals: list[np.ndarray] = []
+    for row, col, value in zip(left_rows, left_cols, left_vals):
+        b_cols, b_vals = matrix_b.row(int(col))
+        if len(b_cols):
+            out_rows.append(np.full(len(b_cols), row, dtype=np.int64))
+            out_cols.append(np.asarray(b_cols, dtype=np.int64))
+            out_vals.append(float(value) * np.asarray(b_vals,
+                                                      dtype=np.float64))
+    if not out_rows:
+        empty_i = np.empty(0, dtype=np.int64)
+        return empty_i, empty_i.copy(), np.empty(0)
+    return (np.concatenate(out_rows), np.concatenate(out_cols),
+            np.concatenate(out_vals))

@@ -13,7 +13,6 @@ from repro.metrics.compare import (
     assert_reports_equal,
     format_diff,
     report_diff,
-    reports_equal,
 )
 from repro.metrics.report import KINDS, SCHEMA_VERSION, CostReport
 
@@ -22,7 +21,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "KINDS",
     "report_diff",
-    "reports_equal",
     "format_diff",
     "assert_reports_equal",
 ]

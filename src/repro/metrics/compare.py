@@ -69,12 +69,6 @@ def report_diff(left: CostReport, right: CostReport, *,
     return diffs
 
 
-def reports_equal(left: CostReport, right: CostReport, *,
-                  rel_tol: float = 0.0) -> bool:
-    """True when :func:`report_diff` finds no differences."""
-    return not report_diff(left, right, rel_tol=rel_tol)
-
-
 def format_diff(diffs: dict[str, tuple]) -> str:
     """Render a :func:`report_diff` result as one line per discrepancy."""
     if not diffs:

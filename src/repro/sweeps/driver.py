@@ -103,6 +103,25 @@ def _cell_engine(cell: SweepCell,
     return engines[cache_key]
 
 
+def _cell_record(spec: SweepSpec, cell: SweepCell, key: str,
+                 report: CostReport) -> SweepRecord:
+    """The store record of one executed cell.
+
+    :func:`run_sweep` and the fabric's
+    :class:`~repro.fabric.worker.CellExecutor` both build records here, so
+    a cell's record is byte-identical whichever of them ran it.
+    """
+    return SweepRecord(
+        sweep_id=spec.sweep_id,
+        cell_index=cell.index,
+        scenario=cell.scenario.name,
+        engine=cell.engine,
+        config_label=cell.config_label,
+        key=key,
+        report=report.to_dict(),
+    )
+
+
 def _check_store_consistency(spec: SweepSpec, corpus: CorpusSpec,
                              store: ResultStore, runner: ExperimentRunner,
                              engines: dict[tuple[str, str], Engine],
@@ -175,19 +194,15 @@ def _expected_record_key(record: "SweepRecord | CellEntry", spec: SweepSpec,
         config = spec.config_for(record.config_label)
     except KeyError:
         return None
-    engine_key = (record.engine, record.config_label)
-    if engine_key not in engines:
-        engines[engine_key] = (create_engine(record.engine, config=config)
-                               if config is not None
-                               else create_engine(record.engine))
+    engine = _cell_engine(SweepCell(record.cell_index, scenario, record.engine,
+                                    record.config_label, config), engines)
     fingerprint = fingerprints.get(record.scenario)
     if fingerprint is None:
         fingerprint = scenario_fingerprint(scenario)
         fingerprints[record.scenario] = fingerprint
     # With a precomputed operand fingerprint the matrix itself is not
     # needed by the key computation (self-product, B = A).
-    return runner.point_key(engines[engine_key], None,
-                            fingerprint_a=fingerprint)
+    return runner.point_key(engine, None, fingerprint_a=fingerprint)
 
 
 def run_sweep(spec: SweepSpec, *,
@@ -307,15 +322,7 @@ def run_sweep(spec: SweepSpec, *,
                 # with the rest of the shard.
                 failed_cells.append(cell.cell_id)
                 continue
-            store.append(SweepRecord(
-                sweep_id=spec.sweep_id,
-                cell_index=cell.index,
-                scenario=cell.scenario.name,
-                engine=cell.engine,
-                config_label=cell.config_label,
-                key=key,
-                report=report.to_dict(),
-            ))
+            store.append(_cell_record(spec, cell, key, report))
         attempted += len(batch)
         # Free operands whose last pending cell has now run; memory only
         # shrinks as the (scenario-contiguous) pending list drains.

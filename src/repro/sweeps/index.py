@@ -259,10 +259,6 @@ class SweepIndex:
     def store_path(self) -> Path:
         return self._store_path
 
-    @property
-    def db_path(self) -> Path:
-        return self._db_path
-
     # ------------------------------------------------------------------
     # Meta
     # ------------------------------------------------------------------

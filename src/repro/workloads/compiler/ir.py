@@ -621,10 +621,6 @@ class GraphSpec:
     output: str = ""
 
     # ------------------------------------------------------------------
-    def param_names(self) -> list[str]:
-        """Declared parameter names, in declaration order."""
-        return [param.name for param in self.params]
-
     def resolve_params(self, overrides: dict | None = None) -> dict:
         """Merge declared defaults with ``overrides`` and validate.
 

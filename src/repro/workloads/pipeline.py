@@ -307,11 +307,6 @@ class PipelineBuilder:
         """Stage records so far, in execution order."""
         return list(self._stages)
 
-    @property
-    def stage_names(self) -> list[str]:
-        """Names of the executed stages, in execution order."""
-        return [stage.name for stage in self._stages]
-
     def shape(self, name: str) -> tuple[int, int]:
         """Shape of a named value."""
         return self._get(name).shape

@@ -9,7 +9,10 @@ batched-engine point of a group over one dataflow.  This module pins:
   every pricing field perturbed alone and all 16 ablation combinations;
 * the field classification — a pricing field never changes the dataflow,
   and every other field changes the sharing key;
-* who shares — spies count dataflows in sweeps and runner batches;
+* the recorded access order — each leaf's B rows, leaf by leaf in plan
+  order;
+* who shares — spies count dataflows in sweeps and runner batches, and a
+  one-point group runs exactly as a lone point;
 * the sweep driver's batches — one scenario per ``run_engine_many`` call
   at ``jobs=1``, and the same store bytes at ``jobs=2``.
 """
@@ -24,11 +27,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import GustavsonSpGEMM
 from repro.core.accelerator import SpArch
+from repro.core.condensing import partial_matrix_sizes
 from repro.core.config import PRICING_FIELDS, SpArchConfig
+from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.sparch import SpArchEngine, run_shared
 from repro.experiments.designspace import fig17_grid, flatten_grid
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import (
+    ExperimentRunner,
+    _engine_group_task,
+    _engine_task,
+)
+from repro.formats.condensed import CondensedMatrix
 from repro.matrices.rmat import RMATConfig, generate_rmat
 from repro.matrices.synthetic import random_matrix
 from repro.memory.hbm import HBMConfig
@@ -161,6 +172,23 @@ def test_empty_operand_is_priced_like_a_full_run():
 # ----------------------------------------------------------------------
 # Field classification
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+def test_access_order_is_the_plan_order_leaf_by_leaf(engine):
+    """The prefetcher replays each leaf's B rows whole, leaf by leaf in
+    plan order -- not Fig. 7's interleaving of a round's condensed columns
+    row by row (DESIGN.md §11)."""
+    matrix = random_matrix(60, 60, 300, seed=12)
+    config = SpArchConfig(engine=engine, merge_tree_layers=2)
+    dataflow = SpArch(config).run_dataflow(matrix, matrix)
+    condensed = CondensedMatrix(matrix)
+    plan = SpArch(config)._build_plan(partial_matrix_sizes(condensed, matrix))
+    assert len(plan.rounds) > 1
+    expected = np.concatenate([condensed.column(leaf).original_cols
+                               for leaves in plan.leaf_rounds()
+                               for leaf in leaves])
+    np.testing.assert_array_equal(dataflow.access_order, expected)
+
+
 def test_perturbations_cover_every_config_field():
     names = {field.name for field in dataclasses.fields(SpArchConfig)}
     assert set(PERTURBED) == names
@@ -237,6 +265,24 @@ def test_cold_fig17_sweep_runs_one_dataflow_per_operand(dataflows,
     store.close()
     assert rerun.replayed == 105
     assert len(dataflows) == 5
+
+
+ALONE = {
+    "batched": lambda: SpArchEngine(BASE),
+    "scalar": lambda: SpArchEngine(BASE.replace(engine="scalar")),
+    "baseline": lambda: BaselineEngineAdapter(GustavsonSpGEMM()),
+}
+
+
+@pytest.mark.parametrize("kind", list(ALONE))
+def test_one_point_group_is_the_plain_run(dataflows, kind):
+    """A group of one reports exactly what a lone point task reports."""
+    matrix = random_matrix(40, 40, 160, seed=7)
+    engine = ALONE[kind]()
+    alone = _engine_task((engine, matrix, None))
+    calls = len(dataflows)
+    assert _engine_group_task(([engine], matrix, None)) == [alone]
+    assert len(dataflows) - calls == (0 if kind == "baseline" else 1)
 
 
 def test_scalar_points_run_one_dataflow_each(dataflows):

@@ -16,8 +16,8 @@ import repro.core.vectorized as vectorized
 from repro.core.accelerator import _LeafStreamer
 from repro.core.huffman import huffman_schedule
 from repro.core.vectorized import VectorizedLeafStreamer, VectorizedMergeTree
+from repro.formats.condensed import CondensedMatrix
 from repro.hardware.merge_tree import MergeTree
-from repro.hardware.multiplier_array import MultiplierArray
 from repro.matrices.rmat import RMATConfig, generate_rmat
 from repro.matrices.synthetic import random_matrix
 
@@ -144,12 +144,6 @@ class TestBlockedMergeTree:
         assert tree.stats.additions == 1
 
 
-def assert_same_multiplier_counters(got, want):
-    assert got.stats.multiplications == want.stats.multiplications
-    assert got.stats.left_elements == want.stats.left_elements
-    assert got.stats.cycles == want.stats.cycles
-
-
 class TestBatchedLeafStreamer:
     """The batched streamer against the scalar ``_LeafStreamer``."""
 
@@ -158,10 +152,8 @@ class TestBatchedLeafStreamer:
     def test_bound_streams_match_scalar(self, condensing, ways):
         matrix = generate_rmat(RMATConfig(num_rows=120, edge_factor=4,
                                           seed=5))
-        reference_mults, batched_mults = MultiplierArray(16), MultiplierArray(16)
-        reference = _LeafStreamer(matrix, matrix, reference_mults,
-                                  condensing=condensing)
-        batched = VectorizedLeafStreamer(matrix, matrix, batched_mults,
+        reference = _LeafStreamer(matrix, matrix, condensing=condensing)
+        batched = VectorizedLeafStreamer(matrix, matrix,
                                          condensing=condensing)
         assert batched.num_leaves == reference.num_leaves
         np.testing.assert_array_equal(batched.leaf_weights(),
@@ -176,15 +168,12 @@ class TestBatchedLeafStreamer:
                 got_keys, got_vals = batched.leaf_stream(leaf)
                 np.testing.assert_array_equal(want_keys, got_keys)
                 np.testing.assert_array_equal(want_vals, got_vals)
-        assert_same_multiplier_counters(batched_mults, reference_mults)
 
     @pytest.mark.parametrize("condensing", [True, False])
     def test_unbound_streams_match_scalar(self, condensing):
         matrix = random_matrix(60, 60, 240, seed=2)
-        reference_mults, batched_mults = MultiplierArray(16), MultiplierArray(16)
-        reference = _LeafStreamer(matrix, matrix, reference_mults,
-                                  condensing=condensing)
-        batched = VectorizedLeafStreamer(matrix, matrix, batched_mults,
+        reference = _LeafStreamer(matrix, matrix, condensing=condensing)
+        batched = VectorizedLeafStreamer(matrix, matrix,
                                          condensing=condensing)
         # No bind_plan: every leaf generates on demand, out of any order.
         for leaf in reversed(range(batched.num_leaves)):
@@ -193,12 +182,10 @@ class TestBatchedLeafStreamer:
             np.testing.assert_array_equal(want[0], got[0])
             np.testing.assert_array_equal(want[1], got[1])
             assert not batched._pending
-        assert_same_multiplier_counters(batched_mults, reference_mults)
 
     def test_pending_products_never_span_two_rounds(self):
         matrix = random_matrix(80, 80, 320, seed=4)
-        batched = VectorizedLeafStreamer(matrix, matrix, MultiplierArray(16),
-                                         condensing=False)
+        batched = VectorizedLeafStreamer(matrix, matrix, condensing=False)
         plan = huffman_schedule([float(w) for w in batched.leaf_weights()], 4)
         batched.bind_plan(plan)
         leaf_rounds = [leaves for leaves in plan.leaf_rounds() if leaves]
@@ -210,3 +197,27 @@ class TestBatchedLeafStreamer:
                 # consumed leaf is dropped.
                 assert set(batched._pending) == set(leaves[position + 1:])
             assert not batched._pending
+
+
+STREAMERS = {"scalar": _LeafStreamer, "batched": VectorizedLeafStreamer}
+
+
+@pytest.mark.parametrize("condensing", [True, False])
+@pytest.mark.parametrize("streamer", list(STREAMERS))
+def test_leaves_read_every_left_nonzero_once(streamer, condensing):
+    """Over all leaves, the access order names each nonzero's B row once."""
+    matrix = random_matrix(50, 40, 200, seed=8)
+    other = random_matrix(40, 30, 150, seed=9)
+    leaves = STREAMERS[streamer](matrix, other, condensing=condensing)
+    condensed = CondensedMatrix(matrix)
+    assert leaves.num_leaves == (condensed.num_condensed_columns if condensing
+                                 else len(np.unique(matrix.indices)))
+    order = np.concatenate([leaves.leaf_access_order(leaf)
+                            for leaf in range(leaves.num_leaves)])
+    np.testing.assert_array_equal(np.sort(order), np.sort(matrix.indices))
+    if condensing:
+        # A condensed leaf reads its column's original indices by row.
+        for leaf in range(leaves.num_leaves):
+            np.testing.assert_array_equal(
+                leaves.leaf_access_order(leaf),
+                condensed.column(leaf).original_cols)

@@ -30,6 +30,17 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown corpus"):
             get_corpus("not-a-corpus")
 
+    def test_paper_scale_corpus_is_the_experiments_rung(self):
+        """The corpus and ``load_paper_scale_suite`` share one rung."""
+        from repro.corpus import registry
+        from repro.experiments import common
+
+        assert common.PAPER_SCALE_NAMES is registry.PAPER_SCALE_NAMES
+        assert common.PAPER_SCALE_MAX_ROWS == registry.PAPER_SCALE_MAX_ROWS
+        assert get_corpus("paper-scale").scenario_names() == [
+            f"{name}@{common.PAPER_SCALE_MAX_ROWS}"
+            for name in common.PAPER_SCALE_NAMES]
+
     def test_scenario_names_unique_within_each_corpus(self):
         for spec in CORPORA:
             names = spec.scenario_names()

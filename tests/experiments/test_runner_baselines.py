@@ -10,17 +10,20 @@ from repro.baselines import (
     GustavsonSpGEMM,
     HashSpGEMM,
 )
-from repro.experiments.runner import (
-    ExperimentRunner,
-    baseline_fingerprint,
-    baseline_simulation_key,
-)
+from repro.engines.adapters import BaselineEngineAdapter
+from repro.experiments.runner import ExperimentRunner, engine_point_key
 from repro.matrices.synthetic import powerlaw_matrix, random_matrix
 
 
 @pytest.fixture()
 def matrix():
     return powerlaw_matrix(80, 4.0, seed=11)
+
+
+def _key(baseline, matrix, *, include_backend=False):
+    """The runner's cache key of one baseline ``A · A`` point."""
+    return engine_point_key(BaselineEngineAdapter(baseline), matrix, matrix,
+                            include_backend=include_backend)
 
 
 def test_run_baseline_memoises(matrix):
@@ -63,11 +66,10 @@ def test_cache_shared_across_engines_unless_forced(matrix):
     vector_summary = vector_runner.run_baseline(GustavsonSpGEMM(), matrix)
     assert scalar_summary.engine == "scalar"
     assert vector_summary.engine == "vectorized"
-    key_scalar = baseline_simulation_key(
-        GustavsonSpGEMM(engine="scalar"), matrix, matrix, include_engine=True)
-    key_vector = baseline_simulation_key(
-        GustavsonSpGEMM(engine="vectorized"), matrix, matrix,
-        include_engine=True)
+    key_scalar = _key(GustavsonSpGEMM(engine="scalar"), matrix,
+                      include_backend=True)
+    key_vector = _key(GustavsonSpGEMM(engine="vectorized"), matrix,
+                      include_backend=True)
     assert key_scalar != key_vector
     # Same model, same matrix: everything but the backend label agrees.
     assert scalar_summary.runtime_seconds == vector_summary.runtime_seconds
@@ -81,17 +83,17 @@ def test_forced_engine_overrides_baseline_construction(matrix):
 
 
 def test_fingerprint_covers_model_parameters(matrix):
-    default = baseline_fingerprint(GustavsonSpGEMM())
-    thrashing = baseline_fingerprint(GustavsonSpGEMM(cache_bytes=64.0))
+    default = _key(GustavsonSpGEMM(), matrix)
+    thrashing = _key(GustavsonSpGEMM(cache_bytes=64.0), matrix)
     assert default != thrashing
-    other_algorithm = baseline_fingerprint(ArmadilloSpGEMM())
+    other_algorithm = _key(ArmadilloSpGEMM(), matrix)
     assert default != other_algorithm
     # Engine excluded by default, included when asked.
-    assert baseline_fingerprint(GustavsonSpGEMM(engine="scalar")) == default
-    assert (baseline_fingerprint(GustavsonSpGEMM(engine="scalar"),
-                                 include_engine=True)
-            != baseline_fingerprint(GustavsonSpGEMM(engine="vectorized"),
-                                    include_engine=True))
+    assert _key(GustavsonSpGEMM(engine="scalar"), matrix) == default
+    assert (_key(GustavsonSpGEMM(engine="scalar"), matrix,
+                 include_backend=True)
+            != _key(GustavsonSpGEMM(engine="vectorized"), matrix,
+                    include_backend=True))
 
 
 def test_run_baseline_many_preserves_order_and_dedupes():

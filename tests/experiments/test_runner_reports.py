@@ -7,15 +7,11 @@ import json
 import pytest
 
 from repro.experiments import runner as runner_module
-from repro.experiments.runner import (
-    ExperimentRunner,
-    baseline_fingerprint,
-    baseline_simulation_key,
-    config_fingerprint,
-    simulation_key,
-)
+from repro.experiments.runner import ExperimentRunner, engine_point_key
 from repro.baselines import GustavsonSpGEMM
 from repro.core.config import SpArchConfig
+from repro.engines.adapters import BaselineEngineAdapter
+from repro.engines.sparch import SpArchEngine
 from repro.matrices.synthetic import powerlaw_matrix
 from repro.metrics.report import SCHEMA_VERSION, CostReport
 
@@ -32,22 +28,18 @@ class TestSchemaVersionedFingerprint:
 
     def test_keys_rotate_when_the_schema_version_bumps(self, matrix,
                                                        monkeypatch):
-        config = SpArchConfig()
-        baseline = GustavsonSpGEMM()
-        keys_now = (
-            config_fingerprint(config),
-            simulation_key(matrix, matrix, config),
-            baseline_fingerprint(baseline),
-            baseline_simulation_key(baseline, matrix, matrix),
-        )
+        def keys():
+            # Fresh engines each time: an engine memoises its identity.
+            return [engine_point_key(engine, matrix, matrix,
+                                     include_backend=forced)
+                    for engine in (SpArchEngine(SpArchConfig()),
+                                   BaselineEngineAdapter(GustavsonSpGEMM()))
+                    for forced in (False, True)]
+
+        keys_now = keys()
         monkeypatch.setattr(runner_module, "SCHEMA_VERSION",
                             SCHEMA_VERSION + 1)
-        keys_bumped = (
-            config_fingerprint(config),
-            simulation_key(matrix, matrix, config),
-            baseline_fingerprint(baseline),
-            baseline_simulation_key(baseline, matrix, matrix),
-        )
+        keys_bumped = keys()
         for now, bumped in zip(keys_now, keys_bumped):
             assert now != bumped
 
@@ -151,7 +143,7 @@ class TestSelfProductCacheIdentity:
         for runner in (ExperimentRunner(), ExperimentRunner(engine="scalar")):
             key = runner.point_key("mkl", matrix)
             runner.run_engine("mkl", matrix)
-            assert key in runner._memory_cache
+            assert runner.store.load(key, "baseline") is not None
         unforced = ExperimentRunner().point_key("mkl", matrix)
         forced = ExperimentRunner(engine="scalar").point_key("mkl", matrix)
         assert unforced != forced  # forced backends re-key, as documented
@@ -170,11 +162,11 @@ class TestUnifiedReportMemo:
         assert (reader.cache_hits, reader.cache_misses) == (1, 0)
         assert replayed == fresh
 
-    def test_run_engine_many_accepts_precomputed_keys(self, matrix,
+    def test_run_engine_many_accepts_precomputed_keys(self, matrix, tmp_path,
                                                       monkeypatch):
         """Grid callers pass point_key results through run_engine_many to
         skip re-hashing each operand's CSR arrays per task."""
-        runner = ExperimentRunner()
+        runner = ExperimentRunner(cache_dir=tmp_path)
         reference = runner.run_engine_many([("sparch", matrix),
                                             ("mkl", matrix)])
         keys = [runner.point_key("sparch", matrix),
@@ -183,8 +175,7 @@ class TestUnifiedReportMemo:
         monkeypatch.setattr(
             runner_module, "matrix_fingerprint",
             lambda m: calls.append(1) or "unused")
-        fresh = ExperimentRunner()
-        fresh._memory_cache = runner._memory_cache  # share the warm memo
+        fresh = ExperimentRunner(cache_dir=tmp_path)  # the warm memo
         assert fresh.run_engine_many([("sparch", matrix), ("mkl", matrix)],
                                      keys=keys) == reference
         assert not calls  # no operand was re-hashed

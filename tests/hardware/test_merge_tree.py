@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.vectorized import VectorizedMergeTree
-from repro.hardware.merge_tree import MergeTree
+from repro.hardware.merge_tree import MergeTree, MergeTreeStats
 
 
 def _sorted_stream(rng, length: int, key_range: int = 1000):
@@ -88,9 +88,6 @@ def test_structural_properties():
     tree = MergeTree(num_layers=6, merger_width=16, chunk_size=4)
     assert tree.num_ways == 64
     assert tree.num_layers == 6
-    assert tree.num_mergers == 6
-    assert tree.total_comparators == 6 * ((2 * 4 - 1) * 16 + 16)
-    assert tree.total_fifo_entries == (2 ** 7 - 1) * 1024
 
 
 @pytest.mark.parametrize("tree_type", [MergeTree, VectorizedMergeTree],
@@ -108,15 +105,6 @@ def test_cycle_accounting_is_root_bound(rng, tree_type):
     assert tree.merge_cycles(0) == 0
     with pytest.raises(ValueError):
         tree.merge_cycles(-1)
-
-
-def test_reset_stats(rng):
-    tree = MergeTree(num_layers=2, merger_width=4)
-    tree.merge([_sorted_stream(rng, 8), _sorted_stream(rng, 8)])
-    assert tree.stats.elements_into_root > 0
-    tree.reset_stats()
-    assert tree.stats.elements_into_root == 0
-    assert tree.stats.cycles == 0
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +142,7 @@ def test_output_is_the_sorted_interleaving(rng, make_tree):
     order = np.argsort(all_keys)
     np.testing.assert_array_equal(keys, all_keys[order])
     np.testing.assert_array_equal(vals, all_vals[order])
-    assert tree.stats.elements_out == 300
+    assert len(keys) == 300
     assert tree.stats.additions == 0
 
 
@@ -166,7 +154,6 @@ def test_duplicates_are_folded_into_one_element(make_tree):
     np.testing.assert_array_equal(vals, [6.0])
     assert tree.stats.additions == 2
     assert tree.stats.elements_into_root == 3
-    assert tree.stats.elements_out == 1
 
 
 def test_empty_stream_list_costs_nothing(make_tree):
@@ -175,7 +162,6 @@ def test_empty_stream_list_costs_nothing(make_tree):
     assert len(keys) == 0 and len(vals) == 0
     assert tree.stats.cycles == 0
     assert tree.stats.elements_into_root == 0
-    assert tree.stats.elements_out == 0
 
 
 def test_fewer_streams_than_ways_including_empty_ones(make_tree):
@@ -219,22 +205,52 @@ def test_top_layer_carries_every_element_to_the_root(rng, make_tree):
     lengths = [10, 0, 7, 25, 4]
     streams = [_sorted_stream(rng, length) for length in lengths]
     tree.merge(streams)
-    layers = tree.stats.layer_elements
-    assert layers == {0: 42, 1: 42, 2: 46}
-    assert layers[2] == tree.stats.elements_into_root == sum(lengths)
+    assert tree.stats.elements_into_root == sum(lengths)
 
 
-def test_fifo_capacity_sizes_storage_not_results(rng, make_tree):
+def test_merger_width_sizes_cycles_not_results(rng, make_tree):
     streams = [_sorted_stream(rng, 30) for _ in range(4)]
-    roomy = make_tree(num_layers=2, merger_width=4, fifo_capacity=1024)
-    cramped = make_tree(num_layers=2, merger_width=4, fifo_capacity=4)
-    roomy_keys, roomy_vals = roomy.merge(streams)
-    cramped_keys, cramped_vals = cramped.merge(streams)
-    np.testing.assert_array_equal(cramped_keys, roomy_keys)
-    np.testing.assert_array_equal(cramped_vals, roomy_vals)
-    assert cramped.stats == roomy.stats
-    assert cramped.total_fifo_entries == 7 * 4
-    assert roomy.total_fifo_entries == 7 * 1024
+    wide = make_tree(num_layers=2, merger_width=16)
+    narrow = make_tree(num_layers=2, merger_width=4, chunk_size=2)
+    wide_keys, wide_vals = wide.merge(streams)
+    narrow_keys, narrow_vals = narrow.merge(streams)
+    np.testing.assert_array_equal(narrow_keys, wide_keys)
+    np.testing.assert_array_equal(narrow_vals, wide_vals)
+    assert narrow.stats.additions == wide.stats.additions
+    assert narrow.stats.elements_into_root == wide.stats.elements_into_root
+    assert wide.stats.cycles == -(-120 // 16) + 2
+    assert narrow.stats.cycles == -(-120 // 4) + 2
+
+
+def test_counters_add_up_over_merges(rng, make_tree):
+    """One tree merging twice counts what two fresh trees count."""
+    first = [_sorted_stream(rng, 40, key_range=60) for _ in range(3)]
+    second = [_sorted_stream(rng, 25, key_range=30) for _ in range(4)]
+    both = make_tree(num_layers=2, merger_width=4)
+    assert both.stats == MergeTreeStats()
+    both.merge(first)
+    both.merge(second)
+    alone = []
+    for streams in (first, second):
+        tree = make_tree(num_layers=2, merger_width=4)
+        tree.merge(streams)
+        alone.append(tree.stats)
+    assert alone[0].additions > 0 and alone[1].additions > 0
+    for counter in ("cycles", "comparator_ops", "additions",
+                    "elements_into_root"):
+        assert getattr(both.stats, counter) == (getattr(alone[0], counter)
+                                                + getattr(alone[1], counter))
+
+
+@pytest.mark.parametrize("tree_type", [MergeTree, VectorizedMergeTree],
+                         ids=lambda tree_type: tree_type.__name__)
+def test_invalid_geometry_rejected(tree_type):
+    with pytest.raises(ValueError):
+        tree_type(num_layers=0, merger_width=4)
+    with pytest.raises(ValueError):
+        tree_type(num_layers=2, merger_width=0)
+    with pytest.raises(ValueError):
+        tree_type(num_layers=2, merger_width=10, chunk_size=4)
 
 
 def test_cycles_accumulate_one_charge_per_merge(rng, make_tree):

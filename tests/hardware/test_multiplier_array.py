@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.accelerator import SpArch
+from repro.core.config import SpArchConfig
 from repro.formats.csr import CSRMatrix
-from repro.hardware.multiplier_array import MultiplierArray
+from repro.hardware.multiplier_array import multiply_column
+from repro.matrices.synthetic import random_matrix
 
 
 def _matrix_b() -> CSRMatrix:
@@ -18,31 +21,24 @@ def _matrix_b() -> CSRMatrix:
     return CSRMatrix.from_dense(dense)
 
 
-def test_multiply_element_produces_scaled_row():
-    multipliers = MultiplierArray(num_multipliers=4)
-    b = _matrix_b()
-    b_cols, b_vals = b.row(0)
-    rows, cols, vals = multipliers.multiply_element(7, 0.5, b_cols, b_vals)
+def test_one_element_produces_scaled_row():
+    rows, cols, vals = multiply_column(np.array([7]), np.array([0]),
+                                       np.array([0.5]), _matrix_b())
     np.testing.assert_array_equal(rows, [7, 7])
     np.testing.assert_array_equal(cols, [1, 3])
     np.testing.assert_allclose(vals, [1.0, 2.0])
-    assert multipliers.stats.multiplications == 2
-    assert multipliers.stats.left_elements == 1
-    assert multipliers.stats.cycles == 1
 
 
 def test_multiply_column_is_sorted_by_row_then_column():
-    multipliers = MultiplierArray()
     b = _matrix_b()
     # Condensed column: rows ascending, each selecting a B row.
     left_rows = np.array([0, 2, 5])
     left_cols = np.array([0, 2, 0])
     left_vals = np.array([1.0, 2.0, -1.0])
-    rows, cols, vals = multipliers.multiply_column(left_rows, left_cols,
-                                                   left_vals, b)
+    rows, cols, vals = multiply_column(left_rows, left_cols, left_vals, b)
     keys = rows * b.num_cols + cols
     assert np.all(np.diff(keys) > 0)
-    assert multipliers.stats.multiplications == len(vals) == 5
+    assert len(vals) == 5
     # Check one product exactly: row 2 element times B[2, :].
     mask = rows == 2
     np.testing.assert_array_equal(cols[mask], [2])
@@ -51,14 +47,12 @@ def test_multiply_column_is_sorted_by_row_then_column():
 
 def test_multiply_column_against_dense_reference(rng):
     b = CSRMatrix.from_dense((rng.random((6, 5)) > 0.5) * rng.random((6, 5)))
-    multipliers = MultiplierArray()
     left_rows = np.array([1, 3, 4])
     left_cols = np.array([2, 0, 5])
     left_vals = np.array([2.0, -1.0, 0.5])
     # Column 5 of B does not exist (only 6 rows) — use a valid index instead.
     left_cols[2] = 5
-    rows, cols, vals = multipliers.multiply_column(left_rows, left_cols,
-                                                   left_vals, b)
+    rows, cols, vals = multiply_column(left_rows, left_cols, left_vals, b)
     dense = np.zeros((6, 5))
     for r, c, v in zip(left_rows, left_cols, left_vals):
         dense[r, :] += v * b.to_dense()[c, :]
@@ -68,36 +62,40 @@ def test_multiply_column_against_dense_reference(rng):
 
 
 def test_empty_column_and_empty_rows():
-    multipliers = MultiplierArray()
     b = _matrix_b()
-    rows, cols, vals = multipliers.multiply_column(np.empty(0, np.int64),
-                                                   np.empty(0, np.int64),
-                                                   np.empty(0), b)
+    rows, cols, vals = multiply_column(np.empty(0, np.int64),
+                                       np.empty(0, np.int64),
+                                       np.empty(0), b)
     assert len(rows) == len(cols) == len(vals) == 0
     # An element selecting an empty B row produces nothing.
     empty_b = CSRMatrix.empty((3, 4))
-    rows, cols, vals = multipliers.multiply_column(np.array([0]), np.array([1]),
-                                                   np.array([2.0]), empty_b)
+    rows, cols, vals = multiply_column(np.array([0]), np.array([1]),
+                                       np.array([2.0]), empty_b)
     assert len(vals) == 0
 
 
-def test_throughput_and_cycle_model():
-    multipliers = MultiplierArray(num_multipliers=8)
-    assert multipliers.throughput == 8
-    b_cols = np.arange(20, dtype=np.int64)
-    b_vals = np.ones(20)
-    multipliers.multiply_element(0, 1.0, b_cols, b_vals)
-    assert multipliers.stats.cycles == 3  # ceil(20 / 8)
-
-
 def test_validation():
-    multipliers = MultiplierArray()
     with pytest.raises(ValueError):
-        multipliers.multiply_element(0, 1.0, np.array([1, 2]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        multipliers.multiply_column(np.array([1]), np.array([1, 2]),
-                                    np.array([1.0]), _matrix_b())
-    with pytest.raises(ValueError):
-        MultiplierArray(num_multipliers=0)
-    multipliers.reset_stats()
-    assert multipliers.stats.multiplications == 0
+        multiply_column(np.array([1]), np.array([1, 2]), np.array([1.0]),
+                        _matrix_b())
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+@pytest.mark.parametrize("num_multipliers", [1, 3, 64])
+def test_array_retires_num_multipliers_products_per_cycle(engine,
+                                                          num_multipliers):
+    """The multiply charge is ⌈products / num_multipliers⌉ cycles (Table I:
+    16 multipliers); nothing else in the compute cycles depends on it."""
+    matrix = random_matrix(40, 40, 160, seed=3)
+    table_one = SpArch(SpArchConfig(engine=engine)).multiply(matrix, matrix)
+    priced = SpArch(SpArchConfig(engine=engine,
+                                 num_multipliers=num_multipliers)
+                    ).multiply(matrix, matrix)
+    products = table_one.stats.multiplications
+    assert products > 0
+    assert priced.stats.multiplications == products
+    assert (priced.stats.compute_cycles - table_one.stats.compute_cycles
+            == -(-products // num_multipliers) - -(-products // 16))
+    np.testing.assert_array_equal(priced.matrix.indices,
+                                  table_one.matrix.indices)
+    np.testing.assert_array_equal(priced.matrix.data, table_one.matrix.data)
