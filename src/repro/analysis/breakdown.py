@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.outerspace import OuterSpaceAccelerator
-from repro.core.accelerator import SpArch
 from repro.core.config import SpArchConfig
-from repro.core.stats import SimulationStats
 from repro.engines.adapters import BaselineEngineAdapter
+from repro.engines.sparch import SpArchEngine
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import CostReport
 from repro.utils.maths import geometric_mean
@@ -67,7 +66,7 @@ BREAKDOWN_STEPS: tuple[tuple[str, dict[str, bool]], ...] = (
 
 def cumulative_breakdown(matrices: dict[str, CSRMatrix], *,
                          base_config: SpArchConfig | None = None,
-                         simulate=None) -> list[BreakdownStep]:
+                         runner=None) -> list[BreakdownStep]:
     """Replay the Figure 16 feature walk over ``matrices`` (each squared).
 
     Args:
@@ -75,9 +74,9 @@ def cumulative_breakdown(matrices: dict[str, CSRMatrix], *,
             the paper's evaluation.
         base_config: configuration whose non-ablation parameters (merger
             width, buffer sizes, ...) are used for every step.
-        simulate: optional ``(matrix, config) -> SimulationStats`` callable;
-            defaults to a fresh (uncached) SpArch run per point.  The
-            experiment harness passes a memoising runner here.
+        runner: :class:`~repro.experiments.runner.ExperimentRunner` that
+            runs and memoises every point, the OuterSPACE baseline
+            included; defaults to a fresh one.
 
     Returns:
         One :class:`BreakdownStep` for the OuterSPACE baseline followed by
@@ -86,33 +85,31 @@ def cumulative_breakdown(matrices: dict[str, CSRMatrix], *,
     if not matrices:
         raise ValueError("cumulative_breakdown() requires at least one matrix")
     base_config = base_config or SpArchConfig()
-    if simulate is None:
-        def simulate(matrix: CSRMatrix, config: SpArchConfig) -> SimulationStats:
-            return SpArch(config).multiply(matrix, matrix).stats
-
-    steps: list[BreakdownStep] = []
+    if runner is None:
+        # Imported here: the experiments package imports this module.
+        from repro.experiments.runner import ExperimentRunner
+        runner = ExperimentRunner()
 
     # Every step — the OuterSPACE baseline included — reduces to a list of
     # canonical CostReports; the bar heights are one derived-metric view.
-    outerspace = BaselineEngineAdapter(OuterSpaceAccelerator())
-    outerspace_reports = [outerspace.run(matrix).report
-                          for matrix in matrices.values()]
-    steps.append(_step_from_reports("OuterSPACE baseline", outerspace_reports,
-                                    previous_gflops=None,
-                                    baseline_gflops=None))
-    baseline_gflops = steps[0].gflops
+    # All steps go to the runner as one batch, so the steps that differ
+    # only in pricing fields share one dataflow per matrix.
+    engines = [BaselineEngineAdapter(OuterSpaceAccelerator())] + [
+        SpArchEngine(base_config.with_features(**features))
+        for _, features in BREAKDOWN_STEPS]
+    operands = list(matrices.values())
+    width = len(operands)
+    reports = runner.run_engine_many([(engine, matrix) for engine in engines
+                                      for matrix in operands])
 
-    previous_gflops = baseline_gflops
-    for name, features in BREAKDOWN_STEPS:
-        config = base_config.with_features(**features)
-        reports = [CostReport.from_stats(simulate(matrix, config),
-                                         config=config)
-                   for matrix in matrices.values()]
-        step = _step_from_reports(name, reports,
-                                  previous_gflops=previous_gflops,
-                                  baseline_gflops=baseline_gflops)
-        steps.append(step)
-        previous_gflops = step.gflops
+    baseline = _step_from_reports("OuterSPACE baseline", reports[:width],
+                                  previous_gflops=None, baseline_gflops=None)
+    steps = [baseline]
+    for index, (name, _) in enumerate(BREAKDOWN_STEPS, start=1):
+        steps.append(_step_from_reports(
+            name, reports[index * width:(index + 1) * width],
+            previous_gflops=steps[-1].gflops,
+            baseline_gflops=baseline.gflops))
     return steps
 
 

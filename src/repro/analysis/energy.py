@@ -223,20 +223,3 @@ class EnergyModel:
             "SRAM": 0.0,
             "DRAM": events["DRAM"],
         }
-
-    def table3_breakdown(self, stats: SimulationStats,
-                         config: SpArchConfig | None = None) -> dict[str, float]:
-        """Energy per FLOP split into the Table III categories (nJ/FLOP)."""
-        breakdown = self.breakdown(stats, config)
-        flops = max(1, stats.flops)
-        computation = (breakdown.multiplier_array
-                       + breakdown.merge_tree) / flops
-        sram = (breakdown.column_fetcher + breakdown.row_prefetcher
-                + breakdown.partial_matrix_writer) / flops
-        dram = breakdown.hbm / flops
-        return {
-            "Computation": computation * 1e9,
-            "SRAM": sram * 1e9,
-            "DRAM": dram * 1e9,
-            "Overall": (computation + sram + dram) * 1e9,
-        }

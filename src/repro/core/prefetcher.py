@@ -24,13 +24,18 @@ Replacement policy, as in the paper:
   the resident remainder still produces hits later (Figure 9, step 7→8).
 
 The simulation runs at *segment* (buffer line) granularity and reports the
-DRAM bytes read for matrix B, the hit rate, and the eviction count.  Three
-paths give identical statistics and final buffer state:
+DRAM bytes read for matrix B, the hit rate, and the eviction count.  It is
+one-shot: every :meth:`RowPrefetcher.simulate` call starts from an empty
+buffer and leaves nothing behind, so its statistics are a function of the
+right operand's row lengths, the buffer geometry, the look-ahead window and
+the access sequence alone.  When every accessed row fits at once nothing is
+ever evicted, and the statistics follow from first touches.  Otherwise three
+paths give identical statistics:
 
 * the per-access reference loop, which every input can take and the scalar
   engine always takes;
-* an event-driven replay (:meth:`RowPrefetcher._simulate_events`) for a
-  cold buffer whose accessed rows each fit in it;
+* an event-driven replay (:meth:`RowPrefetcher._simulate_events`) for when
+  every accessed row fits in the buffer on its own;
 * inside that replay, a closed form
   (:meth:`RowPrefetcher._settle_one_line_rows`) for when every accessed row
   needs at most one line: it guesses which accesses hit, checks the guess
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
-from repro.memory.buffer import RowBuffer
+from repro.utils.validation import check_positive_int
 
 #: Next-use value meaning "not referenced within the look-ahead window".
 UNKNOWN_NEXT_USE = float("inf")
@@ -93,26 +98,28 @@ class RowPrefetcher:
         lookahead_window: look-ahead FIFO depth in elements (8192 in Table I).
         reference: run the per-access reference loop on every input, as the
             scalar engine does, instead of the event-driven replay; both
-            produce identical statistics and buffer state.
+            produce identical statistics.
+
+    Raises:
+        TypeError, ValueError: ``num_lines``, ``line_elements`` or
+            ``element_bytes`` is not a positive integer.
     """
 
     def __init__(self, matrix_b: CSRMatrix, *, num_lines: int = 1024,
                  line_elements: int = 48, element_bytes: int = 12,
                  lookahead_window: int = 8192, reference: bool = False) -> None:
-        self._matrix_b = matrix_b
-        self._buffer = RowBuffer(num_lines, line_elements, element_bytes)
+        self._num_lines = check_positive_int(num_lines, "num_lines")
+        self._line_elements = check_positive_int(line_elements,
+                                                 "line_elements")
+        self._element_bytes = check_positive_int(element_bytes,
+                                                 "element_bytes")
         self._lookahead_window = lookahead_window
         self._reference = reference
         self._row_nnz = matrix_b.nnz_per_row()
 
-    @property
-    def buffer(self) -> RowBuffer:
-        """The underlying row buffer (for occupancy/area accounting)."""
-        return self._buffer
-
     # ------------------------------------------------------------------
     def simulate(self, access_sequence: np.ndarray) -> PrefetchStats:
-        """Run the access sequence through the buffer and collect statistics.
+        """Run the access sequence through an empty buffer.
 
         Args:
             access_sequence: right-matrix row index required by each
@@ -122,7 +129,9 @@ class RowPrefetcher:
             :class:`PrefetchStats` with hit rates and DRAM byte counts.
 
         Raises:
-            ValueError: an access names a row outside the right operand.
+            ValueError: an access names a row outside the right operand, or
+                a path leaves a resident line count that does not fit the
+                buffer or disagrees with its fetches and spills.
         """
         access_sequence = np.asarray(access_sequence, dtype=np.int64)
         stats = PrefetchStats()
@@ -136,40 +145,42 @@ class RowPrefetcher:
                 f"access {bad} names row {int(access_sequence[bad])}, "
                 f"outside the right operand's {num_rows} rows")
 
-        # Per-row geometry, precomputed once: segment count, size of the
-        # (possibly short) last segment, and total bytes.  The per-access
-        # loop then runs in O(resident + missing) instead of re-deriving
-        # them per segment.
-        full = self._buffer.line_elements
-        element_bytes = self._buffer.element_bytes
+        # Per-row segment count, precomputed once.
+        full = self._line_elements
+        element_bytes = self._element_bytes
         row_nnz = self._row_nnz
         num_segments_arr = (-(-row_nnz // full)).astype(np.int64)
+
+        # Fast path: when every accessed row fits simultaneously, the
+        # near-Bélády policy never evicts, so the whole simulation collapses
+        # to "first touch misses, repeats hit, every distinct row stays" —
+        # exactly computable with one first-occurrence mask and no
+        # replacement heap.  When only each row fits on its own, the
+        # event-driven replay runs instead of the loop below (unless the
+        # reference is requested).
+        distinct_segments = num_segments_arr[
+            np.flatnonzero(np.bincount(access_sequence))]
+        distinct_lines = int(distinct_segments.sum())
+        if distinct_lines <= self._num_lines:
+            first_touch = np.zeros(len(access_sequence), dtype=bool)
+            first_touch[np.unique(access_sequence, return_index=True)[1]] = True
+            return self._record_replay(
+                access_sequence, num_segments_arr[access_sequence],
+                first_touch, 0, distinct_lines, stats)
+        if (not self._reference
+                and int(distinct_segments.max()) <= self._num_lines):
+            return self._simulate_events(access_sequence, num_segments_arr,
+                                         stats)
+
+        # Size of each row's (possibly short) last segment, so the loop
+        # derives a partial hit's element count in closed form.
         last_elements_arr = row_nnz - (np.maximum(num_segments_arr, 1) - 1) * full
-
-        # Fast path: when the buffer starts empty and every accessed row fits
-        # simultaneously, the near-Bélády policy never evicts, so the whole
-        # simulation collapses to "first touch misses, repeats hit" — exactly
-        # computable with one first-occurrence mask and no replacement heap.
-        # When only each row fits on its own, the event-driven replay runs
-        # instead of the loop below (unless the reference is requested).
-        if self._buffer.lines_used == 0:
-            distinct_rows = np.flatnonzero(np.bincount(access_sequence))
-            distinct_segments = num_segments_arr[distinct_rows]
-            if int(distinct_segments.sum()) <= self._buffer.num_lines:
-                return self._simulate_unbounded(access_sequence, distinct_rows,
-                                                num_segments_arr, stats)
-            if (not self._reference
-                    and int(distinct_segments.max()) <= self._buffer.num_lines):
-                return self._simulate_events(access_sequence, num_segments_arr,
-                                             stats)
-
-        initially_resident = sorted(self._buffer.resident_rows)
 
         # Next occurrence of the same row after each position, vectorized: a
         # stable argsort groups positions by row in ascending order, so a
         # position's successor within its group is its next use.  This
-        # covers the per-access priority refresh; the irregular queries
-        # (victim refresh, warm start) binary-search the same grouping via
+        # covers the per-access priority refresh; the irregular query
+        # (victim refresh) binary-searches the same grouping via
         # ``next_use`` below instead of building eager per-row distance
         # lists, whose O(n) construction dominated short simulations.
         n = len(access_sequence)
@@ -253,7 +264,10 @@ class RowPrefetcher:
                 heappush(heap,
                          ((max_priority - int(use)) << stamp_shift) | stamp)
 
-        resident_get_view = self._buffer.resident_segments_view
+        # Resident segments of each buffered row; a row leaves the mapping
+        # when its last segment spills.
+        resident_map: dict[int, set[int]] = {}
+        resident_get = resident_map.get
 
         def pop_victim(exclude_row: int) -> int:
             # Unknown-class candidates (oldest first) always outrank the
@@ -261,7 +275,7 @@ class RowPrefetcher:
             while unknown_fifo:
                 stamp, row = unknown_fifo[0]
                 if (latest_stamp.get(row) != stamp
-                        or not resident_get_view(row)):
+                        or not resident_get(row)):
                     unknown_fifo.popleft()
                     continue
                 if row == exclude_row:
@@ -273,7 +287,7 @@ class RowPrefetcher:
                 stamp = heap[0] & stamp_mask
                 row = stamp_rows[stamp]
                 if (latest_stamp.get(row) != stamp
-                        or not resident_get_view(row)):
+                        or not resident_get(row)):
                     heappop(heap)
                     continue
                 if row == exclude_row:
@@ -285,26 +299,18 @@ class RowPrefetcher:
                 return row
             # Degenerate case: the row being fetched is longer than the whole
             # buffer, so its own earlier segments are the only candidates.
-            if resident_get_view(exclude_row):
+            if resident_get(exclude_row):
                 return exclude_row
             raise RuntimeError("no eviction candidate available")
-
-        # Rows left resident by an earlier simulate() call (warm start) must
-        # be eviction candidates too, or they could never be replaced.
-        for row in initially_resident:
-            push_candidate(row, -1)
 
         # Local bindings and plain-int lists: the loop below runs once per
         # access, so attribute lookups and numpy scalar boxing dominate it
         # unless hoisted out.
-        buffer = self._buffer
-        resident_map = buffer.resident_map
-        resident_get = resident_map.get
         nseg_list = num_segments_arr.tolist()
         nnz_list = row_nnz.tolist()
         last_elements_list = last_elements_arr.tolist()
         next_occ_list = next_occurrence.tolist()
-        lines_free = buffer.lines_free
+        lines_free = self._num_lines
         stamp_rows_append = stamp_rows.append
         unknown_append = unknown_fifo.append
         element_hits = element_misses = segment_hits = segment_misses = 0
@@ -338,9 +344,6 @@ class RowPrefetcher:
                 num_missing = len(missing)
                 miss_bytes = (row_elements - hit_elements) * element_bytes
 
-                # Insert/evict straight on the residency mapping; the
-                # buffer's counters are reconciled once after the loop via
-                # apply_policy_effects().
                 push_later: list[int] = []
                 for segment in missing:
                     # Make room line by line, spilling the furthest-next-use
@@ -389,10 +392,9 @@ class RowPrefetcher:
         stats.segment_misses = segment_misses
         stats.dram_bytes_read = dram_bytes_read
         stats.bytes_without_buffer = bytes_without_buffer
-        buffer.record_hit(segment_hits)
-        buffer.record_miss(segment_misses)
-        buffer.apply_policy_effects(inserted_lines=inserted_lines,
-                                    evicted_lines=stats.evicted_lines)
+        self._check_resident_lines(sum(map(len, resident_map.values())),
+                                   fetched=inserted_lines,
+                                   spilled=stats.evicted_lines)
         return stats
 
     def _simulate_events(self, access_sequence: np.ndarray,
@@ -400,10 +402,9 @@ class RowPrefetcher:
                          stats: PrefetchStats) -> PrefetchStats:
         """Event-driven replay of the replacement loop in :meth:`simulate`.
 
-        Produces exactly the loop's :class:`PrefetchStats` and final buffer
-        state, provided the buffer starts empty and every accessed row fits
-        in it.  Then three properties of the policy let the per-access
-        bookkeeping shrink to a few list lookups:
+        Produces exactly the loop's :class:`PrefetchStats`, provided every
+        accessed row fits in the buffer.  Then three properties of the
+        policy let the per-access bookkeeping shrink to a few list lookups:
 
         * A row's resident segments are always a prefix: they are fetched in
           ascending order and spilled highest first, and a row never spills
@@ -422,13 +423,13 @@ class RowPrefetcher:
         Each row thus has at most one live candidate, which is consumed when
         the row spills, so no stamps or deferred pushes are needed.  The loop
         records which accesses miss and how many of their lines were still
-        resident; the hit, miss and byte counters follow with numpy.
+        resident; the hit, miss and byte counters follow with numpy, and the
+        eviction count from the lines left resident.
 
         When every accessed row needs at most one line, the closed form
         :meth:`_settle_one_line_rows` is tried first, and the loop runs only
         when it declines.
         """
-        buffer = self._buffer
         window = self._lookahead_window
         n = len(access_sequence)
         positions = np.arange(n)
@@ -469,7 +470,7 @@ class RowPrefetcher:
         heappop = heapq.heappop
         respilled: deque[tuple[int, int, int]] = deque()
         unknown_head = known_head = 0
-        lines_free = buffer.num_lines
+        lines_free = self._num_lines
         partial_hit_lines = 0
 
         for now, row in enumerate(rows):
@@ -542,8 +543,7 @@ class RowPrefetcher:
         return self._record_replay(
             access_sequence, access_segments,
             np.frombuffer(missed, dtype=bool), partial_hit_lines,
-            {row: resident[row] for row in np.flatnonzero(resident).tolist()},
-            stats)
+            sum(resident), stats)
 
     def _settle_one_line_rows(self, access_sequence: np.ndarray,
                               access_segments: np.ndarray,
@@ -553,9 +553,9 @@ class RowPrefetcher:
                               stats: PrefetchStats) -> PrefetchStats | None:
         """Closed form of :meth:`_simulate_events` for one-line rows.
 
-        Applies when the buffer starts empty and every accessed row needs at
-        most one line.  It guesses that an access hits exactly when its
-        row's previous touch saw it inside the window, i.e. the hits are
+        Applies when every accessed row needs at most one line.  It guesses
+        that an access hits exactly when its row's previous touch saw it
+        inside the window, i.e. the hits are
         ``next_occurrence[known_pushes]``.  The other buffered accesses
         ``m_1 < m_2 < ...`` miss; with ``C`` lines and ``M`` misses, spill
         ``k`` of ``E = max(0, M - C)`` falls at ``m_{C+k}``.  The guess
@@ -568,13 +568,13 @@ class RowPrefetcher:
         2. no ``u_i`` with ``i > E`` is touched again, so no row whose
            reuse the window missed survives to that reuse.
 
-        Then every statistic and the final buffer follow from counts: the
-        rows of ``u_i`` with ``i > E`` stay resident.  Otherwise it returns
-        ``None`` and leaves the buffer untouched, and the replay runs.
-        DESIGN.md §6 gives the proof.
+        Then every statistic follows from counts: the ``M - E`` rows of
+        ``u_i`` with ``i > E`` stay resident, one line each.  Otherwise it
+        returns ``None`` and the replay's loop runs.  DESIGN.md §6 gives the
+        proof.
         """
         n = len(access_sequence)
-        spills = max(0, len(unknown_pushes) - self._buffer.num_lines)
+        spills = max(0, len(unknown_pushes) - self._num_lines)
         victims = unknown_pushes[:spills]
         survivors = unknown_pushes[spills:]
         if (next_occurrence[survivors] < n).any():
@@ -582,26 +582,24 @@ class RowPrefetcher:
         guessed_hit = np.zeros(n, dtype=bool)
         guessed_hit[next_occurrence[known_pushes]] = True
         missed = (access_segments > 0) & ~guessed_hit
-        spill_at = np.flatnonzero(missed)[self._buffer.num_lines:]
+        spill_at = np.flatnonzero(missed)[self._num_lines:]
         if not ((victims < spill_at).all()
                 and (next_occurrence[victims] > spill_at).all()):
             return None
-        return self._record_replay(
-            access_sequence, access_segments, missed, 0,
-            dict.fromkeys(access_sequence[survivors].tolist(), 1), stats)
+        return self._record_replay(access_sequence, access_segments, missed,
+                                   0, len(survivors), stats)
 
     def _record_replay(self, access_sequence: np.ndarray,
                        access_segments: np.ndarray, missed: np.ndarray,
-                       partial_hit_lines: int, resident: dict[int, int],
+                       partial_hit_lines: int, resident_lines: int,
                        stats: PrefetchStats) -> PrefetchStats:
-        """Fill ``stats`` and the empty buffer from a replay's outcome.
+        """Fill ``stats`` from a replay's outcome.
 
         ``missed`` flags the accesses that fetched lines,
         ``partial_hit_lines`` counts the lines those accesses found still
-        resident, and ``resident`` maps each row left in the buffer to its
-        line count (a prefix of its segments).
+        resident, and ``resident_lines`` counts the lines left in the buffer
+        at the end.
         """
-        buffer = self._buffer
         row_nnz = self._row_nnz
         missed_rows = access_sequence[missed]
         total_elements = int(row_nnz[access_sequence].sum())
@@ -610,52 +608,32 @@ class RowPrefetcher:
                                 - partial_hit_lines)
         stats.segment_hits = int(access_segments.sum()) - stats.segment_misses
         stats.element_misses = (int(row_nnz[missed_rows].sum())
-                                - buffer.line_elements * partial_hit_lines)
+                                - self._line_elements * partial_hit_lines)
         stats.element_hits = total_elements - stats.element_misses
         # The buffer started empty: whatever was fetched and is gone spilled.
-        stats.evicted_lines = stats.segment_misses - sum(resident.values())
-        stats.dram_bytes_read = stats.element_misses * buffer.element_bytes
-        stats.bytes_without_buffer = total_elements * buffer.element_bytes
-
-        resident_map = buffer.resident_map
-        for row, lines in resident.items():
-            resident_map[row] = set(range(lines))
-        buffer.record_hit(stats.segment_hits)
-        buffer.record_miss(stats.segment_misses)
-        buffer.apply_policy_effects(inserted_lines=stats.segment_misses,
-                                    evicted_lines=stats.evicted_lines)
+        stats.evicted_lines = stats.segment_misses - resident_lines
+        stats.dram_bytes_read = stats.element_misses * self._element_bytes
+        stats.bytes_without_buffer = total_elements * self._element_bytes
+        self._check_resident_lines(resident_lines,
+                                   fetched=stats.segment_misses,
+                                   spilled=stats.evicted_lines)
         return stats
 
-    def _simulate_unbounded(self, access_sequence: np.ndarray,
-                            distinct_rows: np.ndarray,
-                            num_segments_arr: np.ndarray,
-                            stats: PrefetchStats) -> PrefetchStats:
-        """Eviction-free simulation (everything fits), fully vectorized.
+    def _check_resident_lines(self, resident: int, *, fetched: int,
+                              spilled: int) -> None:
+        """Check a path's line accounting against the buffer.
 
-        Produces byte-for-byte the same :class:`PrefetchStats` and final
-        buffer state as the general replacement loop would when no eviction
-        ever fires.
+        Every path starts from an empty buffer, so the ``resident`` lines
+        left at the end must equal the lines ``fetched`` minus the lines
+        ``spilled``, and fit the buffer.  A path that fetches, spills or
+        keeps a different number of lines than it counts fails loudly.
+
+        Raises:
+            ValueError: the counts disagree or overflow the buffer.
         """
-        element_bytes = self._buffer.element_bytes
-        access_nnz = self._row_nnz[access_sequence]
-        access_segments = num_segments_arr[access_sequence]
-        first_touch = np.zeros(len(access_sequence), dtype=bool)
-        _, first_positions = np.unique(access_sequence, return_index=True)
-        first_touch[first_positions] = True
-
-        total_elements = int(access_nnz.sum())
-        miss_elements = int(access_nnz[first_touch].sum())
-        stats.accesses = len(access_sequence)
-        stats.bytes_without_buffer = total_elements * element_bytes
-        stats.element_misses = miss_elements
-        stats.element_hits = total_elements - miss_elements
-        stats.segment_misses = int(access_segments[first_touch].sum())
-        stats.segment_hits = int(access_segments.sum()) - stats.segment_misses
-        stats.dram_bytes_read = miss_elements * element_bytes
-
-        self._buffer.record_hit(stats.segment_hits)
-        self._buffer.record_miss(stats.segment_misses)
-        for row in distinct_rows.tolist():
-            for segment in range(int(num_segments_arr[row])):
-                self._buffer.insert(row, segment)
-        return stats
+        if spilled < 0 or resident != fetched - spilled:
+            raise ValueError(f"{fetched} lines fetched and {spilled} spilled, "
+                             f"but {resident} are resident")
+        if not 0 <= resident <= self._num_lines:
+            raise ValueError(f"{resident} resident lines do not fit the "
+                             f"{self._num_lines}-line buffer")

@@ -1,9 +1,10 @@
 """Shared plumbing for the experiment harnesses.
 
 Besides workload loading and the :class:`ExperimentResult` container, this
-module exposes :func:`simulate` and :func:`simulate_workload` — thin wrappers
-over :class:`repro.experiments.runner.ExperimentRunner` that every harness
-routes its SpArch simulations through.  That shared funnel is what lets one
+module exposes :func:`simulate_workload` and
+:func:`gather_comparison_reports` — thin wrappers over
+:class:`repro.experiments.runner.ExperimentRunner`, through which every
+harness routes its simulations.  That shared funnel is what lets one
 ``python -m repro.experiments all`` sweep reuse each (matrix, config)
 simulation across figures instead of recomputing it per experiment.
 """
@@ -97,12 +98,6 @@ class ExperimentResult:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
-
-
-def simulate(matrix: CSRMatrix, config: SpArchConfig | None = None, *,
-             runner: ExperimentRunner | None = None) -> SimulationStats:
-    """Simulate ``matrix · matrix`` through the (given or default) runner."""
-    return (runner or default_runner()).simulate(matrix, config)
 
 
 def gather_comparison_reports(workload: dict[str, tuple[CSRMatrix, SpArchConfig | None]],

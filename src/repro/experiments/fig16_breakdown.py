@@ -62,8 +62,7 @@ def run(*, max_rows: int = 4000, names: list[str] | None = None,
         matrices = default_suite(max_rows=max_rows, names=names)
 
     runner = runner or default_runner()
-    steps = cumulative_breakdown(matrices, base_config=config,
-                                 simulate=runner.simulate)
+    steps = cumulative_breakdown(matrices, base_config=config, runner=runner)
 
     table = Table(
         title="Figure 16 — performance breakdown (measured on scaled proxies)",

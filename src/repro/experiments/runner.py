@@ -542,15 +542,8 @@ class ExperimentRunner:
         A view over :meth:`run_engine`: the native statistics are rebuilt
         losslessly from the memoised report's ``detail`` payload.
         """
-        return self.simulate_report(matrix_a, config,
-                                    matrix_b=matrix_b).to_stats()
-
-    def simulate_report(self, matrix_a: CSRMatrix,
-                        config: SpArchConfig | None = None, *,
-                        matrix_b: CSRMatrix | None = None) -> CostReport:
-        """Simulate ``A · B`` and return the point's :class:`CostReport`."""
         return self.run_engine(SpArchEngine(config or SpArchConfig()),
-                               matrix_a, matrix_b=matrix_b)
+                               matrix_a, matrix_b=matrix_b).to_stats()
 
     def simulate_many(self, tasks: list[tuple[CSRMatrix, SpArchConfig | None]]
                       ) -> list[SimulationStats]:

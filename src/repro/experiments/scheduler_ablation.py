@@ -21,8 +21,8 @@ import numpy as np
 from repro.core.condensing import partial_matrix_sizes
 from repro.core.config import SpArchConfig
 from repro.core.huffman import huffman_schedule, sequential_schedule
-from repro.experiments.common import ExperimentResult, load_scaled_suite, simulate
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.common import ExperimentResult, load_scaled_suite
+from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.condensed import CondensedMatrix
 from repro.formats.csr import CSRMatrix
 from repro.utils.maths import geometric_mean
@@ -66,8 +66,15 @@ def run(*, max_rows: int = 2000, names: list[str] | None = None,
         columns=["matrix", "leaves", "huffman weight", "sequential weight",
                  "weight ratio", "partial-traffic reduction", "speedup"],
     )
+    # Each matrix under both schedulers, all in one batch.
+    stats = (runner or default_runner()).simulate_many(
+        [(matrix, point_config)
+         for matrix, matrix_config in workload.values()
+         for point_config in (
+             matrix_config,
+             matrix_config.with_features(huffman_scheduler=False))])
     weight_ratios, traffic_reductions, speedups = [], [], []
-    for name, (matrix, matrix_config) in workload.items():
+    for index, (name, (matrix, matrix_config)) in enumerate(workload.items()):
         condensed = CondensedMatrix(matrix)
         weights = [float(w) for w in partial_matrix_sizes(condensed, matrix)]
         ways = matrix_config.merge_ways
@@ -76,10 +83,7 @@ def run(*, max_rows: int = 2000, names: list[str] | None = None,
         weight_ratio = (sequential_plan.total_weight
                         / max(huffman_plan.total_weight, 1e-9))
 
-        huffman_stats = simulate(matrix, matrix_config, runner=runner)
-        sequential_stats = simulate(
-            matrix, matrix_config.with_features(huffman_scheduler=False),
-            runner=runner)
+        huffman_stats, sequential_stats = stats[2 * index:2 * index + 2]
         traffic_reduction = (
             max(1, sequential_stats.traffic.partial_matrix_bytes)
             / max(1, huffman_stats.traffic.partial_matrix_bytes))

@@ -2,9 +2,8 @@
 
 SpArch uses 16 × 64-bit HBM channels, each providing 8 GB/s, for an aggregate
 128 GB/s at a 1 GHz core clock — i.e. 128 bytes per core cycle across all
-channels.  The model converts byte counts into memory cycles, applies an
-efficiency factor for access-pattern overheads, and reports the achieved
-bandwidth utilisation that Table II compares against OuterSPACE.
+channels.  The model converts byte counts into memory cycles, applying an
+efficiency factor for access-pattern overheads, and cycles into runtime.
 """
 
 from __future__ import annotations
@@ -56,43 +55,11 @@ class HBMConfig:
 
 
 class HBMModel:
-    """Converts DRAM byte counts into cycle counts and utilisation figures."""
+    """Converts DRAM byte counts into cycle counts and runtime."""
 
     def __init__(self, config: HBMConfig | None = None) -> None:
         self._config = config or HBMConfig()
-        self._read_bytes = 0
-        self._write_bytes = 0
 
-    @property
-    def config(self) -> HBMConfig:
-        return self._config
-
-    @property
-    def read_bytes(self) -> int:
-        return self._read_bytes
-
-    @property
-    def write_bytes(self) -> int:
-        return self._write_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        return self._read_bytes + self._write_bytes
-
-    # ------------------------------------------------------------------
-    def record_read(self, num_bytes: int) -> None:
-        """Account ``num_bytes`` of DRAM reads."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        self._read_bytes += int(num_bytes)
-
-    def record_write(self, num_bytes: int) -> None:
-        """Account ``num_bytes`` of DRAM writes."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        self._write_bytes += int(num_bytes)
-
-    # ------------------------------------------------------------------
     def transfer_cycles(self, num_bytes: int, *, is_read: bool = True) -> int:
         """Core cycles to move ``num_bytes`` at the effective bandwidth."""
         if num_bytes < 0:
@@ -113,19 +80,8 @@ class HBMModel:
         return (self.transfer_cycles(read_bytes, is_read=True)
                 + self.transfer_cycles(write_bytes, is_read=False))
 
-    def bandwidth_utilization(self, total_bytes: int, cycles: int) -> float:
-        """Achieved fraction of peak bandwidth over ``cycles`` core cycles."""
-        if cycles <= 0:
-            return 0.0
-        peak = self._config.bytes_per_cycle * cycles
-        return min(1.0, total_bytes / peak) if peak else 0.0
-
     def runtime_seconds(self, cycles: int) -> float:
         """Convert a cycle count to wall-clock seconds at the core clock."""
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
         return cycles / self._config.clock_hz
-
-    def __repr__(self) -> str:
-        return (f"HBMModel(channels={self._config.num_channels}, "
-                f"peak={self._config.total_bandwidth_bytes_per_second / 1e9:.0f} GB/s)")

@@ -6,13 +6,26 @@ import pytest
 
 from repro.analysis.breakdown import BREAKDOWN_STEPS, cumulative_breakdown
 from repro.core.config import SpArchConfig
+from repro.experiments.runner import ExperimentRunner
 from repro.matrices.synthetic import powerlaw_matrix
 
 
 @pytest.fixture(scope="module")
-def steps():
-    matrices = {f"m{i}": powerlaw_matrix(250, 5.0, seed=50 + i) for i in range(3)}
+def matrices():
+    return {f"m{i}": powerlaw_matrix(250, 5.0, seed=50 + i) for i in range(3)}
+
+
+@pytest.fixture(scope="module")
+def steps(matrices):
     return cumulative_breakdown(matrices)
+
+
+def test_every_point_runs_through_the_given_runner(matrices, steps):
+    """The baseline and every step, each matrix once, go to the runner;
+    the result equals the default fresh runner's."""
+    runner = ExperimentRunner()
+    assert cumulative_breakdown(matrices, runner=runner) == steps
+    assert runner.cache_misses == len(steps) * len(matrices)
 
 
 def test_walk_order_matches_figure16(steps):

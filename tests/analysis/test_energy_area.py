@@ -55,10 +55,15 @@ class TestEnergyModel:
         per_flop = EnergyModel().energy_per_flop(simulated_stats)
         assert 0.05e-9 < per_flop < 2e-9
 
-    def test_table3_breakdown_sums_to_overall(self, simulated_stats):
-        table = EnergyModel().table3_breakdown(simulated_stats)
-        assert table["Overall"] == pytest.approx(
-            table["Computation"] + table["SRAM"] + table["DRAM"])
+    def test_report_categories_sum_to_overall(self, simulated_stats):
+        from repro.metrics.report import CostReport
+
+        model = EnergyModel()
+        categories = model.report_categories(
+            CostReport.from_stats(simulated_stats, energy_model=model))
+        assert set(categories) == {"Computation", "SRAM", "DRAM"}
+        assert sum(categories.values()) == pytest.approx(
+            model.total_energy(simulated_stats))
 
     def test_zero_stats_edge_cases(self):
         model = EnergyModel()

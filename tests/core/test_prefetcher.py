@@ -1,8 +1,9 @@
 """Unit and property tests for the MatB row prefetcher (§II-D, Figure 9).
 
+Every simulation starts from an empty buffer and leaves nothing behind.
 The event-driven replay, and the closed form it tries first for one-line
 rows, must reproduce the per-access reference loop exactly: every
-:class:`PrefetchStats` field and the final buffer state.
+:class:`PrefetchStats` field.
 """
 
 from __future__ import annotations
@@ -37,15 +38,6 @@ def _uniform_matrix(num_rows: int, row_nnz: int) -> CSRMatrix:
     return _matrix_with_row_nnz([row_nnz] * num_rows)
 
 
-def _buffer_state(prefetcher: RowPrefetcher) -> tuple:
-    """Everything a simulation leaves in the row buffer."""
-    buffer = prefetcher.buffer
-    return ({row: set(segments)
-             for row, segments in buffer.resident_map.items()},
-            buffer.lines_used, buffer.evictions, buffer.segment_hits,
-            buffer.segment_misses)
-
-
 def _simulate_both(matrix: CSRMatrix, sequence, **kwargs):
     """Run the reference loop and the default path; both must agree."""
     access = np.asarray(sequence, dtype=np.int64)
@@ -54,8 +46,7 @@ def _simulate_both(matrix: CSRMatrix, sequence, **kwargs):
     expected = reference.simulate(access)
     observed = fast.simulate(access)
     assert dataclasses.asdict(observed) == dataclasses.asdict(expected)
-    assert _buffer_state(fast) == _buffer_state(reference)
-    return observed, fast
+    return observed
 
 
 @pytest.fixture
@@ -136,6 +127,19 @@ def test_line_granular_eviction_partial_rows():
     assert stats.dram_bytes_read < stats.bytes_without_buffer
 
 
+def test_a_row_takes_one_line_per_started_line_of_elements():
+    """Rows of 0, 48 and 49 elements take 0, 1 and 2 Table I lines, so
+    three lines hold them all and two do not."""
+    matrix = _matrix_with_row_nnz([0, 48, 49])
+    sequence = np.array([0, 1, 2, 1, 2])
+    stats = RowPrefetcher(matrix, num_lines=3).simulate(sequence)
+    assert (stats.segment_misses, stats.segment_hits) == (3, 3)
+    assert (stats.element_misses, stats.element_hits) == (97, 97)
+    assert stats.evicted_lines == 0
+    assert RowPrefetcher(matrix, num_lines=2).simulate(
+        sequence).evicted_lines > 0
+
+
 def test_empty_rows_and_empty_sequence():
     matrix = CSRMatrix.empty((4, 4))
     prefetcher = RowPrefetcher(matrix, num_lines=2, line_elements=4)
@@ -156,26 +160,90 @@ def test_traffic_reduction_property():
     assert with_buffer.traffic_reduction >= 1.0
 
 
-def test_repeated_simulation_with_warm_buffer():
-    """A second simulate() call must treat leftover resident rows as
-    eviction candidates instead of crashing (regression test)."""
+@pytest.mark.parametrize("reference", [False, True])
+def test_simulate_starts_from_an_empty_buffer_every_call(reference):
+    """A simulation leaves nothing behind: a second call on the same
+    prefetcher returns the first call's statistics, on either path."""
     matrix = powerlaw_matrix(256, 6.0, seed=19)
     access = np.asarray(matrix.indices, dtype=np.int64)
     prefetcher = RowPrefetcher(matrix, num_lines=16, line_elements=8,
-                               lookahead_window=128)
-    cold = prefetcher.simulate(access)
-    warm = prefetcher.simulate(access)
-    assert warm.accesses == cold.accesses
-    # The warm run can only hit more (some rows are already resident).
-    assert warm.dram_bytes_read <= cold.bytes_without_buffer
-    assert prefetcher.buffer.lines_used <= prefetcher.buffer.num_lines
+                               lookahead_window=128, reference=reference)
+    first = prefetcher.simulate(access)
+    assert first.evicted_lines > 0
+    assert prefetcher.simulate(access) == first
 
 
-def test_buffer_exposes_capacity_for_area_model():
+@pytest.mark.parametrize("field", ["num_lines", "line_elements",
+                                   "element_bytes"])
+def test_buffer_geometry_must_be_positive(field):
     matrix = _uniform_matrix(4, 4)
-    prefetcher = RowPrefetcher(matrix, num_lines=16, line_elements=48,
-                               element_bytes=12)
-    assert prefetcher.buffer.capacity_bytes == 16 * 48 * 12
+    with pytest.raises(ValueError, match=field):
+        RowPrefetcher(matrix, **{field: 0})
+    with pytest.raises(TypeError, match=field):
+        RowPrefetcher(matrix, **{field: 2.0})
+
+
+#: One input per path through ``simulate``: row lengths, buffer lines,
+#: elements per line, window, access sequence, and the event replays and
+#: closed-form outcomes the default path records.
+PATH_CASES = {
+    # Every accessed row fits at once: nothing is evicted.
+    "eviction-free": ([3, 5, 2], 4, 4, 8, [0, 1, 2, 0, 1, 2], 0, []),
+    # Two-line rows under pressure: the event replay runs its loop.
+    "event loop": ([8, 8, 8], 4, 4, 16, [0, 1, 2, 0, 1], 1, []),
+    # One-line rows whose spills all take unknown-class rows.
+    "closed form": ([1, 1, 1, 1], 2, 1, 1,
+                    [0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1], 1, [True]),
+    # A row longer than the buffer spills itself: the reference loop.
+    "longer than the buffer": ([3, 9, 2], 2, 4, 8, [0, 1, 2, 1, 0], 0, []),
+}
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("case", list(PATH_CASES))
+def test_every_path_ends_with_the_resident_line_check(
+        monkeypatch, count_event_runs, settle_outcomes, case, reference):
+    """Each path checks its lines once, with the counts its statistics
+    report, and leaves nothing for the next call."""
+    (row_nnz, num_lines, line_elements, window, sequence, event_runs,
+     settles) = PATH_CASES[case]
+    checks = []
+    original = RowPrefetcher._check_resident_lines
+
+    def spy(self, resident, *, fetched, spilled):
+        checks.append((resident, fetched, spilled))
+        return original(self, resident, fetched=fetched, spilled=spilled)
+
+    monkeypatch.setattr(RowPrefetcher, "_check_resident_lines", spy)
+    prefetcher = RowPrefetcher(_matrix_with_row_nnz(row_nnz),
+                               num_lines=num_lines,
+                               line_elements=line_elements,
+                               lookahead_window=window, reference=reference)
+    stats = prefetcher.simulate(np.array(sequence))
+    assert len(count_event_runs) == (0 if reference else event_runs)
+    assert settle_outcomes == ([] if reference else settles)
+    assert checks == [(stats.segment_misses - stats.evicted_lines,
+                       stats.segment_misses, stats.evicted_lines)]
+    assert prefetcher.simulate(np.array(sequence)) == stats
+
+
+def test_resident_lines_must_match_fetches_and_spills():
+    """The line accounting every path ends with: the lines left resident
+    equal the lines fetched minus the lines spilled, and fit the buffer."""
+    prefetcher = RowPrefetcher(_uniform_matrix(4, 4), num_lines=4)
+    prefetcher._check_resident_lines(3, fetched=4, spilled=1)
+    prefetcher._check_resident_lines(4, fetched=4, spilled=0)
+    with pytest.raises(ValueError, match="2 lines fetched and 0 spilled, "
+                                         "but 3 are resident"):
+        prefetcher._check_resident_lines(3, fetched=2, spilled=0)
+    with pytest.raises(ValueError, match="but 3 are resident"):
+        prefetcher._check_resident_lines(3, fetched=0, spilled=4)
+    with pytest.raises(ValueError, match="but 3 are resident"):
+        prefetcher._check_resident_lines(3, fetched=2, spilled=-1)
+    with pytest.raises(ValueError, match="5 resident lines do not fit"):
+        prefetcher._check_resident_lines(5, fetched=7, spilled=2)
+    with pytest.raises(ValueError, match="-1 resident lines do not fit"):
+        prefetcher._check_resident_lines(-1, fetched=1, spilled=2)
 
 
 @given(
@@ -199,8 +267,6 @@ def test_prefetcher_invariants_hold_for_random_sequences(sequence, lines,
     assert stats.dram_bytes_read == stats.element_misses * 12
     assert stats.dram_bytes_read <= stats.bytes_without_buffer
     assert stats.accesses == len(sequence)
-    # The buffer never exceeds its capacity.
-    assert prefetcher.buffer.lines_used <= prefetcher.buffer.num_lines
 
 
 @st.composite
@@ -228,7 +294,7 @@ def _prefetch_cases(draw):
 @given(_prefetch_cases())
 @settings(max_examples=300, deadline=None)
 def test_event_path_matches_reference_loop(case):
-    """Differential property: stats and final buffer state are identical."""
+    """Differential property: every statistic is identical."""
     row_nnz, sequence, num_lines, line_elements, window = case
     _simulate_both(_matrix_with_row_nnz(row_nnz), sequence,
                    num_lines=num_lines, line_elements=line_elements,
@@ -243,30 +309,32 @@ def test_unknown_class_spills_round_robin_and_rekeys():
     window is one access deep.
     """
     matrix = _uniform_matrix(3, 2)
-    stats, prefetcher = _simulate_both(matrix, [0, 1, 2, 0, 1], num_lines=4,
-                                       line_elements=1, lookahead_window=1)
+    stats = _simulate_both(matrix, [0, 1, 2, 0, 1], num_lines=4,
+                           line_elements=1, lookahead_window=1)
     # Access 2 spills one line each of rows 0 and 1, not all of row 0.  Row
     # 0 (next use 3) turns known and survives; row 1 (next use 4) goes back
     # into the FIFO ahead of row 2, so access 3 spills row 1's last line.
-    # Access 4 spills one line each of rows 2 and 0.
+    # Access 4 spills one line each of rows 2 and 0, leaving row 0's first
+    # line, both of row 1's and row 2's first.
     assert stats.segment_hits == 1
     assert stats.segment_misses == 9
     assert stats.evicted_lines == 5
-    assert prefetcher.buffer.resident_map == {0: {0}, 1: {0, 1}, 2: {0}}
+    assert stats.segment_misses - stats.evicted_lines == 4
 
 
 def test_known_class_spills_the_furthest_row_whole():
     """Among rows with a visible next use, the furthest one spills line by
     line until it is gone before any other row loses a line."""
     matrix = _uniform_matrix(3, 2)
-    stats, prefetcher = _simulate_both(matrix, [0, 1, 2, 1, 0], num_lines=4,
-                                       line_elements=1, lookahead_window=16)
+    stats = _simulate_both(matrix, [0, 1, 2, 1, 0], num_lines=4,
+                           line_elements=1, lookahead_window=16)
     # Access 2 spills both lines of row 0 (next use 4), keeping row 1 (next
-    # use 3) whole; access 4 then round-robins over rows 2 and 1.
+    # use 3) whole; access 4 then round-robins over rows 2 and 1, leaving
+    # both of row 0's lines and the first of rows 1 and 2.
     assert stats.segment_hits == 2
     assert stats.segment_misses == 8
     assert stats.evicted_lines == 4
-    assert prefetcher.buffer.resident_map == {0: {0, 1}, 1: {0}, 2: {0}}
+    assert stats.segment_misses - stats.evicted_lines == 4
 
 
 @pytest.mark.parametrize("window,hits", [(3, 1), (2, 0)])
@@ -274,9 +342,9 @@ def test_next_use_exactly_one_window_ahead_is_visible_at_a_touch(window,
                                                                 hits):
     """Row 0 is next used 3 accesses after its touch.  With a 3-deep window
     that use is visible, so never-reused row 1 spills instead of it."""
-    stats, _ = _simulate_both(_uniform_matrix(3, 1), [0, 1, 2, 0],
-                              num_lines=2, line_elements=1,
-                              lookahead_window=window)
+    stats = _simulate_both(_uniform_matrix(3, 1), [0, 1, 2, 0],
+                           num_lines=2, line_elements=1,
+                           lookahead_window=window)
     assert stats.segment_hits == hits
 
 
@@ -287,9 +355,9 @@ def test_next_use_exactly_one_window_ahead_is_visible_at_a_respill(window,
     next use (access 4) is then 2 ahead: a 2-deep window re-keys it into
     the known class, so access 3 takes row 1's last line and row 0 keeps
     a line for access 4."""
-    stats, _ = _simulate_both(_matrix_with_row_nnz([2, 2, 2, 1]),
-                              [0, 1, 2, 3, 0], num_lines=4, line_elements=1,
-                              lookahead_window=window)
+    stats = _simulate_both(_matrix_with_row_nnz([2, 2, 2, 1]),
+                           [0, 1, 2, 3, 0], num_lines=4, line_elements=1,
+                           lookahead_window=window)
     assert stats.segment_hits == hits
 
 
@@ -314,33 +382,18 @@ def test_event_path_matches_reference_on_a_powerlaw_operand(count_event_runs):
     """A longer sequence with hub rows, multi-line rows and both classes."""
     matrix = powerlaw_matrix(512, 6.0, seed=23)
     access = np.asarray(matrix.indices, dtype=np.int64)
-    stats, _ = _simulate_both(matrix, access, num_lines=48, line_elements=4,
-                              lookahead_window=300)
+    stats = _simulate_both(matrix, access, num_lines=48, line_elements=4,
+                           lookahead_window=300)
     assert len(count_event_runs) == 1
     assert stats.evicted_lines > 0
-
-
-def test_warm_buffer_takes_the_reference_loop(count_event_runs):
-    matrix = powerlaw_matrix(256, 6.0, seed=19)
-    access = np.asarray(matrix.indices, dtype=np.int64)
-    kwargs = dict(num_lines=16, line_elements=8, lookahead_window=128)
-    warm = RowPrefetcher(matrix, **kwargs)
-    warm.simulate(access)
-    assert warm.buffer.lines_used > 0
-    reference = RowPrefetcher(matrix, reference=True, **kwargs)
-    reference.simulate(access)
-    del count_event_runs[:]
-    assert warm.simulate(access) == reference.simulate(access)
-    assert _buffer_state(warm) == _buffer_state(reference)
-    assert count_event_runs == []
 
 
 def test_row_longer_than_buffer_takes_the_reference_loop(count_event_runs):
     """A row needing more lines than the buffer holds spills itself, which
     only the reference loop models."""
     matrix = _matrix_with_row_nnz([3, 9, 2])  # row 1 spans three lines
-    stats, _ = _simulate_both(matrix, [0, 1, 2, 1, 0], num_lines=2,
-                              line_elements=4, lookahead_window=8)
+    stats = _simulate_both(matrix, [0, 1, 2, 1, 0], num_lines=2,
+                           line_elements=4, lookahead_window=8)
     assert count_event_runs == []
     assert stats.evicted_lines > 0
 
@@ -358,19 +411,13 @@ def test_scalar_engine_runs_the_reference_loop(count_event_runs):
 
 
 @pytest.mark.parametrize("reference", [False, True])
-@pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("bad_row", [-1, 8])
-def test_out_of_range_rows_are_rejected(reference, warm, bad_row):
-    """A row outside the operand raises a ValueError naming the access,
-    on a cold or warm buffer, and leaves the buffer as it was."""
+def test_out_of_range_rows_are_rejected(reference, bad_row):
+    """A row outside the operand raises a ValueError naming the access."""
     prefetcher = RowPrefetcher(_uniform_matrix(8, 1), num_lines=2,
                                line_elements=1, reference=reference)
-    if warm:
-        prefetcher.simulate(np.array([0, 1, 2, 3]))
-    before = _buffer_state(prefetcher)
     with pytest.raises(ValueError, match=f"access 1 names row {bad_row},"):
         prefetcher.simulate(np.array([0, bad_row, 2]))
-    assert _buffer_state(prefetcher) == before
 
 
 @st.composite
@@ -403,7 +450,7 @@ def _one_line_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_closed_form_matches_reference_loop(case):
     """Differential property for one-line rows, where the closed form is
-    tried: stats and final buffer state match the loop either way."""
+    tried: every statistic matches the loop either way."""
     row_nnz, sequence, num_lines, line_elements, window = case
     _simulate_both(_matrix_with_row_nnz(row_nnz), sequence,
                    num_lines=num_lines, line_elements=line_elements,
@@ -437,32 +484,32 @@ def test_closed_form_settles_and_declines_on_seeded_cases(settle_outcomes):
 @pytest.mark.parametrize(
     "sequence,num_lines,window,settles,hits,evicted,resident", [
         # Every reuse is back to back, so the window sees it; each pair's
-        # first access spills the row touched longest ago.
-        ([0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1], 2, 1, True, 6, 4,
-         {0: {0}, 1: {0}}),
+        # first access spills the row touched longest ago.  Rows 0 and 1
+        # stay.
+        ([0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1], 2, 1, True, 6, 4, 2),
         # Every reuse is visible, so spill 1 finds no unknown-class row:
-        # the FIFO runs dry and the known class spills.
-        ([0, 1, 2, 0, 1, 2], 2, 8, False, 2, 2, {1: {0}, 2: {0}}),
+        # the FIFO runs dry and the known class spills.  Rows 1 and 2 stay.
+        ([0, 1, 2, 0, 1, 2], 2, 8, False, 2, 2, 2),
         # Row 0's reuse lies beyond the window, yet it hits: no spill came
         # before it.  The spill at access 3 skips that stale head and
-        # takes row 1.
-        ([0, 1, 0, 2], 2, 1, False, 1, 1, {0: {0}, 2: {0}}),
+        # takes row 1.  Rows 0 and 2 stay.
+        ([0, 1, 0, 2], 2, 1, False, 1, 1, 2),
         # Only row 0 spills, so row 2 survives to a reuse the window missed.
-        ([0, 1, 2, 3, 2], 3, 1, False, 1, 1, {1: {0}, 2: {0}, 3: {0}}),
+        # Rows 1, 2 and 3 stay.
+        ([0, 1, 2, 3, 2], 3, 1, False, 1, 1, 3),
     ])
 def test_closed_form_hand_checked_cases(settle_outcomes, sequence, num_lines,
                                         window, settles, hits, evicted,
                                         resident):
     """One-element rows and lines, checked by hand against the policy."""
     matrix = _uniform_matrix(max(sequence) + 1, 1)
-    stats, prefetcher = _simulate_both(matrix, sequence, num_lines=num_lines,
-                                       line_elements=1,
-                                       lookahead_window=window)
+    stats = _simulate_both(matrix, sequence, num_lines=num_lines,
+                           line_elements=1, lookahead_window=window)
     assert settle_outcomes == [settles]
     assert stats.segment_hits == hits
     assert stats.segment_misses == len(sequence) - hits
     assert stats.evicted_lines == evicted
-    assert prefetcher.buffer.resident_map == resident
+    assert stats.segment_misses - stats.evicted_lines == resident
 
 
 def test_rows_longer_than_one_line_skip_the_closed_form(count_event_runs,

@@ -34,11 +34,28 @@ from repro.experiments.common import (
     small_suite,
 )
 from repro.core.config import SpArchConfig
+from repro.engines.adapters import BaselineEngineAdapter
+from repro.engines.sparch import SpArchEngine
 from repro.experiments.registry import get_experiment, list_experiments
+from repro.experiments.runner import ExperimentRunner
 
 #: Reduced workload shared by the suite-based experiments.
 NAMES = ["wiki-Vote", "facebook", "poisson3Da"]
 MAX_ROWS = 400
+
+
+def _record_engine_calls(monkeypatch) -> list[tuple[str, str]]:
+    """Record every SpArch run or pricing and every baseline run."""
+    calls = []
+    for engine_class, method in ((SpArchEngine, "run"),
+                                 (SpArchEngine, "price"),
+                                 (BaselineEngineAdapter, "run")):
+        def wrapper(self, *args, _original=getattr(engine_class, method),
+                    _call=(engine_class.__name__, method), **kwargs):
+            calls.append(_call)
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(engine_class, method, wrapper)
+    return calls
 
 
 def _check_result(result: ExperimentResult, experiment_id: str) -> None:
@@ -158,6 +175,20 @@ class TestSweeps:
         # The paper-scale analytic projection reproduces the 5.7× regression.
         assert 4.5 < result.metrics["projected_slowdown[pipelined_only]"] < 6.5
 
+    def test_fig16_runs_every_point_through_the_runner(self, monkeypatch):
+        """All 30 points of the six default matrices, the OuterSPACE
+        baseline included, are memoised, so a second run on the same
+        runner calls no engine."""
+        runner = ExperimentRunner()
+        cold = fig16_breakdown.run(max_rows=300, runner=runner)
+        assert (runner.cache_misses, runner.cache_hits) == (30, 0)
+
+        calls = _record_engine_calls(monkeypatch)
+        warm = fig16_breakdown.run(max_rows=300, runner=runner)
+        assert calls == []
+        assert (runner.cache_misses, runner.cache_hits) == (30, 30)
+        assert warm.metrics == cold.metrics
+
     def test_fig17_dse(self):
         result = fig17_dse.run(max_rows=MAX_ROWS,
                                names=["wiki-Vote", "facebook"])
@@ -196,6 +227,15 @@ class TestAblations:
             result.metrics["geomean_proxy_condensation_ratio"])
         assert 0.0 < result.metrics["geomean_hit_rate"] <= 1.0
         assert result.metrics["geomean_b_traffic_reduction"] >= 1.0
+
+    def test_condensing_pairs_share_one_dataflow(self, monkeypatch):
+        """With and without the prefetcher differ only in a pricing field,
+        so each matrix runs one multiply and prices the other point."""
+        calls = _record_engine_calls(monkeypatch)
+        condensing_stats.run(max_rows=MAX_ROWS, names=NAMES,
+                             runner=ExperimentRunner())
+        assert sorted(calls) == ([("SpArchEngine", "price")] * len(NAMES)
+                                 + [("SpArchEngine", "run")] * len(NAMES))
 
     def test_scheduler_ablation(self):
         result = scheduler_ablation.run(max_rows=MAX_ROWS, names=NAMES,

@@ -32,21 +32,6 @@ def test_memory_cycles_sums_read_and_write():
     assert model.memory_cycles(10_000, 5_000) == read_only + write_only
 
 
-def test_byte_recording_and_utilization():
-    model = HBMModel()
-    model.record_read(1000)
-    model.record_write(500)
-    assert model.read_bytes == 1000
-    assert model.write_bytes == 500
-    assert model.total_bytes == 1500
-    with pytest.raises(ValueError):
-        model.record_read(-1)
-    assert model.bandwidth_utilization(1280, 10) == pytest.approx(1.0)
-    assert model.bandwidth_utilization(640, 10) == pytest.approx(0.5)
-    assert model.bandwidth_utilization(999999, 10) == 1.0  # clamped
-    assert model.bandwidth_utilization(100, 0) == 0.0
-
-
 def test_runtime_conversion():
     model = HBMModel()
     assert model.runtime_seconds(1_000_000) == pytest.approx(1e-3)
@@ -85,9 +70,3 @@ def test_transfer_time_depends_only_on_aggregate_bandwidth(
     assert model.transfer_cycles(11_520, is_read=False) == 100
     assert model.memory_cycles(10_240, 11_520) == 200
 
-
-def test_negative_write_rejected():
-    model = HBMModel()
-    with pytest.raises(ValueError):
-        model.record_write(-1)
-    assert model.write_bytes == 0
