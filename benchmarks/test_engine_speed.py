@@ -5,8 +5,8 @@ Two comparisons on mid-size rMAT matrices:
 * **Engine kernels** (asserted ≥ 3×): the leaf streamer + merge tree — the
   code paths ``SpArchConfig.engine`` actually switches — executing the same
   Huffman merge plan.  This is the hot path the vectorized backend batches
-  (partial-product gathers one merge round at a time, a blocked merge with
-  one packed-word sort per block, ``reduceat`` folding) and where the
+  (each round in row bands: one partial-product gather, one packed-word
+  sort and one ``reduceat`` fold per band) and where the
   scalar reference walks elements and node pairs in Python.
 * **End-to-end multiply** (asserted ≥ 1.5×, actual ratio recorded): full
   ``SpArch.multiply``.  Besides the kernels, the engines differ in the
@@ -68,9 +68,6 @@ def _run_engine_kernels(matrix: CSRMatrix, engine: str) -> tuple[np.ndarray, np.
         tree = MergeTree(num_layers=6)
     plan = huffman_schedule([float(w) for w in streamer.leaf_weights()],
                             tree.num_ways)
-    # As in SpArch.multiply: the batched streamer generates one merge
-    # round's leaves per pass only once it knows the plan.
-    streamer.bind_plan(plan)
     store = PartialMatrixStore(TrafficCounter())
     if plan.num_leaves == 1:
         return tree.merge([streamer.leaf_stream(0)])

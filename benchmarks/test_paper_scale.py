@@ -12,20 +12,27 @@ line and its replay settles in closed form.  Tracked quantities, per rung:
 * ``rows_per_second`` — result rows divided by best-of wall-clock; the
   headline throughput number for the paper-scale trajectory (methodology in
   README.md § Paper scale).
-* ``peak_rss_mib`` — the process high-water mark after the run, a coarse
-  regression tripwire for the streaming core's bounded-memory claim.
+* ``traced_peak_mib`` — the ``tracemalloc`` peak of one extra, untimed
+  multiply of this rung alone: the memory the batched engine's per-band
+  working set claim is about.  Traced bytes repeat exactly from run to
+  run, so it is gated hard, at :data:`TRACED_PEAK_MIB` plus
+  :data:`TRACED_PEAK_MARGIN`.
+* ``peak_rss_mib`` — the process high-water mark after the run.  It
+  includes every test that ran before it in the same process, so it is
+  recorded for context and not gated.
 
-The threshold is deliberately loose (~15× below the measured laptop
-number): it exists to catch complexity regressions (an accidentally
+The rows/second threshold is deliberately loose (~15× below the measured
+laptop number): it exists to catch complexity regressions (an accidentally
 quadratic path turns minutes into hours at this scale), not to benchmark
-the host.  ``REPRO_BENCH_SOFT=1`` demotes a miss to a warning on shared CI
-runners.
+the host.  ``REPRO_BENCH_SOFT=1`` demotes a rows/second miss to a warning
+on shared CI runners; it does not soften the memory gate.
 """
 
 from __future__ import annotations
 
 import resource
 import time
+import tracemalloc
 
 import pytest
 
@@ -43,6 +50,15 @@ REPEATS = 3
 #: only a complexity regression (not host speed) can trip it.
 MIN_ROWS_PER_SECOND = 2_000.0
 
+#: Measured traced peak (MiB) of one multiply per rung, numpy 2.4 on
+#: CPython 3.11.  Generating and writing whole merge rounds at once peaked
+#: at 421.9 (patents_main) and 90.5 (m133-b3).
+TRACED_PEAK_MIB = {"patents_main": 188.6, "m133-b3": 57.9}
+
+#: Allowance over :data:`TRACED_PEAK_MIB` for other numpy and Python
+#: versions, whose kernels may allocate different temporaries.
+TRACED_PEAK_MARGIN = 0.15
+
 
 def _best_of(repeats: int, fn) -> float:
     best = float("inf")
@@ -51,6 +67,21 @@ def _best_of(repeats: int, fn) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _traced_peak_mib(fn) -> float:
+    """The ``tracemalloc`` peak of one call, in MiB, from a fresh trace."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 @pytest.mark.parametrize("rung_name", PAPER_SCALE_NAMES)
@@ -72,6 +103,8 @@ def test_paper_scale_rung_streaming_throughput(rung_name):
     rows_per_second = matrix.shape[0] / best
     peak_rss_mib = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                     / 1024.0)
+    traced_peak_mib = _traced_peak_mib(
+        lambda: accelerator.multiply(matrix, matrix))
 
     record_result(f"paper_scale[{rung_name}@{PAPER_SCALE_MAX_ROWS}]",
                   seconds=best,
@@ -81,7 +114,12 @@ def test_paper_scale_rung_streaming_throughput(rung_name):
                   output_nnz=result.matrix.nnz,
                   merge_rounds=result.stats.num_merge_rounds,
                   peak_rss_mib=peak_rss_mib,
+                  traced_peak_mib=traced_peak_mib,
                   threshold=MIN_ROWS_PER_SECOND)
+    ceiling = TRACED_PEAK_MIB[rung_name] * (1 + TRACED_PEAK_MARGIN)
+    assert traced_peak_mib <= ceiling, (
+        f"paper-scale rung {rung_name} traced {traced_peak_mib:.1f} MiB "
+        f"at its peak (ceiling {ceiling:.1f} MiB)")
     if rows_per_second < MIN_ROWS_PER_SECOND:
         enforce_threshold(
             f"paper-scale rung {rung_name} ran at "

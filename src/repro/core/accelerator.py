@@ -20,11 +20,11 @@ chosen by ``SpArchConfig.engine``: the scalar reference in this module
 (:class:`_LeafStreamer` + :class:`~repro.hardware.merge_tree.MergeTree`,
 ``engine="scalar"``) and the batched implementation in
 :mod:`repro.core.vectorized` (``engine="vectorized"``, also named
-``"streaming"``).  The batched path generates partial products one merge
-round at a time (:meth:`~repro.core.vectorized.VectorizedLeafStreamer.bind_plan`)
-and merges with the blocked
-:class:`~repro.core.vectorized.VectorizedMergeTree`, so its working set is
-bounded per merge round — which is what runs paper-scale scenarios.  The
+``"streaming"``).  The batched path hands the merge tree pending leaves
+(:class:`~repro.core.vectorized.LeafProducts`), and
+:class:`~repro.core.vectorized.VectorizedMergeTree` generates, merges,
+folds and writes each round one row band at a time, so its working set is
+bounded per band — which is what runs paper-scale scenarios.  The
 prefetcher policy has a reference/fast pair too: the scalar engine runs
 :class:`~repro.core.prefetcher.RowPrefetcher`'s per-access reference loop,
 the batched engine its event-driven replay wherever that applies.  Both
@@ -54,7 +54,9 @@ harness comparing the batched pricing against an untouched reference.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -125,9 +127,6 @@ class _LeafStreamer:
         if self._condensing:
             return self._condensed.column(column).original_cols.copy()
         return np.full(self._csc.col_nnz(column), column, dtype=np.int64)
-
-    def bind_plan(self, plan: MergePlan) -> None:
-        """Accept the merge plan; the reference multiplies leaf by leaf."""
 
     def leaf_stream(self, leaf: int) -> tuple[np.ndarray, np.ndarray]:
         """Multiply one leaf and return its sorted (key, value) stream."""
@@ -264,7 +263,6 @@ class SpArch:
         streamer = (_LeafStreamer if scalar else VectorizedLeafStreamer)(
             matrix_a, matrix_b, condensing=config.enable_matrix_condensing)
         plan = self._build_plan(streamer.leaf_weights())
-        streamer.bind_plan(plan)
 
         stats.num_partial_matrices = streamer.num_leaves
         stats.condensed_columns = (streamer.condensed.num_condensed_columns
@@ -279,10 +277,9 @@ class SpArch:
         access_order = self._consumption_access_order(streamer, plan)
 
         round_lengths: list[list[int]] = []
-        out_keys, out_vals = self._execute_plan(
-            streamer, plan, merge_tree, store,
-            config.enable_pipelined_merge, round_lengths)
-        result = writer.write_result(out_keys, out_vals, result_shape)
+        result = self._execute_plan(
+            streamer, plan, merge_tree, store, config.enable_pipelined_merge,
+            round_lengths, partial(writer.write_bands, shape=result_shape))
 
         stats.output_nnz = result.nnz
         stats.additions = merge_tree.stats.additions
@@ -426,48 +423,39 @@ class SpArch:
 
     def _execute_plan(self, streamer: _LeafStreamer, plan: MergePlan,
                       merge_tree: MergeTree, store: PartialMatrixStore,
-                      pipelined: bool, round_lengths: list[list[int]]
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      pipelined: bool, round_lengths: list[list[int]],
+                      write: Callable[..., CSRMatrix]) -> CSRMatrix:
         """Run every merge round functionally, charging spill traffic.
 
-        Appends each round's input stream lengths to ``round_lengths``.
-        When ``pipelined`` is false the model degenerates to the two-phase
-        OuterSPACE dataflow: every leaf's multiplied result is written to DRAM
-        before merging starts and read back when its round executes, exactly
-        the behaviour the pipelined merge tree eliminates.
+        Appends each round's input stream lengths to ``round_lengths``, and
+        hands the last round's merged stream to ``write``, whose result it
+        returns.  When ``pipelined`` is false the model degenerates to the
+        two-phase OuterSPACE dataflow: every leaf's multiplied result is
+        written to DRAM before merging starts and read back when its round
+        executes, exactly the behaviour the pipelined merge tree eliminates.
         """
-        if plan.num_leaves == 1:
-            keys, vals = streamer.leaf_stream(0)
-            if not pipelined:
-                store.write(0, keys, vals)
-                keys, vals = store.read(0)
-            round_lengths.append([len(keys)])
-            folded_keys, folded_vals = merge_tree.merge([(keys, vals)])
-            return folded_keys, folded_vals
-
-        results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        root_id = plan.root_id
-        for merge_round in plan.rounds:
-            streams: list[tuple[np.ndarray, np.ndarray]] = []
-            for node_id in merge_round.input_ids:
+        def gather(input_ids: tuple[int, ...]) -> list:
+            streams = []
+            for node_id in input_ids:
                 if node_id < plan.num_leaves:
-                    keys, vals = streamer.leaf_stream(node_id)
+                    stream = streamer.leaf_stream(node_id)
                     if not pipelined:
                         # Two-phase dataflow: the multiplied result takes a
                         # round trip through DRAM before it can be merged.
-                        store.write(node_id, keys, vals)
-                        keys, vals = store.read(node_id)
+                        store.round_trip(len(stream[0]))
                 else:
-                    keys, vals = store.read(node_id)
-                streams.append((keys, vals))
-            round_lengths.append([len(stream_keys)
-                                  for stream_keys, _ in streams])
-            merged_keys, merged_vals = merge_tree.merge(streams)
-            if merge_round.output_id == root_id:
-                results[root_id] = (merged_keys, merged_vals)
-            else:
-                store.write(merge_round.output_id, merged_keys, merged_vals)
-        return results[root_id]
+                    stream = store.read(node_id)
+                streams.append(stream)
+            round_lengths.append([len(keys) for keys, _ in streams])
+            return streams
+
+        for merge_round in plan.rounds[:-1]:
+            store.write(merge_round.output_id,
+                        *merge_tree.merge(gather(merge_round.input_ids)))
+        # The last round outputs the root.  A single leaf has no round but
+        # still passes through the merge tree once.
+        root_inputs = plan.rounds[-1].input_ids if plan.rounds else (0,)
+        return merge_tree.merge(gather(root_inputs), write=write)
 
 
 def _check_row_order(matrix_b: CSRMatrix) -> None:

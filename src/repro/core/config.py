@@ -21,17 +21,18 @@ code paths under three names, :data:`BACKENDS` (see
   element by element and merges streams pairwise, mirroring the hardware
   structure one step at a time;
 * ``"vectorized"`` and ``"streaming"`` — two names for the batched numpy
-  kernels (fancy-indexed partial-product generation one merge round at a
-  time, a blocked merge of every round with one packed-word sort per block,
-  ``np.add.reduceat`` duplicate folding) with all cycle/traffic/comparator
-  counters computed in closed form so the statistics stay bit-identical to
-  the scalar model.  Their working set is bounded per merge round, which is
-  what runs paper-scale (10⁵+-row) scenarios with unscaled Table I buffers.
+  kernels (every merge round streamed in row bands: one fancy-indexed
+  partial-product gather, one packed-word sort and one
+  ``np.add.reduceat`` duplicate fold per band) with all
+  cycle/traffic/comparator counters computed in closed form so the
+  statistics stay bit-identical to the scalar model.  Their working set is
+  bounded per band, which is what runs paper-scale (10⁵+-row) scenarios
+  with unscaled Table I buffers.
   Both names stay valid because stored sweep cells and forced-backend cache
   keys carry them.
 
 The engine name is excluded from cache keys and config fingerprints via
-:data:`BACKEND_FIELDS`.  The batched merge tree's block size is not a
+:data:`BACKEND_FIELDS`.  The batched merge tree's band size is not a
 field at all: it is the module constant
 :data:`repro.core.vectorized.BLOCK_ELEMENTS`, a simulation-host setting
 that never changes results, counters or traffic (a hypothesis property

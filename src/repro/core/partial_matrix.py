@@ -7,13 +7,14 @@ it keeps the *functional* content of every spilled result (so correctness
 can be verified end to end) and charges every spill and reload to the DRAM
 traffic counter.
 
-:class:`PartialMatrixWriter` models the output stage: it buffers the final
-merged stream and converts it from the internal COO representation to the
-CSR result written to DRAM.
+:class:`PartialMatrixWriter` models the output stage: it converts the final
+merged stream from the internal COO representation to the CSR result
+written to DRAM, band by band as the merge tree emits it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,16 @@ class PartialMatrixStore:
                           stored.nnz * self._element_bytes)
         return stored.keys, stored.values
 
+    def round_trip(self, num_elements: int) -> None:
+        """Charge a stream's spill and reload without keeping it.
+
+        The two-phase dataflow sends every multiplied leaf through DRAM
+        before merging it; the stream itself comes back unchanged.
+        """
+        num_bytes = num_elements * self._element_bytes
+        self._traffic.add(TrafficCategory.PARTIAL_WRITE, num_bytes)
+        self._traffic.add(TrafficCategory.PARTIAL_READ, num_bytes)
+
 
 class PartialMatrixWriter:
     """Converts the final merged stream to CSR and charges the write traffic.
@@ -96,28 +107,87 @@ class PartialMatrixWriter:
                      shape: tuple[int, int]) -> CSRMatrix:
         """Materialise the final CSR result and charge its DRAM write."""
         keys = np.asarray(keys, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if len(keys) != len(values):
-            raise ValueError("keys and values must have equal length")
+        return self.write_bands([(keys, values)], shape, capacity=len(keys))
+
+    def write_bands(self, bands: Iterable[tuple[np.ndarray, np.ndarray]],
+                    shape: tuple[int, int], *, capacity: int) -> CSRMatrix:
+        """Materialise the final CSR result from consecutive pieces of it.
+
+        ``bands`` are ``(keys, values)`` pieces of the merged stream, in
+        stream order, holding at most ``capacity`` elements in all.  The
+        merge tree emits strictly increasing keys (folded and
+        zero-eliminated), so each band already *is* canonical CSR content:
+        its columns and row counts go straight into arrays of ``capacity``
+        elements, which are trimmed at the end.  A band's row boundaries
+        are a binary search for each row's base key ``row * num_cols``, and
+        its columns are the keys minus their row's base, so only a band's
+        first and last keys are divided.  Keys that do not increase
+        strictly, within a band or from one band to the next, take the
+        generic COO canonicalisation instead.
+        """
         num_rows, num_cols = shape
-        if num_cols and (len(keys) < 2 or bool(np.all(keys[1:] > keys[:-1]))):
-            # The merge tree emits strictly increasing keys (folded and
-            # zero-eliminated), so the stream already *is* canonical CSR
-            # content: build it directly instead of re-sorting through the
-            # generic COO canonicalisation.  Row boundaries are a binary
-            # search for each row's base key ``row * num_cols``, and columns
-            # are the keys minus their row's base, so no key is divided.
-            if len(keys) and (keys[0] < 0
-                              or keys[-1] >= num_rows * num_cols):
+        indices = np.empty(capacity, dtype=np.int64)
+        data = np.empty(capacity, dtype=np.float64)
+        row_nnz = np.zeros(num_rows, dtype=np.int64)
+        filled = 0
+        bands = iter(bands)
+        for keys, values in bands:
+            keys, values = _checked(keys, values)
+            if not len(keys):
+                continue
+            if not (num_cols and (filled == 0 or keys[0] > last_key)
+                    and (len(keys) < 2 or bool(np.all(keys[1:] > keys[:-1])))):
+                done = (np.repeat(np.arange(num_rows, dtype=np.int64),
+                                  row_nnz), indices[:filled], data[:filled])
+                result = _coo_result(done, [(keys, values), *bands], shape)
+                break
+            if keys[0] < 0 or keys[-1] >= num_rows * num_cols:
                 raise ValueError(f"result keys fall outside shape {shape}")
-            row_base = np.arange(num_rows + 1, dtype=np.int64) * num_cols
-            indptr = np.searchsorted(keys, row_base)
-            cols = keys - np.repeat(row_base[:-1], np.diff(indptr))
-            result = CSRMatrix(indptr, cols, values.copy(), shape)
+            end = filled + len(keys)
+            if end > capacity:
+                raise ValueError(f"result bands hold more than {capacity} "
+                                 f"elements")
+            first_row = int(keys[0]) // num_cols
+            last_row = int(keys[-1]) // num_cols
+            row_base = (np.arange(first_row, last_row + 2, dtype=np.int64)
+                        * num_cols)
+            counts = np.diff(np.searchsorted(keys, row_base))
+            row_nnz[first_row:last_row + 1] += counts
+            np.subtract(keys, np.repeat(row_base[:-1], counts),
+                        out=indices[filled:end])
+            data[filled:end] = values
+            filled, last_key = end, keys[-1]
+            del keys, values  # before the next band is generated
         else:
-            rows = keys // num_cols if num_cols else keys
-            cols = keys % num_cols if num_cols else keys
-            result = coo_to_csr(COOMatrix(rows, cols, values, shape))
+            # Shrink in place; no view of the buffers exists.
+            indices.resize(filled, refcheck=False)
+            data.resize(filled, refcheck=False)
+            indptr = np.zeros(num_rows + 1, dtype=np.int64)
+            np.cumsum(row_nnz, out=indptr[1:])
+            result = CSRMatrix(indptr, indices, data, shape)
         self._traffic.add(TrafficCategory.RESULT_WRITE,
                           result.nnz * self._element_bytes)
         return result
+
+
+def _checked(keys: np.ndarray, values: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if len(keys) != len(values):
+        raise ValueError("keys and values must have equal length")
+    return keys, values
+
+
+def _coo_result(done: tuple[np.ndarray, np.ndarray, np.ndarray],
+                rest: list[tuple[np.ndarray, np.ndarray]],
+                shape: tuple[int, int]) -> CSRMatrix:
+    """Canonicalise the written ``(rows, cols, values)`` plus the rest."""
+    num_cols = shape[1]
+    rest = [_checked(keys, values) for keys, values in rest]
+    keys = np.concatenate([keys for keys, _ in rest])
+    rows = keys // num_cols if num_cols else keys
+    cols = keys % num_cols if num_cols else keys
+    return coo_to_csr(COOMatrix(
+        np.concatenate([done[0], rows]), np.concatenate([done[1], cols]),
+        np.concatenate([done[2], *[values for _, values in rest]]), shape))

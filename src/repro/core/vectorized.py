@@ -10,26 +10,27 @@ This module provides drop-in replacements that compute *exactly* the same
 functional result and *exactly* the same statistics with batched numpy
 kernels:
 
-* :class:`VectorizedLeafStreamer` — partial-product generation for every
-  leaf of a merge round at once with ``np.repeat`` + fancy indexing (one
-  gather instead of one Python iteration per left element);
-* :class:`VectorizedMergeTree` — each merge round is merged in bounded
-  blocks, each block with one packed-word sort
+* :class:`VectorizedLeafStreamer` — hands each leaf to the merge tree as
+  :class:`LeafProducts`, a pending stream whose partial products are
+  generated band by band with ``np.repeat`` + fancy indexing (one gather
+  instead of one Python iteration per left element);
+* :class:`VectorizedMergeTree` — each merge round is processed in row
+  bands: a band's products are generated, merged with one packed-word sort
   (:func:`repro.core.fastpath.merge_sorted_streams`) instead of the
-  pairwise tournament, duplicate folding via
+  pairwise tournament, folded via
   :func:`repro.core.fastpath.fold_sorted_runs` (the same ``np.add.reduceat``
-  kernel the scalar adder uses), and boolean-mask zero elimination.  The
-  cycle, comparator-operation and root-element counters are computed in
-  closed form from the input stream *lengths*, replaying the tournament
-  accounting without moving any elements.
+  kernel the scalar adder uses) and written out before the next band
+  starts.  The cycle, comparator-operation and root-element counters are
+  computed in closed form from the input stream *lengths*, replaying the
+  tournament accounting without moving any elements.
 
 Why the results are bit-identical to the scalar backend:
 
 * A pairwise tournament of stable two-way merges over the input list is a
   bottom-up stable mergesort, which orders equal keys by original stream
   position — exactly what a stable argsort over the concatenation
-  produces, and what the packed-word sort reproduces block by block (see
-  :class:`VectorizedMergeTree` for why the blocks are exact).  Since the
+  produces, and what the packed-word sort reproduces band by band (see
+  :class:`VectorizedMergeTree` for why the bands are exact).  Since the
   merged element order matches, the duplicate folds —
   ``np.add.reduceat`` over run starts, the same kernel
   :class:`~repro.hardware.adder.AdderSlice` uses for the scalar tree —
@@ -37,18 +38,16 @@ Why the results are bit-identical to the scalar backend:
   the same IEEE-754 results.
 * Partial products are generated by multiplying the same operand pairs in
   the same order (``value * B[k, c]``), only batched.  Each product depends
-  on its own operand pair alone, so generating a round's leaves in one pass
-  gives the same bits as generating each leaf on its own.
+  on its own operand pair alone, so generating a band of several leaves in
+  one pass gives the same bits as generating each leaf on its own.
 * Every counter the scalar model accumulates per element or per node pair is
   a function of the stream lengths only, so it can be summed directly.
 
 ``"streaming"`` is a second name for this backend: both names build the
-same streamer and tree.  The streamer's working set is bounded per merge
-round: element grouping is O(nnz(A)) metadata built up front, and the
-partial products of a round's leaves are generated when the round starts
-and dropped as the round consumes them, so no more than one round's
-products are live at a time.  The merge tree holds that round's streams
-anyway.
+same streamer and tree.  The working set is bounded per band: element
+grouping is O(nnz(A)) metadata built up front, a leaf's products exist only
+while the band that takes them is merged, and a round's output fills one
+buffer (or, in the last round, the result's CSR arrays) band by band.
 
 ``tests/integration/test_engine_equivalence.py`` enforces the equivalence
 over synthetic + rMAT matrices and every ablation combination.
@@ -56,7 +55,7 @@ over synthetic + rMAT matrices and every ablation combination.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -69,34 +68,72 @@ from repro.core.fastpath import (
     merge_sorted_streams,
     row_offsets,
 )
-from repro.core.huffman import MergePlan
 from repro.formats.condensed import CondensedMatrix
 from repro.formats.convert import csr_to_csc
 from repro.formats.csr import CSRMatrix
 from repro.formats.keys import linear_key_dtype
 from repro.hardware.merge_tree import MergeTree
 
-#: Elements a merge block may take from one input stream: bounds the merge's
-#: working set.  It tunes the simulation host only — results, counters and
-#: traffic are the same for every value — so it is not configuration.
+#: Products a merge band may take from one input stream, beyond the rest of
+#: its cutoff row: bounds the merge's working set.  It tunes the simulation
+#: host only — results, counters and traffic are the same for every value —
+#: so it is not configuration.
 BLOCK_ELEMENTS = 1 << 16
+
+
+class LeafProducts:
+    """A leaf's partial products, not generated yet.
+
+    :meth:`VectorizedLeafStreamer.leaf_stream` returns one in place of the
+    leaf's key array, and :class:`VectorizedMergeTree` generates its
+    products one band at a time.  ``len()`` is the product count, so a
+    round's stream lengths, and every counter they fix, are known before
+    any product exists.
+
+    Attributes:
+        streamer: the streamer whose left-operand elements the leaf covers.
+        start: the leaf's first element in the streamer's leaf-grouped
+            order.
+        stop: one past the leaf's last element.
+    """
+
+    __slots__ = ("streamer", "start", "stop", "_count")
+
+    def __init__(self, streamer: VectorizedLeafStreamer, start: int,
+                 stop: int) -> None:
+        self.streamer = streamer
+        self.start = start
+        self.stop = stop
+        before = streamer.products_before
+        self._count = int(before[stop] - before[start])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.streamer.key_dtype
+
+    def __len__(self) -> int:
+        return self._count
 
 
 class VectorizedLeafStreamer:
     """Batched replacement for the accelerator's scalar leaf streamer.
 
     Exposes the same interface (``num_leaves``, ``leaf_weights``,
-    ``leaf_access_order``, ``bind_plan``, ``leaf_stream``) but pre-groups
-    the left operand's elements by merge-plan leaf once, so generating any
-    set of leaves is a constant number of numpy gathers.
+    ``leaf_access_order``, ``leaf_stream``) but pre-groups the left
+    operand's elements by merge-plan leaf once, so generating the products
+    of any set of element ranges is a constant number of numpy gathers.
 
     ``__init__`` only builds the per-leaf grouping *metadata* (element
     boundaries, left operand arrays in leaf order and per-element product
-    counts — all O(nnz(A))).  Products are generated on demand: once
-    :meth:`bind_plan` has named the plan's merge rounds, the first
-    :meth:`leaf_stream` call of a round generates every leaf of that round
-    in one batched pass, and each leaf's products are dropped when it is
-    consumed.
+    offsets — all O(nnz(A))).  :meth:`leaf_stream` returns a pending
+    :class:`LeafProducts`; the merge tree generates its products with
+    :meth:`_generate_products`, one band at a time.
+
+    A leaf holds at most one element per left-operand row, in ascending row
+    order: a condensed column takes one element from each row, and an
+    original column is one CSC column.  So a leaf's stream is one run of
+    products per row, and cutting its element range cuts the stream at a
+    row boundary.
 
     Args:
         matrix_a: left operand in CSR format.
@@ -119,10 +156,14 @@ class VectorizedLeafStreamer:
             # condensed column of element p (row-major storage order) is its
             # offset within its row, and a stable sort by that offset keeps
             # rows ascending within each group — the column fetcher's order.
+            # Cast to the narrowest unsigned type that holds every offset:
+            # numpy's stable sort is a radix sort on 16-bit keys, and a
+            # stable sort's permutation is the same for any key type.
             row_lengths = matrix_a.nnz_per_row()
             offsets_in_row = row_offsets(matrix_a.indptr)
-            order = np.argsort(offsets_in_row, kind="stable")
             num_cc = self._condensed.num_condensed_columns
+            narrow = np.uint16 if num_cc <= 1 << 16 else np.uint32
+            order = np.argsort(offsets_in_row.astype(narrow), kind="stable")
             counts = np.bincount(offsets_in_row, minlength=max(num_cc, 1))
             # Element boundaries of each leaf within the leaf-grouped order.
             self._elem_starts = np.concatenate(
@@ -146,67 +187,35 @@ class VectorizedLeafStreamer:
                                   csc.nnz_per_col())
             left_vals = csc.data
 
-        self._left_rows = left_rows
+        #: Left-operand row of every element, in leaf-grouped order.
+        self.element_rows = left_rows
         self._left_cols = left_cols
         self._left_vals = left_vals
-        # Per-element product counts and per-leaf product boundaries.  When
-        # the (row, col) keyspace fits in 32 bits the keys are built as
-        # int32: the products take half the key memory and the key values
-        # (hence all downstream results) are unchanged; the promotion rule
-        # lives in repro.formats.keys.
+        # Per-element product counts and offsets.  When the (row, col)
+        # keyspace fits in 32 bits the keys are built as int32: the products
+        # take half the key memory and the key values (hence all downstream
+        # results) are unchanged; the promotion rule lives in
+        # repro.formats.keys.
         counts = self._b_row_nnz[left_cols]
         self._counts = counts
-        self._key_dtype = linear_key_dtype(matrix_a.num_rows,
-                                           matrix_b.num_cols)
-        prod_ends = np.cumsum(counts)
-        products_before = np.concatenate([np.zeros(1, dtype=np.int64),
-                                          prod_ends])
-        self._prod_starts = products_before[self._elem_starts]
-        # Leaves of the bound plan's rounds, and the generated leaves the
-        # current round has not consumed yet.
-        self._leaf_round: dict[int, tuple[int, ...]] = {}
-        self._pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.key_dtype = linear_key_dtype(matrix_a.num_rows,
+                                          matrix_b.num_cols)
+        #: Products of the elements before each element, and in total last.
+        self.products_before = np.concatenate(
+            [np.zeros(1, dtype=np.int64), np.cumsum(counts)])
 
     # ------------------------------------------------------------------
-    def bind_plan(self, plan: MergePlan) -> None:
-        """Generate products one merge round of ``plan`` at a time.
-
-        Unbound, or for a leaf outside the plan, each leaf is generated on
-        its own: the same bits, in more and smaller passes.
-        """
-        self._leaf_round = {leaf: leaves for leaves in plan.leaf_rounds()
-                            for leaf in leaves}
-
-    def _generate_leaves(self, leaves: tuple[int, ...]) -> None:
-        """Generate the partial products of ``leaves`` in one batched pass.
-
-        ``np.repeat`` spreads each left element over its right-matrix row,
-        a fancy-indexed gather pulls the row contents, and each leaf's
-        partial products end up in one contiguous slice (left elements by
-        ascending row, each row's products by ascending column — the scalar
-        concatenation order).
-        """
-        leaf_ids = np.asarray(leaves, dtype=np.int64)
-        starts = self._elem_starts[leaf_ids]
-        lengths = self._elem_starts[leaf_ids + 1] - starts
-        # Each leaf's element range, one leaf after another.
-        elem_idx = (np.arange(int(lengths.sum()), dtype=np.int64)
-                    + np.repeat(starts - (np.cumsum(lengths) - lengths),
-                                lengths))
-        keys, vals = self._generate_products(elem_idx)
-        ends = np.cumsum(self._prod_starts[leaf_ids + 1]
-                         - self._prod_starts[leaf_ids]).tolist()
-        for leaf, start, stop in zip(leaves, [0] + ends, ends):
-            self._pending[leaf] = (keys[start:stop], vals[start:stop])
-
     def _generate_products(self, elem_idx: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Partial products of the given leaf-grouped element positions.
 
-        Each element's products are ``value * B[col, :]`` with keys
-        ``row * num_cols + B column`` — independent per element, so any
-        batching (one merge round's leaves or a single leaf) produces
-        identical bits.
+        ``np.repeat`` spreads each left element over its right-matrix row,
+        and a fancy-indexed gather pulls the row contents: each element's
+        products are ``value * B[col, :]`` with keys
+        ``row * num_cols + B column``, elements in the order given and each
+        row's products by ascending column — the scalar concatenation
+        order.  Products are independent per element, so any batching
+        produces identical bits.
         """
         matrix_b = self._matrix_b
         counts = self._counts[elem_idx]
@@ -215,8 +224,8 @@ class VectorizedLeafStreamer:
         gather = (np.arange(total, dtype=np.int64)
                   + np.repeat(matrix_b.indptr[self._left_cols[elem_idx]]
                               - (prod_ends - counts), counts))
-        key_dtype = self._key_dtype
-        row_keys = (self._left_rows[elem_idx]
+        key_dtype = self.key_dtype
+        row_keys = (self.element_rows[elem_idx]
                     * matrix_b.num_cols).astype(key_dtype, copy=False)
         keys = (np.repeat(row_keys, counts)
                 + matrix_b.indices[gather].astype(key_dtype, copy=False))
@@ -233,6 +242,11 @@ class VectorizedLeafStreamer:
     def num_leaves(self) -> int:
         return len(self._leaf_columns)
 
+    @property
+    def row_width(self) -> int:
+        """Keys per result row: ``key = row * row_width + column``."""
+        return self._matrix_b.num_cols
+
     # ------------------------------------------------------------------
     def leaf_weights(self) -> np.ndarray:
         """Estimated partial-matrix size of every leaf (Huffman weights)."""
@@ -246,59 +260,62 @@ class VectorizedLeafStreamer:
         start, stop = self._elem_starts[leaf], self._elem_starts[leaf + 1]
         return self._left_cols[start:stop].copy()
 
-    def leaf_stream(self, leaf: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return one leaf's sorted (key, value) partial-product stream.
+    def leaf_stream(self, leaf: int) -> tuple[LeafProducts, None]:
+        """Return one leaf's pending stream as ``(LeafProducts, None)``.
 
-        Generates the leaf's whole merge round if the leaf is not pending
-        yet.  The returned arrays are popped, so once the round has
-        consumed every leaf nothing of it stays pending.
+        Nothing is generated here: :class:`VectorizedMergeTree` generates
+        the products band by band when a round merges the leaf.
         """
-        if leaf not in self._pending:
-            self._generate_leaves(self._leaf_round.get(leaf, (leaf,)))
-        return self._pending.pop(leaf)
+        return LeafProducts(self, int(self._elem_starts[leaf]),
+                            int(self._elem_starts[leaf + 1])), None
 
 
 class VectorizedMergeTree(MergeTree):
-    """Merge tree with a blocked batched merge and closed-form counters.
+    """Merge tree that streams each round in row bands, closed-form counters.
 
-    The batched engine runs this tree.  Each round is merged and folded in
-    bounded blocks: a block takes every element up to a key *cutoff* from
-    every input stream, merges them with the packed-word sort of
+    The batched engine runs this tree.  A round's input streams are key
+    arrays, or :class:`LeafProducts` whose products do not exist yet.  The
+    round is processed in bands: a band takes every element of the rows up
+    to a *cutoff* row from every stream, generates the pending leaves'
+    products of those rows, merges the band with the packed-word sort of
     :func:`~repro.core.fastpath.merge_sorted_streams` (equal keys keep
     input-list order, matching the pairwise stable tournament), folds
     duplicates with the shared :func:`~repro.core.fastpath.fold_sorted_runs`
-    kernel and drops zeros with a boolean mask.  The layer mergers'
-    counters are replayed from the stream lengths alone, so ``stats`` (and
-    the shared layer mergers' / adder's counters) match the scalar tree
-    exactly.
+    kernel, drops zeros, and writes the folded band out before the next
+    band is generated.  The layer mergers' counters are replayed from the
+    stream lengths alone, so ``stats`` (and the shared layer mergers' /
+    adder's counters) match the scalar tree exactly.
 
-    Why the blocked merge is exact:
+    A key's row is ``key // W``, where ``W`` is the pending leaves' row
+    width (the right operand's column count).  A round with no pending leaf
+    uses ``W = 1``, so its rows are single keys.  Why the bands are exact:
 
     * Only a stream with more than ``block_elements`` elements left may set
-      the cutoff: the smallest key ``block_elements`` positions ahead over
-      those streams.  *Every* element ``≤ cutoff`` is taken from *every*
-      stream via ``searchsorted(side="right")``, so later blocks hold
-      strictly greater keys only.  Concatenating the per-block outputs
-      therefore reproduces the globally sorted order, and no equal-key run
-      straddles a block boundary — each block folds exactly the runs the
-      global fold would, with the same association, and the per-block
-      adder counters sum to the global ones.
+      the cutoff: the smallest row, over those streams, of the element
+      ``block_elements`` positions ahead.  *Every* element of the rows up
+      to the cutoff is taken from *every* stream, so later bands hold
+      strictly greater rows, hence strictly greater keys.  Concatenating
+      the folded bands therefore reproduces the globally sorted order, and
+      no equal-key run straddles a band boundary — each band folds exactly
+      the runs the global fold would, with the same association, and the
+      per-band adder counters sum to the global ones.
+    * A leaf holds one run of products per row, so a band boundary is an
+      element boundary of every pending leaf: a band generates whole
+      elements, and each element's products exactly once.
     * When no stream has more than ``block_elements`` elements left, the
-      block takes everything that is left.
-    * Within a block the drained slices are concatenated in ascending
-      stream order, so ties break exactly as in one stable sort of the
-      whole round.
+      band takes everything that is left.
+    * Within a band the slices are concatenated in ascending stream order,
+      so ties break exactly as in one stable sort of the whole round.
     * The stream that sets the cutoff advances by at least
-      ``block_elements`` elements, so every round finishes.  A block takes
-      at most ``block_elements`` elements from a stream whose keys are
-      distinct (leaf streams and folded rounds always are), so the sort
-      working set is bounded by ``block_elements`` × active streams.
+      ``block_elements`` elements, so every round finishes.  A band takes
+      at most ``block_elements`` elements from a stream, plus the rest of
+      its cutoff row, so the working set is bounded by one band.
 
     Args:
-        block_elements: elements a block may take from one stream (≥ 1);
-            :data:`BLOCK_ELEMENTS`, read when the tree is built, by default
-            (the accelerator always uses the default).  Results and
-            counters are the same for every value.
+        block_elements: elements a band may take from one stream beyond the
+            rest of its cutoff row (≥ 1); :data:`BLOCK_ELEMENTS`, read when
+            the tree is built, by default (the accelerator always uses the
+            default).  Results and counters are the same for every value.
     """
 
     def __init__(self, num_layers: int = 6, merger_width: int = 16,
@@ -310,33 +327,51 @@ class VectorizedMergeTree(MergeTree):
             block_elements = BLOCK_ELEMENTS
         self._block_elements = max(1, int(block_elements))
 
-    def merge(self, streams: list[tuple[np.ndarray, np.ndarray]]
-              ) -> tuple[np.ndarray, np.ndarray]:
+    def merge(self, streams: list[tuple[np.ndarray, np.ndarray]],
+              write: Callable | None = None):
+        """Merge one round, band by band; see :meth:`MergeTree.merge`.
+
+        A stream may also be ``(LeafProducts, None)``; its products are
+        generated here.  Without ``write`` the folded bands fill one buffer
+        sized by the round's input length, returned as ``(keys, values)``.
+        """
         if len(streams) > self.num_ways:
             raise ValueError(
                 f"cannot merge {len(streams)} streams on a {self.num_ways}-way tree"
             )
-        # Input streams must be key-sorted: the block cutoffs are found by
+        # Input streams must be key-sorted: the band cutoffs are found by
         # binary search.  Unlike the scalar tree this does not check it, as
         # the accelerator only ever feeds it streams that are sorted by
         # construction (multiplier output and previously folded rounds);
         # the scalar tree is the validating reference.
-        cleaned: list[tuple[np.ndarray, np.ndarray]] = []
+        cleaned: list[tuple[np.ndarray | LeafProducts, np.ndarray | None]] = []
         for keys, values in streams:
-            if not (isinstance(keys, np.ndarray)
-                    and keys.dtype.kind == "i"):  # keep int32 keys as-is
-                keys = np.asarray(keys, dtype=np.int64)
-            values = np.asarray(values, dtype=np.float64)
-            if len(keys) != len(values):
-                raise ValueError("keys and values must have equal length")
+            if not isinstance(keys, LeafProducts):
+                if not (isinstance(keys, np.ndarray)
+                        and keys.dtype.kind == "i"):  # keep int32 keys as-is
+                    keys = np.asarray(keys, dtype=np.int64)
+                values = np.asarray(values, dtype=np.float64)
+                if len(keys) != len(values):
+                    raise ValueError("keys and values must have equal length")
             cleaned.append((keys, values))
-        if not cleaned:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-
-        self.account([len(keys) for keys, _ in cleaned])
-        out_keys, out_vals = self._merge_blocks(cleaned)
+        lengths = [len(keys) for keys, _ in cleaned]
+        if cleaned:
+            self.account(lengths)
+        bands = self._folded_bands(cleaned)
+        if write is not None:
+            result = write(bands, capacity=sum(lengths))
+        else:
+            key_dtype = (np.result_type(*[keys.dtype for keys, _ in cleaned])
+                         if cleaned else np.dtype(np.int64))
+            if max(lengths, default=0) <= self._block_elements:
+                # The round is one band, and its folded band is the output.
+                keys, values = next(bands, (np.empty(0, key_dtype),
+                                            np.empty(0)))
+                result = keys.astype(key_dtype, copy=False), values
+            else:
+                result = _fill(bands, sum(lengths), key_dtype)
         self.stats.additions = self._adder.stats.additions
-        return out_keys, out_vals
+        return result
 
     def account(self, lengths: list[int]) -> None:
         """Charge one pass's merger counters from its stream lengths alone.
@@ -386,61 +421,136 @@ class VectorizedMergeTree(MergeTree):
         self.stats.elements_into_root += total_elements
         return total_elements
 
-    def _blocks(self, streams: list[tuple[np.ndarray, np.ndarray]]
-                ) -> Iterator[tuple[list[np.ndarray], list[np.ndarray]]]:
-        """Yield each block of a round as ``(key_parts, value_parts)``.
+    def _bands(self, streams: list[tuple[np.ndarray | LeafProducts,
+                                         np.ndarray | None]]
+               ) -> Iterator[tuple[list[np.ndarray], list[np.ndarray]]]:
+        """Yield each band of a round as ``(key_parts, value_parts)``.
 
-        One slice per stream that contributes to the block, in stream
-        order; the cutoff rule is described in the class docstring.
+        One slice per stream that contributes to the band, in stream
+        order; the pending leaves' slices are generated here, in one
+        :meth:`VectorizedLeafStreamer._generate_products` call per band.
+        The band rule is described in the class docstring.
         """
         block = self._block_elements
-        pending = [(keys, vals, 0) for keys, vals in streams if len(keys)]
-        while pending:
-            ends = [int(keys[start + block - 1]) for keys, _, start in pending
-                    if len(keys) - start > block]
-            cutoff = min(ends) if ends else None
-            key_parts: list[np.ndarray] = []
-            value_parts: list[np.ndarray] = []
-            rest = []
-            for keys, vals, start in pending:
-                stop = (len(keys) if cutoff is None
-                        else int(np.searchsorted(keys, cutoff, side="right")))
-                if stop > start:
-                    key_parts.append(keys[start:stop])
-                    value_parts.append(vals[start:stop])
-                if stop < len(keys):
-                    rest.append((keys, vals, stop))
-            pending = rest
-            yield key_parts, value_parts
+        streamer = next((keys.streamer for keys, _ in streams
+                         if isinstance(keys, LeafProducts)), None)
+        width = streamer.row_width if streamer is not None else 1
+        if streamer is not None:
+            before = streamer.products_before
+            rows = streamer.element_rows
+        # [keys, values, position, end] per non-empty stream; a pending
+        # leaf's positions count its elements, an array's its keys.
+        cursors = [[keys, values, keys.start, keys.stop]
+                   if isinstance(keys, LeafProducts)
+                   else [keys, values, 0, len(keys)]
+                   for keys, values in streams if len(keys)]
+        while cursors:
+            ahead = []
+            for keys, _, position, end in cursors:
+                if not isinstance(keys, LeafProducts):
+                    if end - position > block:
+                        ahead.append(int(keys[position + block - 1]) // width)
+                elif before[end] - before[position] > block:
+                    element = np.searchsorted(
+                        before, before[position] + block - 1, side="right") - 1
+                    ahead.append(int(rows[element]))
+            cutoff = min(ahead) if ahead else None
 
-    def _merge_blocks(self, streams: list[tuple[np.ndarray, np.ndarray]]
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Merge, fold and zero-eliminate one round block by block.
+            stops = []
+            for keys, _, position, end in cursors:
+                if cutoff is None:
+                    stops.append(end)
+                elif isinstance(keys, LeafProducts):
+                    stops.append(position + int(np.searchsorted(
+                        rows[position:end], cutoff, side="right")))
+                else:  # up to the cutoff row's last key
+                    stops.append(int(np.searchsorted(
+                        keys, (cutoff + 1) * width - 1, side="right")))
+            # Yielded unbound, so nothing here keeps the band alive while
+            # the next one is generated.
+            yield _take_band(cursors, stops, streamer)
+            for cursor, stop in zip(cursors, stops):
+                cursor[2] = stop
+            cursors = [cursor for cursor in cursors if cursor[2] < cursor[3]]
 
-        Updates the adder counters for the processed elements.
+    def _folded_bands(self, streams: list[tuple[np.ndarray | LeafProducts,
+                                                np.ndarray | None]]
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Merge, fold and zero-eliminate each band of a round.
+
+        ``map`` drops a stage's input as soon as the stage returns, so a
+        band's generated parts are freed before its fold runs.
         """
-        adder_stats = self._adder.stats
-        key_dtype = np.result_type(*[keys.dtype for keys, _ in streams])
-        out_key_parts: list[np.ndarray] = []
-        out_val_parts: list[np.ndarray] = []
-        for key_parts, value_parts in self._blocks(streams):
-            if len(key_parts) == 1:
-                block_keys, block_vals = key_parts[0], value_parts[0]
-            else:
-                block_keys, block_vals = merge_sorted_streams(key_parts,
-                                                              value_parts)
-            folded_keys, folded_vals, num_runs = fold_sorted_runs(block_keys,
-                                                                  block_vals)
-            adder_stats.additions += len(block_keys) - num_runs
-            if len(folded_keys):
-                out_key_parts.append(folded_keys)
-                out_val_parts.append(folded_vals)
+        return map(self._fold_band, map(_merge_parts, self._bands(streams)))
 
-        if not out_key_parts:
-            return np.empty(0, dtype=key_dtype), np.empty(0)
-        if len(out_key_parts) == 1:
-            out_keys, out_vals = out_key_parts[0], out_val_parts[0]
+    def _fold_band(self, band: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold one merged band; updates the adder counters."""
+        keys, values = band
+        folded_keys, folded_vals, num_runs = fold_sorted_runs(keys, values)
+        self._adder.stats.additions += len(keys) - num_runs
+        return folded_keys, folded_vals
+
+
+def _merge_parts(parts: tuple[list[np.ndarray], list[np.ndarray]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One band's stream slices merged, equal keys in stream order."""
+    key_parts, value_parts = parts
+    if len(key_parts) == 1:
+        return key_parts[0], value_parts[0]
+    return merge_sorted_streams(key_parts, value_parts)
+
+
+def _take_band(cursors: list[list], stops: list[int],
+               streamer: VectorizedLeafStreamer | None
+               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each stream's slice from its position to its stop, in stream order.
+
+    The pending leaves' slices are generated in one pass over their element
+    ranges, leaf after leaf.
+    """
+    ranges = np.array([(position, stop) for (keys, _, position, _), stop
+                       in zip(cursors, stops)
+                       if isinstance(keys, LeafProducts) and stop > position],
+                      dtype=np.int64).reshape(-1, 2)
+    if len(ranges):
+        starts = ranges[:, 0]
+        lengths = ranges[:, 1] - starts
+        ends = np.cumsum(lengths)
+        leaf_keys, leaf_vals = streamer._generate_products(
+            np.arange(int(ends[-1]), dtype=np.int64)
+            + np.repeat(starts - (ends - lengths), lengths))
+        before = streamer.products_before
+    generated = 0
+    key_parts: list[np.ndarray] = []
+    value_parts: list[np.ndarray] = []
+    for (keys, values, position, _), stop in zip(cursors, stops):
+        if stop == position:
+            continue
+        if isinstance(keys, LeafProducts):
+            start = generated
+            generated += int(before[stop] - before[position])
+            key_parts.append(leaf_keys[start:generated])
+            value_parts.append(leaf_vals[start:generated])
         else:
-            out_keys = np.concatenate(out_key_parts)
-            out_vals = np.concatenate(out_val_parts)
-        return out_keys.astype(key_dtype, copy=False), out_vals
+            key_parts.append(keys[position:stop])
+            value_parts.append(values[position:stop])
+    return key_parts, value_parts
+
+
+def _fill(bands: Iterator[tuple[np.ndarray, np.ndarray]], capacity: int,
+          key_dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Copy folded bands into one buffer of ``capacity`` and trim it."""
+    keys = np.empty(capacity, dtype=key_dtype)
+    values = np.empty(capacity, dtype=np.float64)
+    filled = 0
+    for band_keys, band_values in bands:
+        end = filled + len(band_keys)
+        keys[filled:end] = band_keys
+        values[filled:end] = band_values
+        filled = end
+        del band_keys, band_values  # before the next band is generated
+    # Shrink in place; no view of the buffers exists.
+    keys.resize(filled, refcheck=False)
+    values.resize(filled, refcheck=False)
+    return keys, values

@@ -236,8 +236,8 @@ def paper_scale_config(base_config: SpArchConfig | None = None) -> SpArchConfig:
 
     Unscaled Table I buffers — at this dimension the capacity-to-working-set
     ratio *is* the paper's operating point, so no proxy compensation applies
-    — on the batched backend, whose working set is bounded per merge round
-    rather than per matrix.  It is named ``"streaming"`` here because stored
+    — on the batched backend, whose working set is bounded per row band of
+    a merge round rather than per matrix.  It is named ``"streaming"`` here because stored
     sweep cells and forced-backend cache keys carry that name; it is the
     same engine as ``"vectorized"``.
     """

@@ -16,6 +16,7 @@ by linearised (row, column) key) into one canonical stream.  It reports:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ class MergeTree:
         return 2 ** self._num_layers
 
     # ------------------------------------------------------------------
-    def merge(self, streams: list[tuple[np.ndarray, np.ndarray]]
-              ) -> tuple[np.ndarray, np.ndarray]:
+    def merge(self, streams: list[tuple[np.ndarray, np.ndarray]],
+              write: Callable | None = None):
         """Merge sorted key/value streams into one folded, zero-free stream.
 
         Args:
@@ -83,10 +84,16 @@ class MergeTree:
                 must be sorted non-decreasingly (keys are linearised
                 (row, column) coordinates).  The list length must not exceed
                 :attr:`num_ways`.
+            write: where the merged stream goes instead of being returned,
+                such as the result writer's ``write_bands`` bound to a shape
+                (:class:`~repro.core.partial_matrix.PartialMatrixWriter`).
+                It is called once, as ``write(bands, capacity=n)``, with an
+                iterable of consecutive ``(keys, values)`` pieces of the
+                stream and a bound ``n`` on their total length.
 
         Returns:
             ``(keys, values)`` of the merged stream with duplicate keys summed
-            and exact zeros removed.
+            and exact zeros removed, or what ``write`` returns.
         """
         if len(streams) > self.num_ways:
             raise ValueError(
@@ -102,6 +109,8 @@ class MergeTree:
                 raise ValueError("merge tree inputs must be key-sorted")
             cleaned.append((keys, values))
         if not cleaned:
+            if write is not None:
+                return write([], capacity=0)
             return np.empty(0, dtype=np.int64), np.empty(0)
 
         # Pairwise tournament, layer by layer, exactly like the binary tree.
@@ -135,6 +144,8 @@ class MergeTree:
         # by the merger width plus a fill latency of one FIFO per layer.
         root_cycles = -(-len(merged_keys) // self._merger_width) if len(merged_keys) else 0
         self.stats.cycles += root_cycles + self._num_layers
+        if write is not None:
+            return write([(out_keys, out_vals)], capacity=len(out_keys))
         return out_keys, out_vals
 
     def merge_cycles(self, total_output_elements: int) -> int:

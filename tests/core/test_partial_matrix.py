@@ -90,3 +90,58 @@ def test_writer_rejects_keys_outside_shape(keys):
     writer = PartialMatrixWriter(TrafficCounter())
     with pytest.raises(ValueError):
         writer.write_result(np.array(keys), np.ones(len(keys)), (3, 4))
+
+
+@pytest.mark.parametrize("cuts", [[], [1], [2, 5], [0, 3, 3, 7]])
+def test_writer_bands_equal_one_stream(cuts):
+    rng = np.random.default_rng(len(cuts))
+    keys = np.sort(rng.choice(60, size=9, replace=False))
+    vals = rng.standard_normal(len(keys))
+    want = PartialMatrixWriter(TrafficCounter()).write_result(keys, vals,
+                                                              (5, 12))
+    traffic = TrafficCounter()
+    bands = list(zip(np.split(keys, cuts), np.split(vals, cuts)))
+    got = PartialMatrixWriter(traffic).write_bands(bands, (5, 12),
+                                                   capacity=len(keys) + 4)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+    assert traffic.bytes_by_category[TrafficCategory.RESULT_WRITE] == 9 * 16
+
+
+@pytest.mark.parametrize("bands", [
+    [[1, 5, 9], [9, 10]],   # a key repeats across bands
+    [[1, 5, 9], [2, 10]],   # a later band starts lower
+    [[1, 5], [9, 3, 10]],   # a band is not sorted itself
+])
+def test_writer_bands_fall_back_to_coo(bands):
+    values = [np.arange(1.0, len(band) + 1) for band in bands]
+    keys = np.concatenate(bands)
+    want = coo_to_csr(COOMatrix(keys // 4, keys % 4, np.concatenate(values),
+                                (3, 4)))
+    got = PartialMatrixWriter(TrafficCounter()).write_bands(
+        [(np.array(band), vals) for band, vals in zip(bands, values)],
+        (3, 4), capacity=len(keys))
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+def test_writer_bands_are_checked():
+    writer = PartialMatrixWriter(TrafficCounter())
+    with pytest.raises(ValueError, match="outside shape"):
+        writer.write_bands([(np.array([1, 2]), np.ones(2)),
+                            (np.array([12]), np.ones(1))], (3, 4), capacity=3)
+    with pytest.raises(ValueError, match="equal length"):
+        writer.write_bands([(np.array([1, 2]), np.ones(2)),
+                            (np.array([5]), np.ones(2))], (3, 4), capacity=4)
+    with pytest.raises(ValueError, match="more than 2"):
+        writer.write_bands([(np.array([1, 2]), np.ones(2)),
+                            (np.array([5]), np.ones(1))], (3, 4), capacity=2)
+
+
+def test_round_trip_charges_a_spill_and_a_reload():
+    traffic = TrafficCounter()
+    PartialMatrixStore(traffic, element_bytes=16).round_trip(5)
+    assert traffic.bytes_by_category[TrafficCategory.PARTIAL_WRITE] == 80
+    assert traffic.bytes_by_category[TrafficCategory.PARTIAL_READ] == 80
