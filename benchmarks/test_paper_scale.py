@@ -3,7 +3,7 @@
 The benchmark suite normally runs on ``BENCH_MAX_ROWS = 600`` proxies with
 proxy-scaled buffers.  This module is the exception: it executes each
 *paper-scale rung* of ``PAPER_SCALE_NAMES`` capped at 10⁵ rows on the
-streaming engine with the **unscaled Table I configuration**, exactly the
+batched engine with the **unscaled Table I configuration**, exactly the
 regime DESIGN.md's proxy-scaling argument used to exclude.  The two rungs
 reach different prefetcher paths: patents_main's rows span several buffer
 lines, so its replay runs the event loop, while every m133-b3 row fits one
@@ -86,11 +86,11 @@ def _traced_peak_mib(fn) -> float:
 
 @pytest.mark.parametrize("rung_name", PAPER_SCALE_NAMES)
 def test_paper_scale_rung_streaming_throughput(rung_name):
-    """One rung @ 10⁵ rows, streaming engine, unscaled Table I."""
+    """One rung @ 10⁵ rows, batched engine, unscaled Table I."""
     suite = load_paper_scale_suite(max_rows=PAPER_SCALE_MAX_ROWS,
                                    names=[rung_name])
     matrix, config = suite[rung_name]
-    assert config.engine == "streaming"
+    assert config.engine == "vectorized"
     assert config.prefetch_buffer_lines == 1024  # unscaled Table I
     assert config.lookahead_fifo_elements == 8192
 

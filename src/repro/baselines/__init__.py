@@ -30,11 +30,9 @@ closed-form counters, proven identical by
 from repro.baselines.armadillo import ArmadilloSpGEMM
 from repro.baselines.base import (
     DEFAULT_ENGINE,
-    ENGINES,
     BaselineCounters,
     BaselineEngine,
     BaselineResult,
-    BaselineSummary,
     SpGEMMBaseline,
 )
 from repro.baselines.gustavson import GustavsonSpGEMM
@@ -56,10 +54,8 @@ __all__ = [
     "BaselineCounters",
     "BaselineEngine",
     "BaselineResult",
-    "BaselineSummary",
     "SpGEMMBaseline",
     "DEFAULT_ENGINE",
-    "ENGINES",
     "OuterSpaceAccelerator",
     "GustavsonSpGEMM",
     "HashSpGEMM",

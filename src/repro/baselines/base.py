@@ -11,6 +11,9 @@ the core accelerator got with ``SpArchConfig.engine``:
   batched CSR kernels and derives the same cycle/traffic/energy counters in
   closed form from row-length and partial-product-count arrays.
 
+These are :data:`repro.core.config.BACKENDS`, the backend names every
+engine shares.
+
 Both backends are proven to produce *identical* results and identical
 counters by the differential harness in
 ``tests/baselines/test_backend_equivalence.py``; the vectorized path exists
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.platforms import PlatformModel
+from repro.core.config import check_backend
 from repro.formats.csr import CSRMatrix
 
 #: Bytes of one stored element in baseline traffic models (8-byte column
@@ -40,20 +44,8 @@ from repro.formats.csr import CSRMatrix
 #: value for the accelerators — both come to 16 bytes).
 ELEMENT_BYTES = 16
 
-#: The two baseline execution backends.
-ENGINES = ("scalar", "vectorized")
-
 #: Backend used when a baseline is constructed without an explicit engine.
 DEFAULT_ENGINE = "vectorized"
-
-
-def check_engine(engine: str) -> str:
-    """Validate an engine name, returning it unchanged."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
 
 
 # ----------------------------------------------------------------------
@@ -196,68 +188,6 @@ class BaselineResult:
                 f"runtime={self.runtime_seconds:.3e}s, gflops={self.gflops:.3f})")
 
 
-@dataclass
-class BaselineSummary:
-    """Serialisable scalar outcome of one baseline run (no result matrix).
-
-    This is what :class:`repro.experiments.runner.ExperimentRunner` memoises
-    for baseline points: everything the comparison harnesses consume
-    (runtime, energy, counters), without the functional result — which no
-    experiment reads and which the differential tests exercise directly.
-    """
-
-    baseline: str
-    platform: str
-    engine: str
-    runtime_seconds: float
-    traffic_bytes: int
-    multiplications: int
-    additions: int
-    bookkeeping_ops: int
-    energy_joules: float
-    result_nnz: int
-    extras: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def flops(self) -> int:
-        """Useful floating point operations (multiplications + additions)."""
-        return self.multiplications + self.additions
-
-    @property
-    def gflops(self) -> float:
-        """Achieved GFLOP/s of the modelled execution."""
-        if self.runtime_seconds <= 0:
-            return 0.0
-        return self.flops / self.runtime_seconds / 1e9
-
-    @classmethod
-    def from_result(cls, baseline: "SpGEMMBaseline",
-                    result: BaselineResult) -> "BaselineSummary":
-        """Summarise a :class:`BaselineResult` produced by ``baseline``."""
-        return cls(
-            baseline=baseline.name,
-            platform=result.platform,
-            engine=getattr(baseline, "engine", "scalar"),
-            runtime_seconds=result.runtime_seconds,
-            traffic_bytes=result.traffic_bytes,
-            multiplications=result.multiplications,
-            additions=result.additions,
-            bookkeeping_ops=result.bookkeeping_ops,
-            energy_joules=result.energy_joules,
-            result_nnz=result.nnz,
-            extras=dict(result.extras),
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable representation (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BaselineSummary":
-        """Rebuild a summary from :meth:`to_dict` output."""
-        return cls(**payload)
-
-
 # ----------------------------------------------------------------------
 # Abstract bases
 # ----------------------------------------------------------------------
@@ -324,7 +254,7 @@ class BaselineEngine(SpGEMMBaseline):
     def __init__(self, platform: PlatformModel, *,
                  engine: str | None = None) -> None:
         self._platform = platform
-        self._engine = check_engine(engine or DEFAULT_ENGINE)
+        self._engine = check_backend(engine or DEFAULT_ENGINE)
 
     # ------------------------------------------------------------------
     @property
@@ -343,7 +273,7 @@ class BaselineEngine(SpGEMMBaseline):
         only the backend changes.  Returns ``self`` when the engine already
         matches.
         """
-        check_engine(engine)
+        check_backend(engine)
         if engine == self._engine:
             return self
         clone = copy.copy(self)

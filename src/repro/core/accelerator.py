@@ -19,8 +19,8 @@ Two interchangeable code paths implement the multiply/merge hot path,
 chosen by ``SpArchConfig.engine``: the scalar reference in this module
 (:class:`_LeafStreamer` + :class:`~repro.hardware.merge_tree.MergeTree`,
 ``engine="scalar"``) and the batched implementation in
-:mod:`repro.core.vectorized` (``engine="vectorized"``, also named
-``"streaming"``).  The batched path hands the merge tree pending leaves
+:mod:`repro.core.vectorized` (``engine="vectorized"``).  The batched path
+hands the merge tree pending leaves
 (:class:`~repro.core.vectorized.LeafProducts`), and
 :class:`~repro.core.vectorized.VectorizedMergeTree` generates, merges,
 folds and writes each round one row band at a time, so its working set is

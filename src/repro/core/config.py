@@ -12,24 +12,20 @@ The defaults reproduce the configuration evaluated in the paper:
 The ``enable_*`` flags turn the paper's four techniques on and off for the
 breakdown experiment of Figure 16.
 
-The ``engine`` field selects one of two functionally identical simulation
-code paths under three names, :data:`BACKENDS` (see
-:mod:`repro.core.vectorized` and
+The ``engine`` field selects one of the two functionally identical
+simulation backends, :data:`BACKENDS` (see :mod:`repro.core.vectorized` and
 ``tests/integration/test_engine_equivalence.py``):
 
 * ``"scalar"`` — the reference implementation that walks partial products
   element by element and merges streams pairwise, mirroring the hardware
   structure one step at a time;
-* ``"vectorized"`` and ``"streaming"`` — two names for the batched numpy
-  kernels (every merge round streamed in row bands: one fancy-indexed
-  partial-product gather, one packed-word sort and one
-  ``np.add.reduceat`` duplicate fold per band) with all
+* ``"vectorized"`` — the batched numpy kernels (every merge round streamed
+  in row bands: one fancy-indexed partial-product gather, one packed-word
+  sort and one ``np.add.reduceat`` duplicate fold per band) with all
   cycle/traffic/comparator counters computed in closed form so the
-  statistics stay bit-identical to the scalar model.  Their working set is
+  statistics stay bit-identical to the scalar model.  Its working set is
   bounded per band, which is what runs paper-scale (10⁵+-row) scenarios
   with unscaled Table I buffers.
-  Both names stay valid because stored sweep cells and forced-backend cache
-  keys carry them.
 
 The engine name is excluded from cache keys and config fingerprints via
 :data:`BACKEND_FIELDS`.  The batched merge tree's band size is not a
@@ -55,9 +51,20 @@ from repro.utils.validation import (
     check_positive_int,
 )
 
-#: The valid ``SpArchConfig.engine`` names: the scalar reference, and two
-#: names for the batched engine.
-BACKENDS = ("scalar", "vectorized", "streaming")
+#: The execution backends of every engine, SpArch and baselines alike: the
+#: scalar reference and the batched engine.
+BACKENDS = ("scalar", "vectorized")
+
+
+def check_backend(name: str) -> str:
+    """Return ``name`` if it is one of :data:`BACKENDS`, else raise."""
+    if name not in BACKENDS:
+        raise ValueError(
+            f"engine must be one of {', '.join(map(repr, BACKENDS))}, "
+            f"got {name!r}"
+        )
+    return name
+
 
 #: Config fields that select the simulation *backend* without affecting any
 #: simulated quantity.  Cache keys and config fingerprints
@@ -112,8 +119,8 @@ class SpArchConfig:
             startup overhead §III-C credits matrix condensing with amortising.
         hbm: HBM memory configuration.
         engine: simulation backend, one of :data:`BACKENDS` —
-            ``"vectorized"`` (default) or its other name ``"streaming"``,
-            or ``"scalar"``; all produce identical results and statistics.
+            ``"vectorized"`` (default) or ``"scalar"``; both produce
+            identical results and statistics.
         enable_pipelined_merge: pipeline multiply and merge on chip (the
             first of the paper's four techniques).  When disabled the model
             degenerates to the two-phase OuterSPACE-style dataflow.
@@ -163,11 +170,7 @@ class SpArchConfig:
         if not isinstance(self.hbm, HBMConfig):
             raise TypeError(f"hbm must be an HBMConfig, got "
                             f"{type(self.hbm).__name__}")
-        if self.engine not in BACKENDS:
-            raise ValueError(
-                f"engine must be one of {', '.join(map(repr, BACKENDS))}, "
-                f"got {self.engine!r}"
-            )
+        check_backend(self.engine)
 
     # ------------------------------------------------------------------
     @property

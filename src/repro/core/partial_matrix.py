@@ -58,8 +58,14 @@ class PartialMatrixStore:
         self._stored: dict[int, StoredPartialMatrix] = {}
 
     def write(self, node_id: int, keys: np.ndarray, values: np.ndarray) -> None:
-        """Spill a partially merged result to DRAM."""
-        keys = np.asarray(keys, dtype=np.int64)
+        """Spill a partially merged result to DRAM.
+
+        Integer keys keep their dtype: a stream on an int32 keyspace
+        (:func:`repro.formats.keys.linear_key_dtype`) spills and reloads
+        as int32.
+        """
+        if not (isinstance(keys, np.ndarray) and keys.dtype.kind == "i"):
+            keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         if len(keys) != len(values):
             raise ValueError("keys and values must have equal length")

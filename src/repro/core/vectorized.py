@@ -43,11 +43,10 @@ Why the results are bit-identical to the scalar backend:
 * Every counter the scalar model accumulates per element or per node pair is
   a function of the stream lengths only, so it can be summed directly.
 
-``"streaming"`` is a second name for this backend: both names build the
-same streamer and tree.  The working set is bounded per band: element
-grouping is O(nnz(A)) metadata built up front, a leaf's products exist only
-while the band that takes them is merged, and a round's output fills one
-buffer (or, in the last round, the result's CSR arrays) band by band.
+The working set is bounded per band: element grouping is O(nnz(A))
+metadata built up front, a leaf's products exist only while the band that
+takes them is merged, and a round's output fills one buffer (or, in the
+last round, the result's CSR arrays) band by band.
 
 ``tests/integration/test_engine_equivalence.py`` enforces the equivalence
 over synthetic + rMAT matrices and every ablation combination.

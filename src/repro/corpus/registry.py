@@ -26,8 +26,8 @@ PAPER_SCALE_NAMES = ("patents_main", "m133-b3")
 
 #: The paper-scale dimension rung: 10⁵ rows, the low end of the regime the
 #: paper reports (10⁵–10⁶).  Scenarios at this rung run with *unscaled*
-#: Table I buffers on the batched engine (as ``engine="streaming"``), whose
-#: working set is bounded per row band of a merge round.
+#: Table I buffers on the batched engine, whose working set is bounded per
+#: row band of a merge round.
 PAPER_SCALE_MAX_ROWS = 100_000
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.baselines.base import BaselineSummary, SpGEMMBaseline
+from repro.baselines.base import BaselineResult, SpGEMMBaseline
 from repro.engines.base import Engine, EngineRun
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import CostReport
@@ -42,11 +42,6 @@ class BaselineEngineAdapter(Engine):
         return getattr(self._baseline, "engine", "scalar")
 
     def using_backend(self, backend: str) -> "BaselineEngineAdapter":
-        # "streaming" is the SpArch core's second name for its batched
-        # engine.  The baselines have no such name: their vectorized path
-        # is already bounded-memory, so a streaming pin runs vectorized.
-        if backend == "streaming":
-            backend = "vectorized"
         pinned = self._baseline.using_engine(backend)
         if pinned is self._baseline:
             return self
@@ -62,6 +57,49 @@ class BaselineEngineAdapter(Engine):
             ) -> EngineRun:
         right = matrix_a if matrix_b is None else matrix_b
         result = self._baseline.multiply(matrix_a, right)
-        summary = BaselineSummary.from_result(self._baseline, result)
-        report = CostReport.from_baseline_summary(summary, engine=self.name)
-        return EngineRun(matrix=result.matrix, report=report)
+        return EngineRun(matrix=result.matrix, report=self._report(result))
+
+    def _report(self, result: BaselineResult) -> CostReport:
+        """The cost report of one run.
+
+        The headline ``energy_joules`` keeps the platform model's number
+        (runtime × dynamic power — the Figure 12 methodology); ``energy``
+        additionally carries the uniform per-event accounting so baseline
+        points get the same Table III-style view as SpArch (DESIGN.md).
+        ``detail`` records the run's scalar outcome, result matrix aside.
+        """
+        from repro.analysis.energy import EnergyModel
+
+        detail = {
+            "baseline": self.display_name,
+            "platform": result.platform,
+            "engine": self.backend,
+            "runtime_seconds": result.runtime_seconds,
+            "traffic_bytes": result.traffic_bytes,
+            "multiplications": result.multiplications,
+            "additions": result.additions,
+            "bookkeeping_ops": result.bookkeeping_ops,
+            "energy_joules": result.energy_joules,
+            "result_nnz": result.nnz,
+            "extras": dict(result.extras),
+        }
+        return CostReport(
+            engine=self.name,
+            kind="baseline",
+            backend=self.backend,
+            runtime_seconds=result.runtime_seconds,
+            multiplications=result.multiplications,
+            additions=result.additions,
+            bookkeeping_ops=result.bookkeeping_ops,
+            output_nnz=result.nnz,
+            traffic={"total": int(result.traffic_bytes)},
+            energy=EnergyModel().event_energy(
+                multiplications=result.multiplications,
+                additions=result.additions,
+                bookkeeping_ops=result.bookkeeping_ops,
+                dram_bytes=result.traffic_bytes,
+            ),
+            energy_joules=result.energy_joules,
+            extras=dict(result.extras),
+            detail=detail,
+        )

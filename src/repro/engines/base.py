@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 # BACKENDS names the execution backends every engine understands, proven
 # identical by the differential harnesses: a scalar reference loop and a
-# batched fast path, which answers to both "vectorized" and "streaming".
-# Baselines map "streaming" to their vectorized path.
+# batched fast path.
 from repro.core.config import BACKENDS  # noqa: F401  (re-exported)
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import CostReport

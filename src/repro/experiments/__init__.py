@@ -13,12 +13,11 @@ The mapping from paper artefact to module lives in
 DESIGN.md.
 """
 
-from repro.experiments.common import ExperimentResult, default_suite
+from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
 
 __all__ = [
     "ExperimentResult",
-    "default_suite",
     "EXPERIMENTS",
     "get_experiment",
     "list_experiments",

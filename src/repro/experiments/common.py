@@ -1,12 +1,11 @@
 """Shared plumbing for the experiment harnesses.
 
 Besides workload loading and the :class:`ExperimentResult` container, this
-module exposes :func:`simulate_workload` and
-:func:`gather_comparison_reports` — thin wrappers over
-:class:`repro.experiments.runner.ExperimentRunner`, through which every
-harness routes its simulations.  That shared funnel is what lets one
-``python -m repro.experiments all`` sweep reuse each (matrix, config)
-simulation across figures instead of recomputing it per experiment.
+module exposes :func:`gather_comparison_reports`, the SpArch-vs-baselines
+batch of Figures 11 and 12.  Every harness routes its points through
+:class:`repro.experiments.runner.ExperimentRunner`; that shared funnel is
+what lets one ``python -m repro.experiments all`` sweep reuse each (matrix,
+config) simulation across figures instead of recomputing it per experiment.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import SpArchConfig
-from repro.core.stats import SimulationStats
 from repro.corpus.registry import PAPER_SCALE_MAX_ROWS, PAPER_SCALE_NAMES
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
@@ -142,25 +140,6 @@ def gather_comparison_reports(workload: dict[str, tuple[CSRMatrix, SpArchConfig 
     return sparch_reports, baseline_reports
 
 
-def simulate_workload(workload: dict[str, tuple[CSRMatrix, SpArchConfig | None]],
-                      *, runner: ExperimentRunner | None = None
-                      ) -> dict[str, SimulationStats]:
-    """Simulate a named workload, memoised and (optionally) fanned out."""
-    return (runner or default_runner()).simulate_workload(workload)
-
-
-def default_suite(*, max_rows: int = DEFAULT_MAX_ROWS,
-                  names: list[str] | None = None) -> dict[str, CSRMatrix]:
-    """Load the (scaled) 20-matrix benchmark suite used by most experiments.
-
-    Args:
-        max_rows: proxy dimension cap (see
-            :func:`repro.matrices.suite.proxy_dimensions`).
-        names: subset of benchmark names; defaults to all 20.
-    """
-    return load_suite(max_rows=max_rows, names=names)
-
-
 def small_suite(*, max_rows: int = 600, count: int = 5) -> dict[str, CSRMatrix]:
     """A few-matrix subset for quick runs (tests, pytest-benchmark)."""
     names = benchmark_names()[:count]
@@ -237,12 +216,10 @@ def paper_scale_config(base_config: SpArchConfig | None = None) -> SpArchConfig:
     Unscaled Table I buffers — at this dimension the capacity-to-working-set
     ratio *is* the paper's operating point, so no proxy compensation applies
     — on the batched backend, whose working set is bounded per row band of
-    a merge round rather than per matrix.  It is named ``"streaming"`` here because stored
-    sweep cells and forced-backend cache keys carry that name; it is the
-    same engine as ``"vectorized"``.
+    a merge round rather than per matrix.
     """
     base_config = base_config or SpArchConfig()
-    return base_config.replace(engine="streaming")
+    return base_config.replace(engine="vectorized")
 
 
 def load_scaled_suite(*, max_rows: int = DEFAULT_MAX_ROWS,
@@ -271,7 +248,7 @@ def load_paper_scale_suite(*, max_rows: int = PAPER_SCALE_MAX_ROWS,
 
     The counterpart of :func:`load_scaled_suite` for the 10⁵+-row regime:
     every matrix is paired with :func:`paper_scale_config` (unscaled
-    buffers, streaming backend).
+    buffers, batched backend).
 
     Returns:
         ``{name: (matrix, config)}``.

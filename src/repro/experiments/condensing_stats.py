@@ -115,10 +115,3 @@ def _b_read_bytes(stats) -> int:
 
     return stats.traffic.bytes_by_category[TrafficCategory.MATRIX_B_READ]
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from repro.baselines.outerspace import OuterSpaceAccelerator
 from repro.core.config import SpArchConfig
-from repro.experiments.common import (
-    ExperimentResult,
-    load_scaled_suite,
-    simulate_workload,
-)
-from repro.experiments.runner import ExperimentRunner
+from repro.engines.adapters import BaselineEngineAdapter
+from repro.experiments.common import ExperimentResult, load_scaled_suite
+from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
 from repro.utils.maths import geometric_mean
 from repro.utils.reporting import Table
@@ -36,7 +33,7 @@ def run(*, max_rows: int = 1000, names: list[str] | None = None,
     else:
         workload = load_scaled_suite(max_rows=max_rows, names=names,
                                      base_config=config)
-    outerspace = OuterSpaceAccelerator()
+    outerspace = BaselineEngineAdapter(OuterSpaceAccelerator())
 
     table = Table(
         title="Total DRAM access: SpArch vs OuterSPACE",
@@ -44,14 +41,16 @@ def run(*, max_rows: int = 1000, names: list[str] | None = None,
                  "SpArch partial bytes", "SpArch input bytes"],
     )
     reductions: list[float] = []
-    sparch_stats = simulate_workload(workload, runner=runner)
-    for name, (matrix, matrix_config) in workload.items():
+    runner = runner or default_runner()
+    sparch_stats = runner.simulate_workload(workload)
+    outer_reports = runner.run_engine_many(
+        [(outerspace, matrix) for matrix, _ in workload.values()])
+    for name, outer_report in zip(workload, outer_reports):
         stats = sparch_stats[name]
-        outer_result = outerspace.multiply(matrix, matrix)
         sparch_bytes = stats.dram_bytes
-        reduction = outer_result.traffic_bytes / max(1, sparch_bytes)
+        reduction = outer_report.dram_bytes / max(1, sparch_bytes)
         reductions.append(reduction)
-        table.add_row(name, sparch_bytes, outer_result.traffic_bytes, reduction,
+        table.add_row(name, sparch_bytes, outer_report.dram_bytes, reduction,
                       stats.traffic.partial_matrix_bytes,
                       stats.traffic.input_bytes)
     geomean = geometric_mean(reductions)
@@ -65,10 +64,3 @@ def run(*, max_rows: int = 1000, names: list[str] | None = None,
         paper_values=dict(PAPER_METRICS),
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

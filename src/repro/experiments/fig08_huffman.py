@@ -64,10 +64,3 @@ def run(weights: list[float] | None = None) -> ExperimentResult:
         paper_values=paper_values,
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -110,10 +110,3 @@ def run(*, max_rows: int = 1000, names: list[str] | None = None,
         reports=reports,
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,12 +12,8 @@ from __future__ import annotations
 from repro.analysis.area import AreaModel, PAPER_AREA_MM2
 from repro.analysis.energy import EnergyBreakdown, EnergyModel
 from repro.core.config import SpArchConfig
-from repro.experiments.common import (
-    ExperimentResult,
-    load_scaled_suite,
-    simulate_workload,
-)
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.common import ExperimentResult, load_scaled_suite
+from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
 from repro.utils.reporting import Table
 
@@ -51,7 +47,7 @@ def run(*, max_rows: int = 800, names: list[str] | None = None,
     energy_model = EnergyModel()
     accumulated = EnergyBreakdown()
     total_runtime = 0.0
-    sparch_stats = simulate_workload(workload, runner=runner)
+    sparch_stats = (runner or default_runner()).simulate_workload(workload)
     for name, (matrix, matrix_config) in workload.items():
         stats = sparch_stats[name]
         breakdown = energy_model.breakdown(stats, matrix_config)
@@ -99,10 +95,3 @@ def run(*, max_rows: int = 800, names: list[str] | None = None,
         paper_values=paper_values,
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

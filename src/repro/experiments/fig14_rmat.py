@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from repro.baselines.gustavson import GustavsonSpGEMM
 from repro.core.config import SpArchConfig
-from repro.experiments.common import ExperimentResult
+from repro.engines.adapters import BaselineEngineAdapter
+from repro.engines.sparch import SpArchEngine
+from repro.experiments.common import ExperimentResult, scale_buffer_capacities
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.matrices.rmat import RMATConfig, generate_rmat, rmat_benchmark_name
 from repro.utils.maths import geometric_mean
@@ -58,14 +60,9 @@ def run(*, scale: float = 0.1, seed: int = 7,
     the relative degradation of the two systems) matches the full-size sweep.
     """
     sweep = scaled_sweep(scale)
-    base_config = config or SpArchConfig()
-    scaled_lines = max(32, int(round(base_config.prefetch_buffer_lines * scale)))
-    scaled_lookahead = max(256, int(round(base_config.lookahead_fifo_elements
-                                          * scale)))
-    sparch_config = base_config.replace(
-        prefetch_buffer_lines=scaled_lines,
-        lookahead_fifo_elements=scaled_lookahead)
-    mkl = GustavsonSpGEMM(cache_bytes=max(64 * 2**10, 15 * 2**20 * scale))
+    sparch_config = scale_buffer_capacities(config or SpArchConfig(), scale)
+    mkl = BaselineEngineAdapter(
+        GustavsonSpGEMM(cache_bytes=max(64 * 2**10, 15 * 2**20 * scale)))
 
     table = Table(
         title="Figure 14 — FLOPS on rMAT benchmarks (SpArch vs MKL)",
@@ -75,16 +72,16 @@ def run(*, scale: float = 0.1, seed: int = 7,
     generated = [generate_rmat(RMATConfig(num_rows=rows, edge_factor=degree,
                                           seed=seed))
                  for rows, degree in sweep]
-    sparch_stats = runner.simulate_many(
-        [(matrix, sparch_config) for matrix in generated])
-    mkl_summaries = runner.run_baseline_many(
+    sparch_reports = runner.run_engine_many(
+        [(SpArchEngine(sparch_config), matrix) for matrix in generated])
+    mkl_reports = runner.run_engine_many(
         [(mkl, matrix) for matrix in generated])
     sparch_flops: list[float] = []
     mkl_flops: list[float] = []
-    for matrix, stats, mkl_result, (orig_rows, degree) in zip(
-            generated, sparch_stats, mkl_summaries, PAPER_SWEEP):
-        sparch_rate = stats.flops / max(stats.runtime_seconds, 1e-15)
-        mkl_rate = mkl_result.flops / max(mkl_result.runtime_seconds, 1e-15)
+    for matrix, sparch, mkl_report, (orig_rows, degree) in zip(
+            generated, sparch_reports, mkl_reports, PAPER_SWEEP):
+        sparch_rate = sparch.flops / max(sparch.runtime_seconds, 1e-15)
+        mkl_rate = mkl_report.flops / max(mkl_report.runtime_seconds, 1e-15)
         sparch_flops.append(sparch_rate)
         mkl_flops.append(mkl_rate)
         table.add_row(rmat_benchmark_name(orig_rows, degree), matrix.density,
@@ -118,10 +115,3 @@ def run(*, scale: float = 0.1, seed: int = 7,
         notes=[f"rMAT dimensions scaled by {scale:g} (degrees preserved)"],
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,9 +16,11 @@ from repro.analysis.roofline import (
 )
 from repro.baselines.outerspace import OuterSpaceAccelerator
 from repro.core.config import SpArchConfig
-from repro.experiments.common import ExperimentResult, default_suite
+from repro.engines.adapters import BaselineEngineAdapter
+from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
+from repro.matrices.suite import load_suite
 from repro.utils.maths import geometric_mean
 from repro.utils.reporting import Table
 
@@ -36,23 +38,25 @@ def run(*, max_rows: int = 1000, names: list[str] | None = None,
         runner: ExperimentRunner | None = None) -> ExperimentResult:
     """Reproduce the Figure 15 roofline numbers on the benchmark suite."""
     config = config or SpArchConfig()
-    matrices = matrices or default_suite(max_rows=max_rows, names=names)
+    matrices = matrices or load_suite(max_rows=max_rows, names=names)
     runner = runner or default_runner()
-    outerspace = OuterSpaceAccelerator()
+    outerspace = BaselineEngineAdapter(OuterSpaceAccelerator())
 
     sparch_stats = runner.simulate_many(
         [(matrix, config) for matrix in matrices.values()])
+    outer_reports = runner.run_engine_many(
+        [(outerspace, matrix) for matrix in matrices.values()])
     intensities: list[float] = []
     sparch_gflops: list[float] = []
     outerspace_gflops: list[float] = []
-    for matrix, stats in zip(matrices.values(), sparch_stats):
-        outer_result = outerspace.multiply(matrix, matrix)
+    for matrix, stats, outer_report in zip(matrices.values(), sparch_stats,
+                                           outer_reports):
         compulsory = compulsory_traffic_bytes_from_counts(
             matrix.nnz, matrix.nnz, stats.output_nnz,
             element_bytes=config.element_bytes)
         intensities.append(stats.flops / compulsory if compulsory else 0.0)
         sparch_gflops.append(max(stats.gflops, 1e-12))
-        outerspace_gflops.append(max(outer_result.gflops, 1e-12))
+        outerspace_gflops.append(max(outer_report.gflops, 1e-12))
 
     intensity = geometric_mean(intensities)
     sparch_point = _aggregate_point("SpArch", intensity,
@@ -102,10 +106,3 @@ def _aggregate_point(name: str, intensity: float, gflops: float,
                               operational_intensity=intensity)
     return point
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

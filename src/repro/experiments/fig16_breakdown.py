@@ -28,9 +28,10 @@ from repro.analysis.dram_traffic import (
     uncondensed_traffic_elements,
 )
 from repro.core.config import SpArchConfig
-from repro.experiments.common import ExperimentResult, default_suite
+from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
+from repro.matrices.suite import load_suite
 from repro.utils.reporting import Table
 
 #: Step-over-step factors reported in Figure 2 / Figure 16.
@@ -59,7 +60,7 @@ def run(*, max_rows: int = 4000, names: list[str] | None = None,
             # tractable; the full suite is available by passing names.
             names = ["wiki-Vote", "facebook", "poisson3Da", "ca-CondMat",
                      "email-Enron", "p2p-Gnutella31"]
-        matrices = default_suite(max_rows=max_rows, names=names)
+        matrices = load_suite(max_rows=max_rows, names=names)
 
     runner = runner or default_runner()
     steps = cumulative_breakdown(matrices, base_config=config, runner=runner)
@@ -113,10 +114,3 @@ def run(*, max_rows: int = 4000, names: list[str] | None = None,
     )
     return result
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.core.config import SpArchConfig
 from repro.corpus.registry import DSE_BENCHMARKS
-from repro.experiments.common import ExperimentResult, default_suite
+from repro.experiments.common import ExperimentResult
 from repro.experiments.designspace import (
     fig17_grid,
     summarise_grid,
@@ -25,6 +25,7 @@ from repro.experiments.designspace import (
 )
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
+from repro.matrices.suite import load_suite
 from repro.utils.reporting import Table
 
 #: Display row of each grid family, in the paper's presentation order
@@ -79,7 +80,7 @@ def run(*, max_rows: int = 800, names: list[str] | None = None,
             # The same benchmark subset the registered fig17-dse corpus
             # sweep runs — one definition of the grid's matrix axis.
             names = list(DSE_BENCHMARKS)
-        matrices = default_suite(max_rows=max_rows, names=names)
+        matrices = load_suite(max_rows=max_rows, names=names)
 
     table = Table(
         title="Figure 17 — design space exploration",
@@ -116,10 +117,3 @@ def run(*, max_rows: int = 800, names: list[str] | None = None,
                f"scaled proxies' working sets (see EXPERIMENTS.md)"],
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

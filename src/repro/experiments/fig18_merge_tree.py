@@ -10,9 +10,10 @@ already comparable to the tree's width.
 from __future__ import annotations
 
 from repro.core.config import SpArchConfig
-from repro.experiments.common import ExperimentResult, default_suite
+from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
+from repro.matrices.suite import load_suite
 from repro.utils.maths import geometric_mean
 from repro.utils.reporting import Table
 
@@ -37,7 +38,7 @@ def run(*, max_rows: int = 1500, names: list[str] | None = None,
         if names is None:
             names = ["wiki-Vote", "facebook", "email-Enron", "ca-CondMat",
                      "poisson3Da", "2cubes_sphere"]
-        matrices = default_suite(max_rows=max_rows, names=names)
+        matrices = load_suite(max_rows=max_rows, names=names)
 
     table = Table(
         title="Figure 18 — merge tree depth sweep",
@@ -63,10 +64,3 @@ def run(*, max_rows: int = 1500, names: list[str] | None = None,
         paper_values=dict(PAPER_METRICS),
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

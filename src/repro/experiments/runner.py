@@ -13,11 +13,11 @@ canonical schema:
   keys simply stop matching and the points recompute.
 * **One dispatch** — :meth:`run_engine` / :meth:`run_engine_many` accept an
   :class:`~repro.engines.base.Engine` instance *or a registry name* and
-  return cost reports.  The legacy entry points (:meth:`simulate`,
-  :meth:`run_baseline`, ...) are thin views that rebuild the native
-  :class:`~repro.core.stats.SimulationStats` /
-  :class:`~repro.baselines.base.BaselineSummary` from the report's lossless
-  ``detail`` payload, so nothing downstream changed numerically.
+  return cost reports; a baseline runs as a
+  :class:`~repro.engines.adapters.BaselineEngineAdapter`.  The SpArch
+  views (:meth:`simulate`, :meth:`simulate_many`, ...) rebuild the native
+  :class:`~repro.core.stats.SimulationStats` from the report's lossless
+  ``detail`` payload.
 * **Memoisation** — each point is fingerprinted (SHA-256 over the CSR
   arrays and the engine's model identity) and cached in memory always and
   on disk when a cache directory is configured (``--cache-dir`` on the CLI
@@ -61,10 +61,8 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 
-from repro.baselines.base import BaselineSummary, SpGEMMBaseline
-from repro.core.config import BACKENDS, SpArchConfig
+from repro.core.config import SpArchConfig, check_backend
 from repro.core.stats import SimulationStats
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.base import Engine
 from repro.engines.registry import resolve_engine
 from repro.engines.sparch import SpArchEngine, run_shared
@@ -293,18 +291,17 @@ class ExperimentRunner:
             the cache in memory only (one process lifetime).
         jobs: worker processes for :meth:`run_engine_many`; ``1`` runs
             in-process.
-        engine: when set, forces the execution *backend* (``"scalar"``,
-            ``"vectorized"`` or ``"streaming"``) for every point — the
-            SpArch core and every baseline alike — with backend-specific
-            cache keys.
+        engine: when set, forces the execution *backend* (``"scalar"``
+            or ``"vectorized"``) for every point — the SpArch core and
+            every baseline alike — with backend-specific cache keys.
     """
 
     def __init__(self, *, cache_dir: str | os.PathLike | None = None,
                  jobs: int = 1, engine: str | None = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if engine is not None and engine not in BACKENDS:
-            raise ValueError(f"unknown engine {engine!r}")
+        if engine is not None:
+            check_backend(engine)
         self._jobs = jobs
         self._engine = engine
         # The memo itself is the shared, concurrent-safe ReportStore — the
@@ -559,24 +556,6 @@ class ExperimentRunner:
         names = list(workload)
         stats = self.simulate_many([workload[name] for name in names])
         return dict(zip(names, stats))
-
-    # ------------------------------------------------------------------
-    # Baseline views (native BaselineSummary out)
-    # ------------------------------------------------------------------
-    def run_baseline(self, baseline: SpGEMMBaseline, matrix_a: CSRMatrix, *,
-                     matrix_b: CSRMatrix | None = None) -> BaselineSummary:
-        """Run one baseline point (``B = A`` by default), memoised."""
-        report = self.run_engine(BaselineEngineAdapter(baseline), matrix_a,
-                                 matrix_b=matrix_b)
-        return report.to_baseline_summary()
-
-    def run_baseline_many(self, tasks: list[tuple[SpGEMMBaseline, CSRMatrix]]
-                          ) -> list[BaselineSummary]:
-        """Run many baseline ``A · A`` points, fanning uncached ones out."""
-        reports = self.run_engine_many(
-            [(BaselineEngineAdapter(baseline), matrix)
-             for baseline, matrix in tasks])
-        return [report.to_baseline_summary() for report in reports]
 
 
 _default_runner: ExperimentRunner | None = None

@@ -116,10 +116,3 @@ def run(*, max_rows: int = 2000, names: list[str] | None = None,
                "that the scaled proxies need multiple merge rounds"],
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

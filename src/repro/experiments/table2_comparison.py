@@ -20,12 +20,8 @@ from repro.baselines.outerspace import (
     OUTERSPACE_POWER_W,
 )
 from repro.core.config import SpArchConfig
-from repro.experiments.common import (
-    ExperimentResult,
-    load_scaled_suite,
-    simulate_workload,
-)
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.common import ExperimentResult, load_scaled_suite
+from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
 from repro.utils.reporting import Table
 
@@ -57,7 +53,7 @@ def run(*, max_rows: int = 800, names: list[str] | None = None,
     total_energy = 0.0
     total_runtime = 0.0
     utilizations: list[float] = []
-    sparch_stats = simulate_workload(workload, runner=runner)
+    sparch_stats = (runner or default_runner()).simulate_workload(workload)
     for name, (matrix, matrix_config) in workload.items():
         stats = sparch_stats[name]
         total_energy += energy_model.total_energy(stats, matrix_config)
@@ -95,10 +91,3 @@ def run(*, max_rows: int = 800, names: list[str] | None = None,
         paper_values=dict(PAPER_METRICS),
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -112,10 +112,3 @@ def run(*, max_rows: int = 800, names: list[str] | None = None,
                     for name, report in outerspace_reports.items()}},
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

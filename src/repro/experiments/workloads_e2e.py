@@ -221,10 +221,3 @@ def run(*, max_rows: int = 400, names: list[str] | None = None,
         reports=experiment_reports,
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

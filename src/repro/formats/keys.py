@@ -12,7 +12,7 @@ this module is the one place that owns the promotion rule:
   multiplication itself can never wrap even if a caller hands in narrower
   index arrays (e.g. a scipy round trip that downcast to int32).
 
-Every backend (scalar, vectorized, streaming) and the COO canonicalisation
+Both backends (scalar and vectorized) and the COO canonicalisation
 path derive their key dtype from here, which keeps the 2³¹ boundary in one
 audited spot instead of scattered inline guards.
 """

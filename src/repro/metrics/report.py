@@ -1,13 +1,11 @@
 """The canonical cost schema: one :class:`CostReport` per executed point.
 
-Before this module existed the codebase carried three parallel result
-schemas — :class:`~repro.core.stats.SimulationStats` for the SpArch
-simulator, :class:`~repro.baselines.base.BaselineSummary` for the seven
-comparison baselines, and the per-stage records of
-:mod:`repro.workloads.pipeline` — and every consumer (experiment harnesses,
-the memoising runner, the workload pipelines, the analysis views) had to
-know which one it was holding.  :class:`CostReport` is the single schema
-they all translate into:
+Two native schemas produce the numbers:
+:class:`~repro.core.stats.SimulationStats` for the SpArch simulator and
+:class:`~repro.baselines.base.BaselineResult` for the seven comparison
+baselines.  Every consumer (experiment harnesses, the memoising runner,
+the workload pipelines, the analysis views) holds a :class:`CostReport`
+instead, whichever engine ran:
 
 * **canonical counters** — cycles, modelled runtime, multiplications,
   additions, bookkeeping and comparator operations, output nonzeros;
@@ -20,9 +18,10 @@ they all translate into:
   headline ``energy_joules`` stays the platform model's runtime × power;
 * **derived metrics** — GFLOP/s, operational intensity, bandwidth
   utilisation, energy per FLOP — computed one way for every engine;
-* **a lossless ``detail`` payload** — the producing schema's full dict, so
-  :meth:`to_stats` / :meth:`to_baseline_summary` reconstruct the native
-  object bit for bit and nothing the old schemas recorded is ever dropped.
+* **a ``detail`` payload** — the producing engine's own record: the full
+  :class:`SimulationStats` dict, from which :meth:`to_stats` rebuilds the
+  native object bit for bit, or a baseline run's scalar outcome
+  (:meth:`repro.engines.adapters.BaselineEngineAdapter.run`).
 
 Reports serialise to JSON (:meth:`to_dict` / :meth:`from_dict`,
 :meth:`to_json` / :meth:`from_json`) with an explicit
@@ -41,7 +40,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported lazily inside the converters to keep
     # repro.metrics importable without pulling the whole simulator stack
-    from repro.baselines.base import BaselineSummary
     from repro.core.config import SpArchConfig
     from repro.core.stats import SimulationStats
 
@@ -93,8 +91,9 @@ class CostReport:
         peak_bandwidth_bytes_per_cycle: peak DRAM bandwidth (simulation
             kind), for the bandwidth-utilisation metric.
         extras: algorithm-specific scalar counters.
-        detail: the producing schema's full serialised payload, kept
-            verbatim so the native object can be reconstructed exactly.
+        detail: the producing engine's own serialised record, kept
+            verbatim (simulation reports rebuild their native stats
+            from it exactly).
         schema_version: layout version this report was produced under.
     """
 
@@ -242,7 +241,7 @@ class CostReport:
         }
 
     # ------------------------------------------------------------------
-    # Converters from/to the native schemas
+    # Converters from/to the simulator's native schema
     # ------------------------------------------------------------------
     @classmethod
     def from_stats(cls, stats: "SimulationStats", *,
@@ -300,56 +299,6 @@ class CostReport:
                 f"cannot rebuild SimulationStats from a {self.kind!r} report"
             )
         return SimulationStats.from_dict(self.detail)
-
-    @classmethod
-    def from_baseline_summary(cls, summary: "BaselineSummary", *,
-                              engine: str = "",
-                              energy_model=None) -> "CostReport":
-        """Build a baseline report from a :class:`BaselineSummary`.
-
-        The headline ``energy_joules`` keeps the platform model's number
-        (runtime × dynamic power — the Figure 12 methodology); ``energy``
-        additionally carries the uniform per-event accounting so baseline
-        points get the same Table III-style view as SpArch (DESIGN.md).
-        """
-        from repro.analysis.energy import EnergyModel
-
-        energy_model = energy_model or EnergyModel()
-        return cls(
-            engine=engine or summary.baseline.lower(),
-            kind="baseline",
-            backend=summary.engine,
-            cycles=0,
-            runtime_seconds=summary.runtime_seconds,
-            multiplications=summary.multiplications,
-            additions=summary.additions,
-            bookkeeping_ops=summary.bookkeeping_ops,
-            comparator_ops=0,
-            output_nnz=summary.result_nnz,
-            traffic={"total": int(summary.traffic_bytes)},
-            energy=energy_model.event_energy(
-                multiplications=summary.multiplications,
-                additions=summary.additions,
-                bookkeeping_ops=summary.bookkeeping_ops,
-                dram_bytes=summary.traffic_bytes,
-            ),
-            energy_joules=summary.energy_joules,
-            extras=dict(summary.extras),
-            detail=summary.to_dict(),
-        )
-
-    def to_baseline_summary(self) -> "BaselineSummary":
-        """Reconstruct the native :class:`BaselineSummary` exactly.
-
-        Only valid for ``kind == "baseline"`` reports.
-        """
-        from repro.baselines.base import BaselineSummary
-
-        if self.kind != "baseline":
-            raise ValueError(
-                f"cannot rebuild BaselineSummary from a {self.kind!r} report"
-            )
-        return BaselineSummary.from_dict(self.detail)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -9,7 +9,7 @@ paper's evaluation grids over the corpus layer:
                    repro.experiments.designspace.fig17_grid)
     engines-suite  every registered engine over the DSE benchmark subset
     rmat-sweep     SpArch vs MKL over the Figure 14-style rMAT grid
-    paper-scale    SpArch (streaming core) over the 10^5-row suite rung
+    paper-scale    SpArch (batched core) over the 10^5-row suite rung
                    with unscaled Table I buffers
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.core.config import SpArchConfig
 from repro.engines.registry import list_engines
+from repro.experiments.common import paper_scale_config
 from repro.experiments.designspace import fig17_grid, flatten_grid
 from repro.sweeps.spec import SweepSpec
 
@@ -52,14 +53,16 @@ SWEEPS: tuple[SweepSpec, ...] = (
     ),
     SweepSpec(
         "paper-scale",
-        "SpArch streaming core over the 10^5-row suite rung, unscaled "
+        "SpArch batched core over the 10^5-row suite rung, unscaled "
         "Table I buffers",
         corpus="paper-scale",
         engines=("sparch",),
         # The backend choice does not enter the cell fingerprint (see
         # repro.core.config.BACKEND_FIELDS), so these cells share the memo
-        # with any other unscaled-Table-I run of the same scenarios.
-        configs=(("table1-streaming", SpArchConfig(engine="streaming")),),
+        # with any other unscaled-Table-I run of the same scenarios.  The
+        # label is a cell identity that stored runs carry: resuming an
+        # older store needs it unchanged.
+        configs=(("table1-streaming", paper_scale_config()),),
     ),
 )
 

@@ -7,7 +7,7 @@ unknown ids raise the same helpful error as the experiment registry.
 
 Switches:
 
-* ``--engine {scalar,vectorized,streaming}`` picks the simulation backend
+* ``--engine {scalar,vectorized}`` picks the simulation backend
   variant (``SpArchConfig(engine=...)``);
 * ``--fuse`` collapses adjacent host ops into fused stages;
 * ``--json OUT`` writes every run's canonical result payload (the golden

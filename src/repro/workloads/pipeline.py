@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 
 import scipy.sparse as sp
 
-from repro.baselines.base import BaselineSummary
 from repro.core.stats import SimulationStats
 from repro.engines.base import Engine
 from repro.engines.registry import resolve_engine
@@ -82,8 +81,6 @@ class StageResult:
         report: the stage's canonical cost report (SpGEMM stages only).
         stats: full simulator statistics (SpArch stages only; a lossless
             view over ``report``).
-        summary: memoisable baseline summary (baseline stages only; a
-            lossless view over ``report``).
     """
 
     name: str
@@ -100,7 +97,6 @@ class StageResult:
     host_seconds: float = field(default=0.0, compare=False)
     report: CostReport | None = None
     stats: SimulationStats | None = None
-    summary: BaselineSummary | None = None
 
     @property
     def is_spgemm(self) -> bool:
@@ -376,8 +372,6 @@ class PipelineBuilder:
             report=report,
             stats=(report.to_stats() if report.kind == "simulation"
                    else None),
-            summary=(report.to_baseline_summary()
-                     if report.kind == "baseline" else None),
         ))
         return name
 

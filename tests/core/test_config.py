@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import SpArchConfig
+from repro.core.config import BACKENDS, SpArchConfig
 from repro.memory.hbm import HBMConfig
 
 
@@ -47,6 +47,17 @@ def test_replace_arbitrary_fields():
     assert config.prefetch_buffer_lines == 256
     # The original default is untouched (frozen dataclass semantics).
     assert SpArchConfig().merge_tree_layers == 6
+
+
+def test_two_backends():
+    assert BACKENDS == ("scalar", "vectorized")
+    for backend in BACKENDS:
+        assert SpArchConfig(engine=backend).engine == backend
+
+
+def test_streaming_is_not_a_backend():
+    with pytest.raises(ValueError, match="'scalar', 'vectorized', got"):
+        SpArchConfig(engine="streaming")
 
 
 def test_validation_errors():

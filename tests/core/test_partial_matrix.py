@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.accelerator import SpArch
+from repro.core.config import SpArchConfig
 from repro.core.partial_matrix import PartialMatrixStore, PartialMatrixWriter
 from repro.formats.convert import coo_to_csr
 from repro.formats.coo import COOMatrix
+from repro.formats.keys import linear_key_dtype
+from repro.matrices.rmat import RMATConfig, generate_rmat
 from repro.memory.traffic import TrafficCategory, TrafficCounter
 
 
@@ -22,6 +26,42 @@ def test_store_write_read_roundtrip():
     np.testing.assert_allclose(got_vals, vals)
     with pytest.raises(KeyError):
         store.read(7)  # a read consumes the entry
+
+
+def test_store_keeps_integer_key_dtype():
+    store = PartialMatrixStore(TrafficCounter())
+    store.write(1, np.array([1, 5], dtype=np.int32), np.array([1.0, 2.0]))
+    store.write(2, [3, 4], [1, 2])
+    keys, values = store.read(1)
+    assert keys.dtype == np.int32 and values.dtype == np.float64
+    keys, values = store.read(2)
+    assert keys.dtype == np.int64 and values.dtype == np.float64
+
+
+def test_int32_keyspace_multiply_reloads_int32_spills(monkeypatch):
+    """Six merge rounds on an int32 keyspace: every spill reloads as int32,
+    and the result and every counter equal the scalar engine's."""
+    matrix = generate_rmat(RMATConfig(num_rows=1000, edge_factor=16, seed=0))
+    assert linear_key_dtype(*matrix.shape) == np.int32
+    reloaded = []
+    read = PartialMatrixStore.read
+
+    def spy(self, node_id):
+        keys, values = read(self, node_id)
+        reloaded.append(keys.dtype)
+        return keys, values
+
+    monkeypatch.setattr(PartialMatrixStore, "read", spy)
+    batched = SpArch(SpArchConfig()).multiply(matrix, matrix)
+    monkeypatch.undo()
+    assert batched.stats.num_merge_rounds == 6
+    assert reloaded and set(reloaded) == {np.dtype(np.int32)}
+
+    scalar = SpArch(SpArchConfig(engine="scalar")).multiply(matrix, matrix)
+    assert batched.stats == scalar.stats
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(batched.matrix, name),
+                                      getattr(scalar.matrix, name))
 
 
 def test_store_traffic_accounting():

@@ -5,8 +5,8 @@ the contract in :mod:`repro.core.config` it must never change a result
 array, a counter, or a DRAM byte.  This test drives the full accelerator
 over random operands and random block sizes (*including* the degenerate
 extremes: one element per block, and blocks larger than the whole
-problem), under both names of the batched engine, and compares everything
-against the scalar engine.
+problem), on the batched engine, and compares everything against the
+scalar engine.
 """
 
 from __future__ import annotations
@@ -68,10 +68,9 @@ ablations = st.sampled_from([
 ])
 
 
-@given(csr_pairs(), st.sampled_from(("vectorized", "streaming")),
-       block_elements, ablations)
+@given(csr_pairs(), block_elements, ablations)
 @settings(max_examples=40, deadline=None)
-def test_streaming_invariant_under_block_sizes(pair, engine, block, features):
+def test_streaming_invariant_under_block_sizes(pair, block, features):
     matrix_a, matrix_b = pair
     config = SpArchConfig(merge_tree_layers=2, prefetch_buffer_lines=8,
                           prefetch_line_elements=4,
@@ -79,7 +78,7 @@ def test_streaming_invariant_under_block_sizes(pair, engine, block, features):
     reference = SpArch(config.replace(engine="scalar")).multiply(
         matrix_a, matrix_b)
     with mock.patch.object(vectorized, "BLOCK_ELEMENTS", block):
-        streamed = SpArch(config.replace(engine=engine)).multiply(
+        streamed = SpArch(config.replace(engine="vectorized")).multiply(
             matrix_a, matrix_b)
 
     for field in COMPARED_STATS:

@@ -70,16 +70,17 @@ def test_runner_memoised_report_equals_direct_run(name, matrix):
 
 
 def test_runner_views_are_lossless_over_the_report(matrix):
-    """simulate/run_baseline rebuild native objects from the report memo."""
+    """simulate rebuilds native stats from the report memo, and a memoised
+    baseline report carries the native run's numbers."""
     runner = ExperimentRunner()
     stats = runner.simulate(matrix)
     assert stats == SpArch(SpArchConfig()).multiply(matrix, matrix).stats
 
     baseline = GustavsonSpGEMM()
-    summary = runner.run_baseline(baseline, matrix)
+    report = runner.run_engine(BaselineEngineAdapter(baseline), matrix)
     native = baseline.multiply(matrix, matrix)
-    assert summary.runtime_seconds == native.runtime_seconds
-    assert summary.extras == native.extras
+    assert report.runtime_seconds == native.runtime_seconds
+    assert report.extras == native.extras
 
 
 def test_simulate_and_run_engine_share_one_memo_pool(matrix):
@@ -89,7 +90,7 @@ def test_simulate_and_run_engine_share_one_memo_pool(matrix):
     runner.run_engine("sparch", matrix)
     assert (runner.cache_hits, runner.cache_misses) == (1, 1)
 
-    runner.run_baseline(GustavsonSpGEMM(), matrix)
+    runner.run_engine(BaselineEngineAdapter(GustavsonSpGEMM()), matrix)
     runner.run_engine("mkl", matrix)
     assert (runner.cache_hits, runner.cache_misses) == (2, 2)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.__main__ import build_parser, main
+from repro.experiments.runner import ExperimentRunner
 
 
 class TestCli:
@@ -56,6 +57,31 @@ class TestCli:
         assert set(payload) == {"fig08"}
         assert payload["fig08"]["metrics"]
         assert payload["fig08"]["table"]["columns"]
+
+
+class TestBackendNames:
+    def test_runner_rejects_unknown_backend_naming_both(self):
+        with pytest.raises(ValueError, match="'scalar', 'vectorized'"):
+            ExperimentRunner(engine="streaming")
+
+    @pytest.mark.parametrize("module_name,argv", [
+        ("repro.experiments.__main__", ["fig08"]),
+        ("repro.workloads.__main__", ["triangles"]),
+        ("repro.sweeps.__main__", ["run", "smoke"]),
+    ])
+    def test_every_cli_rejects_streaming(self, module_name, argv, capsys):
+        import importlib
+
+        parser = importlib.import_module(module_name).build_parser()
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([*argv, "--engine", "streaming"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice" in error
+        assert "scalar" in error and "vectorized" in error
+        for backend in ("scalar", "vectorized"):
+            assert parser.parse_args([*argv, "--engine", backend]).engine \
+                == backend
 
 
 class TestPublicImportSurface:

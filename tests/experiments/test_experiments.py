@@ -33,6 +33,7 @@ from repro.experiments.common import (
     scaled_config,
     small_suite,
 )
+from repro.baselines.outerspace import OuterSpaceAccelerator
 from repro.core.config import SpArchConfig
 from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.sparch import SpArchEngine
@@ -158,6 +159,27 @@ class TestSweeps:
         assert result.metrics["geomean_flops[SpArch]"] > result.metrics[
             "geomean_flops[MKL]"]
 
+    def test_fig14_scales_buffers_by_the_shared_rule(self, monkeypatch):
+        """An 8-line ablation base keeps its 8 lines: fig14 scales buffers
+        with ``scale_buffer_capacities``, which never enlarges a base."""
+        runner = ExperimentRunner()
+        configs = []
+        run_engine_many = runner.run_engine_many
+
+        def spy(tasks, **kwargs):
+            configs.extend(engine.config for engine, _ in tasks
+                           if isinstance(engine, SpArchEngine))
+            return run_engine_many(tasks, **kwargs)
+
+        monkeypatch.setattr(runner, "run_engine_many", spy)
+        base = SpArchConfig(prefetch_buffer_lines=8,
+                            lookahead_fifo_elements=64)
+        fig14_rmat.run(scale=0.01, config=base, runner=runner)
+        assert len(configs) == len(fig14_rmat.PAPER_SWEEP)
+        assert set(configs) == {scale_buffer_capacities(base, 0.01)}
+        assert configs[0].prefetch_buffer_lines == 8
+        assert configs[0].lookahead_fifo_elements == 64
+
     def test_fig15_roofline(self):
         result = fig15_roofline.run(max_rows=MAX_ROWS, names=NAMES)
         _check_result(result, "fig15")
@@ -187,6 +209,25 @@ class TestSweeps:
         warm = fig16_breakdown.run(max_rows=300, runner=runner)
         assert calls == []
         assert (runner.cache_misses, runner.cache_hits) == (30, 30)
+        assert warm.metrics == cold.metrics
+
+    @pytest.mark.parametrize("harness", [dram_access, fig15_roofline],
+                             ids=["dram", "fig15"])
+    def test_outerspace_points_run_through_the_runner(self, harness,
+                                                      monkeypatch):
+        """A second run on the same runner replays every point, the
+        OuterSPACE ones included, and multiplies nothing."""
+        runner = ExperimentRunner()
+        cold = harness.run(max_rows=300, names=NAMES, runner=runner)
+        calls = _record_engine_calls(monkeypatch)
+        multiply = OuterSpaceAccelerator.multiply
+        monkeypatch.setattr(
+            OuterSpaceAccelerator, "multiply",
+            lambda self, *args: calls.append("multiply") or multiply(
+                self, *args))
+        warm = harness.run(max_rows=300, names=NAMES, runner=runner)
+        assert calls == []
+        assert runner.cache_hits == runner.cache_misses == 2 * len(NAMES)
         assert warm.metrics == cold.metrics
 
     def test_fig17_dse(self):
@@ -291,7 +332,7 @@ class TestCommonHelpers:
 
     def test_paper_scale_config_keeps_table1_buffers(self):
         config = paper_scale_config()
-        assert config.engine == "streaming"
+        assert config.engine == "vectorized"
         table1 = SpArchConfig()
         assert config.prefetch_buffer_lines == table1.prefetch_buffer_lines
         assert (config.lookahead_fifo_elements
@@ -304,5 +345,5 @@ class TestCommonHelpers:
         assert set(suite) == {"patents_main", "m133-b3"}
         for matrix, config in suite.values():
             assert matrix.shape[0] <= 300
-            assert config.engine == "streaming"
+            assert config.engine == "vectorized"
             assert config.prefetch_buffer_lines == 1024

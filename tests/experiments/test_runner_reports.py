@@ -62,7 +62,7 @@ class TestSchemaVersionedFingerprint:
     def test_disk_payloads_carry_the_schema_version(self, matrix, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path)
         runner.simulate(matrix)
-        runner.run_baseline(GustavsonSpGEMM(), matrix)
+        runner.run_engine(BaselineEngineAdapter(GustavsonSpGEMM()), matrix)
         for kind in ("sim", "baseline"):
             entries = list((tmp_path / kind).glob("*.json"))
             assert entries, kind

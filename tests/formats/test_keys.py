@@ -55,7 +55,7 @@ class TestLinearKeys:
         assert keys[0] == 23
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vectorized", "streaming"])
+@pytest.mark.parametrize("engine", ["scalar", "vectorized"])
 def test_keys_beyond_int32_survive_the_datapath(engine):
     """A > 2³¹ key product must not wrap in any engine.
 

@@ -1,7 +1,7 @@
 """Differential harness: every engine must match the scalar reference.
 
-The batched backend (:mod:`repro.core.vectorized`, named ``"vectorized"``
-or ``"streaming"``) is only allowed to be *faster* / *leaner* — every
+The batched backend (:mod:`repro.core.vectorized`, ``"vectorized"``) is
+only allowed to be *faster* / *leaner* — every
 functional output and every statistic must be exactly the output of the
 scalar reference model.  This module locks that contract down over
 
@@ -163,8 +163,8 @@ def test_cancelling_products():
         ("off" if value is False else str(value)))
 def test_streaming_tiny_chunks_all_ablations(grid_matrices, pipelined,
                                              condensing, huffman, prefetcher):
-    """Streaming with forced multi-block merges matches the vectorized
-    engine under every ablation combination.
+    """Band streaming with forced multi-block merges matches the default
+    band size under every ablation combination.
 
     A block size far below the round sizes forces many fold blocks per
     round — the regime where a carry or tie-break bug would surface.  (The
@@ -185,20 +185,9 @@ def test_streaming_tiny_chunks_all_ablations(grid_matrices, pipelined,
     reference = SpArch(config.replace(engine="vectorized")).multiply(
         matrix, matrix)
     with mock.patch.object(batched_backend, "BLOCK_ELEMENTS", 97):
-        streamed = SpArch(config.replace(engine="streaming")).multiply(
+        streamed = SpArch(config.replace(engine="vectorized")).multiply(
             matrix, matrix)
     assert_same_run(reference, streamed)
-
-
-def test_streaming_is_the_vectorized_engine(grid_matrices):
-    """``"streaming"`` names the batched engine: same result, same stats."""
-    config = SpArchConfig(merge_tree_layers=3)
-    for matrix in grid_matrices.values():
-        vectorized = SpArch(config.replace(engine="vectorized")).multiply(
-            matrix, matrix)
-        streaming = SpArch(config.replace(engine="streaming")).multiply(
-            matrix, matrix)
-        assert_same_run(vectorized, streaming)
 
 
 def test_scalar_engine_validates_unsorted_streams():

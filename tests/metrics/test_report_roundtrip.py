@@ -158,8 +158,6 @@ class TestEngineProducedReports:
         report = CostReport(engine="sparch", kind="aggregate")
         with pytest.raises(ValueError):
             report.to_stats()
-        with pytest.raises(ValueError):
-            report.to_baseline_summary()
 
     def test_sparch_engine_report_rebuilds_stats(self, small_matrix):
         engine = SpArchEngine()

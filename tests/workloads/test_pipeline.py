@@ -67,7 +67,8 @@ class TestPipelineBuilder:
         assert stage.runtime_seconds == direct.runtime_seconds
         assert stage.dram_bytes == direct.traffic_bytes
         assert stage.energy_joules == direct.energy_joules
-        assert stage.summary is not None and stage.summary.baseline == "MKL"
+        assert stage.report.kind == "baseline"
+        assert stage.report.detail["baseline"] == "MKL"
 
     def test_baseline_runner_mode_memoises(self, matrix):
         runner = ExperimentRunner()
@@ -77,7 +78,7 @@ class TestPipelineBuilder:
         pipeline.spgemm("squared", "A", "A")
         pipeline.spgemm("again", "A", "A")
         assert (runner.cache_hits, runner.cache_misses) == (1, 1)
-        assert pipeline.stages[0].summary == pipeline.stages[1].summary
+        assert pipeline.stages[0].report == pipeline.stages[1].report
 
     def test_stage_records_name_kind_and_inputs(self, matrix):
         pipeline = PipelineBuilder(EngineExecutor("sparch"),

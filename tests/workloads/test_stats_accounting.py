@@ -53,7 +53,7 @@ def test_aggregate_equals_the_sum_over_stages(seed, family, workload_id):
     for stage in hosts:
         assert (stage.cycles, stage.dram_bytes, stage.energy_joules,
                 stage.runtime_seconds) == (0, 0, 0.0, 0.0)
-        assert stage.stats is None and stage.summary is None
+        assert stage.stats is None and stage.report is None
     # ...so the totals must equal the sum of the simulator's own numbers.
     energy_model = EnergyModel()
     assert result.total_cycles == sum(s.stats.cycles for s in spgemms)
