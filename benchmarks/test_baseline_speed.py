@@ -67,7 +67,7 @@ def test_vectorized_baselines_at_least_3x_faster():
         scalar_total += scalar_seconds
         vectorized_total += vectorized_seconds
         record_result(
-            f"baseline_speed[{baseline_cls.name}]",
+            f"baseline_speed[{baseline_cls.display_name}]",
             scalar_seconds=scalar_seconds,
             vectorized_seconds=vectorized_seconds,
             speedup=scalar_seconds / vectorized_seconds,

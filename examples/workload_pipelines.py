@@ -5,7 +5,7 @@ The ``repro.workloads`` subsystem expresses an application as a declarative
 stage graph: you write a tiny spec (the expression language below, or a
 JSON/YAML stage graph), the compiler parses it into a typed IR, checks
 shapes and sparsity structure with stage-named diagnostics, schedules it
-deterministically, and lowers it onto the pipeline executor — SpGEMM
+deterministically, and lowers it onto the pipeline builder — SpGEMM
 stages on the SpArch simulator (or any comparison baseline), host stages
 on scipy, every stage costed.
 
@@ -27,7 +27,6 @@ from repro.experiments.runner import ExperimentRunner
 from repro.matrices import powerlaw_matrix
 from repro.utils import human_bytes
 from repro.workloads import (
-    EngineExecutor,
     PipelineBuilder,
     compile_workload,
     list_workloads,
@@ -79,7 +78,7 @@ def main() -> None:
     runner = ExperimentRunner()
 
     def run_compiled(*, fuse: bool):
-        pipeline = PipelineBuilder(EngineExecutor("sparch", runner=runner),
+        pipeline = PipelineBuilder("sparch", runner=runner,
                                    inputs={"A": matrix})
         output = workload.run(pipeline, params={"threshold": 0.1}, fuse=fuse)
         return pipeline.result(workload.name, output)

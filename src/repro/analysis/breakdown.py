@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.baselines.outerspace import OuterSpaceAccelerator
 from repro.core.config import SpArchConfig
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.sparch import SpArchEngine
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import CostReport
@@ -94,7 +93,7 @@ def cumulative_breakdown(matrices: dict[str, CSRMatrix], *,
     # canonical CostReports; the bar heights are one derived-metric view.
     # All steps go to the runner as one batch, so the steps that differ
     # only in pricing fields share one dataflow per matrix.
-    engines = [BaselineEngineAdapter(OuterSpaceAccelerator())] + [
+    engines = [OuterSpaceAccelerator()] + [
         SpArchEngine(base_config.with_features(**features))
         for _, features in BREAKDOWN_STEPS]
     operands = list(matrices.values())

@@ -20,10 +20,10 @@ dataflow (:mod:`repro.baselines.inner_product`).
 Every baseline implements the *actual algorithm* functionally (verified
 against scipy) and attaches a platform performance/energy model; see
 DESIGN.md §3 for the measured-hardware → model substitution rationale.
-Each baseline additionally runs on one of two backends
-(:class:`~repro.baselines.base.BaselineEngine`): the ``"scalar"`` reference
-loop and a ``"vectorized"`` fast path with batched CSR kernels and
-closed-form counters, proven identical by
+Each baseline is an engine of the registry
+(:class:`~repro.baselines.base.BaselineEngine`) and runs on one of two
+backends: the ``"scalar"`` reference loop and a ``"vectorized"`` fast path
+with batched CSR kernels and closed-form counters, proven identical by
 ``tests/baselines/test_backend_equivalence.py``.
 """
 
@@ -33,7 +33,6 @@ from repro.baselines.base import (
     BaselineCounters,
     BaselineEngine,
     BaselineResult,
-    SpGEMMBaseline,
 )
 from repro.baselines.gustavson import GustavsonSpGEMM
 from repro.baselines.hash_spgemm import HashSpGEMM
@@ -54,7 +53,6 @@ __all__ = [
     "BaselineCounters",
     "BaselineEngine",
     "BaselineResult",
-    "SpGEMMBaseline",
     "DEFAULT_ENGINE",
     "OuterSpaceAccelerator",
     "GustavsonSpGEMM",

@@ -39,7 +39,8 @@ class ArmadilloSpGEMM(BaselineEngine):
             reference); both produce identical results and counters.
     """
 
-    name = "Armadillo"
+    name = "armadillo"
+    display_name = "Armadillo"
 
     def __init__(self, platform: PlatformModel = ARM_A53, *,
                  engine: str | None = None) -> None:

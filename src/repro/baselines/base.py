@@ -20,10 +20,12 @@ counters by the differential harness in
 purely so comparison sweeps (Table 2, Figure 11, Figure 14) run at engine
 speed instead of Python-loop speed.
 
-:class:`BaselineEngine` owns the backend dispatch, the shared
-runtime/energy/:class:`BaselineResult` construction, and the cache identity
-used by :class:`repro.experiments.runner.ExperimentRunner`; subclasses only
-provide their dataflow-specific kernels and traffic formulas.
+:class:`BaselineEngine` is the :class:`~repro.engines.base.Engine` every
+baseline is: it owns the backend dispatch, the shared
+runtime/energy/:class:`BaselineResult` construction, the cost report of
+:meth:`BaselineEngine.run`, and the cache identity used by
+:class:`repro.experiments.runner.ExperimentRunner`; subclasses only provide
+their dataflow-specific kernels and traffic formulas.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ import numpy as np
 
 from repro.baselines.platforms import PlatformModel
 from repro.core.config import check_backend
+from repro.engines.base import Engine, EngineRun
 from repro.formats.csr import CSRMatrix
+from repro.metrics.report import CostReport
 
 #: Bytes of one stored element in baseline traffic models (8-byte column
 #: index + 8-byte value on CPUs/GPUs; 32-bit row + 32-bit column + 64-bit
@@ -189,53 +193,9 @@ class BaselineResult:
 
 
 # ----------------------------------------------------------------------
-# Abstract bases
+# The engine base
 # ----------------------------------------------------------------------
-class SpGEMMBaseline(abc.ABC):
-    """Abstract base class of every baseline SpGEMM implementation."""
-
-    #: Short identifier used in experiment tables ("MKL", "cuSPARSE", ...).
-    name: str = "baseline"
-
-    #: Baselines without a two-backend split are their own reference
-    #: implementation; :class:`BaselineEngine` overrides this per instance.
-    engine: str = "scalar"
-
-    @abc.abstractmethod
-    def multiply(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix) -> BaselineResult:
-        """Compute ``A · B`` functionally and model its platform cost."""
-
-    def using_engine(self, engine: str) -> "SpGEMMBaseline":
-        """Return this baseline pinned to ``engine``.
-
-        Baselines without a backend split have nothing to switch, so the
-        default is a no-op; :class:`BaselineEngine` overrides it with a
-        real copy-and-pin.
-        """
-        return self
-
-    def cache_fields(self) -> dict:
-        """Identity of this baseline for experiment-cache fingerprinting.
-
-        The default covers single-implementation baselines via their class
-        name and repr (which, per convention, exposes the constructor
-        arguments); :class:`BaselineEngine` overrides it with the platform
-        constants and model parameters.
-        """
-        return {"baseline": type(self).__name__, "repr": repr(self)}
-
-    def _check_shapes(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix) -> None:
-        if matrix_a.shape[1] != matrix_b.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: cannot multiply {matrix_a.shape} by "
-                f"{matrix_b.shape}"
-            )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class BaselineEngine(SpGEMMBaseline):
+class BaselineEngine(Engine):
     """Two-backend baseline: scalar reference loop + vectorized closed form.
 
     Subclasses implement :meth:`_multiply_scalar` (the algorithm, element at
@@ -245,16 +205,21 @@ class BaselineEngine(SpGEMMBaseline):
     platform-model path, so runtime/energy can never diverge between the
     backends for the same counters.
 
+    Each subclass declares its registry id as ``name`` ("mkl") and its
+    comparison-table label as ``display_name`` ("MKL").
+
     Args:
         platform: platform model used for runtime/energy estimates.
         engine: execution backend, ``"vectorized"`` (default) or
             ``"scalar"``; both produce identical results and counters.
     """
 
+    kind = "baseline"
+
     def __init__(self, platform: PlatformModel, *,
                  engine: str | None = None) -> None:
         self._platform = platform
-        self._engine = check_backend(engine or DEFAULT_ENGINE)
+        self._backend = check_backend(engine or DEFAULT_ENGINE)
 
     # ------------------------------------------------------------------
     @property
@@ -262,30 +227,29 @@ class BaselineEngine(SpGEMMBaseline):
         return self._platform
 
     @property
-    def engine(self) -> str:
-        """The execution backend this instance runs on."""
-        return self._engine
+    def backend(self) -> str:
+        return self._backend
 
-    def using_engine(self, engine: str) -> "BaselineEngine":
-        """Return a copy of this baseline pinned to ``engine``.
+    def using_backend(self, backend: str) -> "BaselineEngine":
+        """Return a copy of this baseline pinned to ``backend``.
 
         The copy shares the platform model and every algorithm parameter;
-        only the backend changes.  Returns ``self`` when the engine already
-        matches.
+        only the backend changes.  Returns ``self`` when the backend
+        already matches.
         """
-        check_backend(engine)
-        if engine == self._engine:
+        check_backend(backend)
+        if backend == self._backend:
             return self
         clone = copy.copy(self)
-        clone._engine = engine
+        clone._backend = backend
         return clone
 
     def cache_fields(self) -> dict:
         """Identity of this baseline for experiment-cache fingerprinting.
 
         Subclasses with extra model parameters (e.g. the Gustavson cache
-        capacity) must extend the returned dict.  The engine is *not*
-        included here — the runner adds it only for engine-forced runs,
+        capacity) must extend the returned dict.  The backend is *not*
+        included here — the runner adds it only for backend-forced runs,
         mirroring how SpArch simulation points are keyed.
         """
         return {
@@ -296,8 +260,12 @@ class BaselineEngine(SpGEMMBaseline):
     # ------------------------------------------------------------------
     def multiply(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix) -> BaselineResult:
         """Compute ``A · B`` on the selected backend and model its cost."""
-        self._check_shapes(matrix_a, matrix_b)
-        if self._engine == "vectorized":
+        if matrix_a.shape[1] != matrix_b.shape[0]:
+            raise ValueError(
+                f"dimension mismatch: cannot multiply {matrix_a.shape} by "
+                f"{matrix_b.shape}"
+            )
+        if self._backend == "vectorized":
             matrix, counters = self._multiply_vectorized(matrix_a, matrix_b)
         else:
             matrix, counters = self._multiply_scalar(matrix_a, matrix_b)
@@ -319,6 +287,57 @@ class BaselineEngine(SpGEMMBaseline):
             energy_joules=self._platform.energy_joules(runtime),
             platform=self._platform.name,
             extras=counters.extras,
+        )
+
+    def run(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix | None = None
+            ) -> EngineRun:
+        right = matrix_a if matrix_b is None else matrix_b
+        result = self.multiply(matrix_a, right)
+        return EngineRun(matrix=result.matrix, report=self._report(result))
+
+    def _report(self, result: BaselineResult) -> CostReport:
+        """The cost report of one run.
+
+        The headline ``energy_joules`` keeps the platform model's number
+        (runtime × dynamic power — the Figure 12 methodology); ``energy``
+        additionally carries the uniform per-event accounting so baseline
+        points get the same Table III-style view as SpArch (DESIGN.md).
+        ``detail`` records the run's scalar outcome, result matrix aside.
+        """
+        from repro.analysis.energy import EnergyModel
+
+        detail = {
+            "baseline": self.display_name,
+            "platform": result.platform,
+            "engine": self.backend,
+            "runtime_seconds": result.runtime_seconds,
+            "traffic_bytes": result.traffic_bytes,
+            "multiplications": result.multiplications,
+            "additions": result.additions,
+            "bookkeeping_ops": result.bookkeeping_ops,
+            "energy_joules": result.energy_joules,
+            "result_nnz": result.nnz,
+            "extras": dict(result.extras),
+        }
+        return CostReport(
+            engine=self.name,
+            kind="baseline",
+            backend=self.backend,
+            runtime_seconds=result.runtime_seconds,
+            multiplications=result.multiplications,
+            additions=result.additions,
+            bookkeeping_ops=result.bookkeeping_ops,
+            output_nnz=result.nnz,
+            traffic={"total": int(result.traffic_bytes)},
+            energy=EnergyModel().event_energy(
+                multiplications=result.multiplications,
+                additions=result.additions,
+                bookkeeping_ops=result.bookkeeping_ops,
+                dram_bytes=result.traffic_bytes,
+            ),
+            energy_joules=result.energy_joules,
+            extras=dict(result.extras),
+            detail=detail,
         )
 
     # ------------------------------------------------------------------

@@ -75,7 +75,8 @@ class GustavsonSpGEMM(BaselineEngine):
             reference); both produce identical results and counters.
     """
 
-    name = "MKL"
+    name = "mkl"
+    display_name = "MKL"
 
     def __init__(self, platform: PlatformModel = INTEL_CPU,
                  cache_bytes: float = 15 * 2**20, *,

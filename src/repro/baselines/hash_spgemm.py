@@ -102,7 +102,8 @@ class HashSpGEMM(BaselineEngine):
             reference); both produce identical results and counters.
     """
 
-    name = "cuSPARSE"
+    name = "cusparse"
+    display_name = "cuSPARSE"
 
     def __init__(self, platform: PlatformModel = NVIDIA_GPU_CUSPARSE, *,
                  engine: str | None = None) -> None:

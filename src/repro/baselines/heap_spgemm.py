@@ -48,7 +48,8 @@ class HeapSpGEMM(BaselineEngine):
             reference); both produce identical results and counters.
     """
 
-    name = "HeapSpGEMM"
+    name = "heap"
+    display_name = "HeapSpGEMM"
 
     def __init__(self, platform: PlatformModel = INTEL_CPU, *,
                  engine: str | None = None) -> None:

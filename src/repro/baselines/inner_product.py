@@ -50,7 +50,8 @@ class InnerProductSpGEMM(BaselineEngine):
             dataflow model, so the switch only exists for uniformity.
     """
 
-    name = "InnerProduct"
+    name = "innerproduct"
+    display_name = "InnerProduct"
 
     def __init__(self, platform: PlatformModel = _GENERIC_DEVICE, *,
                  engine: str | None = None) -> None:

@@ -62,7 +62,8 @@ class OuterSpaceAccelerator(BaselineEngine):
             reference); both produce identical results and counters.
     """
 
-    name = "OuterSPACE"
+    name = "outerspace"
+    display_name = "OuterSPACE"
 
     def __init__(self, platform: PlatformModel = OUTERSPACE_ASIC, *,
                  engine: str | None = None) -> None:

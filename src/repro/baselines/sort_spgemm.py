@@ -57,7 +57,8 @@ class ESCSpGEMM(BaselineEngine):
             reference); both produce identical results and counters.
     """
 
-    name = "CUSP"
+    name = "cusp"
+    display_name = "CUSP"
 
     def __init__(self, platform: PlatformModel = NVIDIA_GPU_CUSP, *,
                  engine: str | None = None) -> None:

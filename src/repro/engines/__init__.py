@@ -4,21 +4,19 @@
   return the exact result plus a canonical
   :class:`~repro.metrics.report.CostReport`).
 * :mod:`repro.engines.sparch` — the cycle-accurate simulator as an engine.
-* :mod:`repro.engines.adapters` — the seven baselines as engines.
-* :mod:`repro.engines.registry` — name → factory dispatch
-  (:func:`create_engine`, :func:`resolve_engine`, :func:`list_engines`).
+* :mod:`repro.baselines` — the seven baselines, each an engine itself
+  (:class:`~repro.baselines.base.BaselineEngine`).
+* :mod:`repro.engines.registry` — name → engine class dispatch
+  (:func:`~repro.engines.registry.create_engine`,
+  :func:`~repro.engines.registry.resolve_engine`,
+  :func:`~repro.engines.registry.list_engines`).
+
+The package root exports only the protocol and the SpArch engine: the
+registry imports the baselines, which import :mod:`repro.engines.base`, so
+importing the registry here would make ``import repro.baselines`` circular.
 """
 
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.base import BACKENDS, Engine, EngineRun
-from repro.engines.registry import (
-    ENGINES,
-    EngineEntry,
-    create_engine,
-    get_engine_entry,
-    list_engines,
-    resolve_engine,
-)
 from repro.engines.sparch import SpArchEngine
 
 __all__ = [
@@ -26,11 +24,4 @@ __all__ = [
     "EngineRun",
     "BACKENDS",
     "SpArchEngine",
-    "BaselineEngineAdapter",
-    "EngineEntry",
-    "ENGINES",
-    "list_engines",
-    "get_engine_entry",
-    "create_engine",
-    "resolve_engine",
 ]

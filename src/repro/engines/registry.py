@@ -1,4 +1,4 @@
-"""Registry mapping engine names to their factories.
+"""Registry mapping engine names to their engine classes.
 
 Mirrors :mod:`repro.experiments.registry` and
 :mod:`repro.workloads.registry`: frozen entries, id lookup with a helpful
@@ -19,7 +19,6 @@ Registered engines::
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.baselines.armadillo import ArmadilloSpGEMM
@@ -29,7 +28,6 @@ from repro.baselines.heap_spgemm import HeapSpGEMM
 from repro.baselines.inner_product import InnerProductSpGEMM
 from repro.baselines.outerspace import OuterSpaceAccelerator
 from repro.baselines.sort_spgemm import ESCSpGEMM
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.base import Engine
 from repro.engines.sparch import SpArchEngine
 
@@ -42,20 +40,15 @@ class EngineEntry:
         name: registry id used for dispatch ("sparch", "mkl", ...).
         title: what the engine models.
         kind: ``"simulation"`` or ``"baseline"``.
-        factory: builds a fresh engine; keyword arguments are forwarded
-            (``config=`` for sparch, ``engine=`` backend for baselines).
+        factory: the engine class itself; keyword arguments are
+            forwarded (``config=`` for sparch, ``engine=`` backend and
+            platform/model parameters for baselines).
     """
 
     name: str
     title: str
     kind: str
-    factory: Callable[..., Engine]
-
-
-def _baseline_factory(cls, name: str):
-    def build(**kwargs) -> Engine:
-        return BaselineEngineAdapter(cls(**kwargs), name=name)
-    return build
+    factory: type[Engine]
 
 
 #: Every engine: the SpArch simulator plus the seven baselines, in the
@@ -64,21 +57,19 @@ ENGINES: tuple[EngineEntry, ...] = (
     EngineEntry("sparch", "SpArch accelerator simulator (this paper)",
                 "simulation", SpArchEngine),
     EngineEntry("outerspace", "OuterSPACE outer-product accelerator",
-                "baseline", _baseline_factory(OuterSpaceAccelerator,
-                                              "outerspace")),
+                "baseline", OuterSpaceAccelerator),
     EngineEntry("mkl", "Intel MKL-class Gustavson SpGEMM (6-core CPU)",
-                "baseline", _baseline_factory(GustavsonSpGEMM, "mkl")),
+                "baseline", GustavsonSpGEMM),
     EngineEntry("cusparse", "cuSPARSE-class hash SpGEMM (TITAN Xp)",
-                "baseline", _baseline_factory(HashSpGEMM, "cusparse")),
+                "baseline", HashSpGEMM),
     EngineEntry("cusp", "CUSP-class expand-sort-compress SpGEMM (TITAN Xp)",
-                "baseline", _baseline_factory(ESCSpGEMM, "cusp")),
+                "baseline", ESCSpGEMM),
     EngineEntry("armadillo", "ARM Armadillo-class naive SpGEMM (quad A53)",
-                "baseline", _baseline_factory(ArmadilloSpGEMM, "armadillo")),
+                "baseline", ArmadilloSpGEMM),
     EngineEntry("heap", "Heap-based row-merge SpGEMM (related work)",
-                "baseline", _baseline_factory(HeapSpGEMM, "heap")),
+                "baseline", HeapSpGEMM),
     EngineEntry("innerproduct", "Vanilla inner-product dataflow (Figure 1)",
-                "baseline", _baseline_factory(InnerProductSpGEMM,
-                                              "innerproduct")),
+                "baseline", InnerProductSpGEMM),
 )
 
 _BY_NAME = {entry.name: entry for entry in ENGINES}

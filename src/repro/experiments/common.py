@@ -1,8 +1,8 @@
 """Shared plumbing for the experiment harnesses.
 
 Besides workload loading and the :class:`ExperimentResult` container, this
-module exposes :func:`gather_comparison_reports`, the SpArch-vs-baselines
-batch of Figures 11 and 12.  Every harness routes its points through
+module exposes :func:`baseline_ratio_table`, the SpArch-vs-baselines loop
+of Figures 11 and 12.  Every harness routes its points through
 :class:`repro.experiments.runner.ExperimentRunner`; that shared funnel is
 what lets one ``python -m repro.experiments all`` sweep reuse each (matrix,
 config) simulation across figures instead of recomputing it per experiment.
@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SpArchConfig
 from repro.corpus.registry import PAPER_SCALE_MAX_ROWS, PAPER_SCALE_NAMES
+from repro.engines.base import Engine
+from repro.engines.sparch import SpArchEngine
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import SCHEMA_VERSION, CostReport
@@ -24,6 +26,7 @@ from repro.matrices.suite import (
     load_benchmark,
     load_suite,
 )
+from repro.utils.maths import geometric_mean
 from repro.utils.reporting import Table
 
 #: Floors applied when scaling the on-chip buffers down with the proxies, so
@@ -98,46 +101,82 @@ class ExperimentResult:
         return self.render()
 
 
-def gather_comparison_reports(workload: dict[str, tuple[CSRMatrix, SpArchConfig | None]],
-                              baselines: list, *,
-                              runner: ExperimentRunner | None = None
-                              ) -> tuple[dict[str, CostReport],
-                                         dict[tuple[str, str], CostReport]]:
-    """Cost reports of one SpArch-vs-baselines comparison sweep.
+def display_names(engines: list[Engine]) -> list[str]:
+    """Each engine's ``display_name``, refusing any two that share one.
 
-    The shared shape of Figures 11 and 12 (and any future per-matrix
-    comparison): every workload point once on SpArch, once per baseline,
-    all through the runner's memo.
+    Comparison harnesses label columns, geomeans and reports by display
+    name, so two parameterisations of one system (two ``GustavsonSpGEMM``
+    on different platforms, say) would otherwise collapse into one column.
+
+    Raises:
+        ValueError: naming every display name two engines share.
+    """
+    labels = [engine.display_name for engine in engines]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        raise ValueError(
+            "compared engines need distinct display names; shared: "
+            + ", ".join(shared))
+    return labels
+
+
+def baseline_ratio_table(title: str,
+                         workload: dict[str, tuple[CSRMatrix, SpArchConfig | None]],
+                         baselines: list[Engine], *, metric: str, floor: float,
+                         runner: ExperimentRunner | None = None
+                         ) -> tuple[Table, dict[str, float],
+                                    dict[str, CostReport]]:
+    """The per-matrix SpArch-vs-baselines ratios of Figures 11 and 12.
+
+    Every workload point runs once on SpArch and once per baseline, all
+    through the runner's memo.  Each cell is the baseline report's
+    ``metric`` over SpArch's, SpArch's value floored at ``floor``; the last
+    row holds each column's geometric mean.
 
     Args:
+        title: the table title.
         workload: ``{name: (matrix, config)}`` points (``config=None``
             means Table I).
-        baselines: the comparison :class:`SpGEMMBaseline` systems.
+        baselines: the comparison engines, labelled by their distinct
+            ``display_name`` (see :func:`display_names`).
+        metric: the compared :class:`CostReport` field
+            (``"runtime_seconds"``, ``"energy_joules"``).
+        floor: lower bound of SpArch's value in each ratio.
         runner: experiment runner providing memoised/batched execution.
 
     Returns:
-        ``(sparch_reports, baseline_reports)`` keyed ``{name: report}`` and
-        ``{(name, baseline_index): report}`` respectively — baselines are
-        keyed by position, not display name, so two parameterisations of
-        the same system stay distinct.
+        ``(table, geomeans, reports)``: the geomeans keyed by display
+        name; the reports keyed ``"SpArch[<matrix>]"`` and
+        ``"<display name>[<matrix>]"``.
     """
-    from repro.engines.adapters import BaselineEngineAdapter
-    from repro.engines.sparch import SpArchEngine
-
+    labels = display_names(baselines)
     runner = runner or default_runner()
-    names = list(workload)
-    sparch_reports = dict(zip(names, runner.run_engine_many(
+    sparch_reports = runner.run_engine_many(
         [(SpArchEngine(config or SpArchConfig()), matrix)
-         for matrix, config in workload.values()])))
-    per_point = runner.run_engine_many(
-        [(BaselineEngineAdapter(baseline), matrix)
-         for matrix, _ in workload.values()
-         for baseline in baselines])
-    baseline_reports = dict(zip(
-        [(name, index) for name in names
-         for index in range(len(baselines))],
-        per_point))
-    return sparch_reports, baseline_reports
+         for matrix, config in workload.values()])
+    baseline_reports = iter(runner.run_engine_many(
+        [(baseline, matrix) for matrix, _ in workload.values()
+         for baseline in baselines]))
+
+    table = Table(title=title,
+                  columns=["matrix"] + [f"over {label}" for label in labels])
+    reports = {f"SpArch[{name}]": report
+               for name, report in zip(workload, sparch_reports)}
+    ratios: dict[str, list[float]] = {label: [] for label in labels}
+    for name, sparch in zip(workload, sparch_reports):
+        denominator = max(getattr(sparch, metric), floor)
+        row: list[object] = [name]
+        for label in labels:
+            report = next(baseline_reports)
+            reports[f"{label}[{name}]"] = report
+            ratio = getattr(report, metric) / denominator
+            ratios[label].append(ratio)
+            row.append(ratio)
+        table.add_row(*row)
+    geomeans = {label: geometric_mean(values)
+                for label, values in ratios.items()}
+    table.add_row("Geo Mean", *geomeans.values())
+    return table, geomeans, reports
 
 
 def small_suite(*, max_rows: int = 600, count: int = 5) -> dict[str, CSRMatrix]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.baselines.outerspace import OuterSpaceAccelerator
 from repro.core.config import SpArchConfig
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.experiments.common import ExperimentResult, load_scaled_suite
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
@@ -33,7 +32,7 @@ def run(*, max_rows: int = 1000, names: list[str] | None = None,
     else:
         workload = load_scaled_suite(max_rows=max_rows, names=names,
                                      base_config=config)
-    outerspace = BaselineEngineAdapter(OuterSpaceAccelerator())
+    outerspace = OuterSpaceAccelerator()
 
     table = Table(
         title="Total DRAM access: SpArch vs OuterSPACE",

@@ -18,18 +18,16 @@ from repro.baselines import (
     GustavsonSpGEMM,
     HashSpGEMM,
     OuterSpaceAccelerator,
-    SpGEMMBaseline,
 )
 from repro.core.config import SpArchConfig
+from repro.engines.base import Engine
 from repro.experiments.common import (
     ExperimentResult,
-    gather_comparison_reports,
+    baseline_ratio_table,
     load_scaled_suite,
 )
-from repro.experiments.runner import ExperimentRunner, default_runner
+from repro.experiments.runner import ExperimentRunner
 from repro.formats.csr import CSRMatrix
-from repro.utils.maths import geometric_mean
-from repro.utils.reporting import Table
 
 #: Geometric-mean speedups reported by the paper (Figure 11).
 PAPER_GEOMEAN_SPEEDUP = {
@@ -41,7 +39,7 @@ PAPER_GEOMEAN_SPEEDUP = {
 }
 
 
-def default_baselines() -> list[SpGEMMBaseline]:
+def default_baselines() -> list[Engine]:
     """The five comparison systems of Figure 11, in paper order."""
     return [OuterSpaceAccelerator(), GustavsonSpGEMM(), HashSpGEMM(),
             ESCSpGEMM(), ArmadilloSpGEMM()]
@@ -50,7 +48,7 @@ def default_baselines() -> list[SpGEMMBaseline]:
 def run(*, max_rows: int = 1000, names: list[str] | None = None,
         matrices: dict[str, CSRMatrix] | None = None,
         config: SpArchConfig | None = None,
-        baselines: list[SpGEMMBaseline] | None = None,
+        baselines: list[Engine] | None = None,
         runner: ExperimentRunner | None = None) -> ExperimentResult:
     """Reproduce Figure 11 on the (scaled) benchmark suite.
 
@@ -68,32 +66,13 @@ def run(*, max_rows: int = 1000, names: list[str] | None = None,
         workload = load_scaled_suite(max_rows=max_rows, names=names,
                                      base_config=config)
     baselines = baselines if baselines is not None else default_baselines()
-    runner = runner or default_runner()
-
-    columns = ["matrix"] + [f"over {b.name}" for b in baselines]
-    table = Table(title="Figure 11 — speedup of SpArch over baselines", columns=columns)
 
     # Every point — SpArch and baselines alike — goes through the engine
     # registry and comes back as a canonical CostReport; the speedup is one
     # runtime ratio regardless of which system produced each side.
-    sparch_reports, baseline_reports = gather_comparison_reports(
-        workload, baselines, runner=runner)
-    reports = {f"SpArch[{name}]": report
-               for name, report in sparch_reports.items()}
-    speedups: dict[str, list[float]] = {b.name: [] for b in baselines}
-    for name in workload:
-        sparch_runtime = sparch_reports[name].runtime_seconds
-        row: list[object] = [name]
-        for index, baseline in enumerate(baselines):
-            report = baseline_reports[(name, index)]
-            reports[f"{baseline.name}[{name}]"] = report
-            speedup = report.runtime_seconds / max(sparch_runtime, 1e-15)
-            speedups[baseline.name].append(speedup)
-            row.append(speedup)
-        table.add_row(*row)
-
-    geomeans = {name: geometric_mean(values) for name, values in speedups.items()}
-    table.add_row("Geo Mean", *[geomeans[b.name] for b in baselines])
+    table, geomeans, reports = baseline_ratio_table(
+        "Figure 11 — speedup of SpArch over baselines", workload, baselines,
+        metric="runtime_seconds", floor=1e-15, runner=runner)
 
     metrics = {f"geomean_speedup[{name}]": value for name, value in geomeans.items()}
     paper_values = {f"geomean_speedup[{name}]": value

@@ -10,18 +10,16 @@ measured powers).
 
 from __future__ import annotations
 
-from repro.baselines import SpGEMMBaseline
 from repro.core.config import SpArchConfig
+from repro.engines.base import Engine
 from repro.experiments.common import (
     ExperimentResult,
-    gather_comparison_reports,
+    baseline_ratio_table,
     load_scaled_suite,
 )
 from repro.experiments.fig11_speedup import default_baselines
-from repro.experiments.runner import ExperimentRunner, default_runner
+from repro.experiments.runner import ExperimentRunner
 from repro.formats.csr import CSRMatrix
-from repro.utils.maths import geometric_mean
-from repro.utils.reporting import Table
 
 #: Geometric-mean energy savings reported by the paper (Figure 12).
 PAPER_GEOMEAN_ENERGY_SAVING = {
@@ -36,7 +34,7 @@ PAPER_GEOMEAN_ENERGY_SAVING = {
 def run(*, max_rows: int = 1000, names: list[str] | None = None,
         matrices: dict[str, CSRMatrix] | None = None,
         config: SpArchConfig | None = None,
-        baselines: list[SpGEMMBaseline] | None = None,
+        baselines: list[Engine] | None = None,
         runner: ExperimentRunner | None = None) -> ExperimentResult:
     """Reproduce Figure 12 on the (scaled) benchmark suite."""
     config = config or SpArchConfig()
@@ -46,34 +44,14 @@ def run(*, max_rows: int = 1000, names: list[str] | None = None,
         workload = load_scaled_suite(max_rows=max_rows, names=names,
                                      base_config=config)
     baselines = baselines if baselines is not None else default_baselines()
-    runner = runner or default_runner()
-
-    columns = ["matrix"] + [f"over {b.name}" for b in baselines]
-    table = Table(title="Figure 12 — energy saving of SpArch over baselines",
-                  columns=columns)
 
     # The unified CostReport carries each point's headline energy (the
     # per-event module sum for SpArch, modelled runtime × power for the
     # baselines — the paper's Figure 12 methodology), so the saving is one
     # ratio of two reports.
-    sparch_reports, baseline_reports = gather_comparison_reports(
-        workload, baselines, runner=runner)
-    reports = {f"SpArch[{name}]": report
-               for name, report in sparch_reports.items()}
-    savings: dict[str, list[float]] = {b.name: [] for b in baselines}
-    for name in workload:
-        sparch_energy = sparch_reports[name].energy_joules
-        row: list[object] = [name]
-        for index, baseline in enumerate(baselines):
-            report = baseline_reports[(name, index)]
-            reports[f"{baseline.name}[{name}]"] = report
-            saving = report.energy_joules / max(sparch_energy, 1e-18)
-            savings[baseline.name].append(saving)
-            row.append(saving)
-        table.add_row(*row)
-
-    geomeans = {name: geometric_mean(values) for name, values in savings.items()}
-    table.add_row("Geo Mean", *[geomeans[b.name] for b in baselines])
+    table, geomeans, reports = baseline_ratio_table(
+        "Figure 12 — energy saving of SpArch over baselines", workload,
+        baselines, metric="energy_joules", floor=1e-18, runner=runner)
 
     metrics = {f"geomean_energy_saving[{name}]": value
                for name, value in geomeans.items()}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.baselines.gustavson import GustavsonSpGEMM
 from repro.core.config import SpArchConfig
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.sparch import SpArchEngine
 from repro.experiments.common import ExperimentResult, scale_buffer_capacities
 from repro.experiments.runner import ExperimentRunner, default_runner
@@ -61,8 +60,7 @@ def run(*, scale: float = 0.1, seed: int = 7,
     """
     sweep = scaled_sweep(scale)
     sparch_config = scale_buffer_capacities(config or SpArchConfig(), scale)
-    mkl = BaselineEngineAdapter(
-        GustavsonSpGEMM(cache_bytes=max(64 * 2**10, 15 * 2**20 * scale)))
+    mkl = GustavsonSpGEMM(cache_bytes=max(64 * 2**10, 15 * 2**20 * scale))
 
     table = Table(
         title="Figure 14 — FLOPS on rMAT benchmarks (SpArch vs MKL)",

@@ -16,7 +16,6 @@ from repro.analysis.roofline import (
 )
 from repro.baselines.outerspace import OuterSpaceAccelerator
 from repro.core.config import SpArchConfig
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
@@ -40,7 +39,7 @@ def run(*, max_rows: int = 1000, names: list[str] | None = None,
     config = config or SpArchConfig()
     matrices = matrices or load_suite(max_rows=max_rows, names=names)
     runner = runner or default_runner()
-    outerspace = BaselineEngineAdapter(OuterSpaceAccelerator())
+    outerspace = OuterSpaceAccelerator()
 
     sparch_stats = runner.simulate_many(
         [(matrix, config) for matrix in matrices.values()])

@@ -13,9 +13,9 @@ canonical schema:
   keys simply stop matching and the points recompute.
 * **One dispatch** — :meth:`run_engine` / :meth:`run_engine_many` accept an
   :class:`~repro.engines.base.Engine` instance *or a registry name* and
-  return cost reports; a baseline runs as a
-  :class:`~repro.engines.adapters.BaselineEngineAdapter`.  The SpArch
-  views (:meth:`simulate`, :meth:`simulate_many`, ...) rebuild the native
+  return cost reports; every baseline is such an engine itself
+  (:class:`~repro.baselines.base.BaselineEngine`).  The SpArch views
+  (:meth:`simulate`, :meth:`simulate_many`, ...) rebuild the native
   :class:`~repro.core.stats.SimulationStats` from the report's lossless
   ``detail`` payload.
 * **Memoisation** — each point is fingerprinted (SHA-256 over the CSR
@@ -149,17 +149,22 @@ def _engine_identity(engine: Engine, include_backend: bool) -> str:
 
     Engines are immutable values (see :class:`~repro.engines.base.Engine`),
     so ``cache_fields()`` hashed through :func:`_identity_fingerprint`
-    never changes for one instance.  Memoising it on the instance, per
-    ``include_backend`` value, spares each warm request the dataclass walk,
-    JSON encoding and SHA-256 of an unchanged configuration.
+    never changes for one instance.  Memoising it on the instance spares
+    each warm request the dataclass walk, JSON encoding and SHA-256 of an
+    unchanged configuration.  The memo is keyed by the backend it hashed
+    (``None`` when the backend is excluded), not by ``include_backend``:
+    a baseline's :meth:`~repro.engines.base.Engine.using_backend` is a
+    shallow copy that shares this dict, so a key per flag would hand one
+    backend's fingerprint to the other.
     """
     memo = vars(engine).setdefault("_identity_fingerprints", {})
-    fingerprint = memo.get(include_backend)
+    backend = engine.backend if include_backend else None
+    fingerprint = memo.get(backend)
     if fingerprint is None:
         identity = dict(engine.cache_fields())
-        if include_backend:
-            identity["backend"] = engine.backend
-        fingerprint = memo[include_backend] = _identity_fingerprint(identity)
+        if backend is not None:
+            identity["backend"] = backend
+        fingerprint = memo[backend] = _identity_fingerprint(identity)
     return fingerprint
 
 

@@ -14,7 +14,6 @@ from repro.analysis.area import AreaModel, OUTERSPACE_TOTAL_AREA_MM2
 from repro.analysis.energy import EnergyModel
 from repro.baselines.outerspace import OuterSpaceAccelerator
 from repro.core.config import SpArchConfig
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.sparch import SpArchEngine
 from repro.experiments.common import ExperimentResult, load_scaled_suite
 from repro.experiments.runner import ExperimentRunner, default_runner
@@ -53,7 +52,7 @@ def run(*, max_rows: int = 800, names: list[str] | None = None,
         [(SpArchEngine(matrix_config or config), matrix)
          for _, (matrix, matrix_config) in workload.items()])))
     outerspace_reports = dict(zip(names_in_order, runner.run_engine_many(
-        [(BaselineEngineAdapter(OuterSpaceAccelerator()), matrix)
+        [(OuterSpaceAccelerator(), matrix)
          for _, (matrix, _) in workload.items()])))
 
     sparch_categories = {"Computation": 0.0, "SRAM": 0.0, "DRAM": 0.0}

@@ -35,12 +35,10 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.baselines import SpGEMMBaseline
 from repro.core.config import SpArchConfig
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.base import Engine
 from repro.engines.sparch import SpArchEngine
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, display_names
 from repro.experiments.fig11_speedup import default_baselines
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
@@ -126,7 +124,7 @@ def _sweep_reports(workload_ids: list[str], matrices: dict[str, CSRMatrix],
 
 def run(*, max_rows: int = 400, names: list[str] | None = None,
         workload_ids: list[str] | None = None,
-        baselines: list[SpGEMMBaseline] | None = None,
+        baselines: list[Engine] | None = None,
         config: SpArchConfig | None = None,
         runner: ExperimentRunner | None = None) -> ExperimentResult:
     """Run every registered workload under SpArch and the baselines.
@@ -146,14 +144,13 @@ def run(*, max_rows: int = 400, names: list[str] | None = None,
                     else list_workloads())
     baselines = baselines if baselines is not None else default_baselines()
     runner = runner or default_runner()
+    engines = [SpArchEngine(config or SpArchConfig()), *baselines]
+    labels = display_names(engines)  # per_pair is keyed by these
+    sparch_name = labels[0]
     for workload_id in workload_ids:
         get_workload(workload_id)  # fail fast with the helpful unknown-id error
     matrices = {name: load_benchmark(name, max_rows=max_rows)
                 for name in names}
-
-    engines: list[Engine] = [SpArchEngine(config or SpArchConfig())]
-    engines += [BaselineEngineAdapter(baseline) for baseline in baselines]
-    sparch_name = engines[0].display_name
 
     table = Table(
         title="Workloads — end-to-end pipeline cost, SpArch vs baselines "
@@ -166,9 +163,8 @@ def run(*, max_rows: int = 400, names: list[str] | None = None,
 
     per_pair = _sweep_reports(workload_ids, matrices, engines, runner)
     for workload_id in workload_ids:
-        per_backend = {engine.display_name:
-                       per_pair[(workload_id, engine.display_name)]
-                       for engine in engines}
+        per_backend = {label: per_pair[(workload_id, label)]
+                       for label in labels}
         sparch = per_backend[sparch_name]
         for backend_name, reports in per_backend.items():
             is_sparch = backend_name == sparch_name

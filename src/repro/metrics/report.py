@@ -21,7 +21,7 @@ instead, whichever engine ran:
 * **a ``detail`` payload** — the producing engine's own record: the full
   :class:`SimulationStats` dict, from which :meth:`to_stats` rebuilds the
   native object bit for bit, or a baseline run's scalar outcome
-  (:meth:`repro.engines.adapters.BaselineEngineAdapter.run`).
+  (:meth:`repro.baselines.base.BaselineEngine.run`).
 
 Reports serialise to JSON (:meth:`to_dict` / :meth:`from_dict`,
 :meth:`to_json` / :meth:`from_json`) with an explicit

@@ -48,7 +48,6 @@ from repro.workloads.ops import (
 )
 from repro.workloads.pipeline import (
     SPGEMM_KIND,
-    EngineExecutor,
     PipelineBuilder,
     StageResult,
     WorkloadResult,
@@ -65,7 +64,6 @@ __all__ = [
     "SPGEMM_KIND",
     "HOST_OPS",
     "CompiledWorkload",
-    "EngineExecutor",
     "PipelineBuilder",
     "SpecError",
     "StageResult",

@@ -3,9 +3,9 @@
 This is the lowering half of the compiler: a checked
 :class:`~repro.workloads.compiler.ir.GraphSpec` plus its schedule runs
 against a :class:`~repro.workloads.pipeline.PipelineBuilder` — SpGEMM
-nodes dispatch through the builder's stage executor (engine registry /
-ExperimentRunner memo, same fingerprints as sweeps and serving) and host
-nodes through the ops registry.
+nodes run on the builder's engine (directly, or through the
+ExperimentRunner memo with the same fingerprints as sweeps and serving)
+and host nodes through the ops registry.
 
 Name handling: spec-level value names are mapped to pipeline value names
 through an environment (conditional stages alias instead of executing;

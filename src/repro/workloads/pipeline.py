@@ -3,14 +3,14 @@
 A *workload* is a DAG of named stages over sparse matrices.  Stages come in
 two kinds:
 
-* **SpGEMM stages** — sparse matrix-matrix products, dispatched to an
-  :class:`EngineExecutor` built on the engine registry
-  (:mod:`repro.engines`): any registered engine — the SpArch simulator or
-  any comparison baseline — addressed by name or instance, either executed
-  directly or with its :class:`~repro.metrics.report.CostReport` memoised
-  through the :class:`~repro.experiments.runner.ExperimentRunner`
-  fingerprint cache.  Each stage records the engine's full cost report —
-  cycles, runtime, DRAM traffic, energy — in a :class:`StageResult`.
+* **SpGEMM stages** — sparse matrix-matrix products on the one engine
+  the :class:`PipelineBuilder` holds: any registered engine
+  (:mod:`repro.engines`) — the SpArch simulator or any comparison
+  baseline — addressed by name or instance, either executed directly or
+  with its :class:`~repro.metrics.report.CostReport` memoised through the
+  :class:`~repro.experiments.runner.ExperimentRunner` fingerprint cache.
+  Each stage records the engine's full cost report — cycles, runtime,
+  DRAM traffic, energy — in a :class:`StageResult`.
 * **Host stages** — element-wise / normalise / prune / mask operations from
   :mod:`repro.workloads.ops`, executed on the host and charged zero
   accelerator cost.
@@ -22,14 +22,14 @@ control flow such as MCL's convergence loop is resolved as it runs — and
 each stage executes as it is declared while the DAG (names, kinds,
 dependencies) is recorded into the resulting :class:`WorkloadResult`.
 
-Functional semantics: in direct mode the executor returns the engine's
-own result matrix and the pipeline threads it to downstream stages, so
-the applications in :mod:`repro.apps` return exactly what driving the
-engine by hand would.  When the executor memoises cost reports through the
-experiment runner, the functional product comes from one canonical exact
-host path instead — every backend then traverses identical intermediate
-matrices, which is what makes end-to-end backend comparisons
-apples-to-apples and cached re-runs incremental.
+Functional semantics: in direct mode the pipeline threads the engine's
+own result matrix to downstream stages, so the applications in
+:mod:`repro.apps` return exactly what driving the engine by hand would.
+When the pipeline memoises cost reports through the experiment runner,
+the functional product comes from one canonical exact host path instead —
+every backend then traverses identical intermediate matrices, which is
+what makes end-to-end backend comparisons apples-to-apples and cached
+re-runs incremental.
 """
 
 from __future__ import annotations
@@ -224,12 +224,16 @@ class WorkloadResult:
 
 
 # ----------------------------------------------------------------------
-# The stage executor
+# The builder
 # ----------------------------------------------------------------------
-class EngineExecutor:
-    """SpGEMM stages on any registered engine, addressed by name or instance.
+class PipelineBuilder:
+    """Define-by-run pipeline context the compiled specs execute on.
 
-    Two modes:
+    Values (pipeline inputs and stage outputs) live in one namespace and
+    are referred to by name; each :meth:`spgemm` / :meth:`host` call
+    executes immediately and appends a :class:`StageResult` to the record.
+
+    SpGEMM stages run on one engine in one of two modes:
 
     * **direct mode** (default): calls :meth:`Engine.run` and threads the
       engine's own exact result matrix through the pipeline — parity with
@@ -244,48 +248,16 @@ class EngineExecutor:
         engine: a registry name ("sparch", "mkl", "outerspace", ...) or an
             :class:`~repro.engines.base.Engine` instance.
         runner: experiment runner (runner mode).
-    """
-
-    def __init__(self, engine: Engine | str, *,
-                 runner: ExperimentRunner | None = None) -> None:
-        self._engine = resolve_engine(engine)
-        self._runner = runner
-        self.backend_name = self._engine.display_name
-
-    def execute(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix
-                ) -> tuple[CSRMatrix | None, CostReport]:
-        """Run (or replay) one ``A · B`` product.
-
-        Returns the engine's own result matrix — ``None`` in runner mode,
-        which memoises the cost report only — and the stage's report.
-        """
-        if self._runner is not None:
-            return None, self._runner.run_engine(self._engine, matrix_a,
-                                                 matrix_b=matrix_b)
-        run = self._engine.run(matrix_a, matrix_b)
-        return run.matrix, run.report
-
-
-# ----------------------------------------------------------------------
-# The builder
-# ----------------------------------------------------------------------
-class PipelineBuilder:
-    """Define-by-run pipeline context the compiled specs execute on.
-
-    Values (pipeline inputs and stage outputs) live in one namespace and
-    are referred to by name; each :meth:`spgemm` / :meth:`host` call
-    executes immediately and appends a :class:`StageResult` to the record.
-
-    Args:
-        executor: SpGEMM stage executor (SpArch or a baseline).
         inputs: named input matrices, e.g. ``{"A": matrix}``.
     """
 
-    def __init__(self, executor: EngineExecutor, *,
+    def __init__(self, engine: Engine | str, *,
+                 runner: ExperimentRunner | None = None,
                  inputs: dict[str, CSRMatrix]) -> None:
         if not inputs:
             raise ValueError("a pipeline needs at least one input matrix")
-        self._executor = executor
+        self._engine = resolve_engine(engine)
+        self._runner = runner
         self._values: dict[str, sp.csr_matrix] = {}
         self._stages: list[StageResult] = []
         self._annotations: dict[str, float] = {}
@@ -294,10 +266,6 @@ class PipelineBuilder:
             self._store(name, to_scipy(matrix))
 
     # ------------------------------------------------------------------
-    @property
-    def executor(self) -> EngineExecutor:
-        return self._executor
-
     @property
     def stages(self) -> list[StageResult]:
         """Stage records so far, in execution order."""
@@ -350,11 +318,14 @@ class PipelineBuilder:
         # Self-products share one operand object so the runner's cache key
         # takes its A·A fast path consistently across runs.
         matrix_b = matrix_a if right == left else from_scipy(self._get(right))
-        matrix, report = self._executor.execute(matrix_a, matrix_b)
-        if matrix is not None:
-            product: sp.spmatrix = to_scipy(matrix)
+        if self._runner is not None:
+            report = self._runner.run_engine(self._engine, matrix_a,
+                                             matrix_b=matrix_b)
+            product: sp.spmatrix = (self._get(left) @ self._get(right)).tocsr()
         else:
-            product = (self._get(left) @ self._get(right)).tocsr()
+            run = self._engine.run(matrix_a, matrix_b)
+            report = run.report
+            product = to_scipy(run.matrix)
         self._store(name, product)
         stored = self._values[name]
         self._record(StageResult(
@@ -444,7 +415,7 @@ class PipelineBuilder:
         """Close the pipeline and return its :class:`WorkloadResult`."""
         return WorkloadResult(
             workload_id=workload_id,
-            backend=self._executor.backend_name,
+            backend=self._engine.display_name,
             stages=list(self._stages),
             annotations=dict(self._annotations),
             output=self.value(output) if output is not None else None,

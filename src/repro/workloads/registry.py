@@ -19,11 +19,7 @@ if TYPE_CHECKING:  # annotation only — see repro.workloads.pipeline
     from repro.experiments.runner import ExperimentRunner
 from repro.workloads.compiler import CompiledWorkload
 from repro.workloads.graphs import compiled_workload
-from repro.workloads.pipeline import (
-    EngineExecutor,
-    PipelineBuilder,
-    WorkloadResult,
-)
+from repro.workloads.pipeline import PipelineBuilder, WorkloadResult
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ def run_workload(workload_id: str, matrix: CSRMatrix, *,
             instance such as ``SpArchEngine(SpArchConfig(engine="scalar"))``.
         runner: experiment runner that memoises each stage's cost report;
             without one the engine runs directly (see
-            :class:`~repro.workloads.pipeline.EngineExecutor`).
+            :class:`~repro.workloads.pipeline.PipelineBuilder`).
         fuse: collapse adjacent host ops into fused stages (identical
             functional output, fewer host stage records).
         **params: workload parameters, overriding the spec's declared
@@ -167,7 +163,7 @@ def run_workload(workload_id: str, matrix: CSRMatrix, *,
     """
     spec = get_workload(workload_id)
     first_input = spec.compiled.graph.inputs[0].name
-    pipeline = PipelineBuilder(EngineExecutor(engine, runner=runner),
+    pipeline = PipelineBuilder(engine, runner=runner,
                                inputs={first_input: matrix})
     output = spec.compiled.run(pipeline, params=params, fuse=fuse)
     return pipeline.result(spec.workload_id, output)

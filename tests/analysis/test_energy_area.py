@@ -76,7 +76,7 @@ class TestEnergyModel:
         """Simulation reports get the exact module grouping; baseline and
         aggregate reports get the per-event split over their counters —
         no energy is ever dropped from a mixed aggregate."""
-        from repro.engines import create_engine
+        from repro.engines.registry import create_engine
         from repro.metrics.report import CostReport
 
         model = EnergyModel()

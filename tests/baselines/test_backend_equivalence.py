@@ -135,19 +135,19 @@ def test_gustavson_cache_parameter_respected_by_both_backends():
 
 def test_vectorized_is_the_default_engine():
     for baseline_cls in ALL_BASELINES:
-        assert baseline_cls().engine == "vectorized"
-        assert baseline_cls(engine="scalar").engine == "scalar"
+        assert baseline_cls().backend == "vectorized"
+        assert baseline_cls(engine="scalar").backend == "scalar"
 
 
-def test_using_engine_returns_pinned_copy():
+def test_using_backend_returns_pinned_copy():
     baseline = GustavsonSpGEMM(cache_bytes=123.0)
-    pinned = baseline.using_engine("scalar")
+    pinned = baseline.using_backend("scalar")
     assert pinned is not baseline
-    assert pinned.engine == "scalar"
-    assert baseline.engine == "vectorized"
+    assert pinned.backend == "scalar"
+    assert baseline.backend == "vectorized"
     # Algorithm parameters carry over to the copy.
     assert pinned.cache_fields()["cache_bytes"] == 123.0
-    # Same engine: no copy needed.
-    assert baseline.using_engine("vectorized") is baseline
+    # Same backend: no copy needed.
+    assert baseline.using_backend("vectorized") is baseline
     with pytest.raises(ValueError, match="engine must be one of"):
-        baseline.using_engine("turbo")
+        baseline.using_backend("turbo")

@@ -3,8 +3,8 @@
 ``baseline_reports.json`` holds each registered baseline's
 ``CostReport.to_dict()`` on one fixed operand (vectorized backend), frozen
 from the ``BaselineSummary`` conversion that
-:meth:`~repro.engines.adapters.BaselineEngineAdapter.run` replaced.  The
-adapter's report must reproduce it exactly: same keys, in the same order
+:meth:`~repro.baselines.base.BaselineEngine.run` replaced.  Each
+baseline's report must reproduce it exactly: same keys, in the same order
 at every level, and the same values.
 """
 

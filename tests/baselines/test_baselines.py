@@ -95,7 +95,8 @@ class TestRelativeOrdering:
     @pytest.fixture(scope="class")
     def runtimes(self, square_matrix=None):
         matrix = powerlaw_matrix(200, 5.0, seed=23)
-        return {cls.name: cls().multiply(matrix, matrix).runtime_seconds
+        return {cls.display_name:
+                cls().multiply(matrix, matrix).runtime_seconds
                 for cls in ALL_BASELINES}
 
     def test_outerspace_is_fastest_baseline(self, runtimes):

@@ -31,7 +31,6 @@ from repro.baselines import GustavsonSpGEMM
 from repro.core.accelerator import SpArch
 from repro.core.condensing import partial_matrix_sizes
 from repro.core.config import PRICING_FIELDS, SpArchConfig
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.sparch import SpArchEngine, run_shared
 from repro.experiments.designspace import fig17_grid, flatten_grid
 from repro.experiments.runner import (
@@ -270,7 +269,7 @@ def test_cold_fig17_sweep_runs_one_dataflow_per_operand(dataflows,
 ALONE = {
     "batched": lambda: SpArchEngine(BASE),
     "scalar": lambda: SpArchEngine(BASE.replace(engine="scalar")),
-    "baseline": lambda: BaselineEngineAdapter(GustavsonSpGEMM()),
+    "baseline": GustavsonSpGEMM,
 }
 
 

@@ -16,9 +16,7 @@ import pytest
 from repro.baselines import GustavsonSpGEMM
 from repro.core.accelerator import SpArch
 from repro.core.config import SpArchConfig
-from repro.engines import create_engine, list_engines
-from repro.engines.adapters import BaselineEngineAdapter
-from repro.engines.registry import get_engine_entry
+from repro.engines.registry import create_engine, get_engine_entry, list_engines
 from repro.experiments.runner import ExperimentRunner
 from repro.matrices.synthetic import powerlaw_matrix
 from repro.metrics.compare import assert_reports_equal
@@ -46,7 +44,7 @@ def test_registry_path_equals_native_path(name, matrix):
         _assert_same_matrix(run.matrix, native.matrix)
         assert run.report.to_stats() == native.stats
     else:
-        native = engine.baseline.multiply(matrix, matrix)
+        native = engine.multiply(matrix, matrix)
         _assert_same_matrix(run.matrix, native.matrix)
         assert run.report.runtime_seconds == native.runtime_seconds
         assert run.report.dram_bytes == native.traffic_bytes
@@ -77,7 +75,7 @@ def test_runner_views_are_lossless_over_the_report(matrix):
     assert stats == SpArch(SpArchConfig()).multiply(matrix, matrix).stats
 
     baseline = GustavsonSpGEMM()
-    report = runner.run_engine(BaselineEngineAdapter(baseline), matrix)
+    report = runner.run_engine(baseline, matrix)
     native = baseline.multiply(matrix, matrix)
     assert report.runtime_seconds == native.runtime_seconds
     assert report.extras == native.extras
@@ -90,17 +88,15 @@ def test_simulate_and_run_engine_share_one_memo_pool(matrix):
     runner.run_engine("sparch", matrix)
     assert (runner.cache_hits, runner.cache_misses) == (1, 1)
 
-    runner.run_engine(BaselineEngineAdapter(GustavsonSpGEMM()), matrix)
+    runner.run_engine(GustavsonSpGEMM(), matrix)
     runner.run_engine("mkl", matrix)
     assert (runner.cache_hits, runner.cache_misses) == (2, 2)
 
 
 def test_pipeline_dispatch_by_name_equals_dispatch_by_instance(matrix):
-    """engine="mkl" == engine=BaselineEngineAdapter(GustavsonSpGEMM())."""
+    """engine="mkl" == engine=GustavsonSpGEMM()."""
     by_name = run_workload("triangles", matrix, engine="mkl")
-    by_instance = run_workload(
-        "triangles", matrix,
-        engine=BaselineEngineAdapter(GustavsonSpGEMM()))
+    by_instance = run_workload("triangles", matrix, engine=GustavsonSpGEMM())
     assert by_name == by_instance  # WorkloadResult equality covers stages
     assert by_name.backend == "MKL"
 

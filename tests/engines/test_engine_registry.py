@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import GustavsonSpGEMM
-from repro.engines import (
-    BaselineEngineAdapter,
-    Engine,
-    SpArchEngine,
+from repro.engines import Engine, SpArchEngine
+from repro.engines.registry import (
     create_engine,
     get_engine_entry,
     list_engines,
@@ -23,6 +21,17 @@ from repro.matrices.synthetic import (
 #: The acceptance surface: SpArch plus the baselines, all by name.
 EXPECTED_ENGINES = ("sparch", "outerspace", "mkl", "cusparse", "cusp",
                     "armadillo", "heap", "innerproduct")
+
+#: Each baseline's registry id and comparison-table label.
+BASELINE_LABELS = {
+    "outerspace": "OuterSPACE",
+    "mkl": "MKL",
+    "cusparse": "cuSPARSE",
+    "cusp": "CUSP",
+    "armadillo": "Armadillo",
+    "heap": "HeapSpGEMM",
+    "innerproduct": "InnerProduct",
+}
 
 #: Shared invariant suite: structurally diverse small matrices.
 SUITE = {
@@ -53,20 +62,23 @@ class TestRegistrySurface:
         assert resolve_engine(engine) is engine
         assert resolve_engine("mkl").display_name == "MKL"
 
-    def test_baseline_adapter_wraps_any_baseline(self):
-        adapter = BaselineEngineAdapter(GustavsonSpGEMM())
-        assert adapter.name == "mkl"
-        assert adapter.display_name == "MKL"
-        assert adapter.backend == "vectorized"
+    def test_a_constructed_baseline_is_an_engine(self):
+        baseline = GustavsonSpGEMM()
+        assert isinstance(baseline, Engine)
+        assert baseline.name == "mkl"
+        assert baseline.display_name == "MKL"
+        assert baseline.backend == "vectorized"
 
-    @pytest.mark.parametrize("name", [n for n in EXPECTED_ENGINES
-                                      if n != "sparch"])
-    def test_adapter_name_round_trips_to_the_registry_id(self, name):
-        """Wrapping a baseline directly yields the registry id, so a
-        report's ``engine`` label always resolves via create_engine."""
-        wrapped = BaselineEngineAdapter(create_engine(name).baseline)
-        assert wrapped.name == name
-        assert create_engine(wrapped.name).display_name == wrapped.display_name
+    @pytest.mark.parametrize("name, display_name", BASELINE_LABELS.items())
+    def test_baseline_engine_is_its_registered_class(self, name,
+                                                     display_name):
+        """The registry builds the baseline class itself, whose ``name``
+        is the registry id (so a report's ``engine`` label resolves via
+        create_engine) and whose ``display_name`` is the table label."""
+        engine = create_engine(name)
+        assert type(engine) is get_engine_entry(name).factory
+        assert engine.name == name
+        assert engine.display_name == display_name
 
     def test_using_backend_pins_the_execution_backend(self):
         scalar = create_engine("mkl").using_backend("scalar")

@@ -7,6 +7,8 @@ claims: who wins, and in roughly which regime the headline numbers fall.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -33,12 +35,15 @@ from repro.experiments.common import (
     scaled_config,
     small_suite,
 )
+from repro.baselines.base import BaselineEngine
+from repro.baselines.gustavson import GustavsonSpGEMM
 from repro.baselines.outerspace import OuterSpaceAccelerator
+from repro.baselines.platforms import INTEL_CPU
 from repro.core.config import SpArchConfig
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.sparch import SpArchEngine
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.runner import ExperimentRunner
+from repro.matrices.synthetic import random_matrix
 
 #: Reduced workload shared by the suite-based experiments.
 NAMES = ["wiki-Vote", "facebook", "poisson3Da"]
@@ -50,7 +55,7 @@ def _record_engine_calls(monkeypatch) -> list[tuple[str, str]]:
     calls = []
     for engine_class, method in ((SpArchEngine, "run"),
                                  (SpArchEngine, "price"),
-                                 (BaselineEngineAdapter, "run")):
+                                 (BaselineEngine, "run")):
         def wrapper(self, *args, _original=getattr(engine_class, method),
                     _call=(engine_class.__name__, method), **kwargs):
             calls.append(_call)
@@ -118,6 +123,22 @@ class TestSpeedupAndEnergy:
         assert all(value > 1.0 for value in result.metrics.values())
         assert result.metrics["geomean_energy_saving[OuterSPACE]"] < (
             result.metrics["geomean_energy_saving[cuSPARSE]"])
+
+    @pytest.mark.parametrize("harness", ["fig11", "fig12", "workloads"])
+    def test_baselines_sharing_a_display_name_are_refused(self, harness):
+        """Two parameterisations of MKL would collapse into one column,
+        geomean and report; every comparison harness refuses them."""
+        quarter = dataclasses.replace(INTEL_CPU, **{
+            field.name: getattr(INTEL_CPU, field.name) / 4
+            for field in dataclasses.fields(INTEL_CPU)
+            if isinstance(getattr(INTEL_CPU, field.name), float)})
+        pair = [GustavsonSpGEMM(), GustavsonSpGEMM(platform=quarter)]
+        kwargs = ({"names": ["wiki-Vote"], "workload_ids": ["triangles"]}
+                  if harness == "workloads"
+                  else {"matrices": {"m": random_matrix(40, 40, 160, seed=3)}})
+        with pytest.raises(ValueError, match="shared: MKL"):
+            get_experiment(harness).run(max_rows=60, baselines=pair,
+                                        runner=ExperimentRunner(), **kwargs)
 
 
 class TestHardwareComparisons:

@@ -9,9 +9,13 @@ from repro.baselines import (
     GustavsonSpGEMM,
     HashSpGEMM,
 )
-from repro.engines.adapters import BaselineEngineAdapter
+from repro.baselines.base import BaselineCounters, BaselineEngine
+from repro.engines.registry import create_engine, get_engine_entry, list_engines
 from repro.experiments.runner import ExperimentRunner, engine_point_key
 from repro.matrices.synthetic import powerlaw_matrix, random_matrix
+
+BASELINES = [name for name in list_engines()
+             if get_engine_entry(name).kind == "baseline"]
 
 
 @pytest.fixture()
@@ -21,16 +25,15 @@ def matrix():
 
 def _key(baseline, matrix, *, include_backend=False):
     """The runner's cache key of one baseline ``A · A`` point."""
-    return engine_point_key(BaselineEngineAdapter(baseline), matrix, matrix,
+    return engine_point_key(baseline, matrix, matrix,
                             include_backend=include_backend)
 
 
 def test_baseline_point_memoises(matrix):
     runner = ExperimentRunner()
-    first = runner.run_engine(BaselineEngineAdapter(GustavsonSpGEMM()), matrix)
+    first = runner.run_engine(GustavsonSpGEMM(), matrix)
     assert (runner.cache_hits, runner.cache_misses) == (0, 1)
-    second = runner.run_engine(BaselineEngineAdapter(GustavsonSpGEMM()),
-                               matrix)
+    second = runner.run_engine(GustavsonSpGEMM(), matrix)
     assert (runner.cache_hits, runner.cache_misses) == (1, 1)
     assert first == second
     assert first.kind == "baseline"
@@ -41,11 +44,11 @@ def test_baseline_point_memoises(matrix):
 
 def test_report_roundtrips_through_disk_cache(matrix, tmp_path):
     writer = ExperimentRunner(cache_dir=tmp_path)
-    report = writer.run_engine(BaselineEngineAdapter(HashSpGEMM()), matrix)
+    report = writer.run_engine(HashSpGEMM(), matrix)
     assert list((tmp_path / "baseline").glob("*.json"))
 
     reader = ExperimentRunner(cache_dir=tmp_path)
-    replayed = reader.run_engine(BaselineEngineAdapter(HashSpGEMM()), matrix)
+    replayed = reader.run_engine(HashSpGEMM(), matrix)
     assert (reader.cache_hits, reader.cache_misses) == (1, 0)
     assert replayed == report
     assert replayed.extras == report.extras
@@ -55,19 +58,15 @@ def test_cache_shared_across_engines_unless_forced(matrix):
     # No forced engine: scalar- and vectorized-constructed baselines share
     # one cache entry (their counters are proven identical).
     runner = ExperimentRunner()
-    runner.run_engine(
-        BaselineEngineAdapter(GustavsonSpGEMM(engine="vectorized")), matrix)
-    runner.run_engine(
-        BaselineEngineAdapter(GustavsonSpGEMM(engine="scalar")), matrix)
+    runner.run_engine(GustavsonSpGEMM(engine="vectorized"), matrix)
+    runner.run_engine(GustavsonSpGEMM(engine="scalar"), matrix)
     assert (runner.cache_hits, runner.cache_misses) == (1, 1)
 
     # Forced engines re-key per backend, so the cross-check really runs.
     scalar_runner = ExperimentRunner(engine="scalar")
     vector_runner = ExperimentRunner(engine="vectorized")
-    scalar_report = scalar_runner.run_engine(
-        BaselineEngineAdapter(GustavsonSpGEMM()), matrix)
-    vector_report = vector_runner.run_engine(
-        BaselineEngineAdapter(GustavsonSpGEMM()), matrix)
+    scalar_report = scalar_runner.run_engine(GustavsonSpGEMM(), matrix)
+    vector_report = vector_runner.run_engine(GustavsonSpGEMM(), matrix)
     assert scalar_report.backend == "scalar"
     assert vector_report.backend == "vectorized"
     key_scalar = _key(GustavsonSpGEMM(engine="scalar"), matrix,
@@ -82,8 +81,7 @@ def test_cache_shared_across_engines_unless_forced(matrix):
 
 def test_forced_engine_overrides_baseline_construction(matrix):
     runner = ExperimentRunner(engine="scalar")
-    report = runner.run_engine(
-        BaselineEngineAdapter(GustavsonSpGEMM(engine="vectorized")), matrix)
+    report = runner.run_engine(GustavsonSpGEMM(engine="vectorized"), matrix)
     assert report.backend == "scalar"
 
 
@@ -108,9 +106,7 @@ def test_baseline_batch_preserves_order_and_dedupes():
              (GustavsonSpGEMM(), matrices[1]),
              (GustavsonSpGEMM(), matrices[0])]  # duplicate of task 0
     runner = ExperimentRunner()
-    reports = runner.run_engine_many(
-        [(BaselineEngineAdapter(baseline), matrix)
-         for baseline, matrix in tasks])
+    reports = runner.run_engine_many(tasks)
     assert [r.detail["baseline"] for r in reports] == [
         "MKL", "Armadillo", "MKL", "MKL"]
     assert reports[0] == reports[3]
@@ -119,30 +115,33 @@ def test_baseline_batch_preserves_order_and_dedupes():
     assert runner.cache_hits == 1
 
 
-def test_plain_spgemm_baseline_runs_through_runner(matrix):
-    """A custom baseline built on the abstract base (no engine split) must
-    run through the runner, including under a forced engine."""
-    from repro.baselines import SpGEMMBaseline
+def test_custom_baseline_engine_runs_through_runner(matrix):
+    """A custom baseline built on :class:`BaselineEngine` runs through the
+    runner under its own name and label, including under a forced
+    backend."""
+    from repro.baselines.platforms import INTEL_CPU
     from repro.baselines.reference import scipy_spgemm
 
-    class TrivialBaseline(SpGEMMBaseline):
-        name = "Trivial"
+    class TrivialBaseline(BaselineEngine):
+        name = "trivial"
+        display_name = "Trivial"
 
-        def multiply(self, matrix_a, matrix_b):
-            from repro.baselines.base import BaselineResult
+        def __init__(self, *, engine=None):
+            super().__init__(INTEL_CPU, engine=engine)
 
-            result = scipy_spgemm(matrix_a, matrix_b)
-            return BaselineResult(
-                matrix=result, runtime_seconds=1.0, traffic_bytes=1,
+        def _multiply_scalar(self, matrix_a, matrix_b):
+            return scipy_spgemm(matrix_a, matrix_b), BaselineCounters(
                 multiplications=1, additions=0, bookkeeping_ops=0,
-                energy_joules=1.0, platform="trivial")
+                traffic_bytes=1)
 
-    for runner in (ExperimentRunner(), ExperimentRunner(engine="scalar")):
-        report = runner.run_engine(BaselineEngineAdapter(TrivialBaseline()),
-                                   matrix)
+        _multiply_vectorized = _multiply_scalar
+
+    for runner, backend in ((ExperimentRunner(), "vectorized"),
+                            (ExperimentRunner(engine="scalar"), "scalar")):
+        report = runner.run_engine(TrivialBaseline(), matrix)
         assert report.engine == "trivial"
         assert report.detail["baseline"] == "Trivial"
-        assert report.backend == "scalar"
+        assert report.backend == backend
         assert report.output_nnz > 0
 
 
@@ -152,8 +151,24 @@ def test_rectangular_baseline_point():
     a = bipartite_matrix(20, 30, 3.0, seed=5)
     b = bipartite_matrix(30, 10, 2.0, seed=6)
     runner = ExperimentRunner()
-    report = runner.run_engine(BaselineEngineAdapter(GustavsonSpGEMM()), a,
-                               matrix_b=b)
+    report = runner.run_engine(GustavsonSpGEMM(), a, matrix_b=b)
     direct = GustavsonSpGEMM().multiply(a, b)
     assert report.runtime_seconds == direct.runtime_seconds
     assert report.output_nnz == direct.nnz
+
+
+@pytest.mark.parametrize("name", BASELINES)
+def test_forced_keys_of_one_instance_follow_its_backend(name, matrix):
+    """An instance's identity memo is keyed by the backend it hashed.
+
+    ``using_backend`` copies a baseline shallowly, so the copy shares the
+    memo; the forced-scalar key taken after a forced-vectorized one must
+    still be a fresh instance's, never the vectorized fingerprint.
+    """
+    engine = create_engine(name)
+    vectorized = ExperimentRunner(engine="vectorized").point_key(engine,
+                                                                 matrix)
+    scalar = ExperimentRunner(engine="scalar").point_key(engine, matrix)
+    assert vectorized != scalar
+    assert scalar == ExperimentRunner(engine="scalar").point_key(
+        create_engine(name), matrix)

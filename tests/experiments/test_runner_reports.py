@@ -10,7 +10,6 @@ from repro.experiments import runner as runner_module
 from repro.experiments.runner import ExperimentRunner, engine_point_key
 from repro.baselines import GustavsonSpGEMM
 from repro.core.config import SpArchConfig
-from repro.engines.adapters import BaselineEngineAdapter
 from repro.engines.sparch import SpArchEngine
 from repro.matrices.synthetic import powerlaw_matrix
 from repro.metrics.report import SCHEMA_VERSION, CostReport
@@ -33,7 +32,7 @@ class TestSchemaVersionedFingerprint:
             return [engine_point_key(engine, matrix, matrix,
                                      include_backend=forced)
                     for engine in (SpArchEngine(SpArchConfig()),
-                                   BaselineEngineAdapter(GustavsonSpGEMM()))
+                                   GustavsonSpGEMM())
                     for forced in (False, True)]
 
         keys_now = keys()
@@ -62,7 +61,7 @@ class TestSchemaVersionedFingerprint:
     def test_disk_payloads_carry_the_schema_version(self, matrix, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path)
         runner.simulate(matrix)
-        runner.run_engine(BaselineEngineAdapter(GustavsonSpGEMM()), matrix)
+        runner.run_engine(GustavsonSpGEMM(), matrix)
         for kind in ("sim", "baseline"):
             entries = list((tmp_path / kind).glob("*.json"))
             assert entries, kind
@@ -229,24 +228,26 @@ class TestUnifiedReportMemo:
         assert (runner.cache_hits, runner.cache_misses) == (1, 1)
         assert first == second
 
-    def test_same_named_baseline_variants_stay_distinct_in_comparisons(
+    def test_relabelled_baseline_variants_stay_distinct_in_comparisons(
             self, matrix):
-        """Two parameterisations of one system must not collapse to one
-        report in the fig11/fig12 gathering helper."""
+        """Two parameterisations of one system, told apart by their
+        display names, keep one report each in the fig11/fig12 loop."""
         import dataclasses
 
         from repro.baselines import GustavsonSpGEMM
         from repro.baselines.platforms import INTEL_CPU
-        from repro.experiments.common import gather_comparison_reports
+        from repro.experiments.common import baseline_ratio_table
 
         slow_platform = dataclasses.replace(INTEL_CPU,
                                             fixed_overhead_seconds=2e-3)
         fast = GustavsonSpGEMM()
         slow = GustavsonSpGEMM(platform=slow_platform)
-        _, baseline_reports = gather_comparison_reports(
-            {"m": (matrix, None)}, [fast, slow], runner=ExperimentRunner())
-        assert (baseline_reports[("m", 0)].runtime_seconds
-                < baseline_reports[("m", 1)].runtime_seconds)
+        slow.display_name = "MKL-slow"
+        _, _, reports = baseline_ratio_table(
+            "t", {"m": (matrix, None)}, [fast, slow],
+            metric="runtime_seconds", floor=1e-15, runner=ExperimentRunner())
+        assert (reports["MKL[m]"].runtime_seconds
+                < reports["MKL-slow[m]"].runtime_seconds)
 
     def test_custom_energy_model_does_not_poison_the_shared_cache(self, matrix):
         """Engines differing only in energy constants get distinct entries.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.matrices import random_matrix
-from repro.workloads import EngineExecutor, PipelineBuilder
+from repro.workloads import PipelineBuilder
 from repro.workloads.compiler import (
     SpecError,
     compile_expression,
@@ -108,7 +108,7 @@ def test_compiled_expression_runs_on_the_pipeline():
         output strong
     """)
     matrix = random_matrix(16, 16, 48, seed=3)
-    pipeline = PipelineBuilder(EngineExecutor("sparch"), inputs={"A": matrix})
+    pipeline = PipelineBuilder("sparch", inputs={"A": matrix})
     output = compiled.run(pipeline, params=compiled.resolve_params())
     result = pipeline.result("smoke", output)
     assert [s.name for s in result.stages] == ["b", "wedges", "strong"]

@@ -1,4 +1,4 @@
-"""Tests for the pipeline builder, stage executors and host ops."""
+"""Tests for the pipeline builder, its two SpGEMM modes and host ops."""
 
 from __future__ import annotations
 
@@ -11,11 +11,7 @@ from repro.core.accelerator import SpArch
 from repro.experiments.runner import ExperimentRunner
 from repro.formats.convert import to_scipy
 from repro.matrices import powerlaw_matrix, random_matrix
-from repro.workloads import (
-    EngineExecutor,
-    PipelineBuilder,
-    register_host_op,
-)
+from repro.workloads import PipelineBuilder, register_host_op
 from repro.workloads.ops import HOST_OPS, get_host_op, triangles_from_masked
 
 
@@ -26,20 +22,17 @@ def matrix():
 
 class TestPipelineBuilder:
     def test_spgemm_stage_computes_the_product(self, matrix):
-        pipeline = PipelineBuilder(EngineExecutor("sparch"),
-                                   inputs={"A": matrix})
+        pipeline = PipelineBuilder("sparch", inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         expected = matrix.to_dense() @ matrix.to_dense()
         np.testing.assert_allclose(pipeline.value("squared").to_dense(),
                                    expected, atol=1e-9)
 
     def test_runner_mode_matches_engine_mode(self, matrix):
-        engine = PipelineBuilder(EngineExecutor("sparch"),
-                                 inputs={"A": matrix})
+        engine = PipelineBuilder("sparch", inputs={"A": matrix})
         engine.spgemm("squared", "A", "A")
-        runner = PipelineBuilder(
-            EngineExecutor("sparch", runner=ExperimentRunner()),
-            inputs={"A": matrix})
+        runner = PipelineBuilder("sparch", runner=ExperimentRunner(),
+                                 inputs={"A": matrix})
         runner.spgemm("squared", "A", "A")
         # Identical statistics; functional results agree to fp association.
         assert engine.stages[0].stats == runner.stages[0].stats
@@ -49,8 +42,7 @@ class TestPipelineBuilder:
 
     def test_engine_mode_threads_the_engine_result(self, matrix):
         reference = SpArch().multiply(matrix, matrix)
-        pipeline = PipelineBuilder(EngineExecutor("sparch"),
-                                   inputs={"A": matrix})
+        pipeline = PipelineBuilder("sparch", inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         result = pipeline.value("squared")
         np.testing.assert_array_equal(result.data, reference.matrix.data)
@@ -59,11 +51,10 @@ class TestPipelineBuilder:
     def test_baseline_executor_prices_with_the_platform_model(self, matrix):
         baseline = GustavsonSpGEMM()
         direct = baseline.multiply(matrix, matrix)
-        pipeline = PipelineBuilder(EngineExecutor("mkl"),
-                                   inputs={"A": matrix})
+        pipeline = PipelineBuilder("mkl", inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         stage = pipeline.stages[0]
-        assert pipeline.executor.backend_name == "MKL"
+        assert pipeline.result("demo").backend == "MKL"
         assert stage.runtime_seconds == direct.runtime_seconds
         assert stage.dram_bytes == direct.traffic_bytes
         assert stage.energy_joules == direct.energy_joules
@@ -72,17 +63,15 @@ class TestPipelineBuilder:
 
     def test_baseline_runner_mode_memoises(self, matrix):
         runner = ExperimentRunner()
-        pipeline = PipelineBuilder(
-            EngineExecutor("mkl", runner=runner),
-            inputs={"A": matrix})
+        pipeline = PipelineBuilder("mkl", runner=runner,
+                                   inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         pipeline.spgemm("again", "A", "A")
         assert (runner.cache_hits, runner.cache_misses) == (1, 1)
         assert pipeline.stages[0].report == pipeline.stages[1].report
 
     def test_stage_records_name_kind_and_inputs(self, matrix):
-        pipeline = PipelineBuilder(EngineExecutor("sparch"),
-                                   inputs={"A": matrix})
+        pipeline = PipelineBuilder("sparch", inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         pipeline.host("masked", "mask", "squared", "A")
         spgemm, host = pipeline.stages
@@ -95,8 +84,7 @@ class TestPipelineBuilder:
         assert (host.cycles, host.dram_bytes, host.energy_joules) == (0, 0, 0.0)
 
     def test_duplicate_stage_name_rejected(self, matrix):
-        pipeline = PipelineBuilder(EngineExecutor("sparch"),
-                                   inputs={"A": matrix})
+        pipeline = PipelineBuilder("sparch", inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         with pytest.raises(ValueError, match="already exists"):
             pipeline.spgemm("squared", "A", "A")
@@ -104,18 +92,16 @@ class TestPipelineBuilder:
             pipeline.host("A", "transpose", "A")
 
     def test_unknown_value_and_op_errors(self, matrix):
-        pipeline = PipelineBuilder(EngineExecutor("sparch"),
-                                   inputs={"A": matrix})
+        pipeline = PipelineBuilder("sparch", inputs={"A": matrix})
         with pytest.raises(KeyError, match="unknown pipeline value"):
             pipeline.spgemm("squared", "A", "B")
         with pytest.raises(KeyError, match="unknown host op"):
             pipeline.host("out", "not-an-op", "A")
         with pytest.raises(ValueError, match="at least one input"):
-            PipelineBuilder(EngineExecutor("sparch"), inputs={})
+            PipelineBuilder("sparch", inputs={})
 
     def test_result_carries_output_and_annotations(self, matrix):
-        pipeline = PipelineBuilder(EngineExecutor("sparch"),
-                                   inputs={"A": matrix})
+        pipeline = PipelineBuilder("sparch", inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         pipeline.annotate("flag", 1)
         result = pipeline.result("demo", "squared")
