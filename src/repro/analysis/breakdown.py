@@ -23,7 +23,6 @@ from repro.core.config import SpArchConfig
 from repro.engines.sparch import SpArchEngine
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import CostReport
-from repro.utils.maths import geometric_mean
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,10 @@ def _step_from_reports(name: str, reports: list[CostReport], *,
                        previous_gflops: float | None,
                        baseline_gflops: float | None) -> BreakdownStep:
     """One Figure 16 bar from the step's cost reports."""
-    gflops = geometric_mean([max(report.gflops, 1e-12) for report in reports])
+    # Imported here: repro.experiments (fig16) imports this module.
+    from repro.experiments.designspace import geomean_gflops
+
+    gflops = geomean_gflops(reports)
     return BreakdownStep(
         name=name,
         gflops=gflops,

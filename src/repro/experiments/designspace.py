@@ -34,6 +34,13 @@ BUFFER_SHAPE_SWEEP = ((2048, 24), (1024, 48), (512, 96), (256, 192))
 COMPARATOR_SWEEP = (1, 2, 4, 8, 16)
 LOOKAHEAD_SWEEP = (1024, 2048, 4096, 8192, 16384)
 
+#: Floor applied to each point's GFLOP/s before a geometric mean, so a
+#: zero-throughput point keeps the mean defined (the log of 0 is not).
+#: Every GFLOP/s geomean in the repository applies this one value; the
+#: sweep index's stored logs and the streamed store summary agree with
+#: :func:`geomean_gflops` because they share it.
+GEOMEAN_FLOOR = 1e-12
+
 
 def fig17_grid(base_config: SpArchConfig | None = None, *,
                buffer_scale: int = 16
@@ -125,10 +132,11 @@ def sweep_grid(configs: dict[str, SpArchConfig],
     return grid
 
 
-def geomean_gflops(reports: Iterable[CostReport], *,
-                   floor: float = 1e-12) -> float:
-    """Geometric-mean achieved GFLOP/s across reports (floored at 0+)."""
-    return geometric_mean([max(report.gflops, floor) for report in reports])
+def geomean_gflops(reports: Iterable[CostReport]) -> float:
+    """Geometric-mean achieved GFLOP/s across reports (floored at
+    :data:`GEOMEAN_FLOOR`)."""
+    return geometric_mean([max(report.gflops, GEOMEAN_FLOOR)
+                           for report in reports])
 
 
 def total_dram_bytes(reports: Iterable[CostReport]) -> int:

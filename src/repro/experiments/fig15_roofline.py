@@ -17,6 +17,7 @@ from repro.analysis.roofline import (
 from repro.baselines.outerspace import OuterSpaceAccelerator
 from repro.core.config import SpArchConfig
 from repro.experiments.common import ExperimentResult
+from repro.experiments.designspace import GEOMEAN_FLOOR
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
 from repro.matrices.suite import load_suite
@@ -54,8 +55,8 @@ def run(*, max_rows: int = 1000, names: list[str] | None = None,
             matrix.nnz, matrix.nnz, stats.output_nnz,
             element_bytes=config.element_bytes)
         intensities.append(stats.flops / compulsory if compulsory else 0.0)
-        sparch_gflops.append(max(stats.gflops, 1e-12))
-        outerspace_gflops.append(max(outer_report.gflops, 1e-12))
+        sparch_gflops.append(max(stats.gflops, GEOMEAN_FLOOR))
+        outerspace_gflops.append(max(outer_report.gflops, GEOMEAN_FLOOR))
 
     intensity = geometric_mean(intensities)
     sparch_point = _aggregate_point("SpArch", intensity,

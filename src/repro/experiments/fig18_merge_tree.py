@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.core.config import SpArchConfig
 from repro.experiments.common import ExperimentResult
+from repro.experiments.designspace import GEOMEAN_FLOOR
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
 from repro.matrices.suite import load_suite
@@ -49,7 +50,7 @@ def run(*, max_rows: int = 1500, names: list[str] | None = None,
         config = base_config.replace(merge_tree_layers=layers)
         layer_stats = runner.simulate_many(
             [(matrix, config) for matrix in matrices.values()])
-        gflops = [max(stats.gflops, 1e-12) for stats in layer_stats]
+        gflops = [max(stats.gflops, GEOMEAN_FLOOR) for stats in layer_stats]
         total_bytes = sum(stats.dram_bytes for stats in layer_stats)
         mean_gflops = geometric_mean(gflops)
         table.add_row(layers, 2 ** layers, mean_gflops, total_bytes)

@@ -88,8 +88,8 @@ class Coordinator:
         self._cells: dict[int, SweepCell] = {cell.index: cell
                                              for cell in cells}
         # Resume from the identities-only view: an index-backed store
-        # answers this from its sqlite sidecar without parsing (or even
-        # reading) the JSONL, so restarting against a huge store is cheap.
+        # answers this from its sqlite sidecar, which parses only the
+        # lines appended since it was last read, never every report.
         done = [entry.cell_index
                 for entry in store.cell_entries()
                 if entry.sweep_id == spec.sweep_id

@@ -8,18 +8,21 @@
 * :mod:`repro.sweeps.driver` — :func:`run_sweep`, the sharded/resumable
   executor over :class:`~repro.experiments.runner.ExperimentRunner`.
 * :mod:`repro.sweeps.index` — the sqlite sidecar index
-  (:class:`SweepIndex`): one row per cell with byte ranges and
-  denormalised summary scalars, so summaries, filters and resume never
-  re-scan the JSONL; always rebuildable from the JSONL alone.
+  (:class:`SweepIndex`): a read-side cache with one row per cell (byte
+  range and denormalised summary scalars).  Writers append to the JSONL
+  only; each query first ingests the bytes appended since the last one,
+  so summaries, filters and resume never re-scan the whole file.  Always
+  rebuildable from the JSONL alone.
 * :mod:`repro.sweeps.compact` — :func:`compact_store`, the atomic
   segment rewrite dropping superseded duplicates and torn tails (merge
-  output stays byte-identical).
+  output stays byte-identical); it rebuilds the sidecar, whose byte
+  offsets the rewrite moved.
 * :mod:`repro.sweeps.synth` — deterministic synthetic stores for
   benchmarks and CI at paper scale.
 * :mod:`repro.sweeps.registry` — registered sweeps (``smoke``,
   ``fig17-dse``, ``engines-suite``, ``rmat-sweep``).
 * :mod:`repro.sweeps.watch` — live progress view over a growing store
-  (index tailing with incremental-read fallback; fabric-sidecar aware).
+  (tails the file by byte offset; fabric-sidecar aware).
 * ``python -m repro.sweeps`` — the run / merge / summarise / compact /
   synth / watch CLI.
 """
@@ -38,7 +41,6 @@ from repro.sweeps.index import (
     drop_index,
     ensure_index,
     index_path,
-    open_fresh_index,
 )
 from repro.sweeps.registry import SWEEPS, get_sweep, list_sweeps
 from repro.sweeps.spec import (
@@ -86,7 +88,6 @@ __all__ = [
     "INDEX_VERSION",
     "index_path",
     "ensure_index",
-    "open_fresh_index",
     "drop_index",
     "CompactionStats",
     "compact_store",

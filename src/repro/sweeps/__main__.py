@@ -16,15 +16,15 @@ Three subcommands cover the sweep-as-a-service lifecycle:
 * ``summarise STORE...`` — print the per-(engine, config) summary table
   (geomean GFLOP/s, DRAM, runtime, energy) of one or more stores; a
   fabric sidecar's quarantined cells are reported alongside.  Served
-  from the sqlite sidecar index when one is current (zero JSONL bytes
-  read), built on the spot otherwise, and streamed line by line as a
-  last resort.  ``--where engine=sparch,scenario=NAME --top K --sort
-  METRIC`` switches to a per-cell listing — equality filters plus top-k
-  over any recorded metric, answered entirely from the index.
+  from the sqlite sidecar index, which first ingests only the bytes
+  appended since it was last read (the whole file when it is missing),
+  and streamed line by line as a last resort.  ``--where
+  engine=sparch,scenario=NAME --top K --sort METRIC`` switches to a
+  per-cell listing — equality filters plus top-k over any recorded
+  metric, answered entirely from the index.
 * ``watch STORE`` — live progress view over a growing store (done /
-  pending / failed, rows/sec, ETA); tails the sidecar index when it is
-  current, incremental byte reads otherwise — safe to run next to a
-  shard run or a fabric fleet.
+  pending / failed, rows/sec, ETA); incremental byte reads — safe to
+  run next to a shard run or a fabric fleet.
 * ``compact STORE...`` — rewrite a store segment atomically, dropping
   superseded duplicate records and torn tails; the canonical merge of
   the compacted store is byte-identical to the uncompacted one.
@@ -265,10 +265,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     # "summarise" — served from the sqlite sidecar index whenever sqlite
-    # is usable: a single store with a current index answers without
-    # reading a JSONL byte; anything else (stale index, several shards)
-    # pays one scan to merge/build, then queries the index.  When sqlite
-    # itself is unavailable, the old fully-streamed path still answers.
+    # is usable: a single store's index catches up with its tail and
+    # answers; several shards pay one scan to merge, then query the
+    # merged store's index.  When sqlite itself is unavailable, the
+    # fully-streamed path still answers.
     import os
     import tempfile
 
@@ -276,7 +276,6 @@ def main(argv: list[str] | None = None) -> int:
         IndexUnavailable,
         cells_table,
         ensure_index,
-        open_fresh_index,
     )
 
     for store_path in args.stores:
@@ -307,12 +306,10 @@ def main(argv: list[str] | None = None) -> int:
 
     store_index = None
     if len(args.stores) == 1:
-        store_index = open_fresh_index(args.stores[0])
-        if store_index is None:
-            try:
-                store_index = ensure_index(args.stores[0])
-            except IndexUnavailable:
-                store_index = None
+        try:
+            store_index = ensure_index(args.stores[0])
+        except IndexUnavailable:
+            store_index = None
     if store_index is not None:
         try:
             _summarise_indexed(store_index)

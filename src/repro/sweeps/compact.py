@@ -16,9 +16,10 @@ surviving record set is exactly what loading would have produced),
 re-serialises it through :meth:`~repro.sweeps.store.SweepRecord.to_line`,
 and atomically replaces the store via tmp-file + ``os.replace`` — a
 reader or a kill at any instant sees either the old segment or the new
-one, never a mixture.  Afterwards the sqlite sidecar is rebuilt with its
-**generation counter** bumped, telling watchers and lazy readers that
-rowids and byte offsets were reassigned.
+one, never a mixture.  Afterwards the sqlite sidecar is rebuilt (or
+dropped, when sqlite is unavailable): the rewrite moves byte offsets,
+and one that keeps the first 64 KiB and leaves the file no shorter than
+the indexed prefix would pass the index's catch-up checks unnoticed.
 
 The guarantee the property tests pin down (DESIGN.md §9): the canonical
 merge of a compacted store is **byte-identical** to the canonical merge
@@ -55,9 +56,6 @@ class CompactionStats:
             earlier record of their cell survived.
         dropped_invalid: lines dropped as unparseable — torn tails,
             blank lines, stale layouts/schemas.
-        generation: the store's compaction generation after the rewrite
-            (``None`` when sqlite was unavailable and no sidecar could
-            record it).
     """
 
     path: str
@@ -66,18 +64,14 @@ class CompactionStats:
     bytes_after: int
     dropped_duplicates: int
     dropped_invalid: int
-    generation: int | None
 
     def render(self) -> str:
         """One status line, e.g. for the CLI."""
         saved = self.bytes_before - self.bytes_after
-        line = (f"[compact {self.path}] {self.records} records, "
+        return (f"[compact {self.path}] {self.records} records, "
                 f"{self.bytes_before} -> {self.bytes_after} bytes "
                 f"({saved} reclaimed), {self.dropped_duplicates} duplicate "
                 f"and {self.dropped_invalid} invalid lines dropped")
-        if self.generation is not None:
-            line += f", generation {self.generation}"
-        return line
 
 
 def compact_store(path: str | os.PathLike, *,
@@ -157,12 +151,10 @@ def compact_store(path: str | os.PathLike, *,
         except OSError:
             pass
 
-    generation: int | None = None
     try:
         index = SweepIndex(path)
         try:
-            index.rebuild(bump_generation=True)
-            generation = index.generation
+            index.rebuild()
         finally:
             index.close()
     except IndexUnavailable:
@@ -176,5 +168,4 @@ def compact_store(path: str | os.PathLike, *,
         bytes_after=path.stat().st_size,
         dropped_duplicates=dropped_duplicates,
         dropped_invalid=dropped_invalid,
-        generation=generation,
     )

@@ -33,7 +33,7 @@ from itertools import groupby
 from repro.corpus.spec import CorpusSpec, Scenario, scenario_fingerprint
 from repro.engines.base import Engine
 from repro.engines.registry import create_engine
-from repro.experiments.designspace import geomean_gflops
+from repro.experiments.designspace import GEOMEAN_FLOOR, geomean_gflops
 from repro.experiments.runner import ExperimentRunner, default_runner
 from repro.formats.csr import CSRMatrix
 from repro.metrics.report import CostReport
@@ -387,12 +387,6 @@ def summarise_records(records: list[SweepRecord], *,
     return table
 
 
-#: Floor applied to per-report GFLOP/s before the log — the same floor
-#: :func:`~repro.experiments.designspace.geomean_gflops` applies, so the
-#: streamed geomean matches the list-based one bit for bit.
-_GEOMEAN_FLOOR = 1e-12
-
-
 def summarise_store_file(path: str | os.PathLike, *,
                          sweep_id: str | None = None,
                          title: str = "sweep summary") -> Table:
@@ -402,11 +396,13 @@ def summarise_store_file(path: str | os.PathLike, *,
     .records)`` but accumulates only per-group scalars (count, summed log
     GFLOP/s, DRAM bytes, runtime, energy) while reading the JSONL line by
     line — one record lives at a time, so million-cell stores summarise in
-    bounded memory.  The accumulation order equals the record order, so
-    every float sum matches the list-based path exactly.
+    bounded memory (plus the set of cells seen).  Like the loader, it
+    keeps each cell's first record and skips later duplicates.  The
+    accumulation order equals the record order, so every float sum
+    matches the list-based path exactly.
 
     Args:
-        path: the (merged, canonical) store file.
+        path: the store file, merged or not.
         sweep_id: summarise only this sweep's records; ``None`` requires
             the store to hold a single sweep (as
             :func:`~repro.sweeps.store.require_single_sweep` does).
@@ -418,9 +414,12 @@ def summarise_store_file(path: str | os.PathLike, *,
     # acc = [cells, sum(log gflops), dram bytes, runtime, energy]
     groups: dict[tuple[str, str], list] = {}
     seen_sweeps: set[str] = set()
+    seen_cells: set[tuple[str, str, str, str]] = set()
     for record in iter_records(path):
-        if sweep_id is not None and record.sweep_id != sweep_id:
+        if ((sweep_id is not None and record.sweep_id != sweep_id)
+                or record.cell in seen_cells):
             continue
+        seen_cells.add(record.cell)
         seen_sweeps.add(record.sweep_id)
         if len(seen_sweeps) > 1:
             raise ValueError(
@@ -432,7 +431,7 @@ def summarise_store_file(path: str | os.PathLike, *,
         acc = groups.setdefault((record.engine, record.config_label),
                                 [0, 0.0, 0, 0.0, 0.0])
         acc[0] += 1
-        acc[1] += math.log(max(report.gflops, _GEOMEAN_FLOOR))
+        acc[1] += math.log(max(report.gflops, GEOMEAN_FLOOR))
         acc[2] += report.dram_bytes
         acc[3] += report.runtime_seconds
         acc[4] += report.energy_joules

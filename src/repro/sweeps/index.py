@@ -1,10 +1,10 @@
 """SQLite sidecar index over a JSONL result store: zero-scan summaries.
 
 A million-cell :class:`~repro.sweeps.store.ResultStore` is cheap to
-*append* to but expensive to *ask*: every open, resume, ``summarise`` and
-``watch`` pass used to re-parse the whole JSONL.  This module keeps a
-**derived** sqlite database next to the store file (``<store>.index.sqlite``,
-WAL mode) with one row per recorded cell:
+*append* to but expensive to *ask*: every open, resume and ``summarise``
+used to re-parse the whole JSONL.  This module keeps a **derived** sqlite
+database next to the store file (``<store>.index.sqlite``, WAL mode) with
+one row per recorded cell:
 
 * the cell coordinates (``sweep_id``, ``scenario``, ``engine``,
   ``config_label``, canonical ``cell_index``) and the runner fingerprint
@@ -13,13 +13,17 @@ WAL mode) with one row per recorded cell:
   lazy hydration needs to read one record without scanning the file;
 * denormalised summary scalars (cycles, runtime, GFLOP/s and its log,
   DRAM bytes total and by category, energy, op counts) — everything the
-  summary/filter/top-k queries need, so they never touch the JSONL.
+  summary/filter/top-k queries need, so they never parse a report.
 
 The contract (DESIGN.md §9): **the JSONL stays the single source of
-truth**.  The index is derivable from it alone, is rebuilt whenever it
-cannot prove itself consistent (version mismatch, store truncated below
-the indexed high-water mark, rewritten head bytes), and may be deleted at
-any time — the next open simply rebuilds it.  Nothing byte-parity-critical
+truth**, and the sidecar is a read-side cache of it.  Writers append to
+the JSONL only; every query first runs :meth:`SweepIndex.refresh`, which
+catches up with whatever was appended since the last read (by any
+writer), so each answer describes the current file.  The index is
+derivable from the JSONL alone, is rebuilt whenever it cannot prove
+itself consistent (version mismatch, store truncated below the indexed
+high-water mark, rewritten head bytes), and may be deleted at any time —
+the next read simply rebuilds it.  Nothing byte-parity-critical
 (canonical merges, compaction output) ever reads the index.
 
 Consistency protocol:
@@ -27,20 +31,15 @@ Consistency protocol:
 * ``meta.hwm`` is the byte offset up to which the JSONL has been ingested
   (whole lines only; a torn tail stays below the mark until its newline
   lands).  ``refresh`` ingests exactly ``[hwm, size)`` — the incremental
-  catch-up that makes reopening a huge store cheap.
+  catch-up that makes reading a huge store cheap.
 * ``meta.head_len`` / ``meta.head_hash`` fingerprint the first (up to)
   64 KiB of the indexed prefix.  Appends never change those bytes, so a
   mismatch means the file was rewritten underneath the index (an external
   ``sort``, a hand edit) and the index rebuilds from scratch.
-* ``meta.generation`` counts compactions
-  (:func:`repro.sweeps.compact.compact_store` bumps it atomically with
-  its rebuild); watchers use it to notice that rowids and offsets were
-  reassigned.
-* every mutation (row inserts + meta update) commits in one
-  ``BEGIN IMMEDIATE`` transaction, so a kill mid-append leaves either the
-  old or the new state, never a half-indexed record — and a JSONL append
-  whose index transaction never ran is simply above ``hwm``, picked up by
-  the next catch-up.
+* every catch-up (row inserts + meta update) commits in one
+  ``BEGIN IMMEDIATE`` transaction, so a kill mid-refresh leaves the old
+  state, never a half-indexed record, and two readers catching up one
+  sidecar serialise: the second finds the work done.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ import sqlite3
 from pathlib import Path
 from typing import Iterator
 
+from repro.experiments.designspace import GEOMEAN_FLOOR
 from repro.sweeps.spec import cell_key
 from repro.sweeps.store import CellEntry, SweepRecord, parse_line
 from repro.utils.reporting import Table
@@ -65,11 +65,6 @@ INDEX_VERSION = 1
 #: Appends beyond the cap never change the fingerprinted range, so the
 #: hash is frozen once the store outgrows it.
 HEAD_CAP = 65536
-
-#: Floor applied to per-cell GFLOP/s before the log — the same floor
-#: :func:`repro.experiments.designspace.geomean_gflops` applies, so
-#: index-served geomeans agree with the scan paths.
-GEOMEAN_FLOOR = 1e-12
 
 #: Scalar columns ``summarise --sort`` / ``--where`` may name.
 METRIC_COLUMNS = ("gflops", "cycles", "runtime_seconds", "dram_bytes",
@@ -133,7 +128,7 @@ def index_path(store_path: str | os.PathLike) -> str:
 def drop_index(store_path: str | os.PathLike) -> None:
     """Delete a store's sidecar index (and its WAL companions), if any.
 
-    Always safe: the index is derived data and the next open rebuilds it.
+    Always safe: the index is derived data and the next read rebuilds it.
     """
     base = index_path(store_path)
     for suffix in ("", "-wal", "-shm"):
@@ -204,7 +199,7 @@ INSERT OR IGNORE INTO cells (
 
 
 class SweepIndex:
-    """One store's sidecar index: incremental maintenance + queries.
+    """One store's sidecar index: catch-up on read + queries.
 
     Args:
         store_path: the JSONL store file the index shadows (the database
@@ -255,10 +250,6 @@ class SweepIndex:
         except sqlite3.Error:  # pragma: no cover - close is best effort
             pass
 
-    @property
-    def store_path(self) -> Path:
-        return self._store_path
-
     # ------------------------------------------------------------------
     # Meta
     # ------------------------------------------------------------------
@@ -272,13 +263,8 @@ class SweepIndex:
             [(key, str(value)) for key, value in values.items()])
 
     @property
-    def generation(self) -> int:
-        """Compaction generation counter (0 for a never-compacted store)."""
-        return int(self._meta().get("generation", 0))
-
-    @property
     def high_water(self) -> int:
-        """Byte offset of the JSONL prefix the index has ingested."""
+        """Byte offset of the JSONL prefix ingested by the last refresh."""
         return int(self._meta().get("hwm", -1))
 
     def _store_size(self) -> int:
@@ -311,82 +297,37 @@ class SweepIndex:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def is_fresh(self) -> bool:
-        """Whether every complete line of the JSONL is already indexed.
-
-        (A torn, newline-less tail fragment keeps ``hwm`` just below the
-        file size; the store is still fully indexed in the record sense.)
-        """
-        meta = self._meta()
-        if (meta.get("index_version") != str(INDEX_VERSION)
-                or "hwm" not in meta):
-            return False
-        hwm = int(meta["hwm"])
-        size = self._store_size()
-        if hwm > size or not self._head_matches(meta):
-            return False
-        if hwm == size:
-            return True
-        # Only an unterminated (torn or in-flight) fragment may remain.
-        with open(self._store_path, "rb") as handle:
-            handle.seek(hwm)
-            tail = handle.read(size - hwm)
-        return b"\n" not in tail
-
     def refresh(self) -> None:
         """Bring the index up to date: incremental catch-up, or rebuild.
 
         Catch-up ingests only ``[hwm, size)``; a rebuild (version change,
-        truncated or rewritten store) re-ingests from byte 0.  Raises
-        ``ValueError`` for stores holding conflicting records of one cell
-        (the same refusal the eager loader makes) and
-        ``IndexUnavailable`` when sqlite itself fails.
+        truncated or rewritten store) re-ingests from byte 0.  Every query
+        runs this first.  Raises ``ValueError`` for stores holding
+        conflicting records of one cell (the same refusal the eager loader
+        makes) and ``IndexUnavailable`` when sqlite itself fails.
         """
-        try:
-            self._refresh()
-        except sqlite3.Error as exc:
-            raise IndexUnavailable(str(exc)) from exc
+        self._update(rebuild=False)
 
-    def _refresh(self) -> None:
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            meta = self._meta()
-            size = self._store_size()
-            rebuild = (meta.get("index_version") != str(INDEX_VERSION)
-                       or "hwm" not in meta
-                       or int(meta["hwm"]) > size
-                       or not self._head_matches(meta))
-            if rebuild:
-                self._conn.execute("DELETE FROM cells")
-                generation = int(meta.get("generation", 0))
-                self._ingest_locked(0, size)
-                self._set_meta(index_version=INDEX_VERSION,
-                               generation=generation)
-            elif int(meta["hwm"]) < size:
-                self._ingest_locked(int(meta["hwm"]), size)
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
+    def rebuild(self) -> None:
+        """Re-derive every row from the JSONL alone."""
+        self._update(rebuild=True)
 
-    def rebuild(self, *, bump_generation: bool = False) -> None:
-        """Re-derive every row from the JSONL alone.
-
-        Args:
-            bump_generation: increment the compaction generation counter —
-                passed by :func:`repro.sweeps.compact.compact_store` so
-                watchers notice that offsets/rowids were reassigned.
-        """
+    def _update(self, *, rebuild: bool) -> None:
         try:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                generation = int(self._meta().get("generation", 0))
-                if bump_generation:
-                    generation += 1
-                self._conn.execute("DELETE FROM cells")
-                self._ingest_locked(0, self._store_size())
-                self._set_meta(index_version=INDEX_VERSION,
-                               generation=generation)
+                meta = self._meta()
+                size = self._store_size()
+                if (rebuild
+                        or meta.get("index_version") != str(INDEX_VERSION)
+                        or "hwm" not in meta
+                        or int(meta["hwm"]) > size
+                        or not self._head_matches(meta)):
+                    self._conn.execute("DELETE FROM cells")
+                    self._ingest_locked(0, size)
+                    self._set_meta(index_version=INDEX_VERSION)
+                elif int(meta["hwm"]) < size:
+                    self._ingest_locked(int(meta["hwm"]), size)
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
@@ -444,119 +385,36 @@ class SweepIndex:
         head_len, head_hash = self._head_fingerprint(hwm)
         self._set_meta(hwm=hwm, head_len=head_len, head_hash=head_hash)
 
-    def note_append(self, record: SweepRecord, offset: int, length: int
-                    ) -> None:
-        """Index one record the caller just appended at ``offset``.
-
-        The common case (single writer) inserts one row and advances the
-        high-water mark in one transaction.  If other writers appended
-        between the mark and ``offset`` (a shared store), the gap is
-        ingested first so the mark never skips un-indexed bytes.
-        """
-        try:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                hwm = int(self._meta().get("hwm", 0))
-                if offset > hwm:
-                    # Another writer's records landed first; ingest them
-                    # so everything below the new mark is indexed.
-                    self._ingest_gap_locked(hwm, offset)
-                existing = self._conn.execute(
-                    "SELECT key, cell_index FROM cells WHERE sweep_id = ? "
-                    "AND scenario = ? AND engine = ? AND config_label = ?",
-                    record.cell).fetchone()
-                if existing is None:
-                    self._conn.execute(_INSERT, _row_for(record, offset,
-                                                         length))
-                elif tuple(existing) != (record.key, record.cell_index):
-                    raise _conflict_error(self._store_path, record.cell)
-                end = offset + length + 1  # the record plus its newline
-                if end > hwm:
-                    head_len, head_hash = self._head_fingerprint(end)
-                    self._set_meta(hwm=end, head_len=head_len,
-                                   head_hash=head_hash)
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-        except sqlite3.Error as exc:
-            raise IndexUnavailable(str(exc)) from exc
-
-    def _ingest_gap_locked(self, start: int, end: int) -> None:
-        """Ingest whole lines of ``[start, end)`` written by other hands."""
-        with open(self._store_path, "rb") as handle:
-            handle.seek(start)
-            offset = start
-            rows: list[tuple] = []
-            while offset < end:
-                raw = handle.readline()
-                if not raw:
-                    break
-                length = len(raw)
-                record = parse_line(raw.decode("utf-8", errors="replace"))
-                if record is not None:
-                    existing = self._conn.execute(
-                        "SELECT key, cell_index FROM cells "
-                        "WHERE sweep_id = ? AND scenario = ? "
-                        "AND engine = ? AND config_label = ?",
-                        record.cell).fetchone()
-                    if existing is None:
-                        rows.append(_row_for(
-                            record, offset,
-                            length - 1 if raw.endswith(b"\n") else length))
-                    elif tuple(existing) != (record.key, record.cell_index):
-                        raise _conflict_error(self._store_path, record.cell)
-                offset += length
-            if rows:
-                self._conn.executemany(_INSERT, rows)
-
     # ------------------------------------------------------------------
-    # Queries (all zero-scan: the JSONL is never opened)
+    # Queries (each catches up first, then reads only sqlite: a current
+    # index opens no JSONL byte beyond the 64 KiB head check)
     # ------------------------------------------------------------------
-    def count(self, sweep_id: str | None = None) -> int:
-        if sweep_id is None:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM cells").fetchone()[0]
-        return self._conn.execute(
-            "SELECT COUNT(*) FROM cells WHERE sweep_id = ?",
-            (sweep_id,)).fetchone()[0]
+    def count(self) -> int:
+        """Recorded cells."""
+        self.refresh()
+        return self._conn.execute("SELECT COUNT(*) FROM cells").fetchone()[0]
 
     def sweep_counts(self) -> dict[str, int]:
         """Recorded cells per sweep, in first-appearance order."""
+        self.refresh()
         return dict(self._conn.execute(
             "SELECT sweep_id, COUNT(*) FROM cells GROUP BY sweep_id "
             "ORDER BY MIN(rowid)"))
 
-    def cell_entries(self, sweep_id: str | None = None) -> list[CellEntry]:
+    def cell_entries(self) -> list[CellEntry]:
         """Every indexed cell's identity, in arrival (rowid) order."""
-        query = ("SELECT sweep_id, scenario, engine, config_label, key, "
-                 "cell_index FROM cells")
-        args: tuple = ()
-        if sweep_id is not None:
-            query += " WHERE sweep_id = ?"
-            args = (sweep_id,)
-        return [CellEntry(*row) for row in
-                self._conn.execute(query + " ORDER BY rowid", args)]
+        self.refresh()
+        return [CellEntry(*row) for row in self._conn.execute(
+            "SELECT sweep_id, scenario, engine, config_label, key, "
+            "cell_index FROM cells ORDER BY rowid")]
 
     def locations(self) -> list[tuple[tuple[str, str, str, str], int, int]]:
         """``(cell, offset, length)`` per record, in arrival order."""
+        self.refresh()
         return [((row[0], row[1], row[2], row[3]), row[4], row[5])
                 for row in self._conn.execute(
                     "SELECT sweep_id, scenario, engine, config_label, "
                     "offset, length FROM cells ORDER BY rowid")]
-
-    def entries_after(self, rowid: int
-                      ) -> list[tuple[int, CellEntry]]:
-        """Rows appended after ``rowid`` — the watch tailing primitive."""
-        return [(row[0], CellEntry(*row[1:])) for row in self._conn.execute(
-            "SELECT rowid, sweep_id, scenario, engine, config_label, key, "
-            "cell_index FROM cells WHERE rowid > ? ORDER BY rowid",
-            (rowid,))]
-
-    def max_rowid(self) -> int:
-        value = self._conn.execute(
-            "SELECT MAX(rowid) FROM cells").fetchone()[0]
-        return int(value or 0)
 
     def _require_single_sweep(self) -> str | None:
         """The store's only sweep id (``None`` when empty); raise on >1."""
@@ -571,15 +429,17 @@ class SweepIndex:
 
     def summarise(self, *, sweep_id: str | None = None,
                   title: str = "sweep summary") -> Table:
-        """Per-(engine, config) summary served entirely from the index.
+        """Per-(engine, config) summary served from the index.
 
         Same columns as :func:`repro.sweeps.driver.summarise_store_file`,
-        without opening the JSONL: counts and sums come from SQL
-        aggregation over the denormalised scalar columns, the geomean
-        from the precomputed ``log_gflops``.  Groups are ordered by their
-        first cell's canonical index — the order a canonically merged
-        store's summary has, whatever order results arrived in.
+        without parsing a report: once the index has caught up, counts
+        and sums come from SQL aggregation over the denormalised scalar
+        columns, the geomean from the precomputed ``log_gflops``.  Groups
+        are ordered by their first cell's canonical index — the order a
+        canonically merged store's summary has, whatever order results
+        arrived in.
         """
+        self.refresh()
         if sweep_id is None:
             # Resolving the (required-unique) sweep id turns the scan
             # into a covering-index prefix seek on cells_summary.
@@ -603,20 +463,6 @@ class SweepIndex:
                           math.exp(log_sum / cells), int(dram), runtime,
                           energy)
         return table
-
-    def traffic_totals(self, *, sweep_id: str | None = None
-                       ) -> dict[str, int]:
-        """Total DRAM bytes by category across the indexed cells."""
-        query = "SELECT traffic FROM cells"
-        args: tuple = ()
-        if sweep_id is not None:
-            query += " WHERE sweep_id = ?"
-            args = (sweep_id,)
-        totals: dict[str, int] = {}
-        for (payload,) in self._conn.execute(query, args):
-            for category, num_bytes in json.loads(payload).items():
-                totals[category] = totals.get(category, 0) + int(num_bytes)
-        return totals
 
     def query_cells(self, *, where: dict[str, str] | None = None,
                     sort: str = "gflops", descending: bool = True,
@@ -664,12 +510,14 @@ class SweepIndex:
                  "runtime_seconds", "gflops", "dram_bytes",
                  "energy_joules", "output_nnz", "multiplications",
                  "additions")
+        self.refresh()
         return [dict(zip(names, row))
                 for row in self._conn.execute(query, args)]
 
     def dump_rows(self) -> list[tuple]:
         """Every cell row (without rowid), ordered by arrival — the
         comparison surface the index/JSONL consistency properties use."""
+        self.refresh()
         return list(self._conn.execute(
             "SELECT sweep_id, scenario, engine, config_label, cell_index, "
             "key, report_key, offset, length, status, cycles, "
@@ -682,11 +530,12 @@ class SweepIndex:
 # Convenience wrappers
 # ----------------------------------------------------------------------
 def ensure_index(store_path: str | os.PathLike) -> SweepIndex:
-    """Open a store's index, bringing it up to date (rebuild if needed).
+    """Open a store's index, caught up with the JSONL (rebuilt if needed).
 
-    The cheap path — a store whose writer maintained the index — touches
-    no JSONL bytes; a store without one pays a single scan, after which
-    every later query on it is zero-scan.
+    Catching up at open surfaces a conflicting store (``ValueError``) or
+    an unusable sqlite (``IndexUnavailable``) here rather than at the
+    first query; a store without a sidecar pays a single scan, after
+    which every later query on it reads only the bytes appended since.
     """
     index = SweepIndex(store_path)
     try:
@@ -695,28 +544,6 @@ def ensure_index(store_path: str | os.PathLike) -> SweepIndex:
         index.close()
         raise
     return index
-
-
-def open_fresh_index(store_path: str | os.PathLike) -> SweepIndex | None:
-    """Open a store's index only if it is already up to date.
-
-    Returns ``None`` (never scans, never rebuilds) when there is no
-    usable, current index — the caller decides whether building one is
-    worth a scan.
-    """
-    if not os.path.exists(index_path(store_path)):
-        return None
-    try:
-        index = SweepIndex(store_path)
-    except IndexUnavailable:
-        return None
-    try:
-        if index.is_fresh():
-            return index
-    except (OSError, sqlite3.Error):
-        pass
-    index.close()
-    return None
 
 
 def cells_table(rows: list[dict], *, title: str) -> Table:
@@ -740,9 +567,10 @@ def iter_hydrated(store_path: str | os.PathLike, index: SweepIndex
                   ) -> Iterator[SweepRecord]:
     """Yield full records by seeking the index's (offset, length) pairs.
 
-    Raises ``ValueError`` if a read-back record does not match its index
-    row — the store changed underneath the index (it should be refreshed
-    or rebuilt, and the JSONL trusted meanwhile).
+    The index catches up first, so the records cover the whole current
+    file.  Raises ``ValueError`` if a read-back record does not match its
+    index row — the store was rewritten underneath the index (it should
+    be rebuilt, and the JSONL trusted meanwhile).
     """
     locations = index.locations()
     with open(store_path, "rb") as handle:

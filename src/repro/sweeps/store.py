@@ -171,17 +171,19 @@ class ResultStore:
             returning.  Off by default (a torn tail already rotates by
             recomputation); the fabric coordinator turns it on when asked
             to survive power loss, not just process death.
-        index: maintain the sqlite sidecar index
-            (:mod:`repro.sweeps.index`) alongside the file.  On by
-            default for file-backed stores: when an up-to-date sidecar is
-            present the store opens *lazily* — cell identities come from
+        index: read the file through the sqlite sidecar index
+            (:mod:`repro.sweeps.index`).  On by default for file-backed
+            stores: the store opens *lazily* — cell identities come from
             the index and report payloads hydrate on demand from their
             recorded (offset, length) byte ranges, so opening a
             million-cell store for resume no longer parses every line.
-            The index is derived data: if it is missing it is rebuilt
-            (one scan, amortised over every later open), and if sqlite is
-            unavailable the store silently falls back to the eager
-            JSONL-scanning behaviour — the JSONL alone is always enough.
+            Appends write the JSONL only; the index ingests them (and any
+            other writer's) the next time it is read, which for this
+            store means hydration.  The index is derived data: if it is
+            missing it is rebuilt (one scan, amortised over every later
+            open), and if sqlite is unavailable the store silently falls
+            back to the eager JSONL-scanning behaviour — the JSONL alone
+            is always enough.
     """
 
     def __init__(self, path: str | os.PathLike | None = None, *,
@@ -287,7 +289,11 @@ class ResultStore:
             self._index = None
 
     def _hydrate(self) -> None:
-        """Materialise ``_records``: by byte range if indexed, else scan."""
+        """Materialise ``_records``: by byte range if indexed, else scan.
+
+        The index catches up before it lists byte ranges, so the records
+        include every append made since the store opened.
+        """
         if self._index is not None:
             from repro.sweeps.index import IndexUnavailable, iter_hydrated
 
@@ -311,7 +317,8 @@ class ResultStore:
 
     @property
     def index(self):
-        """The live :class:`~repro.sweeps.index.SweepIndex`, if any."""
+        """The live :class:`~repro.sweeps.index.SweepIndex`, if any (its
+        queries catch up with the JSONL first)."""
         return self._index
 
     @property
@@ -373,8 +380,7 @@ class ResultStore:
         self._keys.add(record.key)
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            line = record.to_line().encode("utf-8")
-            data = line
+            data = record.to_line().encode("utf-8")
             if self._needs_newline:
                 # Terminate the torn line a kill left behind (within the
                 # same atomic write), so it stays an isolated (skipped)
@@ -392,27 +398,10 @@ class ResultStore:
                 view = memoryview(data)
                 while view:
                     view = view[os.write(descriptor, view):]
-                # Where the record landed: the descriptor position after
-                # an O_APPEND write is exact even with concurrent
-                # writers, which a pre-write size probe would not be.
-                end = os.lseek(descriptor, 0, os.SEEK_CUR)
                 if self._fsync:
                     os.fsync(descriptor)
             finally:
                 os.close(descriptor)
-            if self._index is not None:
-                from repro.sweeps.index import IndexUnavailable
-
-                try:
-                    # length excludes the trailing newline, matching what
-                    # hydration reads back through parse_line.
-                    self._index.note_append(record, end - len(line),
-                                            len(line) - 1)
-                except IndexUnavailable:
-                    # The record is safe in the JSONL (the source of
-                    # truth); run on without the sidecar rather than
-                    # failing a sweep over a sqlite hiccup.
-                    self._disable_index()
 
     def reports(self) -> dict[str, CostReport]:
         """Every record's report, keyed by ``scenario|engine|config``.

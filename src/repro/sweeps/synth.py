@@ -100,7 +100,7 @@ def write_synthetic_store(path: str | os.PathLike, cells: int, *,
             torn final-line fragment, simulating crash-riddled
             multi-writer history for compaction tests.
         index: build the sqlite sidecar index after writing (one rebuild
-            now instead of a scan on first open).
+            now instead of a scan on the first read).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,6 @@ The view combines three sources, all optional:
 from __future__ import annotations
 
 import os
-import sqlite3
 import time
 from dataclasses import dataclass, field
 
@@ -33,17 +32,11 @@ class StoreWatcher:
     """Incremental reader over a (possibly still growing) store file.
 
     Each :meth:`poll` picks up where the last one stopped and returns the
-    newly appended records.  When the store's sqlite sidecar index exists
-    and is current (its high-water mark covers every complete line of the
-    file), polling tails *the index* — new rows past the last seen rowid —
-    so a tick against a million-cell store costs one sqlite range query,
-    not a file read; records surfaced this way carry their identity with
-    an empty ``report`` payload (progress counting needs no metrics).
-    Without a current index, polling falls back to reading the file by
-    byte offset, consuming only whole (``\\n``-terminated) lines — a
-    partially written last line stays unread until its terminator lands.
-    A file that shrinks (rotated, torn by a crash, or compacted — the
-    index generation counter flags the rowid reshuffle) resets the
+    newly appended records, reading the file by byte offset and consuming
+    only whole (``\\n``-terminated) lines — a partially written last line
+    stays unread until its terminator lands.  A file that shrinks or is
+    replaced (rotated, torn by a crash, or compacted — compaction's
+    atomic rename moves every later line to a new offset) resets the
     watcher to re-read from the start; records are counted by cell
     identity, so a re-read never double-counts.
     """
@@ -51,81 +44,25 @@ class StoreWatcher:
     def __init__(self, path: str | os.PathLike) -> None:
         self._path = os.fspath(path)
         self._offset = 0
+        self._inode: int | None = None
         self._seen: set[tuple[str, str, str, str]] = set()
-        self._index = None
-        self._index_rowid = 0
-        self._index_generation: int | None = None
 
     @property
     def records_seen(self) -> int:
         """Distinct cells observed so far."""
         return len(self._seen)
 
-    def close(self) -> None:
-        """Release the index connection (watching keeps working)."""
-        if self._index is not None:
-            self._index.close()
-            self._index = None
-
-    def _poll_index(self) -> list[SweepRecord] | None:
-        """Tail the sidecar index; ``None`` means fall back to the file.
-
-        The index is trusted only while it can prove itself current
-        (version/head/high-water checks) — a store being written without
-        index maintenance, rewritten underneath it, or served by an
-        unavailable sqlite silently degrades to the byte-offset scan.
-        """
-        from repro.sweeps.index import IndexUnavailable, SweepIndex, index_path
-
-        if self._index is None:
-            if not os.path.exists(index_path(self._path)):
-                return None
-            try:
-                self._index = SweepIndex(self._path)
-            except IndexUnavailable:
-                return None
-        try:
-            if not self._index.is_fresh():
-                return None
-            generation = self._index.generation
-            if generation != self._index_generation:
-                # Compaction (or a rebuild) reassigned rowids: start the
-                # tail over; _seen keeps re-reads from double-counting.
-                self._index_rowid = 0
-                self._index_generation = generation
-            if self._index.max_rowid() < self._index_rowid:
-                self._index_rowid = 0
-            entries = self._index.entries_after(self._index_rowid)
-            high_water = self._index.high_water
-        except (IndexUnavailable, sqlite3.Error, OSError):
-            self.close()
-            return None
-        fresh: list[SweepRecord] = []
-        for rowid, entry in entries:
-            self._index_rowid = rowid
-            if entry.cell in self._seen:
-                continue
-            self._seen.add(entry.cell)
-            fresh.append(SweepRecord(
-                sweep_id=entry.sweep_id, cell_index=entry.cell_index,
-                scenario=entry.scenario, engine=entry.engine,
-                config_label=entry.config_label, key=entry.key, report={}))
-        # Keep the byte cursor in step so a later fallback to the scan
-        # path re-reads nothing the index already delivered.
-        self._offset = max(self._offset, high_water)
-        return fresh
-
     def poll(self) -> list[SweepRecord]:
         """Read any newly appended complete lines; returns fresh records."""
-        fresh = self._poll_index()
-        if fresh is not None:
-            return fresh
         try:
-            size = os.path.getsize(self._path)
+            stat = os.stat(self._path)
         except OSError:
             return []
-        if size < self._offset:
-            # Truncated under us (rotation, torn-append repair): restart.
+        size = stat.st_size
+        if stat.st_ino != self._inode or size < self._offset:
+            # Replaced or truncated under us (compaction, rotation,
+            # torn-append repair): restart.
+            self._inode = stat.st_ino
             self._offset = 0
         if size == self._offset:
             return []

@@ -18,7 +18,7 @@ from repro.experiments.runner import ExperimentRunner
 from repro.fabric import SCHEDULES, run_chaos
 from repro.sweeps.compact import compact_store
 from repro.sweeps.driver import run_sweep
-from repro.sweeps.index import ensure_index
+from repro.sweeps.index import SweepIndex
 from repro.sweeps.registry import get_sweep
 from repro.sweeps.spec import enumerate_cells
 from repro.sweeps.store import (
@@ -59,17 +59,17 @@ class TestCompaction:
         assert (stats.dropped_duplicates, stats.dropped_invalid) == (0, 0)
         assert path.read_bytes() == before
 
-    def test_is_idempotent_and_bumps_generation(self, tmp_path):
+    def test_is_idempotent_and_rebuilds_the_index(self, tmp_path):
         path = tmp_path / "store.jsonl"
         write_synthetic_store(path, 120, dirty=True)
-        first = compact_store(path, fsync=False)
+        compact_store(path, fsync=False)
         after_first = path.read_bytes()
         second = compact_store(path, fsync=False)
         assert path.read_bytes() == after_first
         assert (second.dropped_duplicates, second.dropped_invalid) == (0, 0)
-        assert second.generation == first.generation + 1
-        index = ensure_index(path)
-        assert index.generation == second.generation
+        index = SweepIndex(path)
+        # high_water reads the sidecar as compaction left it.
+        assert index.high_water == os.path.getsize(path)
         assert index.count() == 120
         index.close()
 
@@ -98,7 +98,6 @@ class TestCompaction:
         line = compact_store(path, fsync=False).render()
         assert "200 records" in line
         assert "duplicate" in line and "invalid" in line
-        assert "generation" in line
 
 
 class TestChaosByteParity:

@@ -1,10 +1,12 @@
-"""The sqlite sidecar index: incremental maintenance, the freshness
-protocol (high-water mark, head hash, generation), zero-scan queries,
-and the lazy index-backed ``ResultStore`` open."""
+"""The sqlite sidecar index: catch-up on read, the freshness protocol
+(high-water mark, head hash), zero-scan queries, and the lazy
+index-backed ``ResultStore`` open."""
 
 from __future__ import annotations
 
 import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -15,7 +17,6 @@ from repro.sweeps.index import (
     drop_index,
     ensure_index,
     index_path,
-    open_fresh_index,
     summary_columns,
 )
 from repro.sweeps.store import ResultStore, SweepRecord
@@ -30,7 +31,27 @@ def build_store(path, cells, **kwargs):
 
 
 class TestIncrementalMaintenance:
-    def test_appends_index_as_they_land(self, tmp_path):
+    def test_appends_leave_the_sidecar_untouched(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = build_store(path, 3)
+        assert store.index.count() == 3  # caught up by the query
+
+        def sidecar_state():
+            # Read through a separate connection, as another process would.
+            with closing(sqlite3.connect(index_path(path))) as conn:
+                rows = list(conn.execute(
+                    "SELECT * FROM cells ORDER BY rowid"))
+                hwm = conn.execute(
+                    "SELECT value FROM meta WHERE key = 'hwm'").fetchone()
+            return rows, hwm
+
+        before = sidecar_state()
+        for position in range(3, 6):
+            store.append(synthetic_record(position))
+        assert sidecar_state() == before
+        store.close()
+
+    def test_the_next_query_catches_up_with_appends(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = build_store(path, 7)
         assert store.index is not None
@@ -46,26 +67,38 @@ class TestIncrementalMaintenance:
         assert store.index.dump_rows() == incremental
         store.close()
 
-    def test_catch_up_ingests_only_the_tail(self, tmp_path):
+    def test_catch_up_ingests_only_the_tail(self, tmp_path, monkeypatch):
         path = tmp_path / "store.jsonl"
-        build_store(path, 4).close()
-        # A writer without index maintenance extends the file...
+        store = build_store(path, 4)
+        assert store.index.count() == 4
+        indexed_to = store.index.high_water
+        store.close()
+        # Another writer extends the file...
         no_index = ResultStore(path, index=False)
         no_index.append(synthetic_record(4))
         # ...and the next open catches up from the old high-water mark.
+        starts = []
+        ingest = SweepIndex._ingest_locked
+
+        def spy(self, start, size):
+            starts.append(start)
+            return ingest(self, start, size)
+
+        monkeypatch.setattr(SweepIndex, "_ingest_locked", spy)
         store = ResultStore(path)
         assert len(store) == 5
+        assert starts == [indexed_to]
         assert store.index.count() == 5
         assert store.index.high_water == os.path.getsize(path)
         store.close()
 
-    def test_concurrent_unindexed_writer_gap_is_ingested_on_append(
-            self, tmp_path):
+    def test_concurrent_writer_is_ingested_by_the_next_query(self,
+                                                             tmp_path):
         path = tmp_path / "store.jsonl"
         indexed = build_store(path, 2)
         other = ResultStore(path, index=False)
-        other.append(synthetic_record(2))  # lands above the indexed hwm
-        indexed.append(synthetic_record(3))  # gap-ingests record 2 first
+        other.append(synthetic_record(2))  # another writer's record
+        indexed.append(synthetic_record(3))
         assert indexed.index.count() == 4
         assert {entry.cell_index
                 for entry in indexed.index.cell_entries()} == {0, 1, 2, 3}
@@ -80,7 +113,6 @@ class TestIncrementalMaintenance:
         index = ensure_index(path)
         assert index.count() == 3
         assert index.high_water < os.path.getsize(path)
-        assert index.is_fresh()  # fully indexed in the record sense
         index.close()
 
     def test_unterminated_valid_final_line_is_indexed(self, tmp_path):
@@ -118,17 +150,6 @@ class TestFreshnessProtocol:
             5, 4, 3, 2, 1, 0]
         store.close()
 
-    def test_open_fresh_index_refuses_stale_sidecars(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        build_store(path, 3).close()
-        assert open_fresh_index(path) is not None
-        ResultStore(path, index=False).append(synthetic_record(3))
-        assert open_fresh_index(path) is None  # new line is unindexed
-        index = ensure_index(path)  # ...but ensure_index catches up
-        assert index.count() == 4
-        index.close()
-        assert open_fresh_index(path) is not None
-
     def test_dropping_the_sidecar_is_always_recoverable(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = build_store(path, 6)
@@ -162,6 +183,19 @@ class TestLazyStoreOpen:
         assert len(store) == 5
         assert len(store.done_cells) == 5
         assert store._records is None  # resume surface stays lazy
+        store.close()
+
+    def test_appends_after_a_lazy_open_are_hydrated(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        build_store(path, 3).close()
+        store = ResultStore(path)
+        assert store._records is None
+        for position in (3, 4):
+            store.append(synthetic_record(position))
+        assert [record.cell_index for record in store.records] == [
+            0, 1, 2, 3, 4]
+        assert len(store.reports()) == 5
+        assert store.index is not None  # hydrated, not the eager fallback
         store.close()
 
     def test_hydrated_records_equal_the_eager_scan(self, tmp_path):
@@ -211,9 +245,13 @@ class TestLazyStoreOpen:
 
 
 class TestZeroScanQueries:
-    def test_summarise_matches_the_streamed_scan(self, tmp_path):
+    @pytest.mark.parametrize("dirty", [False, True],
+                             ids=["clean", "dirty"])
+    def test_summarise_matches_the_streamed_scan(self, tmp_path, dirty):
+        # A dirty store holds superseded duplicates of every 100th cell:
+        # both paths keep each cell's first record.
         path = tmp_path / "store.jsonl"
-        write_synthetic_store(path, 400)
+        write_synthetic_store(path, 400, dirty=dirty)
         index = ensure_index(path)
         assert (index.summarise(title="T").render()
                 == summarise_store_file(path, title="T").render())
@@ -264,18 +302,6 @@ class TestZeroScanQueries:
             index.query_cells(limit=-1)
         index.close()
 
-    def test_traffic_totals_by_category(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        write_synthetic_store(path, 40)
-        index = ensure_index(path)
-        totals = index.traffic_totals()
-        expected: dict[str, int] = {}
-        for record in ResultStore(path, index=False).records:
-            for category, num_bytes in record.report["traffic"].items():
-                expected[category] = expected.get(category, 0) + num_bytes
-        assert totals == expected
-        index.close()
-
     def test_sweep_counts(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore(path)
@@ -304,54 +330,3 @@ class TestSummaryColumns:
         assert columns["gflops"] == 0.0
         assert columns["dram_bytes"] == 0
         assert columns["runtime_seconds"] == 0.0
-
-
-class TestWatcherIndexTailing:
-    def test_poll_serves_from_the_index(self, tmp_path):
-        from repro.sweeps.watch import StoreWatcher
-
-        path = tmp_path / "store.jsonl"
-        store = build_store(path, 3)
-        watcher = StoreWatcher(path)
-        assert len(watcher.poll()) == 3
-        assert watcher._index is not None  # the index path was taken
-        store.append(synthetic_record(3))
-        fresh = watcher.poll()
-        assert [record.cell_index for record in fresh] == [3]
-        assert watcher.poll() == []
-        store.close()
-        watcher.close()
-
-    def test_compaction_generation_bump_does_not_double_count(
-            self, tmp_path):
-        from repro.sweeps.compact import compact_store
-        from repro.sweeps.watch import StoreWatcher
-
-        path = tmp_path / "store.jsonl"
-        store = build_store(path, 4)
-        store.close()
-        watcher = StoreWatcher(path)
-        assert len(watcher.poll()) == 4
-        compact_store(path, fsync=False)  # rowids + offsets reassigned
-        assert watcher.poll() == []
-        assert watcher.records_seen == 4
-        store = ResultStore(path)
-        store.append(synthetic_record(4))
-        assert [record.cell_index
-                for record in watcher.poll()] == [4]
-        store.close()
-        watcher.close()
-
-    def test_stale_index_falls_back_to_byte_tailing(self, tmp_path):
-        from repro.sweeps.watch import StoreWatcher
-
-        path = tmp_path / "store.jsonl"
-        build_store(path, 2).close()
-        watcher = StoreWatcher(path)
-        assert len(watcher.poll()) == 2
-        # an unindexed writer appends: the sidecar is now stale, but the
-        # byte path still surfaces the record
-        ResultStore(path, index=False).append(synthetic_record(2))
-        assert len(watcher.poll()) == 1
-        assert watcher.records_seen == 3
-        watcher.close()

@@ -7,6 +7,7 @@ import dataclasses
 import json
 
 from repro.experiments.runner import ExperimentRunner
+from repro.sweeps.compact import compact_store
 from repro.sweeps.driver import run_sweep
 from repro.sweeps.registry import get_sweep
 from repro.sweeps.store import ResultStore
@@ -68,6 +69,37 @@ class TestStoreWatcher:
                                 for record in records[:2]))
         assert watcher.poll() == []  # re-read, but all seen before
         assert watcher.records_seen == 3
+
+    def test_compaction_does_not_double_count(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        records = smoke_records()
+        for record in records[:4]:
+            store.append(record)
+        watcher = StoreWatcher(path)
+        assert len(watcher.poll()) == 4
+        compact_store(path, fsync=False)  # same bytes, a new file
+        assert watcher.poll() == []
+        assert watcher.records_seen == 4
+        ResultStore(path).append(records[4])
+        assert [record.cell_index
+                for record in watcher.poll()] == [records[4].cell_index]
+
+    def test_compaction_mid_watch_loses_no_record(self, tmp_path):
+        # Compaction drops a duplicate *before* the watcher's offset and
+        # the store stays longer than that offset: every later line moves,
+        # so tailing on from the old offset would start mid-line.
+        path = tmp_path / "store.jsonl"
+        records = smoke_records()
+        lines = [record.to_line() for record in records]
+        path.write_text(lines[0] + lines[0] + lines[1])
+        watcher = StoreWatcher(path)
+        assert len(watcher.poll()) == 2
+        with open(path, "a") as handle:
+            handle.write("".join(lines[2:]))
+        compact_store(path, fsync=False)
+        assert len(watcher.poll()) == len(records) - 2
+        assert watcher.records_seen == len(records)
 
 
 class TestObserve:
