@@ -1,11 +1,11 @@
 """Fast-path numpy kernels for the merge/condensing hot loops.
 
 The batched merge tree (:class:`repro.core.vectorized.VectorizedMergeTree`)
-and the leaf streamers funnel their per-block work through the kernels here:
+and the leaf streamers funnel their per-band work through the kernels here:
 
-* :func:`merge_sorted_streams` — one packed-word sort that merges a block's
-  sorted streams in exactly the order a stable argsort of their
-  concatenation gives;
+* :func:`sort_pairs_in_place` — one packed-word sort that merges a band's
+  sorted streams, laid end to end in caller buffers, in exactly the order
+  a stable argsort gives;
 * :func:`fold_sorted_runs` — duplicate-key folding + exact-zero elimination
   of one sorted stream, the inner loop of every merge round;
 * :func:`row_offsets` — the offset-within-row of every stored CSR element,
@@ -24,45 +24,65 @@ import numpy as np
 
 
 # ----------------------------------------------------------------------
-# Block merge
+# Band merge
 # ----------------------------------------------------------------------
-def merge_sorted_streams(key_parts: list[np.ndarray],
-                         value_parts: list[np.ndarray]
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge sorted (key, value) streams, equal keys in stream order.
+#: Positions the in-place sort unpacks per step of its value gather: bounds
+#: the gather's temporary indices to 512 KiB, whatever the band's size.
+GATHER_CHUNK = 1 << 16
 
-    Every element is packed into one int64 word ``key << b | position``,
-    where ``position`` is its index in the concatenation of the streams and
-    ``b = bit_length(n - 1)`` for ``n`` elements.  The words are distinct
-    and order by key first, then by position, so numpy's default (unstable,
-    SIMD) sort puts them in exactly the order
-    ``np.argsort(np.concatenate(key_parts), kind="stable")`` gives.  The
-    keys come back with an arithmetic ``>> b`` (negative keys included) and
-    the values are gathered by the position bits.
+
+def sort_pairs_in_place(keys: np.ndarray, values: np.ndarray,
+                        positions: np.ndarray, merged_values: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``(key, value)`` pairs by key in caller buffers, equal keys in order.
+
+    A merge band is its streams' sorted slices laid end to end in stream
+    order, so this sort merges them exactly as
+    ``np.argsort(keys, kind="stable")`` would.  Every key is packed in
+    place with its position into one int64 word ``key << b | position``,
+    where ``b = bit_length(n - 1)`` for ``n`` pairs.  The words are
+    distinct and order by key first, then by position, so numpy's default
+    (unstable, SIMD) sort puts them in the stable order.  The keys come
+    back with an arithmetic ``>> b`` (negative keys included), and the
+    values are gathered by the position bits into ``merged_values``.
 
     When a key falls outside the ``64 - b``-bit signed range the words
-    would overflow, and the kernel falls back to the stable argsort.
+    would overflow, and the sort falls back to the stable argsort, which
+    returns fresh arrays.
 
-    Returns the merged keys, in the concatenation's key dtype, and values.
+    Args:
+        keys: the int64 keys; overwritten with the sorted keys.
+        values: the float64 values aligned with ``keys``; read only.
+        positions: int64 buffer whose first ``n`` entries are
+            ``0, 1, 2, ...``; read only.
+        merged_values: float64 buffer of at least ``n`` entries; receives
+            the sorted values.
+
+    Returns:
+        The sorted keys and values: ``keys`` and the first ``n`` entries of
+        ``merged_values``.
     """
-    all_vals = np.concatenate(value_parts)
-    words = np.concatenate(key_parts, dtype=np.int64)
-    key_dtype = np.result_type(*[keys.dtype for keys in key_parts])
-    num_elements = len(words)
+    num_elements = len(keys)
     if num_elements < 2:
-        return words.astype(key_dtype, copy=False), all_vals
+        return keys, values
     shift = (num_elements - 1).bit_length()
     limit = 1 << (63 - shift)
-    if not -limit <= int(words.min()) <= int(words.max()) < limit:
-        all_keys = np.concatenate(key_parts)
-        order = np.argsort(all_keys, kind="stable")
-        return all_keys[order], all_vals[order]
-    words <<= shift
-    words |= np.arange(num_elements, dtype=np.int64)
-    words.sort()
-    merged_vals = all_vals[words & ((1 << shift) - 1)]
-    words >>= shift
-    return words.astype(key_dtype, copy=False), merged_vals
+    if not -limit <= int(keys.min()) <= int(keys.max()) < limit:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], values[order]
+    keys <<= shift
+    keys |= positions[:num_elements]
+    keys.sort()
+    mask = (1 << shift) - 1
+    merged = merged_values[:num_elements]
+    for start in range(0, num_elements, GATHER_CHUNK):
+        words = keys[start:start + GATHER_CHUNK]
+        # The gather indices are in range, so "clip" never clips; unlike
+        # the default mode it writes ``out`` without a buffered copy.
+        np.take(values, words & mask, out=merged[start:start + len(words)],
+                mode="clip")
+    keys >>= shift
+    return keys, merged
 
 
 # ----------------------------------------------------------------------

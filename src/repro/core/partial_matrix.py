@@ -129,7 +129,9 @@ class PartialMatrixWriter:
         its columns are the keys minus their row's base, so only a band's
         first and last keys are divided.  Keys that do not increase
         strictly, within a band or from one band to the next, take the
-        generic COO canonicalisation instead.
+        generic COO canonicalisation instead.  A band is used up before the
+        next one is drawn, so it may be a view that the next one overwrites
+        (the merge tree's band workspace).
         """
         num_rows, num_cols = shape
         indices = np.empty(capacity, dtype=np.int64)
@@ -145,7 +147,10 @@ class PartialMatrixWriter:
                     and (len(keys) < 2 or bool(np.all(keys[1:] > keys[:-1])))):
                 done = (np.repeat(np.arange(num_rows, dtype=np.int64),
                                   row_nnz), indices[:filled], data[:filled])
-                result = _coo_result(done, [(keys, values), *bands], shape)
+                # Copied as drawn: a band may be overwritten by the next.
+                rest = [(keys.copy(), values.copy()),
+                        *((np.array(k), np.array(v)) for k, v in bands)]
+                result = _coo_result(done, rest, shape)
                 break
             if keys[0] < 0 or keys[-1] >= num_rows * num_cols:
                 raise ValueError(f"result keys fall outside shape {shape}")

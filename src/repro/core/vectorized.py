@@ -12,11 +12,12 @@ kernels:
 
 * :class:`VectorizedLeafStreamer` — hands each leaf to the merge tree as
   :class:`LeafProducts`, a pending stream whose partial products are
-  generated band by band with ``np.repeat`` + fancy indexing (one gather
+  generated band by band with ``np.repeat`` + ``np.take`` (one gather
   instead of one Python iteration per left element);
 * :class:`VectorizedMergeTree` — each merge round is processed in row
-  bands: a band's products are generated, merged with one packed-word sort
-  (:func:`repro.core.fastpath.merge_sorted_streams`) instead of the
+  bands: a band's products are generated into the round's band
+  workspace, merged there with one packed-word sort
+  (:func:`repro.core.fastpath.sort_pairs_in_place`) instead of the
   pairwise tournament, folded via
   :func:`repro.core.fastpath.fold_sorted_runs` (the same ``np.add.reduceat``
   kernel the scalar adder uses) and written out before the next band
@@ -46,7 +47,11 @@ Why the results are bit-identical to the scalar backend:
 The working set is bounded per band: element grouping is O(nnz(A))
 metadata built up front, a leaf's products exist only while the band that
 takes them is merged, and a round's output fills one buffer (or, in the
-last round, the result's CSR arrays) band by band.
+last round, the result's CSR arrays) band by band.  Each band is laid out,
+sorted and gathered in a workspace of four buffers that a merge round
+borrows from a process-wide idle list and gives back when it ends; the
+buffers grow to the largest band merged in them and are kept for the next
+round, so the merge does not fault fresh pages in band after band.
 
 ``tests/integration/test_engine_equivalence.py`` enforces the equivalence
 over synthetic + rMAT matrices and every ablation combination.
@@ -54,7 +59,9 @@ over synthetic + rMAT matrices and every ablation combination.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -64,8 +71,8 @@ from repro.core.condensing import (
 )
 from repro.core.fastpath import (
     fold_sorted_runs,
-    merge_sorted_streams,
     row_offsets,
+    sort_pairs_in_place,
 )
 from repro.formats.condensed import CondensedMatrix
 from repro.formats.convert import csr_to_csc
@@ -126,7 +133,7 @@ class VectorizedLeafStreamer:
     boundaries, left operand arrays in leaf order and per-element product
     offsets — all O(nnz(A))).  :meth:`leaf_stream` returns a pending
     :class:`LeafProducts`; the merge tree generates its products with
-    :meth:`_generate_products`, one band at a time.
+    :meth:`_generate_into`, one band at a time.
 
     A leaf holds at most one element per left-operand row, in ascending row
     order: a condensed column takes one element from each row, and an
@@ -204,33 +211,65 @@ class VectorizedLeafStreamer:
             [np.zeros(1, dtype=np.int64), np.cumsum(counts)])
 
     # ------------------------------------------------------------------
-    def _generate_products(self, elem_idx: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Partial products of the given leaf-grouped element positions.
+    def _generate_into(self, leaves: np.ndarray, keys: np.ndarray,
+                       values: np.ndarray, positions: np.ndarray) -> None:
+        """Write the partial products of pending leaves' element ranges.
 
-        ``np.repeat`` spreads each left element over its right-matrix row,
-        and a fancy-indexed gather pulls the row contents: each element's
-        products are ``value * B[col, :]`` with keys
-        ``row * num_cols + B column``, elements in the order given and each
-        row's products by ascending column — the scalar concatenation
-        order.  Products are independent per element, so any batching
-        produces identical bits.
+        Row ``(start, stop, offset)`` of ``leaves`` is one leaf's
+        leaf-grouped elements ``[start, stop)``, whose products go to
+        ``keys[offset:]`` and ``values[offset:]``; the rows come in stream
+        order.  Each element's products are ``value * B[col, :]`` with keys
+        ``row * num_cols + B column``, elements in order and each row's
+        products by ascending column — the scalar concatenation order.
+        Products are independent per element, so any batching produces
+        identical bits.
+
+        ``np.repeat`` spreads each element over its right-matrix row, and
+        ``np.take`` gathers the row contents straight into the band; leaves
+        whose destinations adjoin share one gather.  ``positions`` holds
+        ``0, 1, 2, ...`` for at least as many entries as there are products.
         """
         matrix_b = self._matrix_b
-        counts = self._counts[elem_idx]
+        starts, stops, offsets = leaves.T
+        lengths = stops - starts
+        ends = np.cumsum(lengths)
+        elements = (np.arange(int(ends[-1]), dtype=np.int64)
+                    + np.repeat(starts - (ends - lengths), lengths))
+        counts = self._counts[elements]
         prod_ends = np.cumsum(counts)
-        total = int(prod_ends[-1]) if len(prod_ends) else 0
-        gather = (np.arange(total, dtype=np.int64)
-                  + np.repeat(matrix_b.indptr[self._left_cols[elem_idx]]
-                              - (prod_ends - counts), counts))
-        key_dtype = self.key_dtype
-        row_keys = (self.element_rows[elem_idx]
-                    * matrix_b.num_cols).astype(key_dtype, copy=False)
-        keys = (np.repeat(row_keys, counts)
-                + matrix_b.indices[gather].astype(key_dtype, copy=False))
-        vals = (np.repeat(self._left_vals[elem_idx], counts)
-                * matrix_b.data[gather])
-        return keys, vals
+        # (source range in the generated order, destination) per run of
+        # leaves whose destinations adjoin.
+        before = self.products_before
+        sources = np.concatenate([np.zeros(1, dtype=np.int64),
+                                  np.cumsum(before[stops] - before[starts])])
+        adjoin = offsets[1:] == offsets[:-1] + np.diff(sources[:-1])
+        firsts = [0, *(np.flatnonzero(~adjoin) + 1).tolist()]
+        copies = [(int(sources[first]), int(sources[last]),
+                   int(offsets[first]))
+                  for first, last in zip(firsts, firsts[1:] + [len(leaves)])]
+
+        total = int(sources[-1])
+        gather = np.repeat(matrix_b.indptr[self._left_cols[elements]]
+                           - (prod_ends - counts), counts)
+        gather += positions[:total]
+        # The gather indices are in range, so "clip" never clips; unlike the
+        # default mode it writes ``out`` without a buffered copy.
+        for low, high, offset in copies:
+            np.take(matrix_b.indices, gather[low:high],
+                    out=keys[offset:offset + high - low], mode="clip")
+            np.take(matrix_b.data, gather[low:high],
+                    out=values[offset:offset + high - low], mode="clip")
+        del gather
+        row_keys = np.repeat(self.element_rows[elements] * matrix_b.num_cols,
+                             counts)
+        for low, high, offset in copies:
+            band_keys = keys[offset:offset + high - low]
+            np.add(band_keys, row_keys[low:high], out=band_keys)
+        del row_keys
+        left_values = np.repeat(self._left_vals[elements], counts)
+        for low, high, offset in copies:
+            band_values = values[offset:offset + high - low]
+            np.multiply(left_values[low:high], band_values, out=band_values)
 
     # ------------------------------------------------------------------
     @property
@@ -276,8 +315,9 @@ class VectorizedMergeTree(MergeTree):
     arrays, or :class:`LeafProducts` whose products do not exist yet.  The
     round is processed in bands: a band takes every element of the rows up
     to a *cutoff* row from every stream, generates the pending leaves'
-    products of those rows, merges the band with the packed-word sort of
-    :func:`~repro.core.fastpath.merge_sorted_streams` (equal keys keep
+    products of those rows into the round's band workspace, merges the
+    band there with the packed-word sort of
+    :func:`~repro.core.fastpath.sort_pairs_in_place` (equal keys keep
     input-list order, matching the pairwise stable tournament), folds
     duplicates with the shared :func:`~repro.core.fastpath.fold_sorted_runs`
     kernel, drops zeros, and writes the folded band out before the next
@@ -303,8 +343,9 @@ class VectorizedMergeTree(MergeTree):
       elements, and each element's products exactly once.
     * When no stream has more than ``block_elements`` elements left, the
       band takes everything that is left.
-    * Within a band the slices are concatenated in ascending stream order,
-      so ties break exactly as in one stable sort of the whole round.
+    * Within a band the slices are laid end to end in ascending stream
+      order, so ties break exactly as in one stable sort of the whole
+      round.
     * The stream that sets the cutoff advances by at least
       ``block_elements`` elements, so every round finishes.  A band takes
       at most ``block_elements`` elements from a stream, plus the rest of
@@ -356,17 +397,21 @@ class VectorizedMergeTree(MergeTree):
         lengths = [len(keys) for keys, _ in cleaned]
         if cleaned:
             self.account(lengths)
-        bands = self._folded_bands(cleaned)
-        if write is not None:
-            result = write(bands, capacity=sum(lengths))
-        else:
-            key_dtype = (np.result_type(*[keys.dtype for keys, _ in cleaned])
-                         if cleaned else np.dtype(np.int64))
-            if max(lengths, default=0) <= self._block_elements:
+        key_dtype = (np.result_type(*[keys.dtype for keys, _ in cleaned])
+                     if cleaned else np.dtype(np.int64))
+        with _borrow_workspace() as workspace:
+            bands = self._folded_bands(cleaned, workspace)
+            if write is not None:
+                result = write(bands, capacity=sum(lengths))
+            elif max(lengths, default=0) <= self._block_elements:
                 # The round is one band, and its folded band is the output.
+                # A band with nothing to fold comes back as it is, a view of
+                # the workspace that later rounds overwrite, so it is copied.
                 keys, values = next(bands, (np.empty(0, key_dtype),
                                             np.empty(0)))
-                result = keys.astype(key_dtype, copy=False), values
+                in_workspace = np.may_share_memory(keys, workspace.keys)
+                result = (keys.astype(key_dtype, copy=in_workspace),
+                          values.copy() if in_workspace else values)
             else:
                 result = _fill(bands, sum(lengths), key_dtype)
         self.stats.additions = self._adder.stats.additions
@@ -421,14 +466,19 @@ class VectorizedMergeTree(MergeTree):
         return total_elements
 
     def _bands(self, streams: list[tuple[np.ndarray | LeafProducts,
-                                         np.ndarray | None]]
-               ) -> Iterator[tuple[list[np.ndarray], list[np.ndarray]]]:
-        """Yield each band of a round as ``(key_parts, value_parts)``.
+                                         np.ndarray | None]],
+               workspace: _BandWorkspace
+               ) -> Iterator[tuple[np.ndarray, np.ndarray, list[int]]]:
+        """Yield each band of a round as ``(keys, values, bounds)``.
 
-        One slice per stream that contributes to the band, in stream
-        order; the pending leaves' slices are generated here, in one
-        :meth:`VectorizedLeafStreamer._generate_products` call per band.
-        The band rule is described in the class docstring.
+        A band is the slices its streams contribute, laid end to end in
+        stream order: slice ``i`` is ``[bounds[i], bounds[i + 1])``.  The
+        spilled streams' slices are copied into ``workspace``, and the
+        pending leaves' products are generated into it, in one
+        :meth:`VectorizedLeafStreamer._generate_into` call per band.
+        The keys are int64, except that a band of one spilled slice is that
+        slice itself.  The arrays are valid until the next band is
+        requested.  The band rule is described in the class docstring.
         """
         block = self._block_elements
         streamer = next((keys.streamer for keys, _ in streams
@@ -465,22 +515,22 @@ class VectorizedMergeTree(MergeTree):
                 else:  # up to the cutoff row's last key
                     stops.append(int(np.searchsorted(
                         keys, (cutoff + 1) * width - 1, side="right")))
-            # Yielded unbound, so nothing here keeps the band alive while
-            # the next one is generated.
-            yield _take_band(cursors, stops, streamer)
+            yield _take_band(cursors, stops, streamer, workspace)
             for cursor, stop in zip(cursors, stops):
                 cursor[2] = stop
             cursors = [cursor for cursor in cursors if cursor[2] < cursor[3]]
 
     def _folded_bands(self, streams: list[tuple[np.ndarray | LeafProducts,
-                                                np.ndarray | None]]
+                                                np.ndarray | None]],
+                      workspace: _BandWorkspace
                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Merge, fold and zero-eliminate each band of a round.
 
-        ``map`` drops a stage's input as soon as the stage returns, so a
-        band's generated parts are freed before its fold runs.
+        A folded band may be the merged band itself (when nothing folds or
+        drops), so it too is valid only until the next band is requested.
         """
-        return map(self._fold_band, map(_merge_parts, self._bands(streams)))
+        for band in self._bands(streams, workspace):
+            yield self._fold_band(_merge_band(band, workspace))
 
     def _fold_band(self, band: tuple[np.ndarray, np.ndarray]
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -491,50 +541,99 @@ class VectorizedMergeTree(MergeTree):
         return folded_keys, folded_vals
 
 
-def _merge_parts(parts: tuple[list[np.ndarray], list[np.ndarray]]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """One band's stream slices merged, equal keys in stream order."""
-    key_parts, value_parts = parts
-    if len(key_parts) == 1:
-        return key_parts[0], value_parts[0]
-    return merge_sorted_streams(key_parts, value_parts)
+class _BandWorkspace:
+    """One merge round's band buffers (DESIGN.md §6).
+
+    A band is laid out in ``keys`` and ``values``, sorted in place, and its
+    sorted values gathered into ``gathered``; ``positions`` holds
+    ``0, 1, 2, ...``.  The buffers grow to the largest band merged in them
+    and are kept between rounds, so a band takes no fresh pages from the
+    operating system.
+    """
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, dtype=np.int64)
+        self.values = np.empty(0, dtype=np.float64)
+        self.positions = np.empty(0, dtype=np.int64)
+        self.gathered = np.empty(0, dtype=np.float64)
+
+    def reserve(self, size: int) -> None:
+        """Grow every buffer to hold at least ``size`` elements."""
+        if size <= len(self.keys):
+            return
+        # Release the old buffers before the new ones are allocated.  The
+        # size is read from ``keys``, so it grows last: an allocation that
+        # fails leaves a workspace that grows again on the next band.
+        self.__init__()
+        self.values = np.empty(size, dtype=np.float64)
+        self.positions = np.arange(size, dtype=np.int64)
+        self.gathered = np.empty(size, dtype=np.float64)
+        self.keys = np.empty(size, dtype=np.int64)
+
+
+#: Workspaces no merge round holds.  A round borrows one, or a new one when
+#: none is idle, and gives it back when it ends, so the process keeps as
+#: many as rounds have run at once: one per thread that merges at the same
+#: time as others, not one per thread that ever merged.
+_IDLE_WORKSPACES: list[_BandWorkspace] = []
+_IDLE_LOCK = threading.Lock()
+
+
+@contextmanager
+def _borrow_workspace() -> Iterator[_BandWorkspace]:
+    """Hold an idle band workspace, or a new one, for one merge round."""
+    with _IDLE_LOCK:
+        workspace = (_IDLE_WORKSPACES.pop() if _IDLE_WORKSPACES
+                     else _BandWorkspace())
+    try:
+        yield workspace
+    finally:
+        with _IDLE_LOCK:
+            _IDLE_WORKSPACES.append(workspace)
 
 
 def _take_band(cursors: list[list], stops: list[int],
-               streamer: VectorizedLeafStreamer | None
-               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each stream's slice from its position to its stop, in stream order.
-
-    The pending leaves' slices are generated in one pass over their element
-    ranges, leaf after leaf.
-    """
-    ranges = np.array([(position, stop) for (keys, _, position, _), stop
-                       in zip(cursors, stops)
-                       if isinstance(keys, LeafProducts) and stop > position],
-                      dtype=np.int64).reshape(-1, 2)
-    if len(ranges):
-        starts = ranges[:, 0]
-        lengths = ranges[:, 1] - starts
-        ends = np.cumsum(lengths)
-        leaf_keys, leaf_vals = streamer._generate_products(
-            np.arange(int(ends[-1]), dtype=np.int64)
-            + np.repeat(starts - (ends - lengths), lengths))
-        before = streamer.products_before
-    generated = 0
-    key_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
-    for (keys, values, position, _), stop in zip(cursors, stops):
-        if stop == position:
-            continue
+               streamer: VectorizedLeafStreamer | None,
+               workspace: _BandWorkspace
+               ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each stream's slice from its position to its stop, end to end."""
+    taken = [(keys, values, position, stop)
+             for (keys, values, position, _), stop in zip(cursors, stops)
+             if stop > position]
+    if len(taken) == 1 and not isinstance(taken[0][0], LeafProducts):
+        keys, values, position, stop = taken[0]
+        return keys[position:stop], values[position:stop], [0, stop - position]
+    bounds = [0]
+    for keys, _, position, stop in taken:
+        bounds.append(bounds[-1] + (
+            int(streamer.products_before[stop]
+                - streamer.products_before[position])
+            if isinstance(keys, LeafProducts) else stop - position))
+    workspace.reserve(bounds[-1])
+    band_keys = workspace.keys[:bounds[-1]]
+    band_values = workspace.values[:bounds[-1]]
+    leaves = []
+    for (keys, values, position, stop), offset, end in zip(taken, bounds,
+                                                           bounds[1:]):
         if isinstance(keys, LeafProducts):
-            start = generated
-            generated += int(before[stop] - before[position])
-            key_parts.append(leaf_keys[start:generated])
-            value_parts.append(leaf_vals[start:generated])
+            leaves.append((position, stop, offset))
         else:
-            key_parts.append(keys[position:stop])
-            value_parts.append(values[position:stop])
-    return key_parts, value_parts
+            band_keys[offset:end] = keys[position:stop]
+            band_values[offset:end] = values[position:stop]
+    if leaves:
+        streamer._generate_into(np.array(leaves, dtype=np.int64), band_keys,
+                                band_values, workspace.positions)
+    return band_keys, band_values, bounds
+
+
+def _merge_band(band: tuple[np.ndarray, np.ndarray, list[int]],
+                workspace: _BandWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    """One band's slices merged in place, equal keys in stream order."""
+    keys, values, bounds = band
+    if len(bounds) <= 2:
+        return keys, values
+    return sort_pairs_in_place(keys, values, workspace.positions,
+                               workspace.gathered)
 
 
 def _fill(bands: Iterator[tuple[np.ndarray, np.ndarray]], capacity: int,

@@ -396,9 +396,9 @@ def summarise_store_file(path: str | os.PathLike, *,
     .records)`` but accumulates only per-group scalars (count, summed log
     GFLOP/s, DRAM bytes, runtime, energy) while reading the JSONL line by
     line — one record lives at a time, so million-cell stores summarise in
-    bounded memory (plus the set of cells seen).  Like the loader, it
-    keeps each cell's first record and skips later duplicates.  The
-    accumulation order equals the record order, so every float sum
+    bounded memory (plus the identity of every cell seen).  Like the
+    loader, it keeps each cell's first record and skips later duplicates.
+    The accumulation order equals the record order, so every float sum
     matches the list-based path exactly.
 
     Args:
@@ -406,20 +406,29 @@ def summarise_store_file(path: str | os.PathLike, *,
         sweep_id: summarise only this sweep's records; ``None`` requires
             the store to hold a single sweep (as
             :func:`~repro.sweeps.store.require_single_sweep` does).
+
+    Raises:
+        ValueError: the store holds two records of one cell with different
+            fingerprints or canonical indices, which the store loader and
+            the sidecar index refuse too.
     """
     import math
 
-    from repro.sweeps.store import iter_records
+    from repro.sweeps.store import conflicting_store_error, iter_records
 
     # acc = [cells, sum(log gflops), dram bytes, runtime, energy]
     groups: dict[tuple[str, str], list] = {}
     seen_sweeps: set[str] = set()
-    seen_cells: set[tuple[str, str, str, str]] = set()
+    seen_cells: dict[tuple[str, str, str, str], tuple[str, int]] = {}
     for record in iter_records(path):
-        if ((sweep_id is not None and record.sweep_id != sweep_id)
-                or record.cell in seen_cells):
+        seen = seen_cells.get(record.cell)
+        if seen is not None:
+            if seen != (record.key, record.cell_index):
+                raise conflicting_store_error(path, record.cell)
             continue
-        seen_cells.add(record.cell)
+        seen_cells[record.cell] = (record.key, record.cell_index)
+        if sweep_id is not None and record.sweep_id != sweep_id:
+            continue
         seen_sweeps.add(record.sweep_id)
         if len(seen_sweeps) > 1:
             raise ValueError(

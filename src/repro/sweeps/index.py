@@ -12,8 +12,8 @@ one row per recorded cell:
 * the record's ``(offset, length)`` byte range in the JSONL — everything
   lazy hydration needs to read one record without scanning the file;
 * denormalised summary scalars (cycles, runtime, GFLOP/s and its log,
-  DRAM bytes total and by category, energy, op counts) — everything the
-  summary/filter/top-k queries need, so they never parse a report.
+  total DRAM bytes, energy, op counts) — everything the summary/filter/
+  top-k queries need, so they never parse a report.
 
 The contract (DESIGN.md §9): **the JSONL stays the single source of
 truth**, and the sidecar is a read-side cache of it.  Writers append to
@@ -45,7 +45,6 @@ Consistency protocol:
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import sqlite3
@@ -54,12 +53,19 @@ from typing import Iterator
 
 from repro.experiments.designspace import GEOMEAN_FLOOR
 from repro.sweeps.spec import cell_key
-from repro.sweeps.store import CellEntry, SweepRecord, parse_line
+from repro.sweeps.store import (
+    CellEntry,
+    SweepRecord,
+    conflicting_store_error,
+    parse_line,
+)
 from repro.utils.reporting import Table
 
 #: Version of the index layout.  Bump on any incompatible schema change;
-#: an index from another version silently rebuilds (it is derived data).
-INDEX_VERSION = 1
+#: an index from another version silently rebuilds, its cells table
+#: recreated in the current layout (it is derived data).  Version 2
+#: dropped the per-category ``traffic`` column.
+INDEX_VERSION = 2
 
 #: Bytes of the indexed prefix fingerprinted against external rewrites.
 #: Appends beyond the cap never change the fingerprinted range, so the
@@ -74,11 +80,16 @@ METRIC_COLUMNS = ("gflops", "cycles", "runtime_seconds", "dram_bytes",
 #: Coordinate columns ``summarise --where`` may filter on.
 WHERE_COLUMNS = ("sweep_id", "scenario", "engine", "config_label", "status")
 
-_SCHEMA = """
+_META_SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
-);
+)
+"""
+
+#: The cells table and its indexes, one statement each: a rebuild drops
+#: the table and runs these inside its transaction.
+_CELLS_SCHEMA = ("""
 CREATE TABLE IF NOT EXISTS cells (
     sweep_id        TEXT NOT NULL,
     scenario        TEXT NOT NULL,
@@ -95,23 +106,30 @@ CREATE TABLE IF NOT EXISTS cells (
     gflops          REAL NOT NULL,
     log_gflops      REAL NOT NULL,
     dram_bytes      INTEGER NOT NULL,
-    traffic         TEXT NOT NULL,
     energy_joules   REAL NOT NULL,
     output_nnz      INTEGER NOT NULL,
     multiplications INTEGER NOT NULL,
     additions       INTEGER NOT NULL,
     UNIQUE (sweep_id, scenario, engine, config_label)
-);
-CREATE INDEX IF NOT EXISTS cells_by_sweep ON cells (sweep_id, cell_index);
+)
+""", """
+CREATE INDEX IF NOT EXISTS cells_by_sweep ON cells (sweep_id, cell_index)
+""", """
 -- Covering index for summarise: the GROUP BY (engine, config_label)
 -- aggregation reads every referenced column straight from this index,
--- never touching the wide cells rows (whose traffic blobs dominate the
--- table's bytes) — a million-cell summary stays tens of milliseconds.
+-- never touching the cells rows, whose coordinate, key and report-key
+-- strings make up most of the table's bytes — a million-cell summary
+-- stays tens of milliseconds.
 CREATE INDEX IF NOT EXISTS cells_summary ON cells (
     sweep_id, engine, config_label, log_gflops, dram_bytes,
     runtime_seconds, energy_joules, cell_index
-);
-"""
+)
+""")
+
+
+def _create_cells(conn: sqlite3.Connection) -> None:
+    for statement in _CELLS_SCHEMA:
+        conn.execute(statement)
 
 
 class IndexUnavailable(Exception):
@@ -138,15 +156,6 @@ def drop_index(store_path: str | os.PathLike) -> None:
             pass
 
 
-def _conflict_error(path, cell: tuple[str, str, str, str]) -> ValueError:
-    """Same wording as the store loader: a mixed store is refused."""
-    return ValueError(
-        f"store {path} holds conflicting records for cell "
-        f"{'|'.join(cell[1:])!r} of sweep {cell[0]!r} — it mixes results "
-        f"written under different parameters or spec revisions"
-    )
-
-
 def summary_columns(report: dict) -> dict:
     """The denormalised scalar columns for one record's report payload.
 
@@ -167,8 +176,6 @@ def summary_columns(report: dict) -> dict:
         "gflops": gflops,
         "log_gflops": math.log(max(gflops, GEOMEAN_FLOOR)),
         "dram_bytes": sum(int(v) for v in traffic.values()),
-        "traffic": json.dumps(
-            {str(k): int(v) for k, v in traffic.items()}, sort_keys=True),
         "energy_joules": float(report.get("energy_joules", 0.0)),
         "output_nnz": int(report.get("output_nnz", 0)),
         "multiplications": multiplications,
@@ -183,18 +190,17 @@ def _row_for(record: SweepRecord, offset: int, length: int) -> tuple:
             record.report_key, offset, length, "done",
             columns["cycles"], columns["runtime_seconds"],
             columns["gflops"], columns["log_gflops"],
-            columns["dram_bytes"], columns["traffic"],
-            columns["energy_joules"], columns["output_nnz"],
-            columns["multiplications"], columns["additions"])
+            columns["dram_bytes"], columns["energy_joules"],
+            columns["output_nnz"], columns["multiplications"],
+            columns["additions"])
 
 
 _INSERT = """
 INSERT OR IGNORE INTO cells (
     sweep_id, scenario, engine, config_label, cell_index, key, report_key,
     offset, length, status, cycles, runtime_seconds, gflops, log_gflops,
-    dram_bytes, traffic, energy_joules, output_nnz, multiplications,
-    additions
-) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+    dram_bytes, energy_joules, output_nnz, multiplications, additions
+) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
 """
 
 
@@ -221,28 +227,26 @@ class SweepIndex:
     def _connect(self) -> sqlite3.Connection:
         try:
             self._db_path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(self._db_path, timeout=30.0,
-                                   isolation_level=None,
-                                   check_same_thread=False)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(_SCHEMA)
-            return conn
+            return self._open_database()
         except sqlite3.Error:
             # A corrupt sidecar is not an error condition — it is derived
             # data.  Drop it and start over; only an unusable location
             # (permissions, exotic filesystems) gives up.
             try:
                 drop_index(self._store_path)
-                conn = sqlite3.connect(self._db_path, timeout=30.0,
-                                       isolation_level=None,
-                                       check_same_thread=False)
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA synchronous=NORMAL")
-                conn.executescript(_SCHEMA)
-                return conn
+                return self._open_database()
             except (sqlite3.Error, OSError) as exc:
                 raise IndexUnavailable(str(exc)) from exc
+
+    def _open_database(self) -> sqlite3.Connection:
+        conn = sqlite3.connect(self._db_path, timeout=30.0,
+                               isolation_level=None,
+                               check_same_thread=False)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute(_META_SCHEMA)
+        _create_cells(conn)
+        return conn
 
     def close(self) -> None:
         try:
@@ -323,7 +327,10 @@ class SweepIndex:
                         or "hwm" not in meta
                         or int(meta["hwm"]) > size
                         or not self._head_matches(meta)):
-                    self._conn.execute("DELETE FROM cells")
+                    # Recreated, not emptied: a sidecar of another
+                    # version may hold the table in an older layout.
+                    self._conn.execute("DROP TABLE IF EXISTS cells")
+                    _create_cells(self._conn)
                     self._ingest_locked(0, size)
                     self._set_meta(index_version=INDEX_VERSION)
                 elif int(meta["hwm"]) < size:
@@ -373,8 +380,8 @@ class SweepIndex:
                                 record, offset,
                                 length - 1 if terminated else length))
                         elif existing != (record.key, record.cell_index):
-                            raise _conflict_error(self._store_path,
-                                                  record.cell)
+                            raise conflicting_store_error(
+                                self._store_path, record.cell)
                     offset += length
                     hwm = offset
                     if len(rows) >= 2048:
@@ -521,7 +528,7 @@ class SweepIndex:
         return list(self._conn.execute(
             "SELECT sweep_id, scenario, engine, config_label, cell_index, "
             "key, report_key, offset, length, status, cycles, "
-            "runtime_seconds, gflops, log_gflops, dram_bytes, traffic, "
+            "runtime_seconds, gflops, log_gflops, dram_bytes, "
             "energy_joules, output_nnz, multiplications, additions "
             "FROM cells ORDER BY rowid"))
 

@@ -276,12 +276,7 @@ class ResultStore:
                 # revisions.  A legitimate store can never contain
                 # this (the driver refuses cross-parameter appends),
                 # so fail loudly rather than silently keep one side.
-                raise ValueError(
-                    f"store {self._path} holds conflicting records "
-                    f"for cell {'|'.join(record.cell[1:])!r} of sweep "
-                    f"{record.cell[0]!r} — it mixes results written "
-                    f"under different parameters or spec revisions"
-                )
+                raise conflicting_store_error(self._path, record.cell)
 
     def _disable_index(self) -> None:
         if self._index is not None:
@@ -291,14 +286,19 @@ class ResultStore:
     def _hydrate(self) -> None:
         """Materialise ``_records``: by byte range if indexed, else scan.
 
-        The index catches up before it lists byte ranges, so the records
-        include every append made since the store opened.
+        The index catches up before it lists byte ranges, so it also lists
+        what other writers appended since the store opened.  Only this
+        store's cells are kept (those in the file at open plus its own
+        appends, in file order), as the eager open would hold them.
         """
         if self._index is not None:
             from repro.sweeps.index import IndexUnavailable, iter_hydrated
 
             try:
-                self._records = list(iter_hydrated(self._path, self._index))
+                self._records = [
+                    record
+                    for record in iter_hydrated(self._path, self._index)
+                    if record.cell in self._cells]
                 return
             except (IndexUnavailable, OSError, ValueError):
                 # The store changed underneath the index (or sqlite gave
@@ -463,6 +463,21 @@ def iter_records(path: str | os.PathLike):
             record = parse_line(line)
             if record is not None:
                 yield record
+
+
+def conflicting_store_error(path: str | os.PathLike,
+                            cell: tuple[str, str, str, str]) -> ValueError:
+    """The refusal of a store file holding two records of one cell.
+
+    The records differ in fingerprint or canonical index, so the file
+    mixes results written under different parameters or spec revisions.
+    Every reader of a store file raises this.
+    """
+    return ValueError(
+        f"store {path} holds conflicting records for cell "
+        f"{'|'.join(cell[1:])!r} of sweep {cell[0]!r} — it mixes results "
+        f"written under different parameters or spec revisions"
+    )
 
 
 def _conflict_error(cell: tuple[str, str, str, str]) -> ValueError:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fastpath
 from repro.core.fastpath import (
     fold_sorted_runs,
-    merge_sorted_streams,
     row_offsets,
+    sort_pairs_in_place,
 )
 
 #: Keys a few units either side of these centres sit on the packed sort's
@@ -20,15 +21,33 @@ OVERFLOW_CENTRES = (1 << 62, -(1 << 62))
 
 def reference_merge(key_parts, value_parts):
     """One stable argsort over the concatenation."""
-    keys = np.concatenate(key_parts)
+    keys = np.concatenate(key_parts, dtype=np.int64)
     values = np.concatenate(value_parts)
     order = np.argsort(keys, kind="stable")
     return keys[order], values[order]
 
 
+def merge_in_place(key_parts, value_parts, spare=3):
+    """The streams laid end to end in buffers with room to spare, sorted.
+
+    Also checks that the sort reads ``values`` and ``positions`` only.
+    """
+    keys = np.concatenate([np.empty(0, np.int64), *key_parts],
+                          dtype=np.int64)
+    values = np.concatenate([np.empty(0), *value_parts])
+    positions = np.arange(len(keys) + spare, dtype=np.int64)
+    merged_values = np.full(len(keys) + spare, np.nan)
+    values_before = values.copy()
+    got = sort_pairs_in_place(keys, values, positions, merged_values)
+    np.testing.assert_array_equal(values.view(np.uint64),
+                                  values_before.view(np.uint64))
+    np.testing.assert_array_equal(positions, np.arange(len(positions)))
+    return got
+
+
 def assert_same_merge(got, want):
-    """Keys equal with the same dtype, values equal bit for bit."""
-    assert got[0].dtype == want[0].dtype
+    """Keys equal as int64, values equal bit for bit."""
+    assert got[0].dtype == np.int64
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1].view(np.uint64),
                                   want[1].view(np.uint64))
@@ -127,13 +146,24 @@ class TestFoldSortedRuns:
         assert out_keys.dtype == np.int32
 
 
-class TestMergeSortedStreams:
+class TestSortPairsInPlace:
     @settings(max_examples=300, deadline=None)
     @given(sorted_streams())
     def test_matches_stable_argsort(self, streams):
         key_parts, value_parts = streams
-        assert_same_merge(merge_sorted_streams(key_parts, value_parts),
+        assert_same_merge(merge_in_place(key_parts, value_parts),
                           reference_merge(key_parts, value_parts))
+
+    def test_sorts_in_the_given_buffers(self):
+        keys = np.array([7, 3, 7, 1], dtype=np.int64)
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        merged_values = np.zeros(6)
+        got_keys, got_values = sort_pairs_in_place(
+            keys, values, np.arange(6, dtype=np.int64), merged_values)
+        assert got_keys is keys
+        assert got_values.base is merged_values
+        np.testing.assert_array_equal(keys, [1, 3, 7, 7])
+        np.testing.assert_array_equal(merged_values, [4, 2, 1, 3, 0, 0])
 
     @pytest.mark.parametrize("keys", [
         [(1 << 62) - 1, -(1 << 62)],      # largest packable range for n = 2
@@ -144,16 +174,24 @@ class TestMergeSortedStreams:
     def test_overflow_boundary(self, keys):
         key_parts = [np.array([k], dtype=np.int64) for k in keys]
         value_parts = [np.array([1.0]), np.array([2.0])]
-        assert_same_merge(merge_sorted_streams(key_parts, value_parts),
+        assert_same_merge(merge_in_place(key_parts, value_parts),
                           reference_merge(key_parts, value_parts))
 
     def test_single_element_and_empty(self):
-        empty = merge_sorted_streams([np.empty(0, np.int32)], [np.empty(0)])
-        assert len(empty[0]) == 0 and empty[0].dtype == np.int32
-        one = merge_sorted_streams([np.empty(0, np.int64), np.array([3])],
-                                   [np.empty(0), np.array([2.5])])
+        empty = merge_in_place([np.empty(0, np.int32)], [np.empty(0)])
+        assert len(empty[0]) == 0 and len(empty[1]) == 0
+        one = merge_in_place([np.empty(0, np.int64), np.array([3])],
+                             [np.empty(0), np.array([2.5])])
         np.testing.assert_array_equal(one[0], [3])
         np.testing.assert_array_equal(one[1], [2.5])
+
+    def test_gathers_bands_longer_than_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "GATHER_CHUNK", 5)
+        rng = np.random.default_rng(4)
+        key_parts = [np.sort(rng.integers(0, 9, size=n)) for n in (7, 0, 13)]
+        value_parts = [rng.standard_normal(len(keys)) for keys in key_parts]
+        assert_same_merge(merge_in_place(key_parts, value_parts),
+                          reference_merge(key_parts, value_parts))
 
 
 class TestRowOffsets:

@@ -167,6 +167,35 @@ def test_writer_bands_fall_back_to_coo(bands):
     np.testing.assert_array_equal(got.data, want.data)
 
 
+@pytest.mark.parametrize("bands", [
+    [[1, 5], [6, 9], [10]],        # canonical bands
+    [[1, 5, 9], [9, 10], [11]],    # the COO fallback, holding bands
+    [[1, 5], [9, 3, 10], [2, 11]],
+])
+def test_writer_bands_may_be_views_the_next_band_overwrites(bands):
+    # As the merge tree's band workspace: one buffer, rewritten per band.
+    values = [np.arange(1.0, len(band) + 1) * (i + 1)
+              for i, band in enumerate(bands)]
+
+    def reused():
+        key_buffer = np.empty(3, dtype=np.int64)
+        value_buffer = np.empty(3)
+        for band, vals in zip(bands, values):
+            key_buffer[:len(band)] = band
+            value_buffer[:len(band)] = vals
+            yield key_buffer[:len(band)], value_buffer[:len(band)]
+
+    capacity = sum(map(len, bands))
+    want = PartialMatrixWriter(TrafficCounter()).write_bands(
+        [(np.array(band), vals) for band, vals in zip(bands, values)],
+        (3, 4), capacity=capacity)
+    got = PartialMatrixWriter(TrafficCounter()).write_bands(
+        reused(), (3, 4), capacity=capacity)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
 def test_writer_bands_are_checked():
     writer = PartialMatrixWriter(TrafficCounter())
     with pytest.raises(ValueError, match="outside shape"):

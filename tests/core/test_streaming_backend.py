@@ -5,11 +5,14 @@ The end-to-end contract (batched == scalar) lives in
 property test; this module exercises the pieces in isolation — the banded
 merge+fold of :class:`VectorizedMergeTree` against the scalar tree, rounds
 that mix pending leaves with materialised streams, the pending leaves
-against the scalar ``_LeafStreamer``, and the working set of one round.
+against the scalar ``_LeafStreamer``, the working set of one round, and
+the band workspaces that merge rounds borrow.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -55,6 +58,20 @@ def distinct_sorted_streams(rng, lengths, key_space=10_000):
     return [(np.sort(rng.choice(key_space, size=n, replace=False))
              * len(lengths) + i, rng.standard_normal(n))
             for i, n in enumerate(lengths)]
+
+
+def band_parts(tree, streams):
+    """Each band of a round as ``(key_parts, value_parts)``, one per stream.
+
+    A band's arrays are views of the round's workspace, valid until the
+    next band, so each slice is copied out.
+    """
+    for keys, values, bounds in tree._bands(streams,
+                                            vectorized._BandWorkspace()):
+        yield ([keys[start:stop].copy()
+                for start, stop in zip(bounds, bounds[1:])],
+               [values[start:stop].copy()
+                for start, stop in zip(bounds, bounds[1:])])
 
 
 def assert_same_counters(blocked, reference):
@@ -272,8 +289,8 @@ class TestBands:
             tree = VectorizedMergeTree(num_layers=4, block_elements=block)
             previous_top = None
             longest = 0
-            for key_parts, value_parts in tree._bands(
-                    [stream for stream, _, _ in round_tagged]):
+            for key_parts, value_parts in band_parts(
+                    tree, [stream for stream, _, _ in round_tagged]):
                 rows = [part // width for part in key_parts]
                 cutoff = max(int(part_rows[-1]) for part_rows in rows)
                 for part_rows in rows:
@@ -326,21 +343,23 @@ class TestBands:
                                                        monkeypatch):
         events = []
         real_bands = VectorizedMergeTree._bands
-        real_generate = VectorizedLeafStreamer._generate_products
+        real_generate = VectorizedLeafStreamer._generate_into
 
-        def spy_bands(tree, streams):
-            for key_parts, value_parts in real_bands(tree, streams):
-                keys = np.concatenate(key_parts)
+        def spy_bands(tree, streams, workspace):
+            for keys, values, bounds in real_bands(tree, streams, workspace):
                 events.append(("band", keys.min(), keys.max()))
-                yield key_parts, value_parts
+                yield keys, values, bounds
 
-        def spy_generate(streamer, elements):
-            keys, values = real_generate(streamer, elements)
-            events.append(("generate", keys))
-            return keys, values
+        def spy_generate(streamer, leaves, keys, values, positions):
+            real_generate(streamer, leaves, keys, values, positions)
+            before = streamer.products_before
+            events.append(("generate", np.concatenate(
+                [keys[:0], *[keys[offset:offset + before[stop]
+                                  - before[start]]
+                             for start, stop, offset in leaves]])))
 
         monkeypatch.setattr(VectorizedMergeTree, "_bands", spy_bands)
-        monkeypatch.setattr(VectorizedLeafStreamer, "_generate_products",
+        monkeypatch.setattr(VectorizedLeafStreamer, "_generate_into",
                             spy_generate)
         matrix = random_matrix(80, 80, 480, seed=4)
         config = SpArchConfig(enable_pipelined_merge=False,
@@ -387,7 +406,7 @@ class TestBatchedLeafStreamer:
             pending, values = batched.leaf_stream(leaf)
             want_keys, want_vals = reference.leaf_stream(leaf)
             assert values is None and len(pending) == len(want_keys)
-            bands = list(tree._bands([(pending, None)]))
+            bands = list(band_parts(tree, [(pending, None)]))
             same_bits(
                 (np.concatenate([want_keys[:0],
                                  *[keys for parts, _ in bands
@@ -422,16 +441,20 @@ def test_leaves_read_every_left_nonzero_once(streamer, condensing):
                 condensed.column(leaf).original_cols)
 
 
-def test_a_round_holds_one_band_beside_its_result():
+def test_a_round_holds_one_band_beside_its_result(monkeypatch):
     """A one-round multiply's traced peak stays near its result's size.
 
     The result's CSR arrays fill band by band, so beyond them the round
-    holds one band's products.  Materialising the round instead (before
-    band streaming) measured 3.3× the result's bytes here; bands measure
-    1.9×.
+    holds one band's products and the band workspace.  Materialising the
+    round instead (before band streaming) measured 3.3× the result's bytes
+    here; bands measured 1.9×, and with the workspace grown during the
+    multiply, as here, 2.1×.
     """
     matrix = random_matrix(50_000, 50_000, 400_000, seed=1)
     accelerator = SpArch(SpArchConfig(engine="vectorized"))
+    # No idle workspace, so the peak counts a cold one's growth whatever
+    # ran in this process before.
+    monkeypatch.setattr(vectorized, "_IDLE_WORKSPACES", [])
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -448,3 +471,81 @@ def test_a_round_holds_one_band_beside_its_result():
     result_bytes = (result.indptr.nbytes + result.indices.nbytes
                     + result.data.nbytes)
     assert peak / result_bytes < 2.5
+
+
+class TestBandWorkspace:
+    """Merge rounds borrow idle workspaces and give them back."""
+
+    def test_threads_multiplying_at_once_match_serial_runs(self,
+                                                           monkeypatch):
+        # Small bands make every round many bands, and a short switch
+        # interval interleaves the threads between them: a workspace shared
+        # by rounds that run at once would mix their bands.
+        monkeypatch.setattr(vectorized, "_IDLE_WORKSPACES", [])
+        operands = [generate_rmat(RMATConfig(num_rows=200, edge_factor=6,
+                                             seed=seed)) for seed in range(3)]
+        config = SpArchConfig(engine="vectorized", merge_tree_layers=2)
+        with mock.patch.object(vectorized, "BLOCK_ELEMENTS", 8):
+            serial = [SpArch(config).multiply(matrix, matrix)
+                      for matrix in operands]
+            barrier = threading.Barrier(len(operands))
+            concurrent = [None] * len(operands)
+
+            def multiply(index):
+                barrier.wait(timeout=60)
+                matrix = operands[index]
+                concurrent[index] = SpArch(config).multiply(matrix, matrix)
+
+            # Daemon threads: mixed bands can leave a round that never ends.
+            threads = [threading.Thread(target=multiply, args=(index,),
+                                        daemon=True)
+                       for index in range(len(operands))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(concurrent, serial):
+            assert got.stats == want.stats
+            np.testing.assert_array_equal(got.matrix.indptr,
+                                          want.matrix.indptr)
+            same_bits((got.matrix.indices, got.matrix.data),
+                      (want.matrix.indices, want.matrix.data))
+        # One workspace per round that ran at once, all given back.
+        assert 1 <= len(vectorized._IDLE_WORKSPACES) <= len(operands)
+
+    def test_threads_merging_in_turn_keep_one_workspace(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "_IDLE_WORKSPACES", [])
+        matrix = generate_rmat(RMATConfig(num_rows=200, edge_factor=6,
+                                          seed=1))
+        accelerator = SpArch(SpArchConfig(engine="vectorized"))
+        for _ in range(4):
+            thread = threading.Thread(target=accelerator.multiply,
+                                      args=(matrix, matrix), daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(vectorized._IDLE_WORKSPACES) == 1
+
+    def test_a_second_multiply_grows_no_buffer(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "_IDLE_WORKSPACES", [])
+        matrix = generate_rmat(RMATConfig(num_rows=300, edge_factor=8,
+                                          seed=2))
+        accelerator = SpArch(SpArchConfig(engine="vectorized"))
+
+        def buffers():
+            [workspace] = vectorized._IDLE_WORKSPACES
+            return [workspace.keys, workspace.values, workspace.positions,
+                    workspace.gathered]
+
+        accelerator.multiply(matrix, matrix)
+        first = buffers()
+        accelerator.multiply(matrix, matrix)
+        assert all(len(buffer) for buffer in first)
+        assert all(now is then for now, then in zip(buffers(), first))
+        np.testing.assert_array_equal(first[2], np.arange(len(first[2])))

@@ -13,6 +13,7 @@ import pytest
 from repro.metrics.report import SCHEMA_VERSION
 from repro.sweeps.driver import summarise_store_file
 from repro.sweeps.index import (
+    INDEX_VERSION,
     SweepIndex,
     drop_index,
     ensure_index,
@@ -127,7 +128,46 @@ class TestIncrementalMaintenance:
         store.close()
 
 
+#: The cells table of a version-1 sidecar, with its per-category
+#: ``traffic`` column.
+CELLS_V1 = """
+CREATE TABLE cells (
+    sweep_id TEXT NOT NULL, scenario TEXT NOT NULL, engine TEXT NOT NULL,
+    config_label TEXT NOT NULL, cell_index INTEGER NOT NULL,
+    key TEXT NOT NULL, report_key TEXT NOT NULL, offset INTEGER NOT NULL,
+    length INTEGER NOT NULL, status TEXT NOT NULL DEFAULT 'done',
+    cycles INTEGER NOT NULL, runtime_seconds REAL NOT NULL,
+    gflops REAL NOT NULL, log_gflops REAL NOT NULL,
+    dram_bytes INTEGER NOT NULL, traffic TEXT NOT NULL,
+    energy_joules REAL NOT NULL, output_nnz INTEGER NOT NULL,
+    multiplications INTEGER NOT NULL, additions INTEGER NOT NULL,
+    UNIQUE (sweep_id, scenario, engine, config_label)
+)
+"""
+
+
 class TestFreshnessProtocol:
+    def test_a_version_1_sidecar_is_rebuilt(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        build_store(path, 5).close()
+        with closing(sqlite3.connect(index_path(path))) as conn, conn:
+            conn.execute("DROP TABLE cells")
+            conn.execute(CELLS_V1)
+            conn.execute("UPDATE meta SET value = '1' "
+                         "WHERE key = 'index_version'")
+        index = ensure_index(path)
+        assert index.count() == 5
+        assert (index.summarise(title="T").render()
+                == summarise_store_file(path, title="T").render())
+        index.close()
+        with closing(sqlite3.connect(index_path(path))) as conn:
+            columns = [row[1] for row in conn.execute(
+                "PRAGMA table_info(cells)")]
+            assert "traffic" not in columns
+            assert conn.execute(
+                "SELECT value FROM meta WHERE key = 'index_version'"
+            ).fetchone() == (str(INDEX_VERSION),)
+
     def test_truncated_store_triggers_a_rebuild(self, tmp_path):
         path = tmp_path / "store.jsonl"
         build_store(path, 5).close()
@@ -217,8 +257,7 @@ class TestLazyStoreOpen:
         assert entry.report_key == "synth/000000|sparch|table1"
         lazy.close()
 
-    def test_conflicting_concatenated_file_is_refused_lazily_too(
-            self, tmp_path):
+    def test_every_reader_refuses_a_conflicting_store(self, tmp_path):
         path = tmp_path / "store.jsonl"
         record = synthetic_record(0)
         conflicting = SweepRecord(
@@ -227,8 +266,32 @@ class TestLazyStoreOpen:
             config_label=record.config_label, key="other-fingerprint",
             report=record.report)
         path.write_text(record.to_line() + conflicting.to_line())
+        cell = "synth/000000|sparch|table1"
         with pytest.raises(ValueError, match="conflicting records"):
             ResultStore(path)
+        with pytest.raises(ValueError, match="conflicting records"):
+            ResultStore(path, index=False)
+        with pytest.raises(ValueError, match="conflicting records"):
+            ensure_index(path)
+        with pytest.raises(ValueError, match=cell):
+            summarise_store_file(path)
+
+    def test_hydration_keeps_only_this_stores_cells(self, tmp_path):
+        # Both opens see the 3 cells at open plus their own append, not
+        # what another writer appended meanwhile.
+        path = tmp_path / "store.jsonl"
+        build_store(path, 3).close()
+        lazy, eager = ResultStore(path), ResultStore(path, index=False)
+        ResultStore(path, index=False).append(synthetic_record(3))
+        lazy.append(synthetic_record(4))
+        eager.append(synthetic_record(5))
+        for store, own in ((lazy, 4), (eager, 5)):
+            assert len(store) == 4
+            assert [record.cell_index for record in store.records] == [
+                0, 1, 2, own]
+            assert len(store.done_keys) == len(store.cell_entries()) == 4
+        assert lazy.index is not None  # hydrated, not the eager fallback
+        lazy.close()
 
     def test_stale_schema_lines_rotate_out(self, tmp_path):
         path = tmp_path / "store.jsonl"
