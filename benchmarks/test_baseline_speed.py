@@ -59,10 +59,10 @@ def test_vectorized_baselines_at_least_3x_faster():
         scalar = baseline_cls(engine="scalar")
         vectorized = baseline_cls(engine="vectorized")
         scalar_seconds = sum(
-            _best_of(REPEATS, lambda m=m: scalar.multiply(m, m))
+            _best_of(REPEATS, lambda m=m: scalar.run(m, m))
             for m in matrices)
         vectorized_seconds = sum(
-            _best_of(REPEATS, lambda m=m: vectorized.multiply(m, m))
+            _best_of(REPEATS, lambda m=m: vectorized.run(m, m))
             for m in matrices)
         scalar_total += scalar_seconds
         vectorized_total += vectorized_seconds

@@ -44,9 +44,9 @@ def main() -> None:
     print(f"accelerator area      : {AreaModel().total_area(config):.2f} mm²")
 
     # 4. Compare against the OuterSPACE baseline on the same workload.
-    outerspace = OuterSpaceAccelerator().multiply(matrix, matrix)
+    outerspace = OuterSpaceAccelerator().run(matrix, matrix).report
     speedup = outerspace.runtime_seconds / stats.runtime_seconds
-    traffic_saving = outerspace.traffic_bytes / stats.dram_bytes
+    traffic_saving = outerspace.dram_bytes / stats.dram_bytes
     print(f"speedup vs OuterSPACE : {speedup:.2f}x")
     print(f"DRAM saving vs OuterSPACE: {traffic_saving:.2f}x")
 

@@ -73,7 +73,7 @@ def main() -> None:
     print(f"prefetch hit rate     : {stats.prefetch_hit_rate:.1%}")
 
     # How long would the same kernel take on a desktop CPU (MKL-class)?
-    mkl = GustavsonSpGEMM().multiply(graph, graph)
+    mkl = GustavsonSpGEMM().run(graph, graph).report
     print("\n--- same kernel on an MKL-class CPU ---")
     print(f"modelled runtime      : {mkl.runtime_seconds * 1e6:.1f} µs "
           f"({mkl.gflops:.2f} GFLOP/s)")
@@ -85,7 +85,7 @@ def main() -> None:
     for degree in (16.0, 8.0, 4.0):
         graph = build_undirected_graph(1500, degree, seed=7)
         _, sweep_stats = count_triangles_on_sparch(graph)
-        mkl_sweep = GustavsonSpGEMM().multiply(graph, graph)
+        mkl_sweep = GustavsonSpGEMM().run(graph, graph).report
         ratio = mkl_sweep.runtime_seconds / sweep_stats.runtime_seconds
         print(f"avg degree {degree:5.1f}: density {graph.density:.2e}  "
               f"SpArch {sweep_stats.gflops:6.2f} GFLOP/s  "

@@ -32,7 +32,6 @@ from repro.baselines.base import (
     DEFAULT_ENGINE,
     BaselineCounters,
     BaselineEngine,
-    BaselineResult,
 )
 from repro.baselines.gustavson import GustavsonSpGEMM
 from repro.baselines.hash_spgemm import HashSpGEMM
@@ -52,7 +51,6 @@ from repro.baselines.sort_spgemm import ESCSpGEMM
 __all__ = [
     "BaselineCounters",
     "BaselineEngine",
-    "BaselineResult",
     "DEFAULT_ENGINE",
     "OuterSpaceAccelerator",
     "GustavsonSpGEMM",

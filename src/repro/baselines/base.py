@@ -1,4 +1,4 @@
-"""Common engine layer, counter math and result containers for all baselines.
+"""Common engine layer, counter math and kernel counters for all baselines.
 
 Every baseline SpGEMM in this package follows the same two-backend structure
 the core accelerator got with ``SpArchConfig.engine``:
@@ -21,11 +21,11 @@ purely so comparison sweeps (Table 2, Figure 11, Figure 14) run at engine
 speed instead of Python-loop speed.
 
 :class:`BaselineEngine` is the :class:`~repro.engines.base.Engine` every
-baseline is: it owns the backend dispatch, the shared
-runtime/energy/:class:`BaselineResult` construction, the cost report of
-:meth:`BaselineEngine.run`, and the cache identity used by
-:class:`repro.experiments.runner.ExperimentRunner`; subclasses only provide
-their dataflow-specific kernels and traffic formulas.
+baseline is: it owns the backend dispatch, the one pricing of kernel
+counters into the cost report of :meth:`BaselineEngine.run`, and the cache
+identity used by :class:`repro.experiments.runner.ExperimentRunner`;
+subclasses only provide their dataflow-specific kernels and traffic
+formulas.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def accumulator_counters(matrix_a: CSRMatrix, matrix_b: CSRMatrix,
 
 
 # ----------------------------------------------------------------------
-# Result containers
+# Kernel counters
 # ----------------------------------------------------------------------
 @dataclass
 class BaselineCounters:
@@ -143,55 +143,6 @@ class BaselineCounters:
     traffic_bytes: int | None = None
 
 
-@dataclass
-class BaselineResult:
-    """Outcome of running one baseline SpGEMM.
-
-    Attributes:
-        matrix: the exact CSR result (all baselines are functionally exact).
-        runtime_seconds: modelled kernel runtime on the baseline's platform.
-        traffic_bytes: modelled main-memory traffic of the kernel.
-        multiplications: scalar multiplications performed.
-        additions: scalar additions performed.
-        bookkeeping_ops: insert/hash/sort operations the algorithm needed.
-        energy_joules: modelled dynamic energy of the run.
-        platform: name of the platform model used.
-        extras: algorithm-specific counters (hash collisions, sort passes,
-            heap operations, ...), for tests and ablation analysis.
-    """
-
-    matrix: CSRMatrix
-    runtime_seconds: float
-    traffic_bytes: int
-    multiplications: int
-    additions: int
-    bookkeeping_ops: int
-    energy_joules: float
-    platform: str
-    extras: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def flops(self) -> int:
-        """Useful floating point operations (multiplications + additions)."""
-        return self.multiplications + self.additions
-
-    @property
-    def gflops(self) -> float:
-        """Achieved GFLOP/s of the modelled execution."""
-        if self.runtime_seconds <= 0:
-            return 0.0
-        return self.flops / self.runtime_seconds / 1e9
-
-    @property
-    def nnz(self) -> int:
-        """Nonzeros of the result matrix."""
-        return self.matrix.nnz
-
-    def __repr__(self) -> str:
-        return (f"BaselineResult(platform={self.platform!r}, nnz={self.nnz}, "
-                f"runtime={self.runtime_seconds:.3e}s, gflops={self.gflops:.3f})")
-
-
 # ----------------------------------------------------------------------
 # The engine base
 # ----------------------------------------------------------------------
@@ -200,10 +151,10 @@ class BaselineEngine(Engine):
 
     Subclasses implement :meth:`_multiply_scalar` (the algorithm, element at
     a time) and :meth:`_multiply_vectorized` (batched product + closed-form
-    counters), both returning ``(result_matrix, BaselineCounters)``; the
-    engine turns either into a :class:`BaselineResult` through one shared
-    platform-model path, so runtime/energy can never diverge between the
-    backends for the same counters.
+    counters), both returning ``(result_matrix, BaselineCounters)``;
+    :meth:`run` prices either through one shared platform-model path, so
+    runtime/energy can never diverge between the backends for the same
+    counters.
 
     Each subclass declares its registry id as ``name`` ("mkl") and its
     comparison-table label as ``display_name`` ("MKL").
@@ -258,8 +209,23 @@ class BaselineEngine(Engine):
         }
 
     # ------------------------------------------------------------------
-    def multiply(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix) -> BaselineResult:
-        """Compute ``A · B`` on the selected backend and model its cost."""
+    def run(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix | None = None
+            ) -> EngineRun:
+        """Compute ``A · B`` (``B = A`` by default) and price it.
+
+        The selected backend's kernel yields the result and its
+        :class:`BaselineCounters`; the traffic hook and the platform model
+        turn those into the cost report.  The headline ``energy_joules``
+        keeps the platform model's number (runtime × dynamic power — the
+        Figure 12 methodology); ``energy`` additionally carries the uniform
+        per-event accounting so baseline points get the same Table III-style
+        view as SpArch (DESIGN.md).  ``detail`` records the run's scalar
+        outcome, result matrix aside.
+        """
+        from repro.analysis.energy import EnergyModel
+
+        if matrix_b is None:
+            matrix_b = matrix_a
         if matrix_a.shape[1] != matrix_b.shape[0]:
             raise ValueError(
                 f"dimension mismatch: cannot multiply {matrix_a.shape} by "
@@ -277,68 +243,41 @@ class BaselineEngine(Engine):
             traffic_bytes=traffic,
             bookkeeping_ops=counters.bookkeeping_ops,
         )
-        return BaselineResult(
-            matrix=matrix,
+        energy_joules = self._platform.energy_joules(runtime)
+        detail = {
+            "baseline": self.display_name,
+            "platform": self._platform.name,
+            "engine": self.backend,
+            "runtime_seconds": runtime,
+            "traffic_bytes": traffic,
+            "multiplications": counters.multiplications,
+            "additions": counters.additions,
+            "bookkeeping_ops": counters.bookkeeping_ops,
+            "energy_joules": energy_joules,
+            "result_nnz": matrix.nnz,
+            "extras": dict(counters.extras),
+        }
+        report = CostReport(
+            engine=self.name,
+            kind=self.kind,
+            backend=self.backend,
             runtime_seconds=runtime,
-            traffic_bytes=traffic,
             multiplications=counters.multiplications,
             additions=counters.additions,
             bookkeeping_ops=counters.bookkeeping_ops,
-            energy_joules=self._platform.energy_joules(runtime),
-            platform=self._platform.name,
-            extras=counters.extras,
-        )
-
-    def run(self, matrix_a: CSRMatrix, matrix_b: CSRMatrix | None = None
-            ) -> EngineRun:
-        right = matrix_a if matrix_b is None else matrix_b
-        result = self.multiply(matrix_a, right)
-        return EngineRun(matrix=result.matrix, report=self._report(result))
-
-    def _report(self, result: BaselineResult) -> CostReport:
-        """The cost report of one run.
-
-        The headline ``energy_joules`` keeps the platform model's number
-        (runtime × dynamic power — the Figure 12 methodology); ``energy``
-        additionally carries the uniform per-event accounting so baseline
-        points get the same Table III-style view as SpArch (DESIGN.md).
-        ``detail`` records the run's scalar outcome, result matrix aside.
-        """
-        from repro.analysis.energy import EnergyModel
-
-        detail = {
-            "baseline": self.display_name,
-            "platform": result.platform,
-            "engine": self.backend,
-            "runtime_seconds": result.runtime_seconds,
-            "traffic_bytes": result.traffic_bytes,
-            "multiplications": result.multiplications,
-            "additions": result.additions,
-            "bookkeeping_ops": result.bookkeeping_ops,
-            "energy_joules": result.energy_joules,
-            "result_nnz": result.nnz,
-            "extras": dict(result.extras),
-        }
-        return CostReport(
-            engine=self.name,
-            kind="baseline",
-            backend=self.backend,
-            runtime_seconds=result.runtime_seconds,
-            multiplications=result.multiplications,
-            additions=result.additions,
-            bookkeeping_ops=result.bookkeeping_ops,
-            output_nnz=result.nnz,
-            traffic={"total": int(result.traffic_bytes)},
+            output_nnz=matrix.nnz,
+            traffic={"total": int(traffic)},
             energy=EnergyModel().event_energy(
-                multiplications=result.multiplications,
-                additions=result.additions,
-                bookkeeping_ops=result.bookkeeping_ops,
-                dram_bytes=result.traffic_bytes,
+                multiplications=counters.multiplications,
+                additions=counters.additions,
+                bookkeeping_ops=counters.bookkeeping_ops,
+                dram_bytes=traffic,
             ),
-            energy_joules=result.energy_joules,
-            extras=dict(result.extras),
+            energy_joules=energy_joules,
+            extras=dict(counters.extras),
             detail=detail,
         )
+        return EngineRun(matrix=matrix, report=report)
 
     # ------------------------------------------------------------------
     # Backend hooks

@@ -119,23 +119,6 @@ class SimulationStats:
             traffic.add(TrafficCategory(name), int(num_bytes))
         return cls(traffic=traffic, **data)
 
-    def summary(self) -> dict[str, float]:
-        """Flat dict of the headline numbers, for reporting."""
-        return {
-            "cycles": float(self.cycles),
-            "runtime_seconds": self.runtime_seconds,
-            "gflops": self.gflops,
-            "dram_bytes": float(self.dram_bytes),
-            "operational_intensity": self.operational_intensity,
-            "bandwidth_utilization": self.bandwidth_utilization,
-            "multiplications": float(self.multiplications),
-            "additions": float(self.additions),
-            "output_nnz": float(self.output_nnz),
-            "num_partial_matrices": float(self.num_partial_matrices),
-            "num_merge_rounds": float(self.num_merge_rounds),
-            "prefetch_hit_rate": self.prefetch_hit_rate,
-        }
-
 
 @dataclass
 class SpGEMMResult:

@@ -379,11 +379,6 @@ class VectorizedMergeTree(MergeTree):
             raise ValueError(
                 f"cannot merge {len(streams)} streams on a {self.num_ways}-way tree"
             )
-        # Input streams must be key-sorted: the band cutoffs are found by
-        # binary search.  Unlike the scalar tree this does not check it, as
-        # the accelerator only ever feeds it streams that are sorted by
-        # construction (multiplier output and previously folded rounds);
-        # the scalar tree is the validating reference.
         cleaned: list[tuple[np.ndarray | LeafProducts, np.ndarray | None]] = []
         for keys, values in streams:
             if not isinstance(keys, LeafProducts):
@@ -393,6 +388,11 @@ class VectorizedMergeTree(MergeTree):
                 values = np.asarray(values, dtype=np.float64)
                 if len(keys) != len(values):
                     raise ValueError("keys and values must have equal length")
+                # The band cutoffs are binary searches, which an unsorted
+                # stream would send backwards; pending leaves are sorted by
+                # construction.
+                if len(keys) > 1 and np.any(keys[1:] < keys[:-1]):
+                    raise ValueError("merge tree inputs must be key-sorted")
             cleaned.append((keys, values))
         lengths = [len(keys) for keys, _ in cleaned]
         if cleaned:

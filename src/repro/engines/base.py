@@ -51,9 +51,9 @@ class Engine(abc.ABC):
     Attributes:
         name: registry id, lowercase ("sparch", "mkl", "outerspace", ...).
         display_name: label used in comparison tables ("SpArch", "MKL").
-        kind: ``"simulation"`` (cycle-accurate, cached under ``sim/``) or
-            ``"baseline"`` (platform performance model, cached under
-            ``baseline/``).
+        kind: ``"simulation"`` (cycle-accurate; the kind that takes a
+            configuration) or ``"baseline"`` (platform performance model).
+            Registry entries do not repeat it: read it from the class.
     """
 
     name: str = "engine"

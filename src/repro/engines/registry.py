@@ -36,48 +36,44 @@ from repro.engines.sparch import SpArchEngine
 class EngineEntry:
     """One registered engine.
 
+    The registry id and the kind are the class's own: ``factory.name``
+    ("sparch", "mkl", ...) and ``factory.kind``.
+
     Attributes:
-        name: registry id used for dispatch ("sparch", "mkl", ...).
         title: what the engine models.
-        kind: ``"simulation"`` or ``"baseline"``.
         factory: the engine class itself; keyword arguments are
             forwarded (``config=`` for sparch, ``engine=`` backend and
             platform/model parameters for baselines).
     """
 
-    name: str
     title: str
-    kind: str
     factory: type[Engine]
 
 
 #: Every engine: the SpArch simulator plus the seven baselines, in the
 #: order the paper introduces them.
 ENGINES: tuple[EngineEntry, ...] = (
-    EngineEntry("sparch", "SpArch accelerator simulator (this paper)",
-                "simulation", SpArchEngine),
-    EngineEntry("outerspace", "OuterSPACE outer-product accelerator",
-                "baseline", OuterSpaceAccelerator),
-    EngineEntry("mkl", "Intel MKL-class Gustavson SpGEMM (6-core CPU)",
-                "baseline", GustavsonSpGEMM),
-    EngineEntry("cusparse", "cuSPARSE-class hash SpGEMM (TITAN Xp)",
-                "baseline", HashSpGEMM),
-    EngineEntry("cusp", "CUSP-class expand-sort-compress SpGEMM (TITAN Xp)",
-                "baseline", ESCSpGEMM),
-    EngineEntry("armadillo", "ARM Armadillo-class naive SpGEMM (quad A53)",
-                "baseline", ArmadilloSpGEMM),
-    EngineEntry("heap", "Heap-based row-merge SpGEMM (related work)",
-                "baseline", HeapSpGEMM),
-    EngineEntry("innerproduct", "Vanilla inner-product dataflow (Figure 1)",
-                "baseline", InnerProductSpGEMM),
+    EngineEntry("SpArch accelerator simulator (this paper)", SpArchEngine),
+    EngineEntry("OuterSPACE outer-product accelerator",
+                OuterSpaceAccelerator),
+    EngineEntry("Intel MKL-class Gustavson SpGEMM (6-core CPU)",
+                GustavsonSpGEMM),
+    EngineEntry("cuSPARSE-class hash SpGEMM (TITAN Xp)", HashSpGEMM),
+    EngineEntry("CUSP-class expand-sort-compress SpGEMM (TITAN Xp)",
+                ESCSpGEMM),
+    EngineEntry("ARM Armadillo-class naive SpGEMM (quad A53)",
+                ArmadilloSpGEMM),
+    EngineEntry("Heap-based row-merge SpGEMM (related work)", HeapSpGEMM),
+    EngineEntry("Vanilla inner-product dataflow (Figure 1)",
+                InnerProductSpGEMM),
 )
 
-_BY_NAME = {entry.name: entry for entry in ENGINES}
+_BY_NAME = {entry.factory.name: entry for entry in ENGINES}
 
 
 def list_engines() -> list[str]:
     """Return the registered engine names in presentation order."""
-    return [entry.name for entry in ENGINES]
+    return [entry.factory.name for entry in ENGINES]
 
 
 def get_engine_entry(name: str) -> EngineEntry:

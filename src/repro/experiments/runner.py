@@ -21,9 +21,8 @@ canonical schema:
 * **Memoisation** — each point is fingerprinted (SHA-256 over the CSR
   arrays and the engine's model identity) and cached in memory always and
   on disk when a cache directory is configured (``--cache-dir`` on the CLI
-  or ``REPRO_CACHE_DIR`` in the environment): JSON files under
-  ``<cache_dir>/sim/`` for simulation points and ``<cache_dir>/baseline/``
-  for baseline points.
+  or ``REPRO_CACHE_DIR`` in the environment): one ``<cache_dir>/<key>.json``
+  file per point, SpArch and baseline alike — the key alone addresses it.
 * **Backend sharing** — the execution backend (scalar/vectorized) is
   *excluded* from the fingerprint: the differential harnesses
   (``tests/integration/test_engine_equivalence.py``,
@@ -292,8 +291,9 @@ class ExperimentRunner:
     """Runs engine points with memoisation and optional process fan-out.
 
     Args:
-        cache_dir: directory for the on-disk result cache; ``None`` keeps
-            the cache in memory only (one process lifetime).
+        cache_dir: directory for the on-disk result cache, one
+            ``<key>.json`` file per :meth:`point_key`; ``None`` keeps the
+            cache in memory only (one process lifetime).
         jobs: worker processes for :meth:`run_engine_many`; ``1`` runs
             in-process.
         engine: when set, forces the execution *backend* (``"scalar"``
@@ -354,16 +354,6 @@ class ExperimentRunner:
         return self._store.stats()
 
     # ------------------------------------------------------------------
-    def _cache_load(self, key: str, kind: str) -> dict | None:
-        return self._store.load(key, kind)
-
-    def _cache_store(self, key: str, payload: dict, kind: str) -> None:
-        self._store.store(key, payload, kind)
-
-    @staticmethod
-    def _cache_kind(engine: Engine) -> str:
-        return "sim" if engine.kind == "simulation" else "baseline"
-
     def _effective_engine(self, engine: Engine | str) -> Engine:
         """Resolve a name and apply the runner's forced backend, if any."""
         engine = resolve_engine(engine)
@@ -408,8 +398,7 @@ class ExperimentRunner:
         key = engine_point_key(engine, matrix_a, matrix_b,
                                include_backend=self._engine is not None)
         payload, _ = self._store.get_or_compute(
-            key, self._cache_kind(engine),
-            lambda: _engine_task((engine, matrix_a, matrix_b)))
+            key, lambda: _engine_task((engine, matrix_a, matrix_b)))
         return CostReport.from_dict(payload)
 
     def run_engine_keyed(self, engine: Engine | str, *, key: str,
@@ -441,8 +430,7 @@ class ExperimentRunner:
                 setup()
             return _engine_task((engine, matrix_supplier(), None))
 
-        payload, outcome = self._store.get_or_compute(
-            key, self._cache_kind(engine), compute)
+        payload, outcome = self._store.get_or_compute(key, compute)
         return CostReport.from_dict(payload), outcome
 
     def run_engine_many(self, tasks: list[tuple[Engine | str, CSRMatrix]],
@@ -487,14 +475,11 @@ class ExperimentRunner:
                 f"keys length {len(keys)} does not match "
                 f"{len(tasks)} tasks"
             )
-        kinds = [self._cache_kind(engine) for engine in engines]
 
         missing: dict[str, tuple[Engine, CSRMatrix, None]] = {}
-        missing_kinds: dict[str, str] = {}
-        for engine, (_, matrix), key, kind in zip(engines, tasks, keys, kinds):
-            if self._cache_load(key, kind) is None and key not in missing:
+        for engine, (_, matrix), key in zip(engines, tasks, keys):
+            if self._store.load(key) is None and key not in missing:
                 missing[key] = (engine, matrix, None)
-                missing_kinds[key] = kind
 
         self._store.record_batch(hits=len(keys) - len(missing),
                                  misses=len(missing))
@@ -506,7 +491,7 @@ class ExperimentRunner:
                 # Only successful points enter the memo: a timed-out or
                 # failed point stays uncached so a retry really retries.
                 if isinstance(payload, dict):
-                    self._cache_store(key, payload, missing_kinds[key])
+                    self._store.store(key, payload)
         elif missing:
             groups: dict[object, list[str]] = {}
             for key, (engine, matrix, _) in missing.items():
@@ -523,11 +508,11 @@ class ExperimentRunner:
                 payloads = [_engine_group_task(task) for task in group_tasks]
             for members, group_payloads in zip(group_keys, payloads):
                 for key, payload in zip(members, group_payloads):
-                    self._cache_store(key, payload, missing_kinds[key])
+                    self._store.store(key, payload)
 
         reports: list[CostReport | None] = []
-        for key, kind in zip(keys, kinds):
-            payload = self._cache_load(key, kind)
+        for key in keys:
+            payload = self._store.load(key)
             reports.append(CostReport.from_dict(payload)
                            if payload is not None else None)
         if timeout is None:

@@ -1,11 +1,11 @@
 """The canonical cost schema: one :class:`CostReport` per executed point.
 
-Two native schemas produce the numbers:
-:class:`~repro.core.stats.SimulationStats` for the SpArch simulator and
-:class:`~repro.baselines.base.BaselineResult` for the seven comparison
-baselines.  Every consumer (experiment harnesses, the memoising runner,
-the workload pipelines, the analysis views) holds a :class:`CostReport`
-instead, whichever engine ran:
+The SpArch simulator's :class:`~repro.core.stats.SimulationStats` is the
+one native schema; the seven comparison baselines price their kernel
+counters (:class:`~repro.baselines.base.BaselineCounters`) straight into a
+report.  Every consumer (experiment harnesses, the memoising runner, the
+workload pipelines, the analysis views) holds a :class:`CostReport`,
+whichever engine ran:
 
 * **canonical counters** — cycles, modelled runtime, multiplications,
   additions, bookkeeping and comparator operations, output nonzeros;

@@ -251,7 +251,7 @@ class SpGEMMService:
             raise RequestError(
                 f"'config' must be a dict of SpArchConfig overrides, got "
                 f"{type(overrides).__name__}")
-        if overrides and entry.kind != "simulation":
+        if overrides and entry.factory.kind != "simulation":
             raise RequestError(
                 f"engine {engine_name!r} takes no configuration; drop "
                 f"'config' or use a simulation engine")
@@ -398,8 +398,6 @@ class SpGEMMService:
         fingerprint = scenario_fingerprint(req.scenario,
                                            build=self._matrix_for)
         key = self._runner.point_key(engine, None, fingerprint_a=fingerprint)
-        kind = "sim" if get_engine_entry(req.engine_name).kind == \
-            "simulation" else "baseline"
         setup = None
         if req.delay > 0 and self._options.debug_delay:
             setup = lambda: time.sleep(req.delay)  # noqa: E731
@@ -410,7 +408,7 @@ class SpGEMMService:
                 matrix_supplier=lambda: self._matrix_for(req.scenario),
                 setup=setup)
 
-        if self._runner.store.load(key, kind) is not None:
+        if self._runner.store.load(key) is not None:
             # Warm point: answered without a worker slot (the store call
             # below is a memory hit — no operand is ever built).
             report, outcome = run()

@@ -39,9 +39,6 @@ import threading
 import time
 from pathlib import Path
 
-#: The cache kinds (subdirectories of the disk tier) the runner uses.
-REPORT_KINDS = ("sim", "baseline")
-
 
 class _Inflight:
     """One in-flight computation: waiters park on the event."""
@@ -56,15 +53,19 @@ class _Inflight:
 class ReportStore:
     """Concurrent-safe two-tier (memory + optional disk) report store.
 
+    The point key is the whole address in both tiers: the memory tier maps
+    it to a payload, and the disk tier holds ``<cache_dir>/<key>.json``.
+    The key already identifies the engine, so nothing else partitions the
+    store.
+
     Args:
-        cache_dir: directory for the on-disk tier; ``None`` keeps results
-            in memory only (one process lifetime).
-        kinds: cache-kind subdirectories to create under ``cache_dir``.
+        cache_dir: directory for the on-disk tier, one ``<key>.json`` file
+            per point; ``None`` keeps results in memory only (one process
+            lifetime).
         clock: injectable monotonic clock for latency accounting (tests).
     """
 
     def __init__(self, *, cache_dir: str | os.PathLike | None = None,
-                 kinds: tuple[str, ...] = REPORT_KINDS,
                  clock=time.perf_counter) -> None:
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._clock = clock
@@ -77,8 +78,7 @@ class ReportStore:
         self._compute_seconds = 0.0
         self._coalesced_wait_seconds = 0.0
         if self._cache_dir is not None:
-            for kind in kinds:
-                (self._cache_dir / kind).mkdir(parents=True, exist_ok=True)
+            self._cache_dir.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
     @property
@@ -103,12 +103,12 @@ class ReportStore:
     # ------------------------------------------------------------------
     # The two tiers
     # ------------------------------------------------------------------
-    def _disk_path(self, key: str, kind: str) -> Path | None:
+    def _disk_path(self, key: str) -> Path | None:
         if self._cache_dir is None:
             return None
-        return self._cache_dir / kind / f"{key}.json"
+        return self._cache_dir / f"{key}.json"
 
-    def load(self, key: str, kind: str) -> dict | None:
+    def load(self, key: str) -> dict | None:
         """Fetch a payload from memory, then disk; ``None`` on a miss.
 
         A pure probe: counts nothing (batch callers account for whole
@@ -120,7 +120,7 @@ class ReportStore:
             payload = self._memory.get(key)
         if payload is not None:
             return payload
-        path = self._disk_path(key, kind)
+        path = self._disk_path(key)
         if path is None or not path.is_file():
             return None
         try:
@@ -131,7 +131,7 @@ class ReportStore:
             self._memory.setdefault(key, payload)
         return payload
 
-    def store(self, key: str, payload: dict, kind: str) -> None:
+    def store(self, key: str, payload: dict) -> None:
         """Insert a payload into both tiers (disk write is best-effort).
 
         The disk write goes through a per-process temporary file renamed
@@ -140,7 +140,7 @@ class ReportStore:
         """
         with self._lock:
             self._memory[key] = payload
-        path = self._disk_path(key, kind)
+        path = self._disk_path(key)
         if path is None:
             return
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
@@ -153,8 +153,7 @@ class ReportStore:
     # ------------------------------------------------------------------
     # Coalescing fetch-or-compute
     # ------------------------------------------------------------------
-    def get_or_compute(self, key: str, kind: str, compute
-                       ) -> tuple[dict, str]:
+    def get_or_compute(self, key: str, compute) -> tuple[dict, str]:
         """Fetch ``key`` or run ``compute`` exactly once across threads.
 
         Returns ``(payload, outcome)`` where the outcome is ``"hit"``
@@ -189,7 +188,7 @@ class ReportStore:
                     self._coalesced_wait_seconds += self._clock() - started
                 return entry.payload, "coalesced"
             try:
-                payload = self.load(key, kind)
+                payload = self.load(key)
                 if payload is not None:
                     outcome = "hit"
                     with self._lock:
@@ -199,7 +198,7 @@ class ReportStore:
                     started = self._clock()
                     payload = compute()
                     elapsed = self._clock() - started
-                    self.store(key, payload, kind)
+                    self.store(key, payload)
                     with self._lock:
                         self._misses += 1
                         self._compute_seconds += elapsed

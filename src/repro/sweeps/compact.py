@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.sweeps.index import IndexUnavailable, SweepIndex, drop_index
-from repro.sweeps.store import parse_line
+from repro.sweeps.store import conflicting_store_error, parse_line
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,7 @@ def compact_store(path: str | os.PathLike, *,
                 elif existing == (record.key, record.cell_index):
                     dropped_duplicates += 1
                 else:
-                    raise ValueError(
-                        f"store {path} holds conflicting records for cell "
-                        f"{'|'.join(record.cell[1:])!r} of sweep "
-                        f"{record.cell[0]!r} — it mixes results written "
-                        f"under different parameters or spec revisions"
-                    )
+                    raise conflicting_store_error(path, record.cell)
             sink.flush()
             if fsync:
                 os.fsync(sink.fileno())

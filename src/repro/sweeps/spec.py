@@ -129,7 +129,7 @@ def enumerate_cells(spec: SweepSpec, *, max_rows: int | None = None
     cells: list[SweepCell] = []
     for scenario in spec.corpus_spec(max_rows=max_rows).scenarios:
         for engine in spec.engines:
-            if get_engine_entry(engine).kind == "simulation":
+            if get_engine_entry(engine).factory.kind == "simulation":
                 for label, config in spec.configs:
                     cells.append(SweepCell(len(cells), scenario, engine,
                                            label, config))

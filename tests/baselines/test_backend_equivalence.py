@@ -4,8 +4,9 @@ Every baseline runs on two backends (``BaselineEngine``): the scalar
 reference loop and the vectorized fast path with closed-form counters.  This
 harness proves, over the benchmark matrix suite plus adversarial edge cases,
 that the two backends agree *exactly* — bit-identical result matrices and
-equal values for every modelled quantity (runtime, traffic, energy,
-multiplications, additions, bookkeeping and all algorithm-specific extras).
+equal cost reports (runtime, traffic, energy, multiplications, additions,
+bookkeeping and all algorithm-specific extras), apart from the labels that
+name the backend.
 
 This equivalence is what licenses :class:`ExperimentRunner` to share cached
 baseline points between engines (and the comparison sweeps to default to the
@@ -41,11 +42,6 @@ ALL_BASELINES = [
     InnerProductSpGEMM,
 ]
 
-#: Exactly-compared scalar fields of a BaselineResult.
-EXACT_FIELDS = ("runtime_seconds", "traffic_bytes", "multiplications",
-                "additions", "bookkeeping_ops", "energy_joules", "platform")
-
-
 def _suite_matrices() -> dict[str, CSRMatrix]:
     """The benchmark suite (scaled down) plus synthetic stress matrices."""
     matrices = dict(load_suite(max_rows=200, names=benchmark_names()[:8]))
@@ -58,11 +54,19 @@ def _suite_matrices() -> dict[str, CSRMatrix]:
 SUITE = _suite_matrices()
 
 
+def _unlabelled(report) -> dict:
+    """A report's dict without the two fields that name its backend."""
+    payload = report.to_dict()
+    del payload["backend"]
+    del payload["detail"]["engine"]
+    return payload
+
+
 def assert_backends_identical(baseline_cls, matrix_a: CSRMatrix,
                               matrix_b: CSRMatrix, **kwargs) -> None:
     """Assert scalar and vectorized runs of one baseline agree exactly."""
-    scalar = baseline_cls(engine="scalar", **kwargs).multiply(matrix_a, matrix_b)
-    fast = baseline_cls(engine="vectorized", **kwargs).multiply(matrix_a, matrix_b)
+    scalar = baseline_cls(engine="scalar", **kwargs).run(matrix_a, matrix_b)
+    fast = baseline_cls(engine="vectorized", **kwargs).run(matrix_a, matrix_b)
 
     # Bit-identical functional result.
     assert scalar.matrix.shape == fast.matrix.shape
@@ -72,13 +76,10 @@ def assert_backends_identical(baseline_cls, matrix_a: CSRMatrix,
         f"{baseline_cls.__name__}: result values differ between backends")
 
     # Identical counters, modelled quantities and extras.
-    for field in EXACT_FIELDS:
-        assert getattr(scalar, field) == getattr(fast, field), (
-            f"{baseline_cls.__name__}.{field}: "
-            f"scalar={getattr(scalar, field)!r} "
-            f"vectorized={getattr(fast, field)!r}")
-    assert scalar.extras == fast.extras, (
-        f"{baseline_cls.__name__}.extras: {scalar.extras} != {fast.extras}")
+    assert scalar.report.backend == "scalar"
+    assert fast.report.backend == "vectorized"
+    assert _unlabelled(scalar.report) == _unlabelled(fast.report), (
+        f"{baseline_cls.__name__}: cost reports differ between backends")
 
 
 @pytest.mark.parametrize("baseline_cls", ALL_BASELINES)

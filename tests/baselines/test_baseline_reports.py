@@ -22,7 +22,7 @@ FROZEN = json.loads(
     (Path(__file__).with_name("baseline_reports.json")).read_text())
 
 BASELINES = [name for name in list_engines()
-             if get_engine_entry(name).kind == "baseline"]
+             if get_engine_entry(name).factory.kind == "baseline"]
 
 
 def test_every_baseline_is_frozen():

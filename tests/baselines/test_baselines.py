@@ -43,49 +43,48 @@ def rectangular_pair() -> tuple[CSRMatrix, CSRMatrix]:
 @pytest.mark.parametrize("baseline_cls", ALL_BASELINES)
 class TestFunctionalCorrectness:
     def test_square_product_matches_scipy(self, baseline_cls, square_matrix):
-        result = baseline_cls().multiply(square_matrix, square_matrix)
+        result = baseline_cls().run(square_matrix, square_matrix)
         assert matrices_allclose(result.matrix,
                                  scipy_spgemm(square_matrix, square_matrix))
 
     def test_rectangular_product_matches_scipy(self, baseline_cls,
                                                rectangular_pair):
         a, b = rectangular_pair
-        result = baseline_cls().multiply(a, b)
+        result = baseline_cls().run(a, b)
         assert result.matrix.shape == (40, 30)
         assert matrices_allclose(result.matrix, scipy_spgemm(a, b))
 
     def test_empty_operand(self, baseline_cls):
         empty = CSRMatrix.empty((8, 8))
         dense = random_matrix(8, 8, 20, seed=1)
-        result = baseline_cls().multiply(empty, dense)
+        result = baseline_cls().run(empty, dense)
         assert result.matrix.nnz == 0
-        assert result.runtime_seconds >= 0
+        assert result.report.runtime_seconds >= 0
 
     def test_dimension_mismatch_rejected(self, baseline_cls):
         a = random_matrix(5, 6, 10, seed=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            baseline_cls().multiply(a, a)
+            baseline_cls().run(a, a)
 
 
 @pytest.mark.parametrize("baseline_cls", ALL_BASELINES)
 class TestPerformanceModel:
     def test_result_counters_are_consistent(self, baseline_cls, square_matrix):
-        result = baseline_cls().multiply(square_matrix, square_matrix)
+        result = baseline_cls().run(square_matrix, square_matrix)
+        report = result.report
         b_row_nnz = square_matrix.nnz_per_row()
         expected_multiplications = int(b_row_nnz[square_matrix.indices].sum())
-        assert result.multiplications == expected_multiplications
-        assert result.additions >= 0
-        assert result.flops == result.multiplications + result.additions
-        assert result.traffic_bytes > 0
-        assert result.runtime_seconds > 0
-        assert result.energy_joules > 0
-        assert result.gflops > 0
-        assert result.nnz == result.matrix.nnz
-        assert result.platform
+        assert report.multiplications == expected_multiplications
+        assert report.additions >= 0
+        assert report.flops == report.multiplications + report.additions
+        assert report.dram_bytes > 0
+        assert report.runtime_seconds > 0
+        assert report.energy_joules > 0
+        assert report.gflops > 0
+        assert report.output_nnz == result.matrix.nnz
+        assert report.detail["platform"]
 
-    def test_repr_is_informative(self, baseline_cls, square_matrix):
-        result = baseline_cls().multiply(square_matrix, square_matrix)
-        assert "BaselineResult" in repr(result)
+    def test_repr_is_informative(self, baseline_cls):
         assert repr(baseline_cls()).endswith("()")
 
 
@@ -96,7 +95,7 @@ class TestRelativeOrdering:
     def runtimes(self, square_matrix=None):
         matrix = powerlaw_matrix(200, 5.0, seed=23)
         return {cls.display_name:
-                cls().multiply(matrix, matrix).runtime_seconds
+                cls().run(matrix, matrix).report.runtime_seconds
                 for cls in ALL_BASELINES}
 
     def test_outerspace_is_fastest_baseline(self, runtimes):
@@ -114,29 +113,30 @@ class TestRelativeOrdering:
 
 class TestAlgorithmSpecificCounters:
     def test_hash_spgemm_counts_probes_and_collisions(self, square_matrix):
-        result = HashSpGEMM().multiply(square_matrix, square_matrix)
-        assert result.extras["hash_probes"] >= result.multiplications
-        assert result.extras["hash_collisions"] >= 0
+        report = HashSpGEMM().run(square_matrix, square_matrix).report
+        assert report.extras["hash_probes"] >= report.multiplications
+        assert report.extras["hash_collisions"] >= 0
 
     def test_esc_expansion_size_equals_multiplications(self, square_matrix):
-        result = ESCSpGEMM().multiply(square_matrix, square_matrix)
-        assert result.extras["expanded_products"] == result.multiplications
-        assert result.extras["sort_passes"] >= 1
+        report = ESCSpGEMM().run(square_matrix, square_matrix).report
+        assert report.extras["expanded_products"] == report.multiplications
+        assert report.extras["sort_passes"] >= 1
 
     def test_heap_operations_exceed_products(self, square_matrix):
-        result = HeapSpGEMM().multiply(square_matrix, square_matrix)
-        assert result.extras["heap_operations"] >= result.multiplications
+        report = HeapSpGEMM().run(square_matrix, square_matrix).report
+        assert report.extras["heap_operations"] >= report.multiplications
 
     def test_inner_product_redundant_fetches(self, square_matrix):
-        result = InnerProductSpGEMM().multiply(square_matrix, square_matrix)
+        report = InnerProductSpGEMM().run(square_matrix, square_matrix).report
         # The vanilla inner product re-fetches inputs many times over.
-        assert result.extras["redundant_fetch_ratio"] > 10.0
+        assert report.extras["redundant_fetch_ratio"] > 10.0
 
     def test_outerspace_partial_matrix_traffic_dominates(self, square_matrix):
-        result = OuterSpaceAccelerator().multiply(square_matrix, square_matrix)
-        assert result.extras["partial_matrix_bytes"] == pytest.approx(
-            2 * result.multiplications * 16)
-        assert result.extras["partial_matrix_bytes"] > result.extras["input_bytes"]
+        report = OuterSpaceAccelerator().run(square_matrix,
+                                             square_matrix).report
+        assert report.extras["partial_matrix_bytes"] == pytest.approx(
+            2 * report.multiplications * 16)
+        assert report.extras["partial_matrix_bytes"] > report.extras["input_bytes"]
 
     def test_gustavson_cache_model_bounds(self):
         from repro.baselines.gustavson import estimate_b_read_bytes

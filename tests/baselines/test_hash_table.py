@@ -134,14 +134,14 @@ class TestEndToEndCollisions:
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_forced_collisions_are_counted(self, engine):
         a, b = self._collision_heavy_pair()
-        result = HashSpGEMM(engine=engine).multiply(a, b)
-        assert result.extras["hash_collisions"] > 0
-        assert result.extras["hash_probes"] == (result.multiplications
-                                                + result.extras["hash_collisions"])
+        report = HashSpGEMM(engine=engine).run(a, b).report
+        assert report.extras["hash_collisions"] > 0
+        assert report.extras["hash_probes"] == (report.multiplications
+                                                + report.extras["hash_collisions"])
 
     def test_collision_counts_identical_across_backends(self):
         a, b = self._collision_heavy_pair()
-        scalar = HashSpGEMM(engine="scalar").multiply(a, b)
-        fast = HashSpGEMM(engine="vectorized").multiply(a, b)
+        scalar = HashSpGEMM(engine="scalar").run(a, b).report
+        fast = HashSpGEMM(engine="vectorized").run(a, b).report
         assert scalar.extras == fast.extras
         assert scalar.bookkeeping_ops == fast.bookkeeping_ops

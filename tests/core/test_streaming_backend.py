@@ -136,6 +136,45 @@ class TestBlockedMergeTree:
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
+    def test_unsorted_array_streams_are_refused(self):
+        """An unsorted array stream raises, as in the scalar tree.
+
+        The band cutoffs are binary searches, so an unchecked unsorted
+        stream could stall the band loop or come out unsorted.  Each draw
+        runs on a daemon thread joined with a timeout, so a stall fails
+        this test instead of the suite.
+        """
+        rng = np.random.default_rng(27)
+        checked = 0
+        while checked < 300:
+            unsorted = rng.integers(0, 16, size=int(rng.integers(2, 10)))
+            if np.all(unsorted[1:] >= unsorted[:-1]):
+                continue  # sorted by chance
+            ordered = np.sort(rng.integers(0, 16,
+                                           size=int(rng.integers(0, 10))))
+            streams = [(unsorted, rng.standard_normal(len(unsorted))),
+                       (ordered, rng.standard_normal(len(ordered)))]
+            if rng.integers(2):
+                streams.reverse()
+            tree = VectorizedMergeTree(num_layers=2,
+                                       block_elements=int(rng.integers(1, 4)))
+            outcome = []
+
+            def merge(tree=tree, streams=streams, outcome=outcome):
+                try:
+                    tree.merge(streams)
+                except ValueError as exc:
+                    outcome.append(str(exc))
+                else:
+                    outcome.append(None)
+
+            thread = threading.Thread(target=merge, daemon=True)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), f"merge of {streams} stalled"
+            assert outcome == ["merge tree inputs must be key-sorted"], streams
+            checked += 1
+
     def test_empty_streams(self):
         tree = VectorizedMergeTree(num_layers=2, block_elements=4)
         keys, vals = tree.merge([(np.empty(0, np.int64), np.empty(0))])

@@ -44,13 +44,21 @@ def test_registry_path_equals_native_path(name, matrix):
         _assert_same_matrix(run.matrix, native.matrix)
         assert run.report.to_stats() == native.stats
     else:
-        native = engine.multiply(matrix, matrix)
-        _assert_same_matrix(run.matrix, native.matrix)
-        assert run.report.runtime_seconds == native.runtime_seconds
-        assert run.report.dram_bytes == native.traffic_bytes
-        assert run.report.multiplications == native.multiplications
-        assert run.report.additions == native.additions
-        assert run.report.energy_joules == native.energy_joules
+        native, counters = engine._multiply_vectorized(matrix, matrix)
+        traffic = counters.traffic_bytes
+        if traffic is None:
+            traffic = engine._traffic_bytes(matrix, matrix, native, counters)
+        runtime = engine.platform.runtime_seconds(
+            flops=counters.multiplications + counters.additions,
+            traffic_bytes=traffic, bookkeeping_ops=counters.bookkeeping_ops)
+        _assert_same_matrix(run.matrix, native)
+        assert run.report.runtime_seconds == runtime
+        assert run.report.dram_bytes == traffic
+        assert run.report.multiplications == counters.multiplications
+        assert run.report.additions == counters.additions
+        assert run.report.energy_joules == engine.platform.energy_joules(
+            runtime)
+        assert run.report.extras == counters.extras
         assert run.report.output_nnz == native.nnz
 
 
@@ -76,7 +84,7 @@ def test_runner_views_are_lossless_over_the_report(matrix):
 
     baseline = GustavsonSpGEMM()
     report = runner.run_engine(baseline, matrix)
-    native = baseline.multiply(matrix, matrix)
+    native = baseline.run(matrix).report
     assert report.runtime_seconds == native.runtime_seconds
     assert report.extras == native.extras
 

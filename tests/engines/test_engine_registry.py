@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.baselines import GustavsonSpGEMM
 from repro.engines import Engine, SpArchEngine
 from repro.engines.registry import (
+    EngineEntry,
     create_engine,
     get_engine_entry,
     list_engines,
@@ -51,7 +54,18 @@ class TestRegistrySurface:
         assert isinstance(engine, Engine)
         assert engine.name == name
         assert engine.kind in ("simulation", "baseline")
-        assert get_engine_entry(name).kind == engine.kind
+
+    @pytest.mark.parametrize("name", EXPECTED_ENGINES)
+    def test_entry_name_and_kind_are_its_class(self, name):
+        """An entry holds a title and a class; id and kind are the class's."""
+        assert [field.name for field in dataclasses.fields(EngineEntry)] == [
+            "title", "factory"]
+        entry = get_engine_entry(name)
+        engine = create_engine(name)
+        assert type(engine) is entry.factory
+        assert engine.name == entry.factory.name == name
+        assert engine.kind == entry.factory.kind == (
+            "simulation" if name == "sparch" else "baseline")
 
     def test_unknown_engine_fails_with_suggestions(self):
         with pytest.raises(KeyError, match="known engines"):

@@ -37,7 +37,6 @@ from repro.experiments.common import (
 )
 from repro.baselines.base import BaselineEngine
 from repro.baselines.gustavson import GustavsonSpGEMM
-from repro.baselines.outerspace import OuterSpaceAccelerator
 from repro.baselines.platforms import INTEL_CPU
 from repro.core.config import SpArchConfig
 from repro.engines.sparch import SpArchEngine
@@ -241,11 +240,6 @@ class TestSweeps:
         runner = ExperimentRunner()
         cold = harness.run(max_rows=300, names=NAMES, runner=runner)
         calls = _record_engine_calls(monkeypatch)
-        multiply = OuterSpaceAccelerator.multiply
-        monkeypatch.setattr(
-            OuterSpaceAccelerator, "multiply",
-            lambda self, *args: calls.append("multiply") or multiply(
-                self, *args))
         warm = harness.run(max_rows=300, names=NAMES, runner=runner)
         assert calls == []
         assert runner.cache_hits == runner.cache_misses == 2 * len(NAMES)

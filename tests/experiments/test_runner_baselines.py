@@ -15,7 +15,7 @@ from repro.experiments.runner import ExperimentRunner, engine_point_key
 from repro.matrices.synthetic import powerlaw_matrix, random_matrix
 
 BASELINES = [name for name in list_engines()
-             if get_engine_entry(name).kind == "baseline"]
+             if get_engine_entry(name).factory.kind == "baseline"]
 
 
 @pytest.fixture()
@@ -45,7 +45,8 @@ def test_baseline_point_memoises(matrix):
 def test_report_roundtrips_through_disk_cache(matrix, tmp_path):
     writer = ExperimentRunner(cache_dir=tmp_path)
     report = writer.run_engine(HashSpGEMM(), matrix)
-    assert list((tmp_path / "baseline").glob("*.json"))
+    key = writer.point_key(HashSpGEMM(), matrix)
+    assert [path.name for path in tmp_path.iterdir()] == [f"{key}.json"]
 
     reader = ExperimentRunner(cache_dir=tmp_path)
     replayed = reader.run_engine(HashSpGEMM(), matrix)
@@ -152,9 +153,9 @@ def test_rectangular_baseline_point():
     b = bipartite_matrix(30, 10, 2.0, seed=6)
     runner = ExperimentRunner()
     report = runner.run_engine(GustavsonSpGEMM(), a, matrix_b=b)
-    direct = GustavsonSpGEMM().multiply(a, b)
-    assert report.runtime_seconds == direct.runtime_seconds
-    assert report.output_nnz == direct.nnz
+    direct = GustavsonSpGEMM().run(a, b)
+    assert report.runtime_seconds == direct.report.runtime_seconds
+    assert report.output_nnz == direct.matrix.nnz
 
 
 @pytest.mark.parametrize("name", BASELINES)

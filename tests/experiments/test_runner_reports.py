@@ -62,10 +62,10 @@ class TestSchemaVersionedFingerprint:
         runner = ExperimentRunner(cache_dir=tmp_path)
         runner.simulate(matrix)
         runner.run_engine(GustavsonSpGEMM(), matrix)
-        for kind in ("sim", "baseline"):
-            entries = list((tmp_path / kind).glob("*.json"))
-            assert entries, kind
-            payload = json.loads(entries[0].read_text())
+        entries = list(tmp_path.glob("*.json"))
+        assert len(entries) == 2
+        for entry in entries:
+            payload = json.loads(entry.read_text())
             assert payload["schema_version"] == SCHEMA_VERSION
 
 
@@ -142,7 +142,7 @@ class TestSelfProductCacheIdentity:
         for runner in (ExperimentRunner(), ExperimentRunner(engine="scalar")):
             key = runner.point_key("mkl", matrix)
             runner.run_engine("mkl", matrix)
-            assert runner.store.load(key, "baseline") is not None
+            assert runner.store.load(key) is not None
         unforced = ExperimentRunner().point_key("mkl", matrix)
         forced = ExperimentRunner(engine="scalar").point_key("mkl", matrix)
         assert unforced != forced  # forced backends re-key, as documented
@@ -160,6 +160,24 @@ class TestUnifiedReportMemo:
         replayed = reader.run_engine("cusparse", matrix)
         assert (reader.cache_hits, reader.cache_misses) == (1, 0)
         assert replayed == fresh
+
+    def test_cache_dir_holds_one_file_per_point_key(self, matrix, tmp_path):
+        """A fresh runner replays a sparch and an mkl point that another
+        runner wrote, from ``<cache_dir>/<key>.json`` files."""
+        names = ("sparch", "mkl")
+        writer = ExperimentRunner(cache_dir=tmp_path)
+        written = writer.run_engine_many([(name, matrix) for name in names])
+        keys = [writer.point_key(name, matrix) for name in names]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"{key}.json" for key in keys)
+
+        batch = ExperimentRunner(cache_dir=tmp_path)
+        assert batch.run_engine_many(
+            [(name, matrix) for name in names]) == written
+        assert (batch.cache_hits, batch.cache_misses) == (2, 0)
+        single = ExperimentRunner(cache_dir=tmp_path)
+        assert [single.run_engine(name, matrix) for name in names] == written
+        assert (single.cache_hits, single.cache_misses) == (2, 0)
 
     def test_run_engine_many_accepts_precomputed_keys(self, matrix, tmp_path,
                                                       monkeypatch):

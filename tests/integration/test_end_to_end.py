@@ -34,8 +34,8 @@ class TestHeadlineClaims:
         for matrix in benchmark_matrices.values():
             reference = scipy_spgemm(matrix, matrix)
             sparch = SpArch(constrained_config).multiply(matrix, matrix)
-            outerspace = OuterSpaceAccelerator().multiply(matrix, matrix)
-            mkl = GustavsonSpGEMM().multiply(matrix, matrix)
+            outerspace = OuterSpaceAccelerator().run(matrix, matrix)
+            mkl = GustavsonSpGEMM().run(matrix, matrix)
             assert matrices_allclose(sparch.matrix, reference)
             assert matrices_allclose(outerspace.matrix, reference)
             assert matrices_allclose(mkl.matrix, reference)
@@ -46,8 +46,8 @@ class TestHeadlineClaims:
         reductions = []
         for matrix in benchmark_matrices.values():
             sparch = SpArch(constrained_config).multiply(matrix, matrix)
-            outerspace = OuterSpaceAccelerator().multiply(matrix, matrix)
-            reductions.append(outerspace.traffic_bytes
+            outerspace = OuterSpaceAccelerator().run(matrix, matrix).report
+            reductions.append(outerspace.dram_bytes
                               / max(1, sparch.stats.dram_bytes))
         assert geometric_mean(reductions) > 1.5
 
@@ -57,7 +57,7 @@ class TestHeadlineClaims:
         speedups, savings = [], []
         for matrix in benchmark_matrices.values():
             sparch = SpArch(constrained_config).multiply(matrix, matrix)
-            outerspace = OuterSpaceAccelerator().multiply(matrix, matrix)
+            outerspace = OuterSpaceAccelerator().run(matrix, matrix).report
             speedups.append(outerspace.runtime_seconds
                             / sparch.stats.runtime_seconds)
             savings.append(outerspace.energy_joules

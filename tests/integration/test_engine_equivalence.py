@@ -191,7 +191,8 @@ def test_streaming_tiny_chunks_all_ablations(grid_matrices, pipelined,
 
 
 def test_scalar_engine_validates_unsorted_streams():
-    """Only the scalar tree is the validating reference for stream order."""
+    """The scalar tree refuses an unsorted stream (so does the batched
+    tree: ``tests/core/test_streaming_backend.py``)."""
     from repro.hardware.merge_tree import MergeTree
 
     tree = MergeTree(num_layers=2)

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.serve.store import REPORT_KINDS, ReportStore
+from repro.serve.store import ReportStore
 
 
 def payload_for(key: str) -> dict:
@@ -18,36 +18,35 @@ def payload_for(key: str) -> dict:
 class TestTiers:
     def test_memory_roundtrip_without_disk(self):
         store = ReportStore()
-        assert store.load("k", "sim") is None
-        store.store("k", {"a": 1}, "sim")
-        assert store.load("k", "sim") == {"a": 1}
+        assert store.load("k") is None
+        store.store("k", {"a": 1})
+        assert store.load("k") == {"a": 1}
         assert store.cache_dir is None
 
     def test_disk_tier_survives_a_fresh_store(self, tmp_path):
         first = ReportStore(cache_dir=tmp_path)
-        first.store("k", {"a": 1}, "baseline")
+        first.store("k", {"a": 1})
         fresh = ReportStore(cache_dir=tmp_path)
-        assert fresh.load("k", "baseline") == {"a": 1}
+        assert fresh.load("k") == {"a": 1}
 
-    def test_disk_layout_uses_kind_subdirectories(self, tmp_path):
-        store = ReportStore(cache_dir=tmp_path)
-        for kind in REPORT_KINDS:
-            assert (tmp_path / kind).is_dir()
-        store.store("k", {"a": 1}, "sim")
-        assert (tmp_path / "sim" / "k.json").is_file()
+    def test_disk_layout_is_one_file_per_key(self, tmp_path):
+        store = ReportStore(cache_dir=tmp_path / "cache")
+        store.store("k", {"a": 1})
+        assert [path.name for path in (tmp_path / "cache").iterdir()] == [
+            "k.json"]
 
     def test_corrupt_disk_entry_reads_as_a_miss(self, tmp_path):
         store = ReportStore(cache_dir=tmp_path)
-        (tmp_path / "sim" / "bad.json").write_text("{not json")
-        assert store.load("bad", "sim") is None
+        (tmp_path / "bad.json").write_text("{not json")
+        assert store.load("bad") is None
 
     def test_disk_hit_promotes_into_memory(self, tmp_path):
         writer = ReportStore(cache_dir=tmp_path)
-        writer.store("k", {"a": 1}, "sim")
+        writer.store("k", {"a": 1})
         reader = ReportStore(cache_dir=tmp_path)
-        reader.load("k", "sim")
-        (tmp_path / "sim" / "k.json").unlink()
-        assert reader.load("k", "sim") == {"a": 1}  # memory tier now
+        reader.load("k")
+        (tmp_path / "k.json").unlink()
+        assert reader.load("k") == {"a": 1}  # memory tier now
 
 
 class TestGetOrCompute:
@@ -59,17 +58,17 @@ class TestGetOrCompute:
             calls.append(1)
             return {"a": 1}
 
-        assert store.get_or_compute("k", "sim", compute) == (
+        assert store.get_or_compute("k", compute) == (
             {"a": 1}, "computed")
-        assert store.get_or_compute("k", "sim", compute) == ({"a": 1}, "hit")
+        assert store.get_or_compute("k", compute) == ({"a": 1}, "hit")
         assert len(calls) == 1
         assert store.hits == 1 and store.misses == 1
 
     def test_disk_entry_counts_as_a_hit(self, tmp_path):
-        ReportStore(cache_dir=tmp_path).store("k", {"a": 1}, "sim")
+        ReportStore(cache_dir=tmp_path).store("k", {"a": 1})
         store = ReportStore(cache_dir=tmp_path)
         payload, outcome = store.get_or_compute(
-            "k", "sim", lambda: pytest.fail("must not compute"))
+            "k", lambda: pytest.fail("must not compute"))
         assert (payload, outcome) == ({"a": 1}, "hit")
 
     def test_error_propagates_and_is_never_cached(self):
@@ -79,9 +78,9 @@ class TestGetOrCompute:
             raise RuntimeError("engine crashed")
 
         with pytest.raises(RuntimeError, match="engine crashed"):
-            store.get_or_compute("k", "sim", boom)
+            store.get_or_compute("k", boom)
         # The key is not poisoned: the next caller computes normally.
-        assert store.get_or_compute("k", "sim", lambda: {"a": 2}) == (
+        assert store.get_or_compute("k", lambda: {"a": 2}) == (
             {"a": 2}, "computed")
         assert store.stats()["inflight"] == 0
 
@@ -99,7 +98,7 @@ class TestGetOrCompute:
 
         def caller():
             barrier.wait(10)
-            return store.get_or_compute("k", "sim", compute)
+            return store.get_or_compute("k", compute)
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(caller) for _ in range(threads)]
@@ -135,10 +134,10 @@ class TestGetOrCompute:
 
         def follower():
             assert started.wait(10)
-            return store.get_or_compute("k", "sim", compute)
+            return store.get_or_compute("k", compute)
 
         with ThreadPoolExecutor(max_workers=2) as pool:
-            leader = pool.submit(store.get_or_compute, "k", "sim", compute)
+            leader = pool.submit(store.get_or_compute, "k", compute)
             waiter = pool.submit(follower)
             while store.stats()["inflight"] == 0:
                 pass
@@ -172,7 +171,7 @@ class TestAccounting:
         calls_per_key = 25
 
         def caller(key):
-            return store.get_or_compute(key, "sim", lambda: payload_for(key))
+            return store.get_or_compute(key, lambda: payload_for(key))
 
         with ThreadPoolExecutor(max_workers=16) as pool:
             futures = [pool.submit(caller, key)
@@ -191,9 +190,9 @@ class TestAccounting:
 
     def test_disk_write_is_atomic_no_partial_files_remain(self, tmp_path):
         store = ReportStore(cache_dir=tmp_path)
-        store.store("k", {"a": 1}, "sim")
-        leftovers = [path for path in (tmp_path / "sim").iterdir()
+        store.store("k", {"a": 1})
+        leftovers = [path for path in tmp_path.iterdir()
                      if path.suffix != ".json"]
         assert leftovers == []
-        assert json.loads((tmp_path / "sim" / "k.json").read_text()) == {
+        assert json.loads((tmp_path / "k.json").read_text()) == {
             "a": 1}

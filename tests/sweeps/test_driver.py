@@ -75,7 +75,7 @@ class TestCellEnumeration:
 
     def test_baseline_cells_ignore_the_config_axis(self):
         for cell in enumerate_cells(SMOKE):
-            kind = get_engine_entry(cell.engine).kind
+            kind = get_engine_entry(cell.engine).factory.kind
             assert (cell.config is None) == (kind == "baseline")
 
     def test_shards_partition_the_grid(self):

@@ -50,13 +50,13 @@ class TestPipelineBuilder:
 
     def test_baseline_executor_prices_with_the_platform_model(self, matrix):
         baseline = GustavsonSpGEMM()
-        direct = baseline.multiply(matrix, matrix)
+        direct = baseline.run(matrix).report
         pipeline = PipelineBuilder("mkl", inputs={"A": matrix})
         pipeline.spgemm("squared", "A", "A")
         stage = pipeline.stages[0]
         assert pipeline.result("demo").backend == "MKL"
         assert stage.runtime_seconds == direct.runtime_seconds
-        assert stage.dram_bytes == direct.traffic_bytes
+        assert stage.dram_bytes == direct.dram_bytes
         assert stage.energy_joules == direct.energy_joules
         assert stage.report.kind == "baseline"
         assert stage.report.detail["baseline"] == "MKL"
