@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formats.coo import COOMatrix
-from repro.formats.convert import coo_to_csr
 from repro.formats.csr import CSRMatrix
 from repro.memory.traffic import TrafficCategory, TrafficCounter
 
@@ -128,30 +126,26 @@ class PartialMatrixWriter:
         are a binary search for each row's base key ``row * num_cols``, and
         its columns are the keys minus their row's base, so only a band's
         first and last keys are divided.  Keys that do not increase
-        strictly, within a band or from one band to the next, take the
-        generic COO canonicalisation instead.  A band is used up before the
-        next one is drawn, so it may be a view that the next one overwrites
-        (the merge tree's band workspace).
+        strictly, within a band or from one band to the next, are a
+        ``ValueError``.  A band is used up before the next one is drawn, so
+        it may be a view that the next one overwrites (the merge tree's
+        band workspace).
         """
         num_rows, num_cols = shape
         indices = np.empty(capacity, dtype=np.int64)
         data = np.empty(capacity, dtype=np.float64)
         row_nnz = np.zeros(num_rows, dtype=np.int64)
         filled = 0
-        bands = iter(bands)
         for keys, values in bands:
-            keys, values = _checked(keys, values)
+            keys = np.asarray(keys, dtype=np.int64)
+            values = np.asarray(values, dtype=np.float64)
+            if len(keys) != len(values):
+                raise ValueError("keys and values must have equal length")
             if not len(keys):
                 continue
-            if not (num_cols and (filled == 0 or keys[0] > last_key)
-                    and (len(keys) < 2 or bool(np.all(keys[1:] > keys[:-1])))):
-                done = (np.repeat(np.arange(num_rows, dtype=np.int64),
-                                  row_nnz), indices[:filled], data[:filled])
-                # Copied as drawn: a band may be overwritten by the next.
-                rest = [(keys.copy(), values.copy()),
-                        *((np.array(k), np.array(v)) for k, v in bands)]
-                result = _coo_result(done, rest, shape)
-                break
+            if ((filled and keys[0] <= last_key)
+                    or np.any(keys[1:] <= keys[:-1])):
+                raise ValueError("result keys must increase strictly")
             if keys[0] < 0 or keys[-1] >= num_rows * num_cols:
                 raise ValueError(f"result keys fall outside shape {shape}")
             end = filled + len(keys)
@@ -169,36 +163,13 @@ class PartialMatrixWriter:
             data[filled:end] = values
             filled, last_key = end, keys[-1]
             del keys, values  # before the next band is generated
-        else:
-            # Shrink in place; no view of the buffers exists.
-            indices.resize(filled, refcheck=False)
-            data.resize(filled, refcheck=False)
-            indptr = np.zeros(num_rows + 1, dtype=np.int64)
-            np.cumsum(row_nnz, out=indptr[1:])
-            result = CSRMatrix(indptr, indices, data, shape)
+        # Shrink in place; no view of the buffers exists.
+        indices.resize(filled, refcheck=False)
+        data.resize(filled, refcheck=False)
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(row_nnz, out=indptr[1:])
+        result = CSRMatrix(indptr, indices, data, shape)
         self._traffic.add(TrafficCategory.RESULT_WRITE,
                           result.nnz * self._element_bytes)
         return result
 
-
-def _checked(keys: np.ndarray, values: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    keys = np.asarray(keys, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if len(keys) != len(values):
-        raise ValueError("keys and values must have equal length")
-    return keys, values
-
-
-def _coo_result(done: tuple[np.ndarray, np.ndarray, np.ndarray],
-                rest: list[tuple[np.ndarray, np.ndarray]],
-                shape: tuple[int, int]) -> CSRMatrix:
-    """Canonicalise the written ``(rows, cols, values)`` plus the rest."""
-    num_cols = shape[1]
-    rest = [_checked(keys, values) for keys, values in rest]
-    keys = np.concatenate([keys for keys, _ in rest])
-    rows = keys // num_cols if num_cols else keys
-    cols = keys % num_cols if num_cols else keys
-    return coo_to_csr(COOMatrix(
-        np.concatenate([done[0], rows]), np.concatenate([done[1], cols]),
-        np.concatenate([done[2], *[values for _, values in rest]]), shape))

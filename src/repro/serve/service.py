@@ -78,6 +78,12 @@ EXPOSED_SERVICE = ("request", "stats", "describe", "ping")
 #: Environment variable carrying the hex-encoded authkey to serve clients.
 SERVE_AUTHKEY_ENV = "REPRO_SERVE_AUTHKEY"
 
+#: Operand LRU size: scenarios kept materialised between cold requests.
+MATRIX_CACHE_ENTRIES = 4
+
+#: Request latencies kept for percentile snapshots.
+LATENCY_WINDOW = 8192
+
 #: Keys a request payload may carry.
 _REQUEST_KEYS = frozenset({"engine", "scenario", "config", "full_report",
                            "delay"})
@@ -100,9 +106,6 @@ class ServeOptions:
             coalescing on an executing leader) at once.
         queue_limit: cold requests allowed to *wait* for a worker slot;
             one more is rejected with the ``503`` payload.
-        matrix_cache_entries: operand LRU size — scenarios kept
-            materialised between cold requests.
-        latency_window: request latencies kept for percentile snapshots.
         debug_delay: honour a request's ``delay`` field by sleeping that
             many seconds inside the (coalesced) compute path — a test and
             chaos aid, off by default.
@@ -112,8 +115,6 @@ class ServeOptions:
 
     workers: int = 4
     queue_limit: int = 64
-    matrix_cache_entries: int = 4
-    latency_window: int = 8192
     debug_delay: bool = False
     metrics_path: str | os.PathLike | None = None
 
@@ -123,13 +124,6 @@ class ServeOptions:
         if self.queue_limit < 0:
             raise ValueError(
                 f"queue_limit must be non-negative, got {self.queue_limit}")
-        if self.matrix_cache_entries < 1:
-            raise ValueError(
-                f"matrix_cache_entries must be positive, got "
-                f"{self.matrix_cache_entries}")
-        if self.latency_window < 1:
-            raise ValueError(
-                f"latency_window must be positive, got {self.latency_window}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +193,7 @@ class SpGEMMService:
         self._queued = 0
         self._active = 0
         self._peak_queued = 0
-        self._latencies: deque[float] = deque(
-            maxlen=self._options.latency_window)
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._draining = False
         self._drained = threading.Event()
         self._started = time.monotonic()
@@ -304,7 +297,7 @@ class SpGEMMService:
         with self._matrix_lock:
             self._matrices[key] = matrix
             self._matrices.move_to_end(key)
-            while len(self._matrices) > self._options.matrix_cache_entries:
+            while len(self._matrices) > MATRIX_CACHE_ENTRIES:
                 self._matrices.popitem(last=False)
         return matrix
 

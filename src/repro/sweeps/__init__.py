@@ -4,19 +4,20 @@
   SpArch configs) and the canonical cell order / shard assignment.
 * :mod:`repro.sweeps.store` — the JSONL :class:`ResultStore`: one
   schema-versioned :class:`~repro.metrics.report.CostReport` per cell,
-  keyed by the experiment runner's fingerprint, with canonical merging.
+  keyed by the experiment runner's fingerprint, with canonical merging;
+  every reader of a store file reads through its ``StoreScan``.
 * :mod:`repro.sweeps.driver` — :func:`run_sweep`, the sharded/resumable
   executor over :class:`~repro.experiments.runner.ExperimentRunner`.
 * :mod:`repro.sweeps.index` — the sqlite sidecar index
-  (:class:`SweepIndex`): a read-side cache with one row per cell (byte
-  range and denormalised summary scalars).  Writers append to the JSONL
-  only; each query first ingests the bytes appended since the last one,
-  so summaries, filters and resume never re-scan the whole file.  Always
-  rebuildable from the JSONL alone.
+  (:class:`SweepIndex`): a read-side cache with one row per cell
+  (coordinates and denormalised summary scalars).  Writers append to the
+  JSONL only; each query first ingests the bytes appended since the last
+  one, so summaries, filters and resume never re-scan the whole file.
+  Always rebuildable from the JSONL alone.
 * :mod:`repro.sweeps.compact` — :func:`compact_store`, the atomic
   segment rewrite dropping superseded duplicates and torn tails (merge
-  output stays byte-identical); it rebuilds the sidecar, whose byte
-  offsets the rewrite moved.
+  output stays byte-identical); it rebuilds the sidecar, whose
+  high-water mark the rewrite invalidated.
 * :mod:`repro.sweeps.synth` — deterministic synthetic stores for
   benchmarks and CI at paper scale.
 * :mod:`repro.sweeps.registry` — registered sweeps (``smoke``,

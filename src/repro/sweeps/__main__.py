@@ -47,7 +47,7 @@ from repro.sweeps.driver import run_sweep, summarise_store_file
 from repro.sweeps.index import METRIC_COLUMNS
 from repro.sweeps.registry import get_sweep, list_sweeps
 from repro.sweeps.spec import enumerate_cells
-from repro.sweeps.store import iter_records, merge_files_to
+from repro.sweeps.store import StoreScan, merge_files_to
 
 #: CLI-friendly aliases for ``--where`` filter columns.
 _WHERE_ALIASES = {"config": "config_label", "sweep": "sweep_id"}
@@ -341,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
                 # Fully streamed fallback: one table per sweep, line by
                 # line, bounded memory end to end.
                 cells_per_sweep: dict[str, int] = {}
-                for record in iter_records(handle.name):
+                for record, _, _ in StoreScan(handle.name):
                     cells_per_sweep[record.sweep_id] = (
                         cells_per_sweep.get(record.sweep_id, 0) + 1)
                 for sweep_id in sorted(cells_per_sweep):

@@ -10,16 +10,18 @@ A long-lived store accumulates bytes that no reader will ever use:
 * **stale layouts** — lines from older ``store_version`` / report
   ``schema_version`` revisions, rotated out by recomputation.
 
-:func:`compact_store` streams the JSONL once, keeps each cell's *first*
-valid record (the same first-wins rule the eager loader applies, so the
-surviving record set is exactly what loading would have produced),
-re-serialises it through :meth:`~repro.sweeps.store.SweepRecord.to_line`,
-and atomically replaces the store via tmp-file + ``os.replace`` — a
-reader or a kill at any instant sees either the old segment or the new
-one, never a mixture.  Afterwards the sqlite sidecar is rebuilt (or
-dropped, when sqlite is unavailable): the rewrite moves byte offsets,
-and one that keeps the first 64 KiB and leaves the file no shorter than
-the indexed prefix would pass the index's catch-up checks unnoticed.
+:func:`compact_store` reads the JSONL once through the store's scanner
+(:class:`~repro.sweeps.store.StoreScan`), which keeps each cell's *first*
+valid record — the rule every reader applies, so the surviving record set
+is exactly what loading would have produced — re-serialises each record
+through :meth:`~repro.sweeps.store.SweepRecord.to_line`, and atomically
+replaces the store via tmp-file + ``os.replace`` — a reader or a kill at
+any instant sees either the old segment or the new one, never a mixture.
+The scan's duplicate and invalid-line counts are the dropped counts.
+Afterwards the sqlite sidecar is rebuilt (or dropped, when sqlite is
+unavailable): the rewrite moves lines, and one that keeps the first
+64 KiB and leaves the file no shorter than the indexed prefix would pass
+the index's catch-up checks unnoticed.
 
 The guarantee the property tests pin down (DESIGN.md §9): the canonical
 merge of a compacted store is **byte-identical** to the canonical merge
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.sweeps.index import IndexUnavailable, SweepIndex, drop_index
-from repro.sweeps.store import conflicting_store_error, parse_line
+from repro.sweeps.store import StoreScan
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class CompactionStats:
         dropped_duplicates: whole valid records dropped because an
             earlier record of their cell survived.
         dropped_invalid: lines dropped as unparseable — torn tails,
-            blank lines, stale layouts/schemas.
+            blank lines, bytes that are not UTF-8, stale layouts/schemas.
     """
 
     path: str
@@ -104,25 +106,11 @@ def compact_store(path: str | os.PathLike, *,
     bytes_before = path.stat().st_size
 
     tmp = Path(f"{path}.compact.tmp")
-    cells: dict[tuple[str, str, str, str], tuple[str, int]] = {}
-    dropped_duplicates = 0
-    dropped_invalid = 0
+    scan = StoreScan(path)
     try:
-        with open(path, "rb") as source, open(tmp, "w",
-                                              encoding="utf-8") as sink:
-            for raw in source:
-                record = parse_line(raw.decode("utf-8", errors="replace"))
-                if record is None:
-                    dropped_invalid += 1
-                    continue
-                existing = cells.get(record.cell)
-                if existing is None:
-                    cells[record.cell] = (record.key, record.cell_index)
-                    sink.write(record.to_line())
-                elif existing == (record.key, record.cell_index):
-                    dropped_duplicates += 1
-                else:
-                    raise conflicting_store_error(path, record.cell)
+        with open(tmp, "w", encoding="utf-8") as sink:
+            for record, _, _ in scan:
+                sink.write(record.to_line())
             sink.flush()
             if fsync:
                 os.fsync(sink.fileno())
@@ -158,9 +146,9 @@ def compact_store(path: str | os.PathLike, *,
 
     return CompactionStats(
         path=os.fspath(path),
-        records=len(cells),
+        records=len(scan.cells),
         bytes_before=bytes_before,
         bytes_after=path.stat().st_size,
-        dropped_duplicates=dropped_duplicates,
-        dropped_invalid=dropped_invalid,
+        dropped_duplicates=scan.duplicates,
+        dropped_invalid=scan.invalid,
     )

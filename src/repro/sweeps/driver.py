@@ -41,6 +41,7 @@ from repro.sweeps.spec import SweepCell, SweepSpec, enumerate_cells, shard_cells
 from repro.sweeps.store import (
     CellEntry,
     ResultStore,
+    StoreScan,
     SweepRecord,
     records_to_reports,
 )
@@ -394,12 +395,12 @@ def summarise_store_file(path: str | os.PathLike, *,
 
     Produces the same table as ``summarise_records(ResultStore(path)
     .records)`` but accumulates only per-group scalars (count, summed log
-    GFLOP/s, DRAM bytes, runtime, energy) while reading the JSONL line by
-    line — one record lives at a time, so million-cell stores summarise in
-    bounded memory (plus the identity of every cell seen).  Like the
-    loader, it keeps each cell's first record and skips later duplicates.
-    The accumulation order equals the record order, so every float sum
-    matches the list-based path exactly.
+    GFLOP/s, DRAM bytes, runtime, energy) while reading the JSONL through
+    :class:`~repro.sweeps.store.StoreScan` — one record lives at a time,
+    so million-cell stores summarise in bounded memory (plus the identity
+    of every cell seen).  The scan keeps each cell's first record, as
+    every reader does.  The accumulation order equals the record order, so
+    every float sum matches the list-based path exactly.
 
     Args:
         path: the store file, merged or not.
@@ -408,25 +409,18 @@ def summarise_store_file(path: str | os.PathLike, *,
             :func:`~repro.sweeps.store.require_single_sweep` does).
 
     Raises:
+        FileNotFoundError: when the file does not exist (unlike
+            :class:`~repro.sweeps.store.ResultStore`, a summary has no
+            "fresh store" reading of a missing file).
         ValueError: the store holds two records of one cell with different
-            fingerprints or canonical indices, which the store loader and
-            the sidecar index refuse too.
+            fingerprints or canonical indices, which every reader refuses.
     """
     import math
-
-    from repro.sweeps.store import conflicting_store_error, iter_records
 
     # acc = [cells, sum(log gflops), dram bytes, runtime, energy]
     groups: dict[tuple[str, str], list] = {}
     seen_sweeps: set[str] = set()
-    seen_cells: dict[tuple[str, str, str, str], tuple[str, int]] = {}
-    for record in iter_records(path):
-        seen = seen_cells.get(record.cell)
-        if seen is not None:
-            if seen != (record.key, record.cell_index):
-                raise conflicting_store_error(path, record.cell)
-            continue
-        seen_cells[record.cell] = (record.key, record.cell_index)
+    for record, _, _ in StoreScan(path):
         if sweep_id is not None and record.sweep_id != sweep_id:
             continue
         seen_sweeps.add(record.sweep_id)

@@ -9,8 +9,6 @@ one row per recorded cell:
 * the cell coordinates (``sweep_id``, ``scenario``, ``engine``,
   ``config_label``, canonical ``cell_index``) and the runner fingerprint
   ``key`` — everything resume and grid-consistency checks need;
-* the record's ``(offset, length)`` byte range in the JSONL — everything
-  lazy hydration needs to read one record without scanning the file;
 * denormalised summary scalars (cycles, runtime, GFLOP/s and its log,
   total DRAM bytes, energy, op counts) — everything the summary/filter/
   top-k queries need, so they never parse a report.
@@ -24,7 +22,11 @@ derivable from the JSONL alone, is rebuilt whenever it cannot prove
 itself consistent (version mismatch, store truncated below the indexed
 high-water mark, rewritten head bytes), and may be deleted at any time —
 the next read simply rebuilds it.  Nothing byte-parity-critical
-(canonical merges, compaction output) ever reads the index.
+(canonical merges, compaction output) ever reads the index, and no row
+points into the JSONL: a lazily opened store reads its records by
+scanning the file.  Ingestion reads through the store's one scanner
+(:class:`~repro.sweeps.store.StoreScan`), seeded with the cells already
+indexed, so the index holds exactly the cells every other reader sees.
 
 Consistency protocol:
 
@@ -49,23 +51,18 @@ import math
 import os
 import sqlite3
 from pathlib import Path
-from typing import Iterator
 
 from repro.experiments.designspace import GEOMEAN_FLOOR
 from repro.sweeps.spec import cell_key
-from repro.sweeps.store import (
-    CellEntry,
-    SweepRecord,
-    conflicting_store_error,
-    parse_line,
-)
+from repro.sweeps.store import CellEntry, StoreScan, SweepRecord
 from repro.utils.reporting import Table
 
 #: Version of the index layout.  Bump on any incompatible schema change;
 #: an index from another version silently rebuilds, its cells table
 #: recreated in the current layout (it is derived data).  Version 2
-#: dropped the per-category ``traffic`` column.
-INDEX_VERSION = 2
+#: dropped the per-category ``traffic`` column, version 3 the records'
+#: ``offset``/``length`` byte ranges.
+INDEX_VERSION = 3
 
 #: Bytes of the indexed prefix fingerprinted against external rewrites.
 #: Appends beyond the cap never change the fingerprinted range, so the
@@ -98,8 +95,6 @@ CREATE TABLE IF NOT EXISTS cells (
     cell_index      INTEGER NOT NULL,
     key             TEXT NOT NULL,
     report_key      TEXT NOT NULL,
-    offset          INTEGER NOT NULL,
-    length          INTEGER NOT NULL,
     status          TEXT NOT NULL DEFAULT 'done',
     cycles          INTEGER NOT NULL,
     runtime_seconds REAL NOT NULL,
@@ -183,11 +178,11 @@ def summary_columns(report: dict) -> dict:
     }
 
 
-def _row_for(record: SweepRecord, offset: int, length: int) -> tuple:
+def _row_for(record: SweepRecord) -> tuple:
     columns = summary_columns(record.report)
     return (record.sweep_id, record.scenario, record.engine,
             record.config_label, record.cell_index, record.key,
-            record.report_key, offset, length, "done",
+            record.report_key, "done",
             columns["cycles"], columns["runtime_seconds"],
             columns["gflops"], columns["log_gflops"],
             columns["dram_bytes"], columns["energy_joules"],
@@ -198,9 +193,9 @@ def _row_for(record: SweepRecord, offset: int, length: int) -> tuple:
 _INSERT = """
 INSERT OR IGNORE INTO cells (
     sweep_id, scenario, engine, config_label, cell_index, key, report_key,
-    offset, length, status, cycles, runtime_seconds, gflops, log_gflops,
-    dram_bytes, energy_joules, output_nnz, multiplications, additions
-) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+    status, cycles, runtime_seconds, gflops, log_gflops, dram_bytes,
+    energy_joules, output_nnz, multiplications, additions
+) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
 """
 
 
@@ -307,8 +302,8 @@ class SweepIndex:
         Catch-up ingests only ``[hwm, size)``; a rebuild (version change,
         truncated or rewritten store) re-ingests from byte 0.  Every query
         runs this first.  Raises ``ValueError`` for stores holding
-        conflicting records of one cell (the same refusal the eager loader
-        makes) and ``IndexUnavailable`` when sqlite itself fails.
+        conflicting records of one cell (the scan's refusal, which every
+        reader makes) and ``IndexUnavailable`` when sqlite itself fails.
         """
         self._update(rebuild=False)
 
@@ -343,52 +338,30 @@ class SweepIndex:
             raise IndexUnavailable(str(exc)) from exc
 
     def _ingest_locked(self, start: int, size: int) -> None:
-        """Ingest ``[start, size)`` of the JSONL (caller holds the txn).
+        """Ingest the JSONL from ``start`` on (caller holds the txn).
 
-        Only whole lines advance the high-water mark; an unterminated tail
-        is ingested *if it parses as a valid record* (matching the eager
-        loader, which also accepts a newline-less final record) and left
-        below the mark otherwise, so a torn fragment is re-examined once
-        its terminator lands.
+        ``size`` is the file size the caller saw; nothing is read when it
+        is not beyond ``start``.  The scan is seeded with the indexed
+        cells and stops before a torn tail, which stays above the
+        high-water mark until its newline lands.
         """
         hwm = start
         if size > start:
-            known = {
+            scan = StoreScan(self._store_path, start=start, cells={
                 (row[0], row[1], row[2], row[3]): (row[4], row[5])
                 for row in self._conn.execute(
                     "SELECT sweep_id, scenario, engine, config_label, "
                     "key, cell_index FROM cells")
-            }
+            })
             rows: list[tuple] = []
-            with open(self._store_path, "rb") as handle:
-                handle.seek(start)
-                offset = start
-                for raw in handle:
-                    length = len(raw)
-                    terminated = raw.endswith(b"\n")
-                    record = parse_line(
-                        raw.decode("utf-8", errors="replace"))
-                    if record is None:
-                        if not terminated:
-                            break  # torn tail: wait for its newline
-                    else:
-                        existing = known.get(record.cell)
-                        if existing is None:
-                            known[record.cell] = (record.key,
-                                                  record.cell_index)
-                            rows.append(_row_for(
-                                record, offset,
-                                length - 1 if terminated else length))
-                        elif existing != (record.key, record.cell_index):
-                            raise conflicting_store_error(
-                                self._store_path, record.cell)
-                    offset += length
-                    hwm = offset
-                    if len(rows) >= 2048:
-                        self._conn.executemany(_INSERT, rows)
-                        rows.clear()
+            for record, _, _ in scan:
+                rows.append(_row_for(record))
+                if len(rows) >= 2048:
+                    self._conn.executemany(_INSERT, rows)
+                    rows.clear()
             if rows:
                 self._conn.executemany(_INSERT, rows)
+            hwm = scan.end
         head_len, head_hash = self._head_fingerprint(hwm)
         self._set_meta(hwm=hwm, head_len=head_len, head_hash=head_hash)
 
@@ -414,14 +387,6 @@ class SweepIndex:
         return [CellEntry(*row) for row in self._conn.execute(
             "SELECT sweep_id, scenario, engine, config_label, key, "
             "cell_index FROM cells ORDER BY rowid")]
-
-    def locations(self) -> list[tuple[tuple[str, str, str, str], int, int]]:
-        """``(cell, offset, length)`` per record, in arrival order."""
-        self.refresh()
-        return [((row[0], row[1], row[2], row[3]), row[4], row[5])
-                for row in self._conn.execute(
-                    "SELECT sweep_id, scenario, engine, config_label, "
-                    "offset, length FROM cells ORDER BY rowid")]
 
     def _require_single_sweep(self) -> str | None:
         """The store's only sweep id (``None`` when empty); raise on >1."""
@@ -527,7 +492,7 @@ class SweepIndex:
         self.refresh()
         return list(self._conn.execute(
             "SELECT sweep_id, scenario, engine, config_label, cell_index, "
-            "key, report_key, offset, length, status, cycles, "
+            "key, report_key, status, cycles, "
             "runtime_seconds, gflops, log_gflops, dram_bytes, "
             "energy_joules, output_nnz, multiplications, additions "
             "FROM cells ORDER BY rowid"))
@@ -569,24 +534,3 @@ def cells_table(rows: list[dict], *, title: str) -> Table:
         )
     return table
 
-
-def iter_hydrated(store_path: str | os.PathLike, index: SweepIndex
-                  ) -> Iterator[SweepRecord]:
-    """Yield full records by seeking the index's (offset, length) pairs.
-
-    The index catches up first, so the records cover the whole current
-    file.  Raises ``ValueError`` if a read-back record does not match its
-    index row — the store was rewritten underneath the index (it should
-    be rebuilt, and the JSONL trusted meanwhile).
-    """
-    locations = index.locations()
-    with open(store_path, "rb") as handle:
-        for cell, offset, length in locations:
-            handle.seek(offset)
-            record = parse_line(handle.read(length).decode("utf-8"))
-            if record is None or record.cell != cell:
-                raise ValueError(
-                    f"store {store_path} changed underneath its index "
-                    f"(cell {'|'.join(cell[1:])!r}); rebuild the index"
-                )
-            yield record

@@ -24,6 +24,12 @@ three operations a long-running sweep needs:
   spec and the engines' deterministic results — independent of shard
   count, resume points and append order — which is what the resumability
   tests assert byte-for-byte.
+
+What a store file holds is decided in one place, :class:`StoreScan`: each
+cell's first valid record counts, and a later record of that cell with
+another fingerprint or canonical index refuses the whole file.  The store
+open, the sidecar index, the streamed summary, compaction and the merge
+all read store files through it.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from repro.metrics.report import SCHEMA_VERSION, CostReport
 from repro.sweeps.spec import cell_key
@@ -160,6 +166,86 @@ def parse_line(line: str) -> SweepRecord | None:
         return None
 
 
+def conflicting_store_error(source: str | os.PathLike,
+                            cell: tuple[str, str, str, str]) -> ValueError:
+    """The refusal of two records of one cell that disagree.
+
+    They carry different fingerprints or canonical indices, so they were
+    written under different parameters or spec revisions.  A store the
+    driver wrote never holds such a pair (it refuses to append under other
+    parameters), so readers refuse the file rather than keep one side.
+    ``source`` names where the later record was found: a store file, or
+    the records a merge was given.  Every reader of a store file and both
+    merges raise this.
+    """
+    return ValueError(
+        f"{source}: conflicting records for cell {'|'.join(cell[1:])!r} "
+        f"of sweep {cell[0]!r} — results written under different "
+        f"parameters or spec revisions cannot be mixed"
+    )
+
+
+class StoreScan:
+    """One pass over a store file under the first-record rule.
+
+    Iterating opens ``path`` (a missing file raises ``FileNotFoundError``),
+    reads its lines as bytes from offset ``start`` and yields
+    ``(record, start, end)`` for each cell's first valid record, where
+    ``[start, end)`` is the line's byte range.  A later valid record of a
+    seen cell is a skipped duplicate when it carries the same fingerprint
+    and canonical index, and refuses the file
+    (:func:`conflicting_store_error`) when it does not.  Lines that do not
+    parse are skipped (:func:`parse_line`; bytes that are not UTF-8 read
+    as replacement characters).  An unterminated last line that does not
+    parse is a torn tail: the scan stops before it, so ``end`` never
+    passes it.  Iterating again continues from ``end``.
+
+    Args:
+        path: the store file.
+        start: byte offset of a line start to scan from.
+        cells: ``cell -> (key, cell_index)`` of cells already seen, e.g.
+            those an index holds or an earlier merge input recorded; the
+            scan adds every new cell to this dict.
+
+    Attributes:
+        cells: the seeded dict, holding every cell seen so far.
+        end: byte offset after the last line consumed.
+        duplicates: skipped duplicate records.
+        invalid: lines that did not parse, a torn tail included.
+    """
+
+    def __init__(self, path: str | os.PathLike, *, start: int = 0,
+                 cells: dict[tuple[str, str, str, str],
+                             tuple[str, int]] | None = None) -> None:
+        self.path = path
+        self.cells = {} if cells is None else cells
+        self.end = start
+        self.duplicates = 0
+        self.invalid = 0
+
+    def __iter__(self) -> Iterator[tuple[SweepRecord, int, int]]:
+        with open(self.path, "rb") as handle:
+            handle.seek(self.end)
+            for raw in handle:
+                start = self.end
+                record = parse_line(raw.decode("utf-8", errors="replace"))
+                if record is None:
+                    self.invalid += 1
+                    if not raw.endswith(b"\n"):
+                        return  # a torn tail waits for its newline
+                self.end += len(raw)
+                if record is None:
+                    continue
+                seen = self.cells.get(record.cell)
+                if seen is None:
+                    self.cells[record.cell] = (record.key, record.cell_index)
+                    yield record, start, self.end
+                elif seen == (record.key, record.cell_index):
+                    self.duplicates += 1
+                else:
+                    raise conflicting_store_error(self.path, record.cell)
+
+
 class ResultStore:
     """Append-only record store, optionally persisted as a JSONL file.
 
@@ -174,13 +260,12 @@ class ResultStore:
         index: read the file through the sqlite sidecar index
             (:mod:`repro.sweeps.index`).  On by default for file-backed
             stores: the store opens *lazily* — cell identities come from
-            the index and report payloads hydrate on demand from their
-            recorded (offset, length) byte ranges, so opening a
-            million-cell store for resume no longer parses every line.
-            Appends write the JSONL only; the index ingests them (and any
-            other writer's) the next time it is read, which for this
-            store means hydration.  The index is derived data: if it is
-            missing it is rebuilt (one scan, amortised over every later
+            the index, and the first read of :attr:`records` scans the
+            JSONL for this store's cells, so opening a million-cell store
+            for resume no longer parses every line.  Appends write the
+            JSONL only; the index ingests them (and any other writer's)
+            the next time it is read.  The index is derived data: if it
+            is missing it is rebuilt (one scan, amortised over every later
             open), and if sqlite is unavailable the store silently falls
             back to the eager JSONL-scanning behaviour — the JSONL alone
             is always enough.
@@ -200,17 +285,21 @@ class ResultStore:
             return
         if index:
             self._index = self._open_index()
-        if self._path.is_file():
-            if self._index is not None:
-                # Lazy open: identities from the (just refreshed) index;
-                # payloads hydrate on demand via their byte ranges.
-                self._records = None
-                for entry in self._index.cell_entries():
-                    self._cells[entry.cell] = (entry.key, entry.cell_index)
-                    self._keys.add(entry.key)
-                self._needs_newline = self._tail_unterminated()
-            else:
-                self._load_eager()
+        if not self._path.is_file():
+            return
+        if self._index is not None:
+            # Lazy open: identities from the (just refreshed) index;
+            # records wait for the first read of ``records``.
+            self._records = None
+            for entry in self._index.cell_entries():
+                self._cells[entry.cell] = (entry.key, entry.cell_index)
+                self._keys.add(entry.key)
+        else:
+            scan = StoreScan(self._path)
+            self._records = [record for record, _, _ in scan]
+            self._cells = scan.cells
+            self._keys = {key for key, _ in self._cells.values()}
+        self._needs_newline = self._tail_unterminated()
 
     def _open_index(self):
         """Open and refresh the sidecar; ``None`` when sqlite can't."""
@@ -249,66 +338,11 @@ class ResultStore:
         except OSError:
             return False
 
-    def _load_eager(self) -> None:
-        """Parse the whole JSONL into memory (the index-free path)."""
-        self._records = []
-        self._cells = {}
-        self._keys = set()
-        self._needs_newline = False
-        if self._path is None or not self._path.is_file():
-            return
-        text = self._path.read_text()
-        self._needs_newline = bool(text) and not text.endswith("\n")
-        for line in text.splitlines():
-            record = parse_line(line)
-            if record is None:
-                continue
-            existing = self._cells.get(record.cell)
-            if existing is None:
-                self._records.append(record)
-                self._cells[record.cell] = (record.key,
-                                            record.cell_index)
-                self._keys.add(record.key)
-            elif existing != (record.key, record.cell_index):
-                # Two fingerprints (or canonical indices) for one cell
-                # in a single file: the file concatenates stores
-                # written under different parameters or spec
-                # revisions.  A legitimate store can never contain
-                # this (the driver refuses cross-parameter appends),
-                # so fail loudly rather than silently keep one side.
-                raise conflicting_store_error(self._path, record.cell)
-
-    def _disable_index(self) -> None:
+    def close(self) -> None:
+        """Release the sidecar index connection (appends keep working)."""
         if self._index is not None:
             self._index.close()
             self._index = None
-
-    def _hydrate(self) -> None:
-        """Materialise ``_records``: by byte range if indexed, else scan.
-
-        The index catches up before it lists byte ranges, so it also lists
-        what other writers appended since the store opened.  Only this
-        store's cells are kept (those in the file at open plus its own
-        appends, in file order), as the eager open would hold them.
-        """
-        if self._index is not None:
-            from repro.sweeps.index import IndexUnavailable, iter_hydrated
-
-            try:
-                self._records = [
-                    record
-                    for record in iter_hydrated(self._path, self._index)
-                    if record.cell in self._cells]
-                return
-            except (IndexUnavailable, OSError, ValueError):
-                # The store changed underneath the index (or sqlite gave
-                # out): distrust the sidecar, trust the JSONL.
-                self._disable_index()
-        self._load_eager()
-
-    def close(self) -> None:
-        """Release the sidecar index connection (appends keep working)."""
-        self._disable_index()
 
     # ------------------------------------------------------------------
     @property
@@ -323,9 +357,16 @@ class ResultStore:
 
     @property
     def records(self) -> list[SweepRecord]:
-        """The loaded/appended records, in arrival order (a copy)."""
+        """The loaded/appended records, in arrival order (a copy).
+
+        A lazily opened store scans the JSONL on first read and keeps only
+        its own cells (those in the file at open plus its own appends, in
+        file order): what an eager open would hold, whatever other
+        writers appended meanwhile.
+        """
         if self._records is None:
-            self._hydrate()
+            self._records = [record for record, _, _ in StoreScan(self._path)
+                             if record.cell in self._cells]
         return list(self._records)
 
     def cell_entries(self) -> list[CellEntry]:
@@ -442,54 +483,8 @@ def records_to_reports(records: list[SweepRecord]) -> dict[str, CostReport]:
 
 
 # ----------------------------------------------------------------------
-# Streaming access (bounded memory for million-cell stores)
+# Streaming merge (bounded memory for million-cell stores)
 # ----------------------------------------------------------------------
-def iter_records(path: str | os.PathLike):
-    """Yield a store file's valid records one line at a time.
-
-    The streaming counterpart of ``ResultStore(path).records``: invalid
-    lines (blank, torn, other layouts, stale schema) are skipped exactly as
-    the store constructor skips them, but only one record is materialised
-    at a time — summaries and merges of million-cell stores stay within
-    bounded memory.
-
-    Raises:
-        FileNotFoundError: when the file does not exist (unlike
-            :class:`ResultStore`, a streaming reader has no "fresh store"
-            interpretation for a missing file).
-    """
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            record = parse_line(line)
-            if record is not None:
-                yield record
-
-
-def conflicting_store_error(path: str | os.PathLike,
-                            cell: tuple[str, str, str, str]) -> ValueError:
-    """The refusal of a store file holding two records of one cell.
-
-    The records differ in fingerprint or canonical index, so the file
-    mixes results written under different parameters or spec revisions.
-    Every reader of a store file raises this.
-    """
-    return ValueError(
-        f"store {path} holds conflicting records for cell "
-        f"{'|'.join(cell[1:])!r} of sweep {cell[0]!r} — it mixes results "
-        f"written under different parameters or spec revisions"
-    )
-
-
-def _conflict_error(cell: tuple[str, str, str, str]) -> ValueError:
-    """The canonical-merge conflict error (shared by both merge paths)."""
-    return ValueError(
-        f"conflicting records for cell {'|'.join(cell[1:])!r} of sweep "
-        f"{cell[0]!r}: two fingerprints or canonical indices — the inputs "
-        f"were written under different parameters or spec revisions and "
-        f"cannot be merged"
-    )
-
-
 def merge_files_to(paths: list[str | os.PathLike],
                    out_path: str | os.PathLike) -> int:
     """Stream shard stores into one canonical store file.
@@ -498,44 +493,32 @@ def merge_files_to(paths: list[str | os.PathLike],
     ``write_records(out_path, merge_files(paths))`` — same sort order, same
     per-cell deduplication, same conflict refusal — but only a
     *coordinate index* (cell → fingerprint, canonical index, byte range)
-    is ever held in memory.  Pass one: scan every line, keep each cell's
-    first valid record location, refuse conflicting duplicates.  Pass two:
-    revisit the surviving locations in canonical order and re-serialise
-    each record through :meth:`SweepRecord.to_line`.
+    is ever held in memory.  Pass one: one :class:`StoreScan` per file,
+    sharing its cells, keeps each cell's first valid record location
+    across all inputs.  Pass two: revisit the surviving locations in
+    canonical order and re-serialise each record through
+    :meth:`SweepRecord.to_line`.
 
     Returns:
         The number of records written.
 
     Raises:
         FileNotFoundError: when a named shard store does not exist.
-        ValueError: on conflicting duplicate cells (see
-            :func:`merge_records`) or when a store file changes between
-            the two passes.
+        ValueError: on conflicting records of one cell (see
+            :func:`conflicting_store_error`) or when a store file changes
+            between the two passes.
     """
     # Pass 1: coordinate index only — no report payload is retained.
-    locations: dict[tuple[str, str, str, str],
-                    tuple[int, str, Path, int, int]] = {}
-    for path in paths:
-        path = Path(path)
+    cells: dict[tuple[str, str, str, str], tuple[str, int]] = {}
+    locations: dict[tuple[str, str, str, str], tuple[Path, int, int]] = {}
+    for path in map(Path, paths):
         if not path.is_file():
             raise FileNotFoundError(f"result store not found: {path}")
-        offset = 0
-        with open(path, "rb") as handle:
-            for raw in handle:
-                length = len(raw)
-                record = parse_line(raw.decode("utf-8", errors="replace"))
-                if record is not None:
-                    existing = locations.get(record.cell)
-                    if existing is None:
-                        locations[record.cell] = (record.cell_index,
-                                                  record.key, path, offset,
-                                                  length)
-                    elif existing[:2] != (record.cell_index, record.key):
-                        raise _conflict_error(record.cell)
-                offset += length
+        for record, start, end in StoreScan(path, cells=cells):
+            locations[record.cell] = (path, start, end)
 
-    ordered = sorted(locations.items(),
-                     key=lambda item: (item[0][0], item[1][0], item[1][1]))
+    ordered = sorted(locations, key=lambda cell: (cell[0], cells[cell][1],
+                                                  cells[cell][0]))
 
     # Pass 2: seek back to each surviving line and re-serialise it.
     out_path = Path(out_path)
@@ -543,12 +526,14 @@ def merge_files_to(paths: list[str | os.PathLike],
     handles: dict[Path, object] = {}
     try:
         with open(out_path, "w", encoding="utf-8") as sink:
-            for cell, (_, _, path, offset, length) in ordered:
+            for cell in ordered:
+                path, start, end = locations[cell]
                 handle = handles.get(path)
                 if handle is None:
                     handle = handles[path] = open(path, "rb")
-                handle.seek(offset)
-                record = parse_line(handle.read(length).decode("utf-8"))
+                handle.seek(start)
+                record = parse_line(handle.read(end - start).decode(
+                    "utf-8", errors="replace"))
                 if record is None or record.cell != cell:
                     raise ValueError(
                         f"result store {path} changed while being merged"
@@ -588,7 +573,7 @@ def merge_records(records: list[SweepRecord]) -> list[SweepRecord]:
             merged[record.cell] = record
         elif (existing.key != record.key
               or existing.cell_index != record.cell_index):
-            raise _conflict_error(record.cell)
+            raise conflicting_store_error("merge input", record.cell)
     return sorted(merged.values(),
                   key=lambda r: (r.sweep_id, r.cell_index, r.key))
 

@@ -154,23 +154,19 @@ def test_writer_bands_equal_one_stream(cuts):
     [[1, 5, 9], [2, 10]],   # a later band starts lower
     [[1, 5], [9, 3, 10]],   # a band is not sorted itself
 ])
-def test_writer_bands_fall_back_to_coo(bands):
-    values = [np.arange(1.0, len(band) + 1) for band in bands]
-    keys = np.concatenate(bands)
-    want = coo_to_csr(COOMatrix(keys // 4, keys % 4, np.concatenate(values),
-                                (3, 4)))
-    got = PartialMatrixWriter(TrafficCounter()).write_bands(
-        [(np.array(band), vals) for band, vals in zip(bands, values)],
-        (3, 4), capacity=len(keys))
-    np.testing.assert_array_equal(got.indptr, want.indptr)
-    np.testing.assert_array_equal(got.indices, want.indices)
-    np.testing.assert_array_equal(got.data, want.data)
+def test_writer_bands_refuse_keys_that_do_not_increase(bands):
+    # Both merge trees emit folded, strictly increasing keys; anything
+    # else is a merge bug, not a result to canonicalise.
+    traffic = TrafficCounter()
+    with pytest.raises(ValueError, match="increase strictly"):
+        PartialMatrixWriter(traffic).write_bands(
+            [(np.array(band), np.ones(len(band))) for band in bands],
+            (3, 4), capacity=sum(map(len, bands)))
+    assert traffic.total_bytes == 0
 
 
 @pytest.mark.parametrize("bands", [
     [[1, 5], [6, 9], [10]],        # canonical bands
-    [[1, 5, 9], [9, 10], [11]],    # the COO fallback, holding bands
-    [[1, 5], [9, 3, 10], [2, 11]],
 ])
 def test_writer_bands_may_be_views_the_next_band_overwrites(bands):
     # As the merge tree's band workspace: one buffer, rewritten per band.

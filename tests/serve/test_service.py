@@ -37,7 +37,6 @@ class TestOptions:
 
     @pytest.mark.parametrize("field, value", [
         ("workers", 0), ("queue_limit", -1),
-        ("matrix_cache_entries", 0), ("latency_window", 0),
     ])
     def test_bad_sizing_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

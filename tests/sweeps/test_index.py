@@ -11,6 +11,7 @@ from contextlib import closing
 import pytest
 
 from repro.metrics.report import SCHEMA_VERSION
+from repro.sweeps.compact import compact_store
 from repro.sweeps.driver import summarise_store_file
 from repro.sweeps.index import (
     INDEX_VERSION,
@@ -20,7 +21,13 @@ from repro.sweeps.index import (
     index_path,
     summary_columns,
 )
-from repro.sweeps.store import ResultStore, SweepRecord
+from repro.sweeps.store import (
+    ResultStore,
+    SweepRecord,
+    merge_files,
+    merge_files_to,
+    render_records,
+)
 from repro.sweeps.synth import synthetic_record, write_synthetic_store
 
 
@@ -129,7 +136,7 @@ class TestIncrementalMaintenance:
 
 
 #: The cells table of a version-1 sidecar, with its per-category
-#: ``traffic`` column.
+#: ``traffic`` column and the records' byte ranges.
 CELLS_V1 = """
 CREATE TABLE cells (
     sweep_id TEXT NOT NULL, scenario TEXT NOT NULL, engine TEXT NOT NULL,
@@ -163,7 +170,7 @@ class TestFreshnessProtocol:
         with closing(sqlite3.connect(index_path(path))) as conn:
             columns = [row[1] for row in conn.execute(
                 "PRAGMA table_info(cells)")]
-            assert "traffic" not in columns
+            assert not {"traffic", "offset", "length"} & set(columns)
             assert conn.execute(
                 "SELECT value FROM meta WHERE key = 'index_version'"
             ).fetchone() == (str(INDEX_VERSION),)
@@ -235,7 +242,7 @@ class TestLazyStoreOpen:
         assert [record.cell_index for record in store.records] == [
             0, 1, 2, 3, 4]
         assert len(store.reports()) == 5
-        assert store.index is not None  # hydrated, not the eager fallback
+        assert store.index is not None
         store.close()
 
     def test_hydrated_records_equal_the_eager_scan(self, tmp_path):
@@ -265,7 +272,13 @@ class TestLazyStoreOpen:
             scenario=record.scenario, engine=record.engine,
             config_label=record.config_label, key="other-fingerprint",
             report=record.report)
-        path.write_text(record.to_line() + conflicting.to_line())
+        path.write_text(record.to_line())
+        lazy = ResultStore(path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(conflicting.to_line())  # another writer's line
+        with pytest.raises(ValueError, match="conflicting records"):
+            lazy.records
+        lazy.close()
         cell = "synth/000000|sparch|table1"
         with pytest.raises(ValueError, match="conflicting records"):
             ResultStore(path)
@@ -273,8 +286,39 @@ class TestLazyStoreOpen:
             ResultStore(path, index=False)
         with pytest.raises(ValueError, match="conflicting records"):
             ensure_index(path)
-        with pytest.raises(ValueError, match=cell):
+        with pytest.raises(ValueError, match=f"conflicting records .*{cell}"):
             summarise_store_file(path)
+        with pytest.raises(ValueError, match="conflicting records"):
+            merge_files_to([path], tmp_path / "merged.jsonl")
+        with pytest.raises(ValueError, match="conflicting records"):
+            merge_files([path])
+
+    def test_every_reader_skips_a_non_utf8_line(self, tmp_path):
+        # One newline-terminated line of bytes that are not UTF-8 (a bad
+        # disk block, a foreign writer) is an invalid line to every
+        # reader, like any other line that does not parse.
+        path = tmp_path / "store.jsonl"
+        records = [synthetic_record(position) for position in range(4)]
+        clean = render_records(records).encode("utf-8")
+        cut = len(render_records(records[:2]))
+        path.write_bytes(clean[:cut] + b"\xff\xfe not utf-8 \x80\n"
+                         + clean[cut:])
+        lazy = ResultStore(path)
+        assert lazy.records == ResultStore(path, index=False).records
+        assert lazy.records == records
+        lazy.close()
+        index = ensure_index(path)
+        assert index.count() == 4
+        assert (index.summarise(title="T").render()
+                == summarise_store_file(path, title="T").render())
+        index.close()
+        merged = tmp_path / "merged.jsonl"
+        assert merge_files_to([path], merged) == 4
+        assert merged.read_bytes() == clean
+        stats = compact_store(path, fsync=False)
+        assert (stats.records, stats.dropped_duplicates,
+                stats.dropped_invalid) == (4, 0, 1)
+        assert path.read_bytes() == clean
 
     def test_hydration_keeps_only_this_stores_cells(self, tmp_path):
         # Both opens see the 3 cells at open plus their own append, not
@@ -290,7 +334,7 @@ class TestLazyStoreOpen:
             assert [record.cell_index for record in store.records] == [
                 0, 1, 2, own]
             assert len(store.done_keys) == len(store.cell_entries()) == 4
-        assert lazy.index is not None  # hydrated, not the eager fallback
+        assert lazy.index is not None
         lazy.close()
 
     def test_stale_schema_lines_rotate_out(self, tmp_path):
@@ -322,6 +366,11 @@ class TestZeroScanQueries:
                 == summarise_store_file(path, sweep_id="synth-sweep",
                                         title="T").render())
         index.close()
+
+    def test_streamed_summary_of_a_missing_file_raises(self, tmp_path):
+        # Unlike a store open, a summary has no "fresh store" reading.
+        with pytest.raises(FileNotFoundError):
+            summarise_store_file(tmp_path / "absent.jsonl")
 
     def test_summarise_refuses_multi_sweep_without_a_filter(self,
                                                             tmp_path):

@@ -1,7 +1,8 @@
 """Property tests for the sidecar index under adversarial histories.
 
 Two invariants, for *any* interleaving of appends, mid-append kills
-(torn tails), compactions, sidecar drops, and process restarts:
+(torn tails), lines of bytes that are not UTF-8, compactions, sidecar
+drops, and process restarts:
 
 * the incrementally maintained index is row-for-row identical to a
   from-scratch rebuild of the same store file;
@@ -32,7 +33,8 @@ from repro.sweeps.store import ResultStore
 from repro.sweeps.synth import synthetic_record
 
 OPS = st.lists(
-    st.sampled_from(["append", "reopen", "tear", "drop", "compact"]),
+    st.sampled_from(["append", "reopen", "tear", "corrupt", "drop",
+                     "compact"]),
     min_size=1, max_size=24)
 
 
@@ -60,6 +62,16 @@ def replay(ops: list[str], root: Path) -> None:
             with open(path, "ab") as handle:
                 handle.write(line.encode("utf-8")[:len(line) // 2])
             store = ResultStore(path)
+        elif op == "corrupt":
+            # One newline-terminated line of bytes that are not UTF-8,
+            # after terminating a torn fragment as an append would.
+            store.close()
+            data = path.read_bytes() if path.exists() else b""
+            with open(path, "ab") as handle:
+                if data and not data.endswith(b"\n"):
+                    handle.write(b"\n")
+                handle.write(b"\xff\xfe not utf-8 \x80\n")
+            store = ResultStore(path)
         elif op == "drop":
             store.close()
             drop_index(path)
@@ -81,7 +93,7 @@ def replay(ops: list[str], root: Path) -> None:
             reread.close()
 
     # Invariant 2: whatever incremental maintenance left behind equals a
-    # from-scratch rebuild, row for row (offsets, lengths, scalars).
+    # from-scratch rebuild, row for row (coordinates and scalars).
     if path.exists():
         index = ensure_index(path)
         incremental = index.dump_rows()
@@ -104,9 +116,10 @@ def test_any_interleaving_keeps_index_and_store_consistent(ops):
 
 def test_the_worst_known_history_directly():
     # A deterministic regression pin of the nastiest shape: torn tail,
-    # retry, drop, compact, another tear, reopen.
+    # retry, drop, compact, another tear, reopen, then a non-UTF-8 line
+    # that the stores must read past.
     ops = ["append", "tear", "append", "drop", "append", "compact",
-           "tear", "reopen", "append", "compact"]
+           "tear", "reopen", "append", "compact", "corrupt", "append"]
     with tempfile.TemporaryDirectory() as root:
         replay(ops, Path(root))
 

@@ -12,8 +12,8 @@ import dataclasses
 from repro.sweeps.store import (
     STORE_VERSION,
     ResultStore,
+    StoreScan,
     SweepRecord,
-    iter_records,
     merge_files,
     merge_files_to,
     merge_records,
@@ -225,17 +225,62 @@ class TestCanonicalMerge:
 
 
 class TestStreamingMerge:
-    """`iter_records` / `merge_files_to`: the bounded-memory paths must be
+    """`StoreScan` / `merge_files_to`: the bounded-memory paths must be
     byte-identical to the list-based canonical merge they replace."""
 
-    def test_iter_records_streams_and_skips_garbage(self, tmp_path):
+    def test_scan_streams_and_skips_garbage(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore(path)
         store.append(make_record(0))
         store.append(make_record(1))
-        with open(path, "a") as handle:  # torn tail from a kill
-            handle.write(make_record(2).to_line()[:20])
-        assert [r.cell_index for r in iter_records(path)] == [0, 1]
+        with open(path, "a") as handle:
+            handle.write("\n" + make_record(0).to_line())  # blank, duplicate
+            handle.write(make_record(2).to_line()[:20])  # torn tail
+        data = path.read_bytes()
+        scan = StoreScan(path)
+        assert [(record.cell_index, data[start:end])
+                for record, start, end in scan] == [
+            (index, make_record(index).to_line().encode())
+            for index in (0, 1)]
+        assert (scan.duplicates, scan.invalid) == (1, 2)
+        assert scan.end == len(data) - 20  # stopped before the torn tail
+        # Once the tail's line is whole, a scan from there seeded with the
+        # cells seen yields only the new record.
+        with open(path, "a") as handle:
+            handle.write(make_record(2).to_line()[20:])
+        resumed = StoreScan(path, start=scan.end, cells=scan.cells)
+        assert [record.cell_index for record, _, _ in resumed] == [2]
+        assert resumed.end == path.stat().st_size
+        assert len(scan.cells) == 3
+
+    def test_seeded_scan_applies_the_rule_across_its_start(self, tmp_path):
+        # The index catches up by scanning from its end offset, seeded
+        # with the cells it holds: a record past the offset is judged
+        # against cells seen before it, not only against the new lines.
+        path = tmp_path / "store.jsonl"
+        path.write_text(render_records([make_record(0), make_record(1)]))
+        first = StoreScan(path)
+        assert [record.cell_index for record, _, _ in first] == [0, 1]
+        with open(path, "a") as handle:
+            handle.write(make_record(1).to_line() + make_record(2).to_line())
+        resumed = StoreScan(path, start=first.end, cells=dict(first.cells))
+        assert [record.cell_index for record, _, _ in resumed] == [2]
+        assert (resumed.duplicates, resumed.invalid) == (1, 0)
+        with open(path, "a") as handle:
+            handle.write(make_record(0, key="other-fingerprint").to_line())
+        with pytest.raises(ValueError, match="conflicting records"):
+            list(StoreScan(path, start=resumed.end, cells=resumed.cells))
+        # Unseeded, the same tail holds one record of a new cell.
+        tail = StoreScan(path, start=resumed.end)
+        assert [record.key for record, _, _ in tail] == ["other-fingerprint"]
+
+    def test_scan_of_a_missing_file_raises(self, tmp_path):
+        # A missing file is not an empty store to the scanner: each caller
+        # decides (a store open treats it as fresh, a merge refuses it).
+        scan = StoreScan(tmp_path / "absent.jsonl")
+        with pytest.raises(FileNotFoundError):
+            list(scan)
+        assert (scan.end, scan.duplicates, scan.invalid) == (0, 0, 0)
 
     def test_merge_files_to_matches_list_merge_bytes(self, tmp_path):
         shard_a, shard_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -278,4 +323,4 @@ class TestStreamingMerge:
                                  config_label="alias"))
         out = tmp_path / "out.jsonl"
         assert merge_files_to([shard], out) == 2
-        assert [r.cell_index for r in iter_records(out)] == [1, 4]
+        assert [r.cell_index for r, _, _ in StoreScan(out)] == [1, 4]

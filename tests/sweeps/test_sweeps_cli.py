@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sweeps import index as sweep_index
 from repro.sweeps.__main__ import _parse_shard, build_parser, main
+from repro.sweeps.synth import write_synthetic_store
 
 
 class TestListing:
@@ -67,6 +69,21 @@ class TestEndToEnd:
         assert main(["summarise", str(merged)]) == 0
         output = capsys.readouterr().out
         assert "sparch" in output and "mkl" in output
+
+    def test_summarise_streams_the_same_tables_without_sqlite(
+            self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        write_synthetic_store(path, 40, dirty=True)
+        assert main(["summarise", str(path)]) == 0
+        indexed = capsys.readouterr().out
+        assert "(40 cells)" in indexed
+
+        def unavailable(store_path):
+            raise sweep_index.IndexUnavailable("no usable sqlite")
+
+        monkeypatch.setattr(sweep_index, "ensure_index", unavailable)
+        assert main(["summarise", str(path)]) == 0
+        assert capsys.readouterr().out == indexed
 
     def test_resumed_run_reports_replayed_cells(self, capsys, tmp_path):
         store = tmp_path / "store.jsonl"
